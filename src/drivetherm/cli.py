@@ -16,6 +16,7 @@ import numpy as np
 
 from . import __version__, engine
 from .config import TOLERANCE_SCALE_ENV, load_run_config
+from .drive import dlambda_dbeta
 from .exceptions import ConfigValidationError, DriveThermError
 from .propagation import propagate
 from .reporting import (build_manifest, config_content_hash, write_kernel_csv,
@@ -92,20 +93,19 @@ def cmd_simulate(args) -> int:
         drive = config.build_drive()
         grid = config.build_grid()
         v = config.build_v()
-        drift_tol = config.tolerances.step_drift
-        results = engine.qfi_time_series(model, v, drive, grid,
-                                         n_measurements=config.n_measurements,
-                                         drift_tol=drift_tol)
+        trace = propagate(model, v, drive, grid,
+                          drift_tol=config.tolerances.step_drift)
+        results = engine.qfi_time_series(trace, n_measurements=config.n_measurements)
         kernel_payload = None
         if config.kernel_csv_name is not None:
+            # currents at the sampled nodes only: all n of them would raise peak memory
             stride = max(1, grid.n_nodes // KERNEL_MAX_NODES)
-            trace = propagate(model, v, drive, grid, drift_tol=drift_tol)
-            ct = engine.build_current_trace(trace)
+            times = grid.nodes[::stride]
             thin = engine.CurrentTrace(
                 grid=grid, model=model,
-                currents=ct.currents[::stride], weights=ct.weights[::stride])
-            kernel_payload = (grid.nodes[::stride],
-                              engine.kernel_matrix(thin).real)
+                currents=engine.information_current(model, trace.heisenberg_v[::stride]),
+                weights=np.atleast_1d(dlambda_dbeta(drive, times, model.beta)))
+            kernel_payload = (times, engine.kernel_matrix(thin).real)
     except DriveThermError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL

@@ -9,7 +9,7 @@ fully reproducible from the resolved snapshot stored in the manifest.
 
 import math
 import os
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 import yaml
@@ -19,7 +19,7 @@ from .drive import (ConstantEnvelope, ConstantModulation, CosineModulation,
                     TabulatedModulation, sample_envelope_center)
 from .exceptions import ConfigValidationError
 from .operators import PAULI, SIGMA_Z, eig, hermitize
-from .propagation import TimeGrid, default_n_steps
+from .propagation import DRIFT_TOL, TimeGrid, default_n_steps
 from .scans import AXES, REDUCE_MODES, ReduceSpec, ScanSpec
 from .thermal import RANK_FLOOR, default_beta_max, equilibrium_qfi, make_gibbs
 
@@ -28,42 +28,31 @@ TOLERANCE_SCALE_ENV = "DRIVETHERM_TOLERANCE_SCALE"
 
 @dataclass(frozen=True)
 class Tolerances:
-    """Numerical tolerances; all scaled by the env multiplier on load."""
+    """Numerical tolerances; all scaled by the env multiplier on load.
 
-    hermiticity_warn: float = 1e-10
-    unitarity: float = 1e-10
-    step_drift: float = 1e-8
-    bloch_norm: float = 1e-6
+    ``step_drift`` bounds the unitarity drift of every propagation and
+    ``rank_floor`` the smallest thermal population, in ``simulate`` and
+    ``scan`` alike.
+    """
+
+    step_drift: float = DRIFT_TOL
     rank_floor: float = RANK_FLOOR
     scale: float = 1.0
 
     @classmethod
     def resolve(cls, overrides: dict | None = None) -> "Tolerances":
         scale = float(os.environ.get(TOLERANCE_SCALE_ENV, "1.0"))
-        base = {
-            "hermiticity_warn": 1e-10,
-            "unitarity": 1e-10,
-            "step_drift": 1e-8,
-            "bloch_norm": 1e-6,
-            "rank_floor": RANK_FLOOR,
-        }
-        for key in base:
-            base[key] *= scale
+        base = {"step_drift": DRIFT_TOL * scale, "rank_floor": RANK_FLOOR * scale}
         for key, value in (overrides or {}).items():
             if key not in base:
                 raise KeyError(f"unknown tolerance {key!r}; expected one of {sorted(base)}")
             base[key] = float(value)
+            if not math.isfinite(base[key]):
+                raise ValueError(f"tolerance {key!r} must be finite, got {value!r}")
         return cls(scale=scale, **base)
 
     def as_dict(self) -> dict:
-        return {
-            "hermiticity_warn": self.hermiticity_warn,
-            "unitarity": self.unitarity,
-            "step_drift": self.step_drift,
-            "bloch_norm": self.bloch_norm,
-            "rank_floor": self.rank_floor,
-            "scale": self.scale,
-        }
+        return asdict(self)
 
 
 # --------------------------------------------------------------------------
@@ -98,6 +87,11 @@ def _load_yaml_with_lines(path: str):
     if node is not None:
         walk(node, "")
     return data, lines
+
+
+def _finite_number(x) -> bool:
+    """A YAML int or float (not a bool) with a finite value."""
+    return isinstance(x, (int, float)) and not isinstance(x, bool) and math.isfinite(x)
 
 
 class _Section:
@@ -145,8 +139,8 @@ class _Section:
                 raise self.error(f"missing required key '{self._dotted(key)}'", key)
             return default
         value = self.data[key]
-        if isinstance(value, bool) or not isinstance(value, (int, float)):
-            raise self.error(f"'{self._dotted(key)}' must be a number, got {value!r}", key)
+        if not _finite_number(value):
+            raise self.error(f"'{self._dotted(key)}' must be a finite number, got {value!r}", key)
         value = float(value)
         if minimum is not None and value < minimum:
             raise self.error(f"'{self._dotted(key)}' must be >= {minimum}, got {value}", key)
@@ -257,6 +251,7 @@ class RunConfig:
             reduce=reduce_spec,
             n_measurements=self.n_measurements,
             drift_tol=self.tolerances.step_drift,
+            rank_floor=self.tolerances.rank_floor,
         )
 
     # ---- round trip ------------------------------------------------------
@@ -295,14 +290,8 @@ class RunConfig:
         model = payload["model"]
         drive = payload["drive"]
         tol = payload["tolerances"]
-        tolerances = Tolerances(
-            hermiticity_warn=tol["hermiticity_warn"],
-            unitarity=tol["unitarity"],
-            step_drift=tol["step_drift"],
-            bloch_norm=tol["bloch_norm"],
-            rank_floor=tol["rank_floor"],
-            scale=tol["scale"],
-        )
+        tolerances = Tolerances(step_drift=tol["step_drift"],
+                                rank_floor=tol["rank_floor"], scale=tol["scale"])
         return cls(
             model_kind=model["kind"],
             omega=model["omega"],
@@ -366,10 +355,9 @@ def _parse_matrix_rows(sec: _Section, key: str, dim: int | None):
             raise sec.error(f"'{sec._dotted(key)}' rows must be lists", key)
         entries = []
         for cell in row:
-            if (not isinstance(cell, list) or len(cell) != 2
-                    or not all(isinstance(x, (int, float)) and not isinstance(x, bool) for x in cell)):
+            if not isinstance(cell, list) or len(cell) != 2 or not all(map(_finite_number, cell)):
                 raise sec.error(
-                    f"'{sec._dotted(key)}' entries must be [re, im] number pairs", key)
+                    f"'{sec._dotted(key)}' entries must be [re, im] finite number pairs", key)
             entries.append((float(cell[0]), float(cell[1])))
         rows.append(tuple(entries))
     n = len(rows)
@@ -386,9 +374,8 @@ def _parse_pairs(sec: _Section, key: str):
         raise sec.error(f"'{sec._dotted(key)}' must be a list of >= 2 [x, value] pairs", key)
     pairs = []
     for item in raw:
-        if (not isinstance(item, list) or len(item) != 2
-                or not all(isinstance(x, (int, float)) and not isinstance(x, bool) for x in item)):
-            raise sec.error(f"'{sec._dotted(key)}' entries must be [x, value] pairs", key)
+        if not isinstance(item, list) or len(item) != 2 or not all(map(_finite_number, item)):
+            raise sec.error(f"'{sec._dotted(key)}' entries must be finite [x, value] pairs", key)
         pairs.append([float(item[0]), float(item[1])])
     if not all(b[0] > a[0] for a, b in zip(pairs, pairs[1:])):
         raise sec.error(f"'{sec._dotted(key)}' abscissa must be strictly increasing", key)
@@ -420,9 +407,9 @@ def load_run_config(path: str, *, enforce_guard: bool = True) -> RunConfig:
         dim = 2
     elif kind == "diagonal":
         raw = model.get("energies")
-        if not isinstance(raw, list) or len(raw) < 2 or not all(
-                isinstance(x, (int, float)) and not isinstance(x, bool) for x in raw):
-            raise model.error("'model.energies' must be a list of >= 2 numbers", "energies")
+        if not isinstance(raw, list) or len(raw) < 2 or not all(map(_finite_number, raw)):
+            raise model.error("'model.energies' must be a list of >= 2 finite numbers",
+                              "energies")
         energies = tuple(float(x) for x in raw)
         dim = len(energies)
     else:
@@ -550,9 +537,9 @@ def load_run_config(path: str, *, enforce_guard: bool = True) -> RunConfig:
                 raise vsec.error("'scan.values.stop' must exceed 'start'", "stop")
             values = [float(x) for x in np.linspace(start, stop, num)]
         elif isinstance(values_raw, list):
-            if not values_raw or not all(
-                    isinstance(x, (int, float)) and not isinstance(x, bool) for x in values_raw):
-                raise scan_sec.error("'scan.values' must be a nonempty list of numbers", "values")
+            if not values_raw or not all(map(_finite_number, values_raw)):
+                raise scan_sec.error("'scan.values' must be a nonempty list of finite numbers",
+                                     "values")
             values = [float(x) for x in values_raw]
         else:
             raise scan_sec.error(
@@ -590,8 +577,7 @@ def load_run_config(path: str, *, enforce_guard: bool = True) -> RunConfig:
             if mode == "max_over_t":
                 raw_window = red_sec.get("window")
                 if (not isinstance(raw_window, list) or len(raw_window) != 2
-                        or not all(isinstance(x, (int, float)) and not isinstance(x, bool)
-                                   for x in raw_window)
+                        or not all(map(_finite_number, raw_window))
                         or not raw_window[1] > raw_window[0] >= 0):
                     raise red_sec.error(
                         "'scan.reduce.window' must be [t0, t1] with t1 > t0 >= 0", "window")

@@ -11,9 +11,14 @@ with w = dlambda/dbeta and dL_t the accumulated current.  The total
 F_total = F_eq + I_t is cross-checked against the spectral Fisher
 information of the evolved state, computed along an independent route.
 
-The O(n) dL accumulation is the primary path; the O(n^2) kernel double
-integral is retained as a verification mode (identical algebra, identical
-quadrature) and for kernel visualization.
+The current is linear in V_H, so dL_t is the same fixed linear map applied
+to the weighted integral M_t = int_0^t w V_H accumulated by ``propagate``:
+dL_t = Q [-2i R o (Q^dag M_t Q)] Q^dag with R_ij = (p_j - p_i)/(p_i + p_j)
+in the thermal eigenbasis Q.  That map of M is the primary path, and both
+sides of the cross-check read the one M.  The per-node currents, their
+running trapezoid and the O(n^2) kernel double integral are retained as a
+verification mode (identical algebra, identical quadrature) and for kernel
+visualization.
 """
 
 from dataclasses import dataclass
@@ -21,11 +26,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bures import spectral_qfi_batch
-from .drive import DriveProfile, dlambda_dbeta
+from .drive import dlambda_dbeta
 from .exceptions import FullRankViolation
-from .operators import hermitize
-from .propagation import (DRIFT_TOL, EvolutionTrace, TimeGrid,
-                          _weighted_v_integral, propagate)
+from .propagation import EvolutionTrace, TimeGrid, cumulative_trapezoid
 from .thermal import GibbsModel, dpi_dbeta, equilibrium_qfi, equilibrium_sld
 
 #: Test-harness hook: -1 is the physical commutator in the current; +1
@@ -57,11 +60,12 @@ def _require_full_rank(model: GibbsModel) -> None:
 
 
 def information_current(model: GibbsModel, v_heisenberg: np.ndarray) -> np.ndarray:
-    """Information current -i J^-1_pi0([V_H, pi0]) for one Heisenberg operator.
+    """Information current -i J^-1_pi0([V_H, pi0]) of a Heisenberg operator.
 
     Hermitian; identically zero iff V_H commutes with the thermal state; its
     diagonal in the thermal eigenbasis is exactly zero, i.e. the current
-    lives entirely in the coherence sector.
+    lives entirely in the coherence sector.  Linear in V_H, and applied
+    elementwise to a (..., d, d) stack.
     """
     _require_full_rank(model)
     q = model.basis
@@ -96,16 +100,11 @@ def build_current_trace(trace: EvolutionTrace) -> CurrentTrace:
     Weights vanish identically for temperature-insensitive envelopes; the
     currents may still be nonzero but then carry no Fisher information.
     """
-    model = trace.model
-    _require_full_rank(model)
-    q = model.basis
-    vt = np.einsum("ji,kjl,lm->kim", q.conj(), trace.heisenberg_v, q)
-    jt = -2j * _current_ratio(model)[None, :, :] * vt
-    currents = np.einsum("ij,kjl,ml->kim", q, jt, q.conj())
     weights = np.atleast_1d(
         dlambda_dbeta(trace.drive, trace.grid.nodes, trace.beta)
     ).astype(float)
-    return CurrentTrace(grid=trace.grid, model=model, currents=currents,
+    return CurrentTrace(grid=trace.grid, model=trace.model,
+                        currents=information_current(trace.model, trace.heisenberg_v),
                         weights=weights)
 
 
@@ -154,20 +153,17 @@ def increment_via_kernel(ct: CurrentTrace, *, return_diagnostics: bool = False):
     return total
 
 
-def _trapezoid_upto(ct: CurrentTrace, k: int) -> np.ndarray:
-    if k == 0:
-        return np.zeros(1)
-    c = np.full(k + 1, ct.grid.dt)
-    c[0] = c[-1] = 0.5 * ct.grid.dt
-    return c * ct.weights[: k + 1]
+def _delta_sld_stack(ct: CurrentTrace, k: int) -> np.ndarray:
+    """dL(t_0..t_k): running trapezoid of w(s) J_V(s)."""
+    wj = ct.weights[: k + 1, None, None] * ct.currents[: k + 1]
+    return cumulative_trapezoid(wj, ct.grid.dt)
 
 
 def delta_sld(ct: CurrentTrace, k: int | None = None) -> np.ndarray:
     """Accumulated current dL(t_k) = trapezoid of w(s) J_V(s) up to node k."""
     if k is None:
         k = ct.grid.n_steps
-    cw = _trapezoid_upto(ct, k)
-    return np.einsum("k,kij->ij", cw, ct.currents[: k + 1])
+    return _delta_sld_stack(ct, k)[-1]
 
 
 def increment_via_deltaL(ct: CurrentTrace, k: int | None = None) -> float:
@@ -179,7 +175,7 @@ def increment_via_deltaL(ct: CurrentTrace, k: int | None = None) -> float:
 
 def increment_series(ct: CurrentTrace) -> np.ndarray:
     """I_t at every grid node, via the running dL accumulation."""
-    dl = _delta_sld_stack(ct)
+    dl = _delta_sld_stack(ct, ct.grid.n_steps)
     return np.real(np.einsum("ij,kjl,kli->k", ct.model.state, dl, dl))
 
 
@@ -218,107 +214,65 @@ def _crb_sigma(f_total: float, n_measurements: int) -> float:
     return 1.0 / np.sqrt(n_measurements * f_total)
 
 
-def _delta_sld_stack(ct: CurrentTrace) -> np.ndarray:
-    """dL(t_k) for every node via the running trapezoid."""
-    n = ct.grid.n_steps
-    d = ct.model.dim
-    out = np.zeros((n + 1, d, d), dtype=complex)
-    if n == 0:
-        return out
-    wj = ct.weights[:, None, None] * ct.currents
-    increments = 0.5 * ct.grid.dt * (wj[:-1] + wj[1:])
-    np.cumsum(increments, axis=0, out=out[1:])
-    return out
+def _decompose(trace: EvolutionTrace, nodes: np.ndarray,
+               n_measurements: int) -> list[QfiResult]:
+    """Decomposition and spectral cross-check at the given node indices.
 
-
-def qfi_time_series(model: GibbsModel, v, drive: DriveProfile, grid: TimeGrid,
-                    *, n_measurements: int = 1,
-                    drift_tol: float = DRIFT_TOL) -> list[QfiResult]:
-    """Full decomposition and spectral cross-check at every grid node."""
-    v = hermitize(v)
-    trace = propagate(model, v, drive, grid, drift_tol=drift_tol)
-    ct = build_current_trace(trace)
+    dL(t_k) is the information current of M(t_k) (the map is linear), and
+    the spectral route reads the same M through A = -i M.
+    """
+    model = trace.model
+    grid = trace.grid
     pi0 = model.state
     f_eq = equilibrium_qfi(model)
-    l_eq = equilibrium_sld(model)
+    m = trace.M[nodes]
 
-    dl = _delta_sld_stack(ct)
+    dl = information_current(model, m)
     i_t = np.real(np.einsum("ij,kjl,kli->k", pi0, dl, dl))
-    mixed = np.abs(np.einsum("ij,jl,kli->k", pi0, l_eq, dl))
+    mixed = np.abs(np.einsum("ij,jl,kli->k", pi0, equilibrium_sld(model), dl))
 
-    m_stack = _weighted_v_integral(trace)
-    a_stack = -1j * m_stack
-    u = trace.propagators
+    a = -1j * m
+    u = trace.propagators[nodes]
     rho = np.einsum("kij,jl,kml->kim", u, pi0, u.conj())
-    inner = dpi_dbeta(model)[None, :, :] + (a_stack @ pi0 - pi0 @ a_stack)
+    inner = dpi_dbeta(model)[None, :, :] + (a @ pi0 - pi0 @ a)
     drho = np.einsum("kij,kjl,kml->kim", u, inner, u.conj())
     f_spectral = spectral_qfi_batch(rho, drho)
 
     f_total = f_eq + i_t
     rel = np.abs(f_total - f_spectral) / np.maximum(f_spectral, REL_DISAGREEMENT_FLOOR)
-
-    results = []
-    for k, t in enumerate(grid.nodes):
-        results.append(
-            QfiResult(
-                t=float(t),
-                f_eq=f_eq,
-                i_t=float(i_t[k]),
-                f_total=float(f_total[k]),
-                f_spectral=float(f_spectral[k]),
-                rel_disagreement=float(rel[k]),
-                crb_sigma=_crb_sigma(float(f_total[k]), n_measurements),
-                diagnostics=RunDiagnostics(
-                    n_steps=grid.n_steps,
-                    dt=grid.dt,
-                    unitarity_drift=trace.unitarity_drift,
-                    mixed_term_residual=float(mixed[k]),
-                ),
-            )
+    times = grid.nodes[nodes]
+    return [
+        QfiResult(
+            t=float(times[j]),
+            f_eq=f_eq,
+            i_t=float(i_t[j]),
+            f_total=float(f_total[j]),
+            f_spectral=float(f_spectral[j]),
+            rel_disagreement=float(rel[j]),
+            crb_sigma=_crb_sigma(float(f_total[j]), n_measurements),
+            diagnostics=RunDiagnostics(
+                n_steps=grid.n_steps,
+                dt=grid.dt,
+                unitarity_drift=trace.unitarity_drift,
+                mixed_term_residual=float(mixed[j]),
+            ),
         )
-    return results
+        for j in range(len(times))
+    ]
 
 
-def qfi_driven(model: GibbsModel, v, drive: DriveProfile, grid: TimeGrid,
-               at: int | None = None, *, n_measurements: int = 1,
-               drift_tol: float = DRIFT_TOL) -> QfiResult:
+def qfi_time_series(trace: EvolutionTrace, *,
+                    n_measurements: int = 1) -> list[QfiResult]:
+    """Full decomposition and spectral cross-check at every grid node."""
+    return _decompose(trace, np.arange(trace.grid.n_nodes), n_measurements)
+
+
+def qfi_driven(trace: EvolutionTrace, at: int | None = None, *,
+               n_measurements: int = 1) -> QfiResult:
     """Decomposed QFI at a single node (default: the final one)."""
-    v = hermitize(v)
+    n = trace.grid.n_steps
     if at is None:
-        at = grid.n_steps
-    if not 0 <= at <= grid.n_steps:
-        raise ValueError(f"node index {at} outside grid with {grid.n_steps} steps")
-    trace = propagate(model, v, drive, grid, drift_tol=drift_tol)
-    ct = build_current_trace(trace)
-    pi0 = model.state
-    f_eq = equilibrium_qfi(model)
-
-    dl = delta_sld(ct, at)
-    i_t = float(np.real(np.trace(pi0 @ dl @ dl)))
-    mixed = float(abs(np.trace(pi0 @ equilibrium_sld(model) @ dl)))
-
-    m_k = _weighted_v_integral(trace)[at]
-    a_k = -1j * m_k
-    u_k = trace.propagators[at]
-    rho = u_k @ pi0 @ u_k.conj().T
-    inner = dpi_dbeta(model) + (a_k @ pi0 - pi0 @ a_k)
-    drho = u_k @ inner @ u_k.conj().T
-    f_spectral = float(spectral_qfi_batch(rho[None], drho[None])[0])
-
-    f_total = f_eq + i_t
-    rel = abs(f_total - f_spectral) / max(f_spectral, REL_DISAGREEMENT_FLOOR)
-    return QfiResult(
-        t=float(grid.nodes[at]),
-        f_eq=f_eq,
-        i_t=i_t,
-        f_total=f_total,
-        f_spectral=f_spectral,
-        rel_disagreement=rel,
-        crb_sigma=_crb_sigma(f_total, n_measurements),
-        diagnostics=RunDiagnostics(
-            n_steps=grid.n_steps,
-            dt=grid.dt,
-            unitarity_drift=trace.unitarity_drift,
-            mixed_term_residual=mixed,
-        ),
-    )
+        at = n
+    if not 0 <= at <= n:
+        raise ValueError(f"node index {at} outside grid with {n} steps")
+    return _decompose(trace, np.array([at]), n_measurements)[0]

@@ -2,9 +2,11 @@
 
 The stepper is midpoint-exponential, U(t+dt) = exp(-i*dt*H(t+dt/2)) U(t):
 exactly unitary per step regardless of dt, second-order accurate overall.
-Heisenberg operators V_H(t) = U^dag V U and the cumulative beta-generator
-are cached on the resulting trace, since the downstream double integrals
-revisit every node.
+Heisenberg operators V_H(t) = U^dag V U and the weighted integral
+M(t) = int_0^t dlambda/dbeta(s) V_H(s) ds are accumulated once, here, and
+cached on the resulting trace.  M is the one accumulated state of a run:
+the beta-generator is A = -i M, and the accumulated information current dL
+of the engine is a fixed linear map of M.
 """
 
 import math
@@ -71,10 +73,11 @@ def default_grid(t_end: float, *frequencies: float) -> TimeGrid:
 
 @dataclass(frozen=True)
 class EvolutionTrace:
-    """Propagators and Heisenberg perturbation cached on a time grid.
+    """Propagators, Heisenberg perturbation and their weighted integral.
 
     ``propagators[k]`` is U(t_k); ``heisenberg_v[k] = U(t_k)^dag V U(t_k)``
-    shares the spectrum of V and stays Hermitian for all k.
+    shares the spectrum of V and stays Hermitian for all k.  ``M[k]`` is the
+    Hermitian cumulative trapezoid of dlambda_dbeta(s) * V_H(s) up to t_k.
     """
 
     grid: TimeGrid
@@ -83,6 +86,7 @@ class EvolutionTrace:
     v: np.ndarray
     propagators: np.ndarray
     heisenberg_v: np.ndarray
+    M: np.ndarray
     unitarity_drift: float
 
     @property
@@ -96,7 +100,7 @@ class EvolutionTrace:
 
 def propagate(model: GibbsModel, v, drive: DriveProfile, grid: TimeGrid,
               *, drift_tol: float = DRIFT_TOL) -> EvolutionTrace:
-    """Integrate the propagator chain and cache Heisenberg operators.
+    """Integrate the propagator chain; cache Heisenberg operators and M.
 
     Raises
     ------
@@ -138,6 +142,7 @@ def propagate(model: GibbsModel, v, drive: DriveProfile, grid: TimeGrid,
         )
 
     heisenberg_v = np.einsum("kji,jl,klm->kim", propagators.conj(), v, propagators)
+    w = np.atleast_1d(dlambda_dbeta(drive, grid.nodes, model.beta))
     return EvolutionTrace(
         grid=grid,
         model=model,
@@ -145,31 +150,23 @@ def propagate(model: GibbsModel, v, drive: DriveProfile, grid: TimeGrid,
         v=v,
         propagators=propagators,
         heisenberg_v=heisenberg_v,
+        M=cumulative_trapezoid(w[:, None, None] * heisenberg_v, grid.dt),
         unitarity_drift=drift,
     )
 
 
-def _weighted_v_integral(trace: EvolutionTrace) -> np.ndarray:
-    """Cumulative trapezoid of dlambda_dbeta(s) * V_H(s): Hermitian stack M(t_k)."""
-    n = trace.grid.n_steps
-    d = trace.dim
-    out = np.zeros((n + 1, d, d), dtype=complex)
-    if n == 0:
-        return out
-    w = np.atleast_1d(dlambda_dbeta(trace.drive, trace.grid.nodes, trace.beta))
-    wv = w[:, None, None] * trace.heisenberg_v
-    increments = 0.5 * trace.grid.dt * (wv[:-1] + wv[1:])
-    np.cumsum(increments, axis=0, out=out[1:])
+def cumulative_trapezoid(values: np.ndarray, dt: float) -> np.ndarray:
+    """Running composite trapezoid of a node stack: out[k] = int_0^{t_k}."""
+    out = np.zeros_like(values)
+    if len(values) > 1:
+        np.cumsum(0.5 * dt * (values[:-1] + values[1:]), axis=0, out=out[1:])
     return out
 
 
 def beta_generator(trace: EvolutionTrace) -> np.ndarray:
-    """The generator A(t_k) = U^dag dU/dbeta, anti-Hermitian stack.
-
-    Accumulated as -i times the trapezoid of dlambda_dbeta(s) V_H(s) on the
-    propagation grid; A(0) = 0.
-    """
-    return -1j * _weighted_v_integral(trace)
+    """The generator A(t_k) = U^dag dU/dbeta = -i M(t_k), anti-Hermitian
+    stack; A(0) = 0."""
+    return -1j * trace.M
 
 
 def drho_dbeta_analytic(trace: EvolutionTrace, k: int) -> np.ndarray:
@@ -178,7 +175,7 @@ def drho_dbeta_analytic(trace: EvolutionTrace, k: int) -> np.ndarray:
     Traceless Hermitian; reduces to the rotated equilibrium derivative when
     the drive is temperature-insensitive (A = 0).
     """
-    a_k = beta_generator(trace)[k]
+    a_k = -1j * trace.M[k]
     pi0 = trace.model.state
     inner = dpi_dbeta(trace.model) + (a_k @ pi0 - pi0 @ a_k)
     u = trace.propagators[k]

@@ -15,8 +15,8 @@ import numpy as np
 from .drive import CosineModulation, DriveProfile, GaussianEnvelope
 from .engine import QfiResult, qfi_driven, qfi_time_series
 from .operators import eig, hermitize
-from .propagation import TimeGrid, default_n_steps
-from .thermal import make_gibbs
+from .propagation import DRIFT_TOL, TimeGrid, default_n_steps, propagate
+from .thermal import RANK_FLOOR, make_gibbs
 
 AXES = ("frequency", "temperature", "time")
 REDUCE_MODES = ("value_at_t", "max_over_t")
@@ -57,8 +57,8 @@ class ScanSpec:
     drive: DriveProfile
     reduce: ReduceSpec
     n_measurements: int = 1
-    steps_per_period: int | None = None   # None -> propagation default
-    drift_tol: float | None = None        # None -> propagation default
+    drift_tol: float = DRIFT_TOL
+    rank_floor: float = RANK_FLOOR
 
     def __post_init__(self):
         if self.axis not in AXES:
@@ -100,15 +100,7 @@ def _spectral_spread(h0: np.ndarray) -> float:
 
 
 def _grid_for(spec: ScanSpec, t_end: float, omega_d: float) -> TimeGrid:
-    if t_end == 0.0:
-        return TimeGrid(0.0, 0)
-    spread = _spectral_spread(spec.h0)
-    if spec.steps_per_period is None:
-        n = default_n_steps(t_end, spread, omega_d)
-    else:
-        fastest = max(spread, omega_d, 1e-30)
-        n = max(1, math.ceil(spec.steps_per_period * t_end * fastest / (2.0 * math.pi)))
-    return TimeGrid(t_end, n)
+    return TimeGrid(t_end, default_n_steps(t_end, _spectral_spread(spec.h0), omega_d))
 
 
 def _reduce_series(results: Sequence[QfiResult], reduce: ReduceSpec) -> QfiResult:
@@ -129,7 +121,7 @@ def _evaluate_point(spec: ScanSpec, value: float) -> ScanPoint:
     elif spec.axis == "temperature":
         beta = value
     omega_d = drive.omega_d
-    model = make_gibbs(spec.h0, beta)
+    model = make_gibbs(spec.h0, beta, rank_floor=spec.rank_floor)
 
     if spec.axis == "time":
         t_eval = value
@@ -138,15 +130,13 @@ def _evaluate_point(spec: ScanSpec, value: float) -> ScanPoint:
     else:
         t_eval = spec.reduce.window[1]
 
-    grid = _grid_for(spec, t_eval, omega_d)
-    extra = {} if spec.drift_tol is None else {"drift_tol": spec.drift_tol}
+    trace = propagate(model, spec.v, drive, _grid_for(spec, t_eval, omega_d),
+                      drift_tol=spec.drift_tol)
     if spec.reduce.mode == "max_over_t" and spec.axis != "time":
-        series = qfi_time_series(model, spec.v, drive, grid,
-                                 n_measurements=spec.n_measurements, **extra)
+        series = qfi_time_series(trace, n_measurements=spec.n_measurements)
         row = _reduce_series(series, spec.reduce)
     else:
-        row = qfi_driven(model, spec.v, drive, grid,
-                         n_measurements=spec.n_measurements, **extra)
+        row = qfi_driven(trace, n_measurements=spec.n_measurements)
     return ScanPoint(
         axis_value=value,
         f_eq=row.f_eq,
@@ -174,8 +164,8 @@ def _provenance(spec: ScanSpec) -> dict:
         "reduce": {"mode": spec.reduce.mode, "t": spec.reduce.t,
                    "window": list(spec.reduce.window) if spec.reduce.window else None},
         "n_measurements": spec.n_measurements,
-        "steps_per_period": spec.steps_per_period,
         "drift_tol": spec.drift_tol,
+        "rank_floor": spec.rank_floor,
     }
 
 
@@ -314,9 +304,8 @@ def optimize_drive(h0, v, target_beta: float, t_eval: float,
             return cache[key]
         if not budget.take():
             return None
-        beta_model = model
         grid = TimeGrid(t_eval, default_n_steps(t_eval, spread, p["omega_d"]))
-        result = qfi_driven(beta_model, v, current(p), grid,
+        result = qfi_driven(propagate(model, v, current(p), grid),
                             n_measurements=n_measurements)
         cache[key] = result.f_total
         trail.append((dict(p), result.f_total))

@@ -112,7 +112,7 @@ def run_checks(config: RunConfig | None = None, *, seed: int = 20260810) -> list
     # --- driven run: shared trace ------------------------------------------
     trace = propagate(model, v, drive, grid)
     ct = engine.build_current_trace(trace)
-    series = engine.qfi_time_series(model, v, drive, grid)
+    series = engine.qfi_time_series(trace)
 
     # currents live in the coherence sector: Tr[pi0 J] = 0
     overlaps = np.abs(np.einsum("ij,kji->k", model.state, ct.currents))
@@ -155,7 +155,7 @@ def run_checks(config: RunConfig | None = None, *, seed: int = 20260810) -> list
 
     # --- no-go: temperature-insensitive envelope ---------------------------
     nogo_drive = replace(drive, envelope=ConstantEnvelope())
-    nogo_series = engine.qfi_time_series(model, v, nogo_drive, grid)
+    nogo_series = engine.qfi_time_series(propagate(model, v, nogo_drive, grid))
     worst = max(abs(r.f_spectral - r.f_eq) for r in nogo_series)
     worst = max(worst, max(abs(r.i_t) for r in nogo_series))
     checks.append(CheckResult("no-go-constant-envelope", worst <= 1e-9, worst, 1e-9))
@@ -166,7 +166,7 @@ def run_checks(config: RunConfig | None = None, *, seed: int = 20260810) -> list
         envelope=GaussianEnvelope(beta0=beta_star + 2.0, s_beta=2.0),
         temporal=CosineModulation(omega_d=max(spread, 1.0), phi=0.0),
     )
-    commuting_series = engine.qfi_time_series(model, h0, commuting_drive, grid)
+    commuting_series = engine.qfi_time_series(propagate(model, h0, commuting_drive, grid))
     worst = max(abs(r.i_t) for r in commuting_series)
     checks.append(CheckResult("no-go-commuting-perturbation", worst <= 1e-12,
                               worst, 1e-12))

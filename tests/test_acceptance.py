@@ -61,7 +61,7 @@ def randomized_suite():
         )
         t_end = float(rng.uniform(2.0, 8.0))
         grid = TimeGrid(t_end, default_n_steps(t_end, spread_of(h0), drive.omega_d))
-        series = qfi_time_series(make_gibbs(h0, beta), v, drive, grid)
+        series = qfi_time_series(propagate(make_gibbs(h0, beta), v, drive, grid))
         stats.append({
             "max_rel": max(r.rel_disagreement for r in series),
             "min_i": min(r.i_t for r in series),
@@ -75,8 +75,8 @@ def test_criterion_01_dual_path_equivalence(randomized_suite):
     stats, elapsed = randomized_suite
     started = time.monotonic()
     config = load_run_config(str(CONFIG_DIR / "fig2b.yaml"))
-    series = qfi_time_series(config.build_model(), config.build_v(),
-                             config.build_drive(), config.build_grid())
+    series = qfi_time_series(propagate(config.build_model(), config.build_v(),
+                                       config.build_drive(), config.build_grid()))
     elapsed += time.monotonic() - started
     worst = max(max(s["max_rel"] for s in stats),
                 max(r.rel_disagreement for r in series))
@@ -101,7 +101,7 @@ def test_criterion_03_no_go_condition():
     t_end = 20 * TWO_PI
     grid = TimeGrid(t_end, default_n_steps(t_end, 1.0, 1.0))
     flat = DriveProfile(0.1, ConstantEnvelope(), CosineModulation(1.0, 0.0))
-    series = qfi_time_series(model, SIGMA_X, flat, grid)
+    series = qfi_time_series(propagate(model, SIGMA_X, flat, grid))
     worst_spec = max(abs(r.f_spectral - r.f_eq) for r in series)
 
     gaussian = DriveProfile(0.1, GaussianEnvelope(10.0, 3.0),

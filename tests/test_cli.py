@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from drivetherm import cli, engine, propagation
 from drivetherm.cli import main
 from drivetherm.config import RunConfig, load_run_config
 from drivetherm.exceptions import ConfigValidationError
@@ -212,7 +213,7 @@ def test_tolerance_scale_env(tmp_path, monkeypatch):
     cfg = write(tmp_path, "run.yaml", BASE_CONFIG)
     loaded = load_run_config(str(cfg))
     assert loaded.tolerances.scale == 10.0
-    assert loaded.tolerances.unitarity == 1e-9
+    assert loaded.tolerances.step_drift == 1e-7
     out = tmp_path / "out"
     assert main(["simulate", "--config", str(cfg), "--out", str(out)]) == 0
     manifest = read_manifest(out / "run.json")
@@ -374,6 +375,80 @@ def test_unknown_tolerance_key_rejected(tmp_path):
     cfg = write(tmp_path, "bad.yaml", BASE_CONFIG + "tolerances: {fuzziness: 1.0}\n")
     with pytest.raises(ConfigValidationError, match="unknown tolerance"):
         load_run_config(str(cfg))
+    # keys that nothing read are gone from the schema
+    for key in ("unitarity", "hermiticity_warn", "bloch_norm"):
+        cfg = write(tmp_path, f"{key}.yaml", BASE_CONFIG + f"tolerances: {{{key}: 1.0e-10}}\n")
+        assert main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
+
+
+DIAGONAL_CONFIG = """\
+model:
+  kind: diagonal
+  energies: [0.0, 1.0]
+  v:
+    - [[0.0, 0.0], [1.0, 0.0]]
+    - [[1.0, 0.0], [0.0, 0.0]]
+  beta_star: 1.0
+drive:
+  lambda0: 0.1
+  envelope: {kind: gaussian, beta0: 2.0, s_beta: 1.0}
+  temporal: {kind: cosine, omega_d: 1.0, phi: 0.0}
+grid: {t_end: 1.0}
+"""
+
+
+@pytest.mark.parametrize("base, old, new", [
+    (BASE_CONFIG, "lambda0: 0.1", "lambda0: .nan"),
+    (BASE_CONFIG, "beta_star: 5.0", "beta_star: .nan"),
+    (BASE_CONFIG, "t_end: 6.283185307179586", "t_end: .inf"),
+    (DIAGONAL_CONFIG, "energies: [0.0, 1.0]", "energies: [0, .nan]"),
+    (SCAN_CONFIG, "values: [0.5, 1.0, 2.0]", "values: [.nan]"),
+    (SCAN_CONFIG, "reduce: {mode: value_at_t, t: 6.283185307179586}",
+     "reduce: {mode: max_over_t, window: [0.0, .inf]}"),
+    (BASE_CONFIG + "tolerances: {step_drift: 1.0e-8}\n", "1.0e-8", ".nan"),
+], ids=["lambda0", "beta_star", "t_end", "energies", "scan.values",
+        "scan.reduce.window", "tolerances.step_drift"])
+def test_non_finite_config_number_rejected(tmp_path, capsys, base, old, new):
+    text = base.replace(old, new)
+    line = text.splitlines().index(next(x for x in text.splitlines() if new in x)) + 1
+    cfg = write(tmp_path, "bad.yaml", text)
+    command = "scan" if "scan:" in text else "simulate"
+    assert main([command, "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
+    assert f"bad.yaml:{line}:" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
+def test_scan_honours_rank_floor(tmp_path):
+    # beta = 44 leaves a smallest population of 7.8e-20: below the default
+    # rank floor, above the configured one, as simulate already allows
+    text = (SCAN_CONFIG.replace("axis: frequency", "axis: temperature")
+            .replace("[0.5, 1.0, 2.0]", "[43.0, 44.0]")
+            + "tolerances: {rank_floor: 1.0e-30}\n")
+    cfg = write(tmp_path, "scan.yaml", text)
+    out = tmp_path / "out"
+    assert main(["scan", "--config", str(cfg), "--out", str(out)]) == 0
+    _, _, rows = read_csv(out / "scan.csv")
+    assert [r[0] for r in rows] == [43.0, 44.0]
+    provenance = read_manifest(out / "scan.json")["diagnostics"]["provenance"]
+    assert provenance["rank_floor"] == 1e-30
+
+
+def test_simulate_with_kernel_propagates_once(tmp_path, monkeypatch):
+    calls = []
+    original = propagation.propagate
+
+    def counted(*args, **kwargs):
+        calls.append(args[3].n_steps)
+        return original(*args, **kwargs)
+
+    for module in (cli, engine, propagation):
+        if getattr(module, "propagate", None) is original:
+            monkeypatch.setattr(module, "propagate", counted)
+    text = BASE_CONFIG.replace("manifest: run.json",
+                               "manifest: run.json\n  kernel: kern.csv")
+    cfg = write(tmp_path, "run.yaml", text)
+    assert main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 0
+    assert calls == [200]
 
 
 def test_pauli_perturbation_needs_two_levels(tmp_path):

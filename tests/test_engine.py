@@ -180,7 +180,7 @@ def test_mixed_term_vanishes(qubit_model, resonant_drive):
 
 
 def test_qfi_driven_at_time_zero(qubit_model, resonant_drive):
-    r = qfi_driven(qubit_model, SIGMA_X, resonant_drive, TimeGrid(0.0, 0))
+    r = qfi_driven(propagate(qubit_model, SIGMA_X, resonant_drive, TimeGrid(0.0, 0)))
     assert r.i_t == 0.0
     assert r.f_total == r.f_eq
     assert abs(r.f_spectral - r.f_eq) < 1e-12 * r.f_eq
@@ -189,18 +189,18 @@ def test_qfi_driven_at_time_zero(qubit_model, resonant_drive):
 def test_qfi_driven_constant_envelope_no_gain(qubit_model):
     drive = DriveProfile(0.1, ConstantEnvelope(), CosineModulation(1.0, 0.0))
     grid = TimeGrid(2 * TWO_PI, default_n_steps(2 * TWO_PI, 1.0, 1.0))
-    for r in qfi_time_series(qubit_model, SIGMA_X, drive, grid):
+    for r in qfi_time_series(propagate(qubit_model, SIGMA_X, drive, grid)):
         assert abs(r.f_spectral - r.f_eq) <= 1e-9
         assert r.f_total == r.f_eq
 
 
 def test_qfi_driven_dual_path_agreement(qubit_model, resonant_drive):
     grid = TimeGrid(2 * TWO_PI, default_n_steps(2 * TWO_PI, 1.0, 1.0))
-    series = qfi_time_series(qubit_model, SIGMA_X, resonant_drive, grid)
+    series = qfi_time_series(propagate(qubit_model, SIGMA_X, resonant_drive, grid))
     assert max(r.rel_disagreement for r in series) <= 1e-6
     assert all(r.f_total == r.f_eq + r.i_t for r in series)
     # the single node evaluator agrees with the batched series
-    r_single = qfi_driven(qubit_model, SIGMA_X, resonant_drive, grid, at=250)
+    r_single = qfi_driven(propagate(qubit_model, SIGMA_X, resonant_drive, grid), at=250)
     r_series = series[250]
     assert abs(r_single.f_total - r_series.f_total) < 1e-15
     assert abs(r_single.f_spectral - r_series.f_spectral) < 1e-12
@@ -208,13 +208,14 @@ def test_qfi_driven_dual_path_agreement(qubit_model, resonant_drive):
 
 def test_qfi_driven_crb_column(qubit_model, resonant_drive):
     grid = TimeGrid(TWO_PI, 200)
-    r = qfi_driven(qubit_model, SIGMA_X, resonant_drive, grid, n_measurements=25)
+    r = qfi_driven(propagate(qubit_model, SIGMA_X, resonant_drive, grid),
+                   n_measurements=25)
     assert abs(r.crb_sigma - 1.0 / np.sqrt(25 * r.f_total)) < 1e-15
 
 
 def test_qfi_driven_rejects_bad_node_index(qubit_model, resonant_drive):
     with pytest.raises(ValueError, match="node index"):
-        qfi_driven(qubit_model, SIGMA_X, resonant_drive, TimeGrid(1.0, 10), at=11)
+        qfi_driven(propagate(qubit_model, SIGMA_X, resonant_drive, TimeGrid(1.0, 10)), at=11)
 
 
 def test_increment_series_matches_pointwise(qubit_model, resonant_drive):
@@ -229,8 +230,8 @@ def test_dual_path_tightens_under_refinement(qubit_model, resonant_drive):
     t_end = TWO_PI
     coarse = TimeGrid(t_end, default_n_steps(t_end, 1.0, 1.0))
     fine = TimeGrid(t_end, 4 * coarse.n_steps)
-    worst_fine = max(r.rel_disagreement
-                     for r in qfi_time_series(qubit_model, SIGMA_X, resonant_drive, fine))
+    series = qfi_time_series(propagate(qubit_model, SIGMA_X, resonant_drive, fine))
+    worst_fine = max(r.rel_disagreement for r in series)
     assert worst_fine <= 1e-8
 
 
@@ -252,7 +253,24 @@ def test_randomized_positivity_and_gain(rng):
         t_end = float(rng.uniform(1.0, 5.0))
         spread = float(np.ptp(np.linalg.eigvalsh(h0)))
         grid = TimeGrid(t_end, default_n_steps(t_end, spread, drive.omega_d))
-        r = qfi_driven(model, v, drive, grid)
+        r = qfi_driven(propagate(model, v, drive, grid))
         assert r.i_t >= -1e-10
         assert r.f_total >= r.f_eq - 1e-10
         assert r.diagnostics.mixed_term_residual <= 1e-10
+
+
+@pytest.mark.parametrize("d", [2, 3, 4, 5, 6])
+def test_time_series_matches_current_route(d):
+    # dL read off the accumulated M equals the running trapezoid of the
+    # per-node currents at every node
+    rng = np.random.default_rng(5300 + d)
+    h0 = random_hermitian(rng, d)
+    v = random_hermitian(rng, d)
+    drive = DriveProfile(0.15, GaussianEnvelope(2.0, 1.5), CosineModulation(1.1, 0.4))
+    spread = float(np.ptp(np.linalg.eigvalsh(h0)))
+    grid = TimeGrid(6.0, default_n_steps(6.0, spread, drive.omega_d))
+    trace = propagate(make_gibbs(h0, 0.8), v, drive, grid)
+    i_t = np.array([r.i_t for r in qfi_time_series(trace)])
+    reference = increment_series(build_current_trace(trace))
+    assert i_t[0] == reference[0] == 0.0
+    np.testing.assert_allclose(i_t, reference, rtol=1e-12, atol=0.0)
