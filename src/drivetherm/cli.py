@@ -122,19 +122,18 @@ def cmd_simulate(args) -> int:
         write_kernel_csv(kernel_path, *kernel_payload, manifest_hash)
         data_files[config.kernel_csv_name] = kernel_path
 
-    last = results[-1]
+    rows = len(results.t)
     diagnostics = {
-        "rows": len(results),
-        "unitarity_drift": last.diagnostics.unitarity_drift,
-        "max_rel_disagreement": max(r.rel_disagreement for r in results),
-        "max_mixed_term_residual": max(r.diagnostics.mixed_term_residual
-                                       for r in results),
+        "rows": rows,
+        "unitarity_drift": trace.unitarity_drift,
+        "max_rel_disagreement": float(results.rel_disagreement.max()),
+        "max_mixed_term_residual": float(results.mixed_term_residual.max()),
     }
     manifest = build_manifest(config, wall_clock_seconds=time.monotonic() - started,
                               diagnostics=diagnostics, data_files=data_files)
     write_manifest(out_dir / config.manifest_name, manifest)
-    log.info("wrote %s rows to %s", len(results), csv_path)
-    print(f"simulate: {len(results)} rows -> {csv_path}")
+    log.info("wrote %s rows to %s", rows, csv_path)
+    print(f"simulate: {rows} rows -> {csv_path}")
     return EXIT_OK
 
 

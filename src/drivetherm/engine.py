@@ -19,9 +19,13 @@ sides of the cross-check read the one M.  The per-node currents, their
 running trapezoid and the O(n^2) kernel double integral are retained as a
 verification mode (identical algebra, identical quadrature) and for kernel
 visualization.
+
+Results are columnar: ``qfi_time_series`` returns one ``QfiResult`` whose
+fields are float64 arrays over the grid nodes, and ``qfi_driven`` returns
+the same record with float fields at one node.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -180,51 +184,39 @@ def increment_series(ct: CurrentTrace) -> np.ndarray:
 
 
 @dataclass(frozen=True)
-class RunDiagnostics:
-    n_steps: int
-    dt: float
-    unitarity_drift: float
-    mixed_term_residual: float
-
-
-@dataclass(frozen=True)
 class QfiResult:
-    """Sensitivity of the driven probe at one evolution time.
+    """Sensitivity of the driven probe, one column per quantity.
 
+    From ``qfi_time_series`` every field is a float64 array over the grid
+    nodes; from ``qfi_driven`` every field is a float at one node.
     ``f_total = f_eq + i_t`` exactly by construction; ``f_spectral`` is the
     independent spectral evaluation on the evolved state and
     ``rel_disagreement`` their relative mismatch.  ``crb_sigma`` is the
     Cramer-Rao standard-deviation bound 1/sqrt(n * F) for the configured
-    number of measurements.
+    number of measurements (inf where F <= 0).  ``mixed_term_residual`` is
+    |Tr[pi0 L_eq dL]|, which vanishes analytically.  Run constants (step
+    count, dt, unitarity drift) live on the ``EvolutionTrace``.
     """
 
-    t: float
-    f_eq: float
-    i_t: float
-    f_total: float
-    f_spectral: float
-    rel_disagreement: float
-    crb_sigma: float
-    diagnostics: RunDiagnostics
-
-
-def _crb_sigma(f_total: float, n_measurements: int) -> float:
-    if f_total <= 0.0:
-        return float("inf")
-    return 1.0 / np.sqrt(n_measurements * f_total)
+    t: np.ndarray
+    f_eq: np.ndarray
+    i_t: np.ndarray
+    f_total: np.ndarray
+    f_spectral: np.ndarray
+    rel_disagreement: np.ndarray
+    crb_sigma: np.ndarray
+    mixed_term_residual: np.ndarray
 
 
 def _decompose(trace: EvolutionTrace, nodes: np.ndarray,
-               n_measurements: int) -> list[QfiResult]:
+               n_measurements: int) -> QfiResult:
     """Decomposition and spectral cross-check at the given node indices.
 
     dL(t_k) is the information current of M(t_k) (the map is linear), and
     the spectral route reads the same M through A = -i M.
     """
     model = trace.model
-    grid = trace.grid
     pi0 = model.state
-    f_eq = equilibrium_qfi(model)
     m = trace.M[nodes]
 
     dl = information_current(model, m)
@@ -238,41 +230,31 @@ def _decompose(trace: EvolutionTrace, nodes: np.ndarray,
     drho = np.einsum("kij,kjl,kml->kim", u, inner, u.conj())
     f_spectral = spectral_qfi_batch(rho, drho)
 
+    f_eq = np.full(len(nodes), equilibrium_qfi(model))
     f_total = f_eq + i_t
     rel = np.abs(f_total - f_spectral) / np.maximum(f_spectral, REL_DISAGREEMENT_FLOOR)
-    times = grid.nodes[nodes]
-    return [
-        QfiResult(
-            t=float(times[j]),
-            f_eq=f_eq,
-            i_t=float(i_t[j]),
-            f_total=float(f_total[j]),
-            f_spectral=float(f_spectral[j]),
-            rel_disagreement=float(rel[j]),
-            crb_sigma=_crb_sigma(float(f_total[j]), n_measurements),
-            diagnostics=RunDiagnostics(
-                n_steps=grid.n_steps,
-                dt=grid.dt,
-                unitarity_drift=trace.unitarity_drift,
-                mixed_term_residual=float(mixed[j]),
-            ),
-        )
-        for j in range(len(times))
-    ]
+    crb = np.full(len(nodes), np.inf)
+    informative = f_total > 0.0
+    crb[informative] = 1.0 / np.sqrt(n_measurements * f_total[informative])
+    return QfiResult(t=trace.grid.nodes[nodes], f_eq=f_eq, i_t=i_t, f_total=f_total,
+                     f_spectral=f_spectral, rel_disagreement=rel, crb_sigma=crb,
+                     mixed_term_residual=mixed)
 
 
 def qfi_time_series(trace: EvolutionTrace, *,
-                    n_measurements: int = 1) -> list[QfiResult]:
-    """Full decomposition and spectral cross-check at every grid node."""
+                    n_measurements: int = 1) -> QfiResult:
+    """Full decomposition and spectral cross-check at every grid node, as
+    float64 columns of length ``n_nodes``."""
     return _decompose(trace, np.arange(trace.grid.n_nodes), n_measurements)
 
 
 def qfi_driven(trace: EvolutionTrace, at: int | None = None, *,
                n_measurements: int = 1) -> QfiResult:
-    """Decomposed QFI at a single node (default: the final one)."""
+    """Decomposed QFI at a single node (default: the final one), as floats."""
     n = trace.grid.n_steps
     if at is None:
         at = n
     if not 0 <= at <= n:
         raise ValueError(f"node index {at} outside grid with {n} steps")
-    return _decompose(trace, np.array([at]), n_measurements)[0]
+    column = _decompose(trace, np.array([at]), n_measurements)
+    return QfiResult(*(float(getattr(column, f.name)[0]) for f in fields(QfiResult)))

@@ -29,10 +29,6 @@ def frobenius(a: np.ndarray) -> float:
     return float(np.linalg.norm(a))
 
 
-def dagger(a: np.ndarray) -> np.ndarray:
-    return a.conj().T
-
-
 def hermitize(entries, warn_above: float = HERMITICITY_WARN) -> np.ndarray:
     """Return the Hermitian part (A + A^dag)/2 of a square matrix.
 
@@ -110,12 +106,6 @@ def commutator(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     if a.shape != b.shape:
         raise ValueError(f"dimension mismatch: {a.shape} vs {b.shape}")
     return a @ b - b @ a
-
-
-def anticommutator(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    if a.shape != b.shape:
-        raise ValueError(f"dimension mismatch: {a.shape} vs {b.shape}")
-    return a @ b + b @ a
 
 
 # Pauli matrices: the ubiquitous d=2 special case.

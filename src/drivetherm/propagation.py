@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .drive import DriveProfile, dlambda_dbeta, lambda_at
-from .exceptions import StepSizeTooCoarse
+from .exceptions import DriveThermError, StepSizeTooCoarse
 from .operators import hermitize
 from .thermal import GibbsModel, dpi_dbeta, make_gibbs
 
@@ -104,6 +104,9 @@ def propagate(model: GibbsModel, v, drive: DriveProfile, grid: TimeGrid,
 
     Raises
     ------
+    DriveThermError
+        If the unitarity drift or M is not finite (a NaN or infinite drive
+        parameter or entry of V).
     StepSizeTooCoarse
         If the accumulated unitarity defect exceeds ``drift_tol``; the
         exception carries a suggested finer ``n_steps``.
@@ -133,6 +136,8 @@ def propagate(model: GibbsModel, v, drive: DriveProfile, grid: TimeGrid,
         axis=(1, 2),
     )
     drift = float(defects.max())
+    if not math.isfinite(drift):
+        raise DriveThermError(f"unitarity drift is {drift}: the drive or V is not finite")
     if drift > drift_tol:
         suggested = max(2 * n, 1)
         raise StepSizeTooCoarse(
@@ -143,6 +148,10 @@ def propagate(model: GibbsModel, v, drive: DriveProfile, grid: TimeGrid,
 
     heisenberg_v = np.einsum("kji,jl,klm->kim", propagators.conj(), v, propagators)
     w = np.atleast_1d(dlambda_dbeta(drive, grid.nodes, model.beta))
+    m = cumulative_trapezoid(w[:, None, None] * heisenberg_v, grid.dt)
+    if not np.isfinite(m).all():
+        raise DriveThermError("the weighted integral M is not finite: "
+                              "check the drive's dlambda/dbeta")
     return EvolutionTrace(
         grid=grid,
         model=model,
@@ -150,7 +159,7 @@ def propagate(model: GibbsModel, v, drive: DriveProfile, grid: TimeGrid,
         v=v,
         propagators=propagators,
         heisenberg_v=heisenberg_v,
-        M=cumulative_trapezoid(w[:, None, None] * heisenberg_v, grid.dt),
+        M=m,
         unitarity_drift=drift,
     )
 

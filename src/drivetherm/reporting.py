@@ -10,7 +10,9 @@ so it is computable before any data exists.
 import hashlib
 import json
 from pathlib import Path
-from typing import Sequence
+from typing import Iterable, Sequence
+
+import numpy as np
 
 from . import __version__
 from .config import RunConfig
@@ -50,20 +52,18 @@ def sha256_file(path) -> str:
 
 
 def _write_csv(path, manifest_hash: str, header: Sequence[str],
-               rows: Sequence[Sequence[float]]) -> None:
+               rows: Iterable[Sequence[float]]) -> None:
     lines = [f"# manifest_hash={manifest_hash}", ",".join(header)]
     for row in rows:
         lines.append(",".join(format_float(x) for x in row))
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
-def write_simulation_csv(path, results: Sequence[QfiResult],
-                         manifest_hash: str) -> None:
-    rows = [
-        (r.t, r.f_eq, r.i_t, r.f_total, r.f_spectral, r.rel_disagreement, r.crb_sigma)
-        for r in results
-    ]
-    _write_csv(path, manifest_hash, SIMULATION_COLUMNS, rows)
+def write_simulation_csv(path, results: QfiResult, manifest_hash: str) -> None:
+    columns = (results.t, results.f_eq, results.i_t, results.f_total,
+               results.f_spectral, results.rel_disagreement, results.crb_sigma)
+    _write_csv(path, manifest_hash, SIMULATION_COLUMNS,
+               zip(*(c.tolist() for c in columns)))
 
 
 def write_scan_csv(path, axis: str, points: Sequence[ScanPoint],
@@ -74,13 +74,11 @@ def write_scan_csv(path, axis: str, points: Sequence[ScanPoint],
 
 
 def write_kernel_csv(path, times, kernel_sym, manifest_hash: str) -> None:
-    """Symmetrized kernel K_S(t_a, t_b) as (s, u, K_S) triples."""
-    rows = [
-        (float(times[a]), float(times[b]), float(kernel_sym[a, b]))
-        for a in range(len(times))
-        for b in range(len(times))
-    ]
-    _write_csv(path, manifest_hash, ("s", "u", "K_S"), rows)
+    """Symmetrized kernel K_S(t_a, t_b) as (s, u, K_S) triples, row-major."""
+    n = len(times)
+    columns = (np.repeat(times, n), np.tile(times, n), np.ravel(kernel_sym))
+    _write_csv(path, manifest_hash, ("s", "u", "K_S"),
+               zip(*(c.tolist() for c in columns)))
 
 
 def read_csv(path):

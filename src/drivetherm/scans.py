@@ -8,7 +8,7 @@ identical to sequential execution.
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
-from typing import Mapping, Sequence
+from typing import Mapping
 
 import numpy as np
 
@@ -103,14 +103,13 @@ def _grid_for(spec: ScanSpec, t_end: float, omega_d: float) -> TimeGrid:
     return TimeGrid(t_end, default_n_steps(t_end, _spectral_spread(spec.h0), omega_d))
 
 
-def _reduce_series(results: Sequence[QfiResult], reduce: ReduceSpec) -> QfiResult:
-    if reduce.mode == "value_at_t":
-        return results[-1]
-    t0, t1 = reduce.window
-    window = [r for r in results if t0 <= r.t <= t1]
-    if not window:
+def _best_node(series: QfiResult, window: tuple) -> int:
+    """Node of the largest F_total inside the window (ties -> earliest)."""
+    t0, t1 = window
+    inside = np.flatnonzero((series.t >= t0) & (series.t <= t1))
+    if inside.size == 0:
         raise ValueError(f"no grid nodes inside the reduction window [{t0}, {t1}]")
-    return max(window, key=lambda r: r.f_total)
+    return int(inside[np.argmax(series.f_total[inside])])
 
 
 def _evaluate_point(spec: ScanSpec, value: float) -> ScanPoint:
@@ -134,16 +133,11 @@ def _evaluate_point(spec: ScanSpec, value: float) -> ScanPoint:
                       drift_tol=spec.drift_tol)
     if spec.reduce.mode == "max_over_t" and spec.axis != "time":
         series = qfi_time_series(trace, n_measurements=spec.n_measurements)
-        row = _reduce_series(series, spec.reduce)
-    else:
-        row = qfi_driven(trace, n_measurements=spec.n_measurements)
-    return ScanPoint(
-        axis_value=value,
-        f_eq=row.f_eq,
-        i_t=row.i_t,
-        f_total=row.f_total,
-        f_spectral=row.f_spectral,
-    )
+        k = _best_node(series, spec.reduce.window)
+        columns = (series.f_eq, series.i_t, series.f_total, series.f_spectral)
+        return ScanPoint(value, *(float(c[k]) for c in columns))
+    row = qfi_driven(trace, n_measurements=spec.n_measurements)
+    return ScanPoint(value, row.f_eq, row.i_t, row.f_total, row.f_spectral)
 
 
 def _provenance(spec: ScanSpec) -> dict:

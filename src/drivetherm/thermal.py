@@ -135,16 +135,3 @@ def dpi_dbeta(model: GibbsModel) -> np.ndarray:
     """
     diag = model.probabilities * (model.mean_energy - model.energies)
     return (model.basis * diag) @ model.basis.conj().T
-
-
-def check_density_matrix(rho: np.ndarray, *, trace_tol: float = 1e-12,
-                         psd_tol: float = 1e-12) -> None:
-    """Validate Hermiticity, unit trace, and positive semidefiniteness."""
-    if np.linalg.norm(rho - rho.conj().T) > 1e-12 * max(1.0, np.linalg.norm(rho)):
-        raise ValueError("density matrix is not Hermitian")
-    tr = np.trace(rho).real
-    if abs(tr - 1.0) > trace_tol:
-        raise ValueError(f"density matrix trace {tr} differs from 1 beyond {trace_tol:.1e}")
-    vals = eig(hermitize(rho)).eigenvalues
-    if vals[0] < -psd_tol:
-        raise ValueError(f"density matrix has negative eigenvalue {vals[0]:.3e}")

@@ -128,11 +128,11 @@ def run_checks(config: RunConfig | None = None, *, seed: int = 20260810) -> list
                               measured <= 1e-10, measured, 1e-10))
 
     # dual-path agreement
-    worst = max(r.rel_disagreement for r in series)
+    worst = float(series.rel_disagreement.max())
     checks.append(CheckResult("dual-path-agreement", worst <= 1e-6, worst, 1e-6))
 
     # mixed term
-    worst = max(r.diagnostics.mixed_term_residual for r in series)
+    worst = float(series.mixed_term_residual.max())
     checks.append(CheckResult("mixed-term-vanishing", worst <= 1e-10, worst, 1e-10))
 
     # increment path equivalence + antisymmetric-part residual
@@ -147,17 +147,14 @@ def run_checks(config: RunConfig | None = None, *, seed: int = 20260810) -> list
                               measured <= 1e-10, measured, 1e-10))
 
     # nonnegativity and gain over the run
-    min_i = min(r.i_t for r in series)
-    min_gain = min(r.f_total - r.f_eq for r in series)
-    measured = min(min_i, min_gain)
+    measured = float(min(series.i_t.min(), (series.f_total - series.f_eq).min()))
     checks.append(CheckResult("increment-nonnegative", measured >= -1e-10,
                               measured, -1e-10))
 
     # --- no-go: temperature-insensitive envelope ---------------------------
     nogo_drive = replace(drive, envelope=ConstantEnvelope())
-    nogo_series = engine.qfi_time_series(propagate(model, v, nogo_drive, grid))
-    worst = max(abs(r.f_spectral - r.f_eq) for r in nogo_series)
-    worst = max(worst, max(abs(r.i_t) for r in nogo_series))
+    nogo = engine.qfi_time_series(propagate(model, v, nogo_drive, grid))
+    worst = float(max(np.abs(nogo.f_spectral - nogo.f_eq).max(), np.abs(nogo.i_t).max()))
     checks.append(CheckResult("no-go-constant-envelope", worst <= 1e-9, worst, 1e-9))
 
     # --- no-go: perturbation commuting with H0 -----------------------------
@@ -166,8 +163,8 @@ def run_checks(config: RunConfig | None = None, *, seed: int = 20260810) -> list
         envelope=GaussianEnvelope(beta0=beta_star + 2.0, s_beta=2.0),
         temporal=CosineModulation(omega_d=max(spread, 1.0), phi=0.0),
     )
-    commuting_series = engine.qfi_time_series(propagate(model, h0, commuting_drive, grid))
-    worst = max(abs(r.i_t) for r in commuting_series)
+    commuting = engine.qfi_time_series(propagate(model, h0, commuting_drive, grid))
+    worst = float(np.abs(commuting.i_t).max())
     checks.append(CheckResult("no-go-commuting-perturbation", worst <= 1e-12,
                               worst, 1e-12))
 

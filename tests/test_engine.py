@@ -1,3 +1,5 @@
+from dataclasses import fields
+
 import numpy as np
 import pytest
 
@@ -189,21 +191,23 @@ def test_qfi_driven_at_time_zero(qubit_model, resonant_drive):
 def test_qfi_driven_constant_envelope_no_gain(qubit_model):
     drive = DriveProfile(0.1, ConstantEnvelope(), CosineModulation(1.0, 0.0))
     grid = TimeGrid(2 * TWO_PI, default_n_steps(2 * TWO_PI, 1.0, 1.0))
-    for r in qfi_time_series(propagate(qubit_model, SIGMA_X, drive, grid)):
-        assert abs(r.f_spectral - r.f_eq) <= 1e-9
-        assert r.f_total == r.f_eq
+    series = qfi_time_series(propagate(qubit_model, SIGMA_X, drive, grid))
+    assert np.abs(series.f_spectral - series.f_eq).max() <= 1e-9
+    assert np.array_equal(series.f_total, series.f_eq)
 
 
 def test_qfi_driven_dual_path_agreement(qubit_model, resonant_drive):
     grid = TimeGrid(2 * TWO_PI, default_n_steps(2 * TWO_PI, 1.0, 1.0))
     series = qfi_time_series(propagate(qubit_model, SIGMA_X, resonant_drive, grid))
-    assert max(r.rel_disagreement for r in series) <= 1e-6
-    assert all(r.f_total == r.f_eq + r.i_t for r in series)
-    # the single node evaluator agrees with the batched series
+    assert series.rel_disagreement.max() <= 1e-6
+    assert np.array_equal(series.f_total, series.f_eq + series.i_t)
+    # the single node evaluator agrees with the batched series in every field
     r_single = qfi_driven(propagate(qubit_model, SIGMA_X, resonant_drive, grid), at=250)
-    r_series = series[250]
-    assert abs(r_single.f_total - r_series.f_total) < 1e-15
-    assert abs(r_single.f_spectral - r_series.f_spectral) < 1e-12
+    for name in ("t", "f_eq", "i_t", "f_total"):
+        assert abs(getattr(r_single, name) - getattr(series, name)[250]) < 1e-15
+    for name in ("f_spectral", "rel_disagreement", "crb_sigma"):
+        assert abs(getattr(r_single, name) - getattr(series, name)[250]) < 1e-12
+    assert abs(r_single.mixed_term_residual - series.mixed_term_residual[250]) <= 1e-10
 
 
 def test_qfi_driven_crb_column(qubit_model, resonant_drive):
@@ -231,7 +235,7 @@ def test_dual_path_tightens_under_refinement(qubit_model, resonant_drive):
     coarse = TimeGrid(t_end, default_n_steps(t_end, 1.0, 1.0))
     fine = TimeGrid(t_end, 4 * coarse.n_steps)
     series = qfi_time_series(propagate(qubit_model, SIGMA_X, resonant_drive, fine))
-    worst_fine = max(r.rel_disagreement for r in series)
+    worst_fine = series.rel_disagreement.max()
     assert worst_fine <= 1e-8
 
 
@@ -256,7 +260,7 @@ def test_randomized_positivity_and_gain(rng):
         r = qfi_driven(propagate(model, v, drive, grid))
         assert r.i_t >= -1e-10
         assert r.f_total >= r.f_eq - 1e-10
-        assert r.diagnostics.mixed_term_residual <= 1e-10
+        assert r.mixed_term_residual <= 1e-10
 
 
 @pytest.mark.parametrize("d", [2, 3, 4, 5, 6])
@@ -270,7 +274,18 @@ def test_time_series_matches_current_route(d):
     spread = float(np.ptp(np.linalg.eigvalsh(h0)))
     grid = TimeGrid(6.0, default_n_steps(6.0, spread, drive.omega_d))
     trace = propagate(make_gibbs(h0, 0.8), v, drive, grid)
-    i_t = np.array([r.i_t for r in qfi_time_series(trace)])
+    i_t = qfi_time_series(trace).i_t
     reference = increment_series(build_current_trace(trace))
     assert i_t[0] == reference[0] == 0.0
     np.testing.assert_allclose(i_t, reference, rtol=1e-12, atol=0.0)
+
+
+def test_time_series_columns_are_float64_arrays(qubit_model, resonant_drive):
+    grid = TimeGrid(TWO_PI, 120)
+    series = qfi_time_series(propagate(qubit_model, SIGMA_X, resonant_drive, grid))
+    for field in fields(series):
+        column = getattr(series, field.name)
+        assert isinstance(column, np.ndarray), field.name
+        assert column.dtype == np.float64 and column.shape == (grid.n_nodes,), field.name
+    single = qfi_driven(propagate(qubit_model, SIGMA_X, resonant_drive, grid))
+    assert all(type(getattr(single, f.name)) is float for f in fields(single))

@@ -3,7 +3,7 @@ import pytest
 
 from drivetherm.drive import (ConstantEnvelope, CosineModulation, DriveProfile,
                               GaussianEnvelope)
-from drivetherm.exceptions import StepSizeTooCoarse
+from drivetherm.exceptions import DriveThermError, StepSizeTooCoarse
 from drivetherm.operators import SIGMA_X, SIGMA_Y, SIGMA_Z
 from drivetherm.propagation import (TimeGrid, beta_generator, default_n_steps,
                                     drho_dbeta_analytic, drho_dbeta_fd,
@@ -77,6 +77,26 @@ def test_drift_guard_raises(qubit_model, resonant_drive):
         propagate(qubit_model, SIGMA_X, resonant_drive, TimeGrid(TWO_PI, 50),
                   drift_tol=1e-17)
     assert err.value.suggested_n_steps == 100
+
+
+NAN_V = np.array([[0.0, np.nan], [np.nan, 0.0]])
+
+
+@pytest.mark.parametrize("drive, v, message", [
+    pytest.param(resonant_drive(lambda0=np.nan), SIGMA_X, "unitarity drift is nan",
+                 id="lambda0-nan"),
+    pytest.param(resonant_drive(omega_d=np.nan), SIGMA_X, "unitarity drift is nan",
+                 id="omega_d-nan"),
+    pytest.param(resonant_drive(), NAN_V, "unitarity drift is nan", id="v-nan"),
+    # G'(beta) = inf * 0 in dlambda/dbeta: finite propagators, NaN M
+    pytest.param(resonant_drive(beta0=np.inf), SIGMA_X, "integral M is not finite",
+                 id="beta0-inf",
+                 marks=pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")),
+])
+def test_non_finite_input_rejected(qubit_model, drive, v, message):
+    with pytest.raises(DriveThermError, match=message) as err:
+        propagate(qubit_model, v, drive, TimeGrid(TWO_PI, 50))
+    assert type(err.value) is DriveThermError
 
 
 def richardson_reference(model, v, drive, t_end, n_fine):

@@ -1,10 +1,13 @@
+from dataclasses import fields
+
 import numpy as np
 import pytest
 
 from drivetherm.drive import (ConstantEnvelope, CosineModulation, DriveProfile,
                               GaussianEnvelope)
+from drivetherm.engine import QfiResult
 from drivetherm.operators import SIGMA_X, SIGMA_Z
-from drivetherm.scans import (OptimizeResult, ReduceSpec, ScanSpec,
+from drivetherm.scans import (OptimizeResult, ReduceSpec, ScanSpec, _best_node,
                               frequency_scan, optimize_drive, run_scan,
                               temperature_scan)
 
@@ -154,6 +157,16 @@ def test_max_over_t_reduction():
     best = run_scan(spec).points[0]
     fixed = run_scan(freq_spec((1.0,), t_eval=TWO_PI)).points[0]
     assert best.f_total >= fixed.f_total - 1e-15
+
+
+def test_max_over_t_window_ties_pick_earliest_node():
+    zeros = dict.fromkeys((f.name for f in fields(QfiResult)), np.zeros(9))
+    series = QfiResult(**{**zeros, "t": np.linspace(0.0, 4.0, 9),
+                          "f_total": np.array([9.0, 1, 3, 3, 2, 3, 0, 0, 9])})
+    assert _best_node(series, (0.25, 3.5)) == 2      # nodes 0 and 8 lie outside
+    assert _best_node(series, (0.0, 0.0)) == 0       # closed window ends
+    with pytest.raises(ValueError, match="no grid nodes"):
+        _best_node(series, (0.1, 0.4))
 
 
 # ------------------------------------------------------------- optimizer
