@@ -73,7 +73,7 @@ def spectral_qfi(sigma: np.ndarray, dsigma: np.ndarray) -> float:
 def spectral_qfi_batch(sigmas: np.ndarray, dsigmas: np.ndarray) -> np.ndarray:
     """Vectorized :func:`spectral_qfi` over a leading stack axis."""
     lam, q = np.linalg.eigh(sigmas)
-    dt = np.einsum("kji,kjl,klm->kim", q.conj(), dsigmas, q)
+    dt = q.conj().swapaxes(1, 2) @ dsigmas @ q
     denom = lam[:, :, None] + lam[:, None, :]
     cutoff = SPECTRAL_QFI_CUTOFF * 2.0 * lam[:, -1][:, None, None]
     mask = denom > cutoff

@@ -225,9 +225,10 @@ def _decompose(trace: EvolutionTrace, nodes: np.ndarray,
 
     a = -1j * m
     u = trace.propagators[nodes]
-    rho = np.einsum("kij,jl,kml->kim", u, pi0, u.conj())
+    u_dag = u.conj().swapaxes(1, 2)
+    rho = np.einsum("kij,jl,klm->kim", u, pi0, u_dag, optimize=True)
     inner = dpi_dbeta(model)[None, :, :] + (a @ pi0 - pi0 @ a)
-    drho = np.einsum("kij,kjl,kml->kim", u, inner, u.conj())
+    drho = u @ inner @ u_dag
     f_spectral = spectral_qfi_batch(rho, drho)
 
     f_eq = np.full(len(nodes), equilibrium_qfi(model))

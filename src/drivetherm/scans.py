@@ -226,7 +226,8 @@ def optimize_drive(h0, v, target_beta: float, t_eval: float,
                    coarse_points: int = 17, passes: int = 2,
                    golden_iters: int = 32, max_evals: int = 600,
                    n_measurements: int = 1,
-                   seed_resonance: bool = False) -> OptimizeResult:
+                   seed_resonance: bool = False,
+                   rank_floor: float = RANK_FLOOR) -> OptimizeResult:
     """Maximize F_total(t_eval, target_beta) over a box of drive parameters.
 
     Derivative-free: each pass sweeps the free parameters in a fixed order,
@@ -239,7 +240,8 @@ def optimize_drive(h0, v, target_beta: float, t_eval: float,
     reliable).
 
     When the evaluation budget runs out the best point so far is returned
-    with ``budget_exhausted`` set.
+    with ``budget_exhausted`` set.  ``rank_floor`` is the Gibbs model's
+    full-rank threshold, as ``ScanSpec.rank_floor`` is for scans.
     """
     h0 = hermitize(h0)
     v = hermitize(v)
@@ -253,7 +255,7 @@ def optimize_drive(h0, v, target_beta: float, t_eval: float,
     if not isinstance(base_drive.temporal, CosineModulation):
         raise ValueError("optimize_drive tunes a cosine temporal modulation")
 
-    model = make_gibbs(h0, target_beta)
+    model = make_gibbs(h0, target_beta, rank_floor=rank_floor)
     spread = _spectral_spread(h0)
 
     def current(params):

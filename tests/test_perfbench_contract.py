@@ -1,8 +1,15 @@
-"""The benchmark's traced run wraps drivetherm functions by name; every
-name it lists must still resolve, or ``perfbench/run.py --trace 1`` breaks."""
+"""The benchmark's traced run wraps drivetherm functions by name and reads
+fields of their results; every name it lists and every field it reads must
+still resolve, or ``perfbench/run.py --trace 1`` breaks."""
 
 import importlib.util
+import numbers
 from pathlib import Path
+
+import numpy as np
+
+from drivetherm import SIGMA_X, SIGMA_Z, make_gibbs
+from drivetherm.propagation import TimeGrid, propagate
 
 TRACER = Path(__file__).resolve().parent.parent / "perfbench" / "tracer.py"
 
@@ -14,3 +21,13 @@ def test_traced_functions_resolve():
     assert tracer.TRACED
     for span, (module, name) in tracer.TRACED.items():
         assert callable(getattr(module, name, None)), f"{span}: {module.__name__}.{name}"
+
+
+def test_propagate_result_exposes_counted_fields(resonant_drive):
+    # the tracer counts propagation.steps and propagation.stack_mb from these
+    n = 7
+    result = propagate(make_gibbs(0.5 * SIGMA_Z, 5.0), SIGMA_X, resonant_drive,
+                       TimeGrid(1.0, n))
+    assert isinstance(result.grid.n_steps, numbers.Integral) and result.grid.n_steps == n
+    for stack in (result.propagators, result.heisenberg_v):
+        assert isinstance(stack, np.ndarray) and stack.shape == (n + 1, 2, 2)

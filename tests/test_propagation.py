@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from drivetherm.drive import (ConstantEnvelope, CosineModulation, DriveProfile,
-                              GaussianEnvelope)
+                              GaussianEnvelope, lambda_at)
 from drivetherm.exceptions import DriveThermError, StepSizeTooCoarse
 from drivetherm.operators import SIGMA_X, SIGMA_Y, SIGMA_Z
 from drivetherm.propagation import (TimeGrid, beta_generator, default_n_steps,
@@ -70,6 +70,27 @@ def test_unitarity_and_spectrum_preserved(rng):
     v_eigs = np.linalg.eigvalsh(0.5 * (v + v.conj().T))
     vh_eigs = np.linalg.eigvalsh(trace.heisenberg_v)
     assert np.abs(vh_eigs - v_eigs[None, :]).max() <= 1e-10
+
+
+@pytest.mark.parametrize("d", [2, 3, 6])
+@pytest.mark.parametrize("n_steps", [1, 2, 3, 15, 16, 17, 1000])
+def test_chain_matches_sequential_product(rng, d, n_steps):
+    # block sizes: perfect squares, identity padding, n below one block
+    h0 = random_hermitian(rng, d)
+    v = random_hermitian(rng, d)
+    model = make_gibbs(h0, 1.0)
+    drive = resonant_drive()
+    grid = TimeGrid(3.0, n_steps)
+    t_mid = grid.nodes[:-1] + 0.5 * grid.dt
+    h_mid = h0 + lambda_at(drive, t_mid, model.beta)[:, None, None] * v
+    evals, evecs = np.linalg.eigh(h_mid)
+    steps = (evecs * np.exp(-1j * grid.dt * evals)[:, None, :]) @ evecs.conj().swapaxes(1, 2)
+    reference = [np.eye(d, dtype=complex)]
+    for step in steps:
+        reference.append(step @ reference[-1])
+    propagators = propagate(model, v, drive, grid).propagators
+    assert np.array_equal(propagators[0], np.eye(d))
+    assert np.abs(propagators - np.array(reference)).max() <= 1e-12
 
 
 def test_drift_guard_raises(qubit_model, resonant_drive):

@@ -6,6 +6,7 @@ import pytest
 from drivetherm.drive import (ConstantEnvelope, CosineModulation, DriveProfile,
                               GaussianEnvelope)
 from drivetherm.engine import QfiResult
+from drivetherm.exceptions import FullRankViolation
 from drivetherm.operators import SIGMA_X, SIGMA_Z
 from drivetherm.scans import (OptimizeResult, ReduceSpec, ScanSpec, _best_node,
                               frequency_scan, optimize_drive, run_scan,
@@ -231,6 +232,19 @@ def test_optimizer_budget_flag():
     assert result.budget_exhausted
     assert isinstance(result, OptimizeResult)
     assert result.value >= max(v for _, v in result.trail) - 1e-15
+
+
+def test_optimizer_honours_rank_floor():
+    # at beta = 44 the qubit's excited population is 7.8e-20, below the
+    # default floor of 1e-18
+    args = (0.5 * SIGMA_Z, SIGMA_X, 44.0, 6.0, {"omega_d": (0.5, 1.5)})
+    kwargs = dict(base_drive=base_drive(beta0=40.0), coarse_points=5, passes=1,
+                  golden_iters=4)
+    with pytest.raises(FullRankViolation, match="rank floor"):
+        optimize_drive(*args, **kwargs)
+    result = optimize_drive(*args, rank_floor=1e-30, **kwargs)
+    assert 0.5 <= result.params["omega_d"] <= 1.5
+    assert np.isfinite(result.value) and result.value > 0.0
 
 
 def test_optimizer_resonance_seeding_weak_field_cap():
