@@ -30,8 +30,7 @@ from .propagation import (EvolutionTrace, TimeGrid, beta_generator,
                           default_grid, default_n_steps, drho_dbeta_analytic,
                           drho_dbeta_fd, propagate)
 from .scans import (OptimizeResult, ReduceSpec, ScanPoint, ScanResult,
-                    ScanSpec, frequency_scan, optimize_drive, run_scan,
-                    temperature_scan)
+                    ScanSpec, optimize_drive, run_scan)
 from .spin import (BlochTrace, bloch_precess, default_bloch_grid,
                    detuned_amplitude, detuned_increment, magnetization,
                    qubit_equilibrium_qfi, resonant_amplitude,
@@ -68,7 +67,7 @@ __all__ = [
     "resonant_increment",
     # scans
     "ScanSpec", "ScanPoint", "ScanResult", "ReduceSpec", "run_scan",
-    "frequency_scan", "temperature_scan", "optimize_drive", "OptimizeResult",
+    "optimize_drive", "OptimizeResult",
     # errors
     "DriveThermError", "FullRankViolation", "StepSizeTooCoarse",
     "ExtrapolationError", "ConfigValidationError",

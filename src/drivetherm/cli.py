@@ -7,7 +7,6 @@ Exit codes: 0 success, 1 numerical failure (or failed validation checks),
 import argparse
 import json
 import logging
-import os
 import sys
 import time
 from pathlib import Path
@@ -35,8 +34,9 @@ KERNEL_MAX_NODES = 241
 
 
 def _add_common(parser):
-    parser.add_argument("--parallelism", type=int, default=os.cpu_count() or 1,
-                        help="concurrent scan-point evaluations (default: CPU count)")
+    # Accepted and ignored: scan points run in order.  Kept so that existing
+    # command lines still parse; perfbench passes --parallelism 1.
+    parser.add_argument("--parallelism", type=int, default=1, help=argparse.SUPPRESS)
     parser.add_argument("--verbose", action="store_true", help="chatty logging")
 
 
@@ -106,10 +106,7 @@ def cmd_simulate(args) -> int:
                 currents=engine.information_current(model, trace.heisenberg_v[::stride]),
                 weights=np.atleast_1d(dlambda_dbeta(drive, times, model.beta)))
             kernel_payload = (times, engine.kernel_matrix(thin).real)
-    except DriveThermError as exc:
-        print(f"numerical failure: {exc}", file=sys.stderr)
-        return EXIT_NUMERICAL
-    except np.linalg.LinAlgError as exc:
+    except (DriveThermError, np.linalg.LinAlgError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
 
@@ -154,22 +151,15 @@ def cmd_scan(args) -> int:
     started = time.monotonic()
     try:
         spec = config.build_scan_spec()
-        result = run_scan(spec, parallelism=max(1, args.parallelism))
-    except (DriveThermError, ValueError) as exc:
-        print(f"numerical failure: {exc}", file=sys.stderr)
-        return EXIT_NUMERICAL
-    except np.linalg.LinAlgError as exc:
+        result = run_scan(spec)
+    except (DriveThermError, ValueError) as exc:  # np.linalg.LinAlgError is a ValueError
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
 
     manifest_hash = config_content_hash(config)
     csv_path = out_dir / config.csv_name
     write_scan_csv(csv_path, result.axis, result.points, manifest_hash)
-    diagnostics = {
-        "points": len(result.points),
-        "argmax": result.argmax,
-        "provenance": result.provenance,
-    }
+    diagnostics = {"points": len(result.points), "argmax": result.argmax}
     manifest = build_manifest(config, wall_clock_seconds=time.monotonic() - started,
                               diagnostics=diagnostics,
                               data_files={config.csv_name: csv_path})
@@ -210,6 +200,9 @@ def main(argv=None) -> int:
         level=logging.DEBUG if getattr(args, "verbose", False) else logging.WARNING,
         format="%(levelname)s %(name)s: %(message)s",
     )
+    if args.parallelism != 1:
+        log.warning("--parallelism %d is ignored: scan points run in order",
+                    args.parallelism)
     if args.command == "simulate":
         return cmd_simulate(args)
     if args.command == "scan":

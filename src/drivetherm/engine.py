@@ -208,6 +208,14 @@ class QfiResult:
     mixed_term_residual: np.ndarray
 
 
+def increment_at(trace: EvolutionTrace,
+                 nodes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """I_t = Tr[pi0 dL_t^2] at the given node indices, returned with the
+    accumulated currents dL_t (the information current of M(t_k))."""
+    dl = information_current(trace.model, trace.M[nodes])
+    return np.real(np.einsum("ij,kjl,kli->k", trace.model.state, dl, dl)), dl
+
+
 def _decompose(trace: EvolutionTrace, nodes: np.ndarray,
                n_measurements: int) -> QfiResult:
     """Decomposition and spectral cross-check at the given node indices.
@@ -217,13 +225,10 @@ def _decompose(trace: EvolutionTrace, nodes: np.ndarray,
     """
     model = trace.model
     pi0 = model.state
-    m = trace.M[nodes]
-
-    dl = information_current(model, m)
-    i_t = np.real(np.einsum("ij,kjl,kli->k", pi0, dl, dl))
+    i_t, dl = increment_at(trace, nodes)
     mixed = np.abs(np.einsum("ij,jl,kli->k", pi0, equilibrium_sld(model), dl))
 
-    a = -1j * m
+    a = -1j * trace.M[nodes]
     u = trace.propagators[nodes]
     u_dag = u.conj().swapaxes(1, 2)
     rho = np.einsum("kij,jl,klm->kim", u, pi0, u_dag, optimize=True)

@@ -1,22 +1,21 @@
 """Parameter sweeps and drive optimization.
 
-Scan points are independent pure evaluations; they may run concurrently
-and are always merged in axis order, so results are deterministic and
-identical to sequential execution.
+Scan points are independent pure evaluations, run in axis order.  Every
+scan point and every optimizer step is one call of ``_evaluate``: one
+propagation on the default grid and the decomposition at one node.
 """
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from typing import Mapping
 
 import numpy as np
 
 from .drive import CosineModulation, DriveProfile, GaussianEnvelope
-from .engine import QfiResult, qfi_driven, qfi_time_series
+from .engine import QfiResult, increment_at, qfi_driven
 from .operators import eig, hermitize
-from .propagation import DRIFT_TOL, TimeGrid, default_n_steps, propagate
-from .thermal import RANK_FLOOR, make_gibbs
+from .propagation import DRIFT_TOL, EvolutionTrace, default_grid, propagate
+from .thermal import RANK_FLOOR, GibbsModel, equilibrium_qfi, make_gibbs
 
 AXES = ("frequency", "temperature", "time")
 REDUCE_MODES = ("value_at_t", "max_over_t")
@@ -91,7 +90,6 @@ class ScanResult:
     axis: str
     points: tuple
     argmax: float
-    provenance: dict
 
 
 def _spectral_spread(h0: np.ndarray) -> float:
@@ -99,17 +97,26 @@ def _spectral_spread(h0: np.ndarray) -> float:
     return float(vals[-1] - vals[0])
 
 
-def _grid_for(spec: ScanSpec, t_end: float, omega_d: float) -> TimeGrid:
-    return TimeGrid(t_end, default_n_steps(t_end, _spectral_spread(spec.h0), omega_d))
-
-
-def _best_node(series: QfiResult, window: tuple) -> int:
-    """Node of the largest F_total inside the window (ties -> earliest)."""
+def _best_node(trace: EvolutionTrace, window: tuple) -> int:
+    """Node of the largest F_eq + I_t inside the window (ties -> earliest)."""
     t0, t1 = window
-    inside = np.flatnonzero((series.t >= t0) & (series.t <= t1))
+    nodes = trace.grid.nodes
+    inside = np.flatnonzero((nodes >= t0) & (nodes <= t1))
     if inside.size == 0:
         raise ValueError(f"no grid nodes inside the reduction window [{t0}, {t1}]")
-    return int(inside[np.argmax(series.f_total[inside])])
+    f_total = equilibrium_qfi(trace.model) + increment_at(trace, inside)[0]
+    return int(inside[np.argmax(f_total)])
+
+
+def _evaluate(model: GibbsModel, v: np.ndarray, drive: DriveProfile, t_end: float,
+              spread: float, *, window: tuple | None = None, drift_tol: float,
+              n_measurements: int) -> QfiResult:
+    """One propagation on the default grid, decomposed at one node: the
+    final one, or the best node inside ``window``."""
+    trace = propagate(model, v, drive, default_grid(t_end, spread, drive.omega_d),
+                      drift_tol=drift_tol)
+    at = None if window is None else _best_node(trace, window)
+    return qfi_driven(trace, at, n_measurements=n_measurements)
 
 
 def _evaluate_point(spec: ScanSpec, value: float) -> ScanPoint:
@@ -119,74 +126,26 @@ def _evaluate_point(spec: ScanSpec, value: float) -> ScanPoint:
         drive = replace(drive, temporal=replace(drive.temporal, omega_d=value))
     elif spec.axis == "temperature":
         beta = value
-    omega_d = drive.omega_d
-    model = make_gibbs(spec.h0, beta, rank_floor=spec.rank_floor)
-
+    window = None
     if spec.axis == "time":
         t_eval = value
     elif spec.reduce.mode == "value_at_t":
         t_eval = spec.reduce.t
     else:
-        t_eval = spec.reduce.window[1]
-
-    trace = propagate(model, spec.v, drive, _grid_for(spec, t_eval, omega_d),
-                      drift_tol=spec.drift_tol)
-    if spec.reduce.mode == "max_over_t" and spec.axis != "time":
-        series = qfi_time_series(trace, n_measurements=spec.n_measurements)
-        k = _best_node(series, spec.reduce.window)
-        columns = (series.f_eq, series.i_t, series.f_total, series.f_spectral)
-        return ScanPoint(value, *(float(c[k]) for c in columns))
-    row = qfi_driven(trace, n_measurements=spec.n_measurements)
+        window = spec.reduce.window
+        t_eval = window[1]
+    row = _evaluate(make_gibbs(spec.h0, beta, rank_floor=spec.rank_floor), spec.v,
+                    drive, t_eval, _spectral_spread(spec.h0), window=window,
+                    drift_tol=spec.drift_tol, n_measurements=spec.n_measurements)
     return ScanPoint(value, row.f_eq, row.i_t, row.f_total, row.f_spectral)
 
 
-def _provenance(spec: ScanSpec) -> dict:
-    """Full configuration snapshot of a scan, suitable for serialization."""
-    drive = spec.drive
-    return {
-        "axis": spec.axis,
-        "values": list(spec.values),
-        "dim": int(spec.h0.shape[0]),
-        "h0": [[[float(c.real), float(c.imag)] for c in row] for row in spec.h0],
-        "v": [[[float(c.real), float(c.imag)] for c in row] for row in spec.v],
-        "beta_star": spec.beta_star,
-        "drive": {
-            "lambda0": drive.lambda0,
-            "envelope": repr(drive.envelope),
-            "temporal": repr(drive.temporal),
-        },
-        "reduce": {"mode": spec.reduce.mode, "t": spec.reduce.t,
-                   "window": list(spec.reduce.window) if spec.reduce.window else None},
-        "n_measurements": spec.n_measurements,
-        "drift_tol": spec.drift_tol,
-        "rank_floor": spec.rank_floor,
-    }
-
-
-def run_scan(spec: ScanSpec, *, parallelism: int = 1) -> ScanResult:
-    """Evaluate every grid point; concurrent for parallelism > 1 with a
-    deterministic axis-ordered merge."""
-    if parallelism > 1:
-        with ThreadPoolExecutor(max_workers=parallelism) as pool:
-            points = tuple(pool.map(lambda x: _evaluate_point(spec, x), spec.values))
-    else:
-        points = tuple(_evaluate_point(spec, x) for x in spec.values)
+def run_scan(spec: ScanSpec) -> ScanResult:
+    """Evaluate every grid point in axis order."""
+    points = tuple(_evaluate_point(spec, x) for x in spec.values)
     totals = np.array([p.f_total for p in points])
     argmax = points[int(np.argmax(totals))].axis_value  # first max -> smallest axis value
-    return ScanResult(axis=spec.axis, points=points, argmax=argmax,
-                      provenance=_provenance(spec))
-
-
-def frequency_scan(spec: ScanSpec, *, parallelism: int = 1) -> ScanResult:
-    if spec.axis != "frequency":
-        raise ValueError(f"expected a frequency scan, got axis {spec.axis!r}")
-    return run_scan(spec, parallelism=parallelism)
-
-
-def temperature_scan(spec: ScanSpec, *, parallelism: int = 1) -> ScanResult:
-    if spec.axis != "temperature":
-        raise ValueError(f"expected a temperature scan, got axis {spec.axis!r}")
-    return run_scan(spec, parallelism=parallelism)
+    return ScanResult(axis=spec.axis, points=points, argmax=argmax)
 
 
 # --------------------------------------------------------------------------
@@ -300,9 +259,8 @@ def optimize_drive(h0, v, target_beta: float, t_eval: float,
             return cache[key]
         if not budget.take():
             return None
-        grid = TimeGrid(t_eval, default_n_steps(t_eval, spread, p["omega_d"]))
-        result = qfi_driven(propagate(model, v, current(p), grid),
-                            n_measurements=n_measurements)
+        result = _evaluate(model, v, current(p), t_eval, spread, drift_tol=DRIFT_TOL,
+                           n_measurements=n_measurements)
         cache[key] = result.f_total
         trail.append((dict(p), result.f_total))
         return result.f_total

@@ -18,8 +18,7 @@ from drivetherm.config import load_run_config
 from drivetherm.drive import ConstantEnvelope
 from drivetherm.engine import increment_series
 from drivetherm.propagation import drho_dbeta_analytic, drho_dbeta_fd
-from drivetherm.scans import (ReduceSpec, ScanSpec, frequency_scan,
-                              optimize_drive, temperature_scan)
+from drivetherm.scans import ReduceSpec, ScanSpec, optimize_drive, run_scan
 from drivetherm.spin import (detuned_increment, magnetization,
                              qubit_equilibrium_qfi, resonant_increment)
 from drivetherm.thermal import equilibrium_qfi
@@ -222,7 +221,7 @@ def test_criterion_09_sensitivity_window_shift():
                                CosineModulation(1.0, 0.0)),
             reduce=ReduceSpec(mode="value_at_t", t=12.0),
         )
-        scans[beta0] = temperature_scan(spec).points
+        scans[beta0] = run_scan(spec).points
 
     ok = True
     details = []
@@ -288,7 +287,7 @@ def test_criterion_11_optimizer_sanity():
         h0=0.5 * SIGMA_Z, v=SIGMA_X, beta_star=5.0, drive=base,
         reduce=ReduceSpec(mode="value_at_t", t=t_eval),
     )
-    dense = frequency_scan(spec)
+    dense = run_scan(spec)
     step = (2.0 - 0.5) / 300
     close_to_gap = abs(result.params["omega_d"] - 1.0) <= 0.02
     agrees = abs(result.params["omega_d"] - dense.argmax) <= step + 1e-12

@@ -429,8 +429,8 @@ def test_scan_honours_rank_floor(tmp_path):
     assert main(["scan", "--config", str(cfg), "--out", str(out)]) == 0
     _, _, rows = read_csv(out / "scan.csv")
     assert [r[0] for r in rows] == [43.0, 44.0]
-    provenance = read_manifest(out / "scan.json")["diagnostics"]["provenance"]
-    assert provenance["rank_floor"] == 1e-30
+    tolerances = read_manifest(out / "scan.json")["config"]["tolerances"]
+    assert tolerances["rank_floor"] == 1e-30
 
 
 def test_simulate_with_kernel_propagates_once(tmp_path, monkeypatch):

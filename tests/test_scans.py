@@ -1,16 +1,18 @@
-from dataclasses import fields
-
 import numpy as np
 import pytest
 
+from drivetherm import engine, scans
 from drivetherm.drive import (ConstantEnvelope, CosineModulation, DriveProfile,
                               GaussianEnvelope)
-from drivetherm.engine import QfiResult
+from drivetherm.engine import qfi_time_series
 from drivetherm.exceptions import FullRankViolation
 from drivetherm.operators import SIGMA_X, SIGMA_Z
+from drivetherm.propagation import EvolutionTrace, TimeGrid
 from drivetherm.scans import (OptimizeResult, ReduceSpec, ScanSpec, _best_node,
-                              frequency_scan, optimize_drive, run_scan,
-                              temperature_scan)
+                              optimize_drive, run_scan)
+from drivetherm.thermal import make_gibbs
+
+from conftest import random_hermitian
 
 TWO_PI = 2 * np.pi
 
@@ -70,19 +72,19 @@ def test_reduce_spec_validation():
 
 
 def test_frequency_scan_resonance_argmax():
-    result = frequency_scan(freq_spec((0.5, 1.0, 2.0)))
+    result = run_scan(freq_spec((0.5, 1.0, 2.0)))
     assert result.argmax == 1.0
     totals = {p.axis_value: p.f_total for p in result.points}
     assert totals[1.0] > totals[0.5] and totals[1.0] > totals[2.0]
 
 
 def test_single_point_grid_is_argmax():
-    result = frequency_scan(freq_spec((0.7,)))
+    result = run_scan(freq_spec((0.7,)))
     assert result.argmax == 0.7 and len(result.points) == 1
 
 
 def test_zero_drive_ties_break_to_smallest():
-    result = frequency_scan(freq_spec((0.5, 1.0, 2.0), lambda0=0.0, t_eval=TWO_PI))
+    result = run_scan(freq_spec((0.5, 1.0, 2.0), lambda0=0.0, t_eval=TWO_PI))
     f = [p.f_total for p in result.points]
     assert max(f) - min(f) < 1e-12
     assert result.argmax == 0.5
@@ -95,25 +97,10 @@ def test_scan_determinism_bitwise():
     assert a.argmax == b.argmax
 
 
-def test_parallel_matches_sequential():
-    spec = freq_spec(tuple(np.linspace(0.6, 1.4, 9)), t_eval=TWO_PI)
-    seq = run_scan(spec, parallelism=1)
-    par = run_scan(spec, parallelism=4)
-    assert repr(seq.points) == repr(par.points)
-    assert seq.argmax == par.argmax
-
-
-def test_wrong_axis_helpers_raise():
-    with pytest.raises(ValueError):
-        temperature_scan(freq_spec((1.0,)))
-    with pytest.raises(ValueError):
-        frequency_scan(temp_spec((1.0, 2.0), base_drive()))
-
-
 def test_temperature_scan_constant_envelope_matches_baseline():
     drive = DriveProfile(0.1, ConstantEnvelope(), CosineModulation(1.0, 0.0))
-    result = temperature_scan(temp_spec(tuple(np.linspace(0.5, 8.0, 16)), drive,
-                                        t_eval=TWO_PI))
+    result = run_scan(temp_spec(tuple(np.linspace(0.5, 8.0, 16)), drive,
+                                t_eval=TWO_PI))
     for p in result.points:
         assert p.i_t == 0.0
         assert p.f_total == p.f_eq
@@ -129,7 +116,7 @@ def lobe_maxima(points):
 
 def test_temperature_scan_two_lobes_straddle_center():
     betas = tuple(np.linspace(0.5, 20.0, 79))  # step 0.25, hits 5.0 and 10.0
-    result = temperature_scan(temp_spec(betas, base_drive(beta0=5.0), t_eval=12.0))
+    result = run_scan(temp_spec(betas, base_drive(beta0=5.0), t_eval=12.0))
     peaks = lobe_maxima(result.points)
     assert len(peaks) == 2
     assert peaks[0] < 5.0 < peaks[1]
@@ -140,8 +127,8 @@ def test_temperature_scan_two_lobes_straddle_center():
 
 def test_temperature_scan_lobes_follow_center():
     betas = tuple(np.linspace(0.5, 20.0, 79))
-    r5 = temperature_scan(temp_spec(betas, base_drive(beta0=5.0)))
-    r10 = temperature_scan(temp_spec(betas, base_drive(beta0=10.0)))
+    r5 = run_scan(temp_spec(betas, base_drive(beta0=5.0)))
+    r10 = run_scan(temp_spec(betas, base_drive(beta0=10.0)))
     p5, p10 = lobe_maxima(r5.points), lobe_maxima(r10.points)
     assert len(p5) == 2 and len(p10) == 2
     assert p10[0] > p5[0] and p10[1] > p5[1]
@@ -161,13 +148,70 @@ def test_max_over_t_reduction():
 
 
 def test_max_over_t_window_ties_pick_earliest_node():
-    zeros = dict.fromkeys((f.name for f in fields(QfiResult)), np.zeros(9))
-    series = QfiResult(**{**zeros, "t": np.linspace(0.0, 4.0, 9),
-                          "f_total": np.array([9.0, 1, 3, 3, 2, 3, 0, 0, 9])})
-    assert _best_node(series, (0.25, 3.5)) == 2      # nodes 0 and 8 lie outside
-    assert _best_node(series, (0.0, 0.0)) == 0       # closed window ends
+    # M[k] = c_k sigma_x on a thermal qubit gives I_t proportional to c_k^2
+    c = np.sqrt([9.0, 1, 3, 3, 2, 3, 0, 0, 9])
+    identity = np.broadcast_to(np.eye(2, dtype=complex), (9, 2, 2))
+    trace = EvolutionTrace(grid=TimeGrid(4.0, 8), model=make_gibbs(0.5 * SIGMA_Z, 5.0),
+                           drive=base_drive(), v=SIGMA_X, propagators=identity,
+                           heisenberg_v=np.broadcast_to(SIGMA_X, (9, 2, 2)),
+                           M=c[:, None, None] * SIGMA_X, unitarity_drift=0.0)
+    assert _best_node(trace, (0.25, 3.5)) == 2      # nodes 0 and 8 lie outside
+    assert _best_node(trace, (0.0, 0.0)) == 0       # closed window ends
     with pytest.raises(ValueError, match="no grid nodes"):
-        _best_node(series, (0.1, 0.4))
+        _best_node(trace, (0.1, 0.4))
+
+
+def qubit_window_spec():
+    return ScanSpec(axis="frequency", values=(0.8, 1.0, 1.3), h0=0.5 * SIGMA_Z,
+                    v=SIGMA_X, beta_star=5.0, drive=base_drive(beta0=10.0),
+                    reduce=ReduceSpec(mode="max_over_t", window=(TWO_PI, 3 * TWO_PI)))
+
+
+def probe_window_spec():
+    rng = np.random.default_rng(7)
+    return ScanSpec(axis="temperature", values=(0.5, 1.0, 1.5),
+                    h0=random_hermitian(rng, 6), v=random_hermitian(rng, 6),
+                    beta_star=1.0, drive=base_drive(lambda0=0.2, beta0=1.0, s_beta=1.0),
+                    reduce=ReduceSpec(mode="max_over_t", window=(1.0, 3.0)))
+
+
+@pytest.mark.parametrize("make_spec", [qubit_window_spec, probe_window_spec],
+                         ids=["qubit", "d6"])
+def test_max_over_t_decomposes_one_node(monkeypatch, make_spec):
+    spec = make_spec()
+    traces, nodes, stack_sizes = [], [], []
+    propagate, qfi_driven = scans.propagate, scans.qfi_driven
+    spectral = engine.spectral_qfi_batch
+
+    def counted_propagate(*args, **kwargs):
+        traces.append(propagate(*args, **kwargs))
+        return traces[-1]
+
+    def recorded_qfi_driven(trace, at=None, **kwargs):
+        nodes.append(at)
+        return qfi_driven(trace, at, **kwargs)
+
+    def counted_spectral(rho, drho):
+        stack_sizes.append(len(rho))
+        return spectral(rho, drho)
+
+    monkeypatch.setattr(scans, "propagate", counted_propagate)
+    monkeypatch.setattr(scans, "qfi_driven", recorded_qfi_driven)
+    monkeypatch.setattr(engine, "spectral_qfi_batch", counted_spectral)
+    points = run_scan(spec).points
+    monkeypatch.undo()
+
+    assert len(traces) == len(spec.values)          # one propagation per point
+    assert stack_sizes == [1] * len(spec.values)    # spectral route at one node
+    t0, t1 = spec.reduce.window
+    for point, trace, node in zip(points, traces, nodes):
+        series = qfi_time_series(trace, n_measurements=spec.n_measurements)
+        inside = np.flatnonzero((series.t >= t0) & (series.t <= t1))
+        k = int(inside[np.argmax(series.f_total[inside])])
+        assert node == k
+        assert (point.f_eq, point.i_t, point.f_total) == (
+            series.f_eq[k], series.i_t[k], series.f_total[k])
+        assert abs(point.f_spectral - series.f_spectral[k]) <= 1e-12 * series.f_spectral[k]
 
 
 # ------------------------------------------------------------- optimizer
@@ -191,7 +235,7 @@ def test_optimizer_finds_resonance_and_matches_dense_scan():
         coarse_points=33,
     )
     assert abs(result.params["omega_d"] - 1.0) <= 0.02
-    dense = frequency_scan(freq_spec(tuple(np.linspace(0.5, 2.0, 301)), t_eval=t_eval))
+    dense = run_scan(freq_spec(tuple(np.linspace(0.5, 2.0, 301)), t_eval=t_eval))
     assert abs(result.params["omega_d"] - dense.argmax) <= (2.0 - 0.5) / 300 + 1e-12
     best_coarse = max(v for _, v in result.trail[:34])
     assert result.value >= best_coarse  # monotone refinement
