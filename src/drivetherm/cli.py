@@ -177,7 +177,11 @@ def cmd_validate(args) -> int:
         except ConfigValidationError as exc:
             print(f"configuration error: {exc}", file=sys.stderr)
             return EXIT_CONFIG
-    checks = run_checks(config)
+    try:
+        checks = run_checks(config)
+    except (DriveThermError, np.linalg.LinAlgError) as exc:
+        print(f"numerical failure: {exc}", file=sys.stderr)
+        return EXIT_NUMERICAL
     print(summarize(checks))
     if args.report:
         payload = {

@@ -41,7 +41,13 @@ class Tolerances:
 
     @classmethod
     def resolve(cls, overrides: dict | None = None) -> "Tolerances":
-        scale = float(os.environ.get(TOLERANCE_SCALE_ENV, "1.0"))
+        raw = os.environ.get(TOLERANCE_SCALE_ENV, "1.0")
+        try:
+            scale = float(raw)
+        except ValueError:
+            scale = math.nan
+        if not (math.isfinite(scale) and scale > 0.0):
+            raise ValueError(f"{TOLERANCE_SCALE_ENV} must be a finite number > 0, got {raw!r}")
         base = {"step_drift": DRIFT_TOL * scale, "rank_floor": RANK_FLOOR * scale}
         for key, value in (overrides or {}).items():
             if key not in base:
@@ -505,6 +511,12 @@ def load_run_config(path: str, *, enforce_guard: bool = True) -> RunConfig:
         temporal = {"kind": "tabulated", "points": _parse_pairs(temp_sec, "points")}
 
     omega_d = temporal.get("omega_d", 0.0)
+    t_max = temporal["points"][-1][0] if temp_kind == "tabulated" else math.inf
+
+    def within_temporal_table(sec, key, name, t):
+        if t > t_max:
+            raise sec.error(
+                f"{name}={t} exceeds the tabulated temporal range (max t = {t_max})", key)
 
     # ---- grid ------------------------------------------------------------
     grid_sec = root.section("grid", required=True)
@@ -515,10 +527,7 @@ def load_run_config(path: str, *, enforce_guard: bool = True) -> RunConfig:
         resolved["auto_n_steps"] = n_steps
     if (t_end == 0.0) != (n_steps == 0):
         raise grid_sec.error("t_end == 0 requires n_steps == 0 and vice versa", "t_end")
-    if temp_kind == "tabulated" and t_end > temporal["points"][-1][0]:
-        raise grid_sec.error(
-            f"grid.t_end={t_end} exceeds the tabulated temporal range "
-            f"(max t = {temporal['points'][-1][0]})", "t_end")
+    within_temporal_table(grid_sec, "t_end", "grid.t_end", t_end)
 
     # ---- scan (optional) ---------------------------------------------------
     scan = None
@@ -561,6 +570,8 @@ def load_run_config(path: str, *, enforce_guard: bool = True) -> RunConfig:
             raise scan_sec.error("driving frequencies must be >= 0", "values")
         if axis == "time" and values[0] < 0.0:
             raise scan_sec.error("times must be >= 0", "values")
+        if axis == "time":
+            within_temporal_table(scan_sec, "values", "scan time", values[-1])
 
         red_sec = scan_sec.section("reduce")
         if red_sec is None:
@@ -582,6 +593,9 @@ def load_run_config(path: str, *, enforce_guard: bool = True) -> RunConfig:
                     raise red_sec.error(
                         "'scan.reduce.window' must be [t0, t1] with t1 > t0 >= 0", "window")
                 window = [float(raw_window[0]), float(raw_window[1])]
+                within_temporal_table(red_sec, "window", "scan.reduce.window end", window[1])
+            if red_t is not None:
+                within_temporal_table(red_sec, "t", "scan.reduce.t", red_t)
         scan = {"axis": axis, "values": values,
                 "reduce": {"mode": mode, "t": red_t, "window": window}}
 

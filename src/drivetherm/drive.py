@@ -2,20 +2,63 @@
 
 The temperature envelope G and temporal modulation f are small tagged
 classes; tabulated variants interpolate with a C^1 monotone cubic
-(PCHIP) and raise outside their abscissa range.  All profiles are
-immutable after construction.
+(PCHIP), raise outside their abscissa range, and take G' as the exact
+derivative of that cubic.  All profiles are immutable after construction.
 """
 
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.interpolate import PchipInterpolator
 
 from .exceptions import ExtrapolationError
 
-#: Step scale for finite-difference beta derivatives of tabulated envelopes.
-TABULATED_DERIVATIVE_STEP = 1e-5
+
+class _MonotoneCubic:
+    """Monotone cubic Hermite interpolant (PCHIP; Fritsch & Carlson 1980,
+    Fritsch & Butland 1984), no extrapolation.  Slopes, coefficients and
+    evaluation order follow scipy's ``PchipInterpolator``.
+    """
+
+    def __init__(self, x, y, what, var):
+        x, y = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
+        if x.ndim != 1 or x.size < 2 or x.size != y.size:
+            raise ValueError(f"tabulated {what} needs >= 2 ({var}, value) pairs")
+        h = np.diff(x)
+        if not np.all(h > 0):
+            raise ValueError("tabulated abscissa must be strictly increasing")
+        m = np.diff(y) / h
+        d = np.full_like(y, m[0])
+        if x.size > 2:
+            # interior: weighted harmonic mean of the secants, 0 at extrema and flats
+            w1, w2 = 2.0 * h[1:] + h[:-1], h[1:] + 2.0 * h[:-1]
+            smooth = (np.sign(m[1:]) == np.sign(m[:-1])) & (m[1:] != 0) & (m[:-1] != 0)
+            with np.errstate(divide="ignore", invalid="ignore"):
+                d[1:-1] = np.where(smooth, 1.0 / ((w1 / m[:-1] + w2 / m[1:]) / (w1 + w2)), 0.0)
+            # ends: three-point one-sided slope, clipped to keep the data's shape
+            h0, h1, m0, m1 = h[[0, -1]], h[[1, -2]], m[[0, -1]], m[[1, -2]]
+            e = ((2.0 * h0 + h1) * m0 - h0 * m1) / (h0 + h1)
+            flip = (np.sign(m0) != np.sign(m1)) & (np.abs(e) > 3.0 * np.abs(m0))
+            d[[0, -1]] = np.where(np.sign(e) != np.sign(m0), 0.0, np.where(flip, 3.0 * m0, e))
+        t = (d[:-1] + d[1:] - 2.0 * m) / h
+        self.x, self.y, self.var = x, y, var
+        self.coeffs = (y[:-1], d[:-1], (m - d[:-1]) / h - t, t / h)
+
+    def _locate(self, at):
+        at = np.asarray(at, dtype=float)
+        lo, hi = self.x[0], self.x[-1]
+        if np.any(at < lo) or np.any(at > hi):
+            raise ExtrapolationError(f"{self.var} outside tabulated range [{lo}, {hi}]")
+        k = np.clip(np.searchsorted(self.x, at, side="right") - 1, 0, self.x.size - 2)
+        return [c[k] for c in self.coeffs], at - self.x[k]
+
+    def __call__(self, at):
+        (c0, c1, c2, c3), s = self._locate(at)
+        return c0 + c1 * s + c2 * (s * s) + c3 * (s * s * s)
+
+    def derivative(self, at):
+        (_, c1, c2, c3), s = self._locate(at)
+        return c1 + s * (2.0 * c2 + 3.0 * s * c3)
 
 
 @dataclass(frozen=True)
@@ -42,8 +85,6 @@ class GaussianEnvelope:
         beta = np.asarray(beta, dtype=float)
         return -((beta - self.beta0) / self.s_beta**2) * self.value(beta)
 
-    derivative_is_approximate = False
-
 
 @dataclass(frozen=True)
 class ConstantEnvelope:
@@ -55,59 +96,26 @@ class ConstantEnvelope:
     def derivative(self, beta):
         return np.zeros_like(np.asarray(beta, dtype=float))
 
-    derivative_is_approximate = False
-
 
 @dataclass(frozen=True)
 class TabulatedEnvelope:
-    """User-supplied G(beta) samples, PCHIP-interpolated.
-
-    Beta derivatives come from a centered finite difference with step
-    ``TABULATED_DERIVATIVE_STEP * max(1, |beta|)`` (shrunk near the table
-    edges) and are flagged approximate.
-    """
+    """User-supplied G(beta) samples, PCHIP-interpolated; G' is exact."""
 
     betas: tuple
     values: tuple
-    _interp: PchipInterpolator = field(init=False, repr=False, compare=False)
-
-    derivative_is_approximate = True
+    _interp: _MonotoneCubic = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        betas = np.asarray(self.betas, dtype=float)
-        vals = np.asarray(self.values, dtype=float)
-        if betas.ndim != 1 or betas.size < 2 or betas.size != vals.size:
-            raise ValueError("tabulated envelope needs >= 2 (beta, value) pairs")
-        if not np.all(np.diff(betas) > 0):
-            raise ValueError("tabulated abscissa must be strictly increasing")
-        object.__setattr__(self, "betas", tuple(betas))
-        object.__setattr__(self, "values", tuple(vals))
-        object.__setattr__(self, "_interp", PchipInterpolator(betas, vals, extrapolate=False))
-
-    def _check_range(self, beta):
-        lo, hi = self.betas[0], self.betas[-1]
-        if np.any(np.asarray(beta) < lo) or np.any(np.asarray(beta) > hi):
-            raise ExtrapolationError(
-                f"beta outside tabulated range [{lo}, {hi}]"
-            )
+        interp = _MonotoneCubic(self.betas, self.values, "envelope", "beta")
+        object.__setattr__(self, "betas", tuple(interp.x))
+        object.__setattr__(self, "values", tuple(interp.y))
+        object.__setattr__(self, "_interp", interp)
 
     def value(self, beta):
-        self._check_range(beta)
         return self._interp(beta)
 
     def derivative(self, beta):
-        beta = float(beta)
-        self._check_range(beta)
-        lo, hi = self.betas[0], self.betas[-1]
-        h = TABULATED_DERIVATIVE_STEP * max(1.0, abs(beta))
-        h = min(h, beta - lo, hi - beta) if (beta > lo and beta < hi) else 0.0
-        if h > 0.0:
-            return (self._interp(beta + h) - self._interp(beta - h)) / (2.0 * h)
-        # endpoint: one-sided difference
-        h1 = TABULATED_DERIVATIVE_STEP * max(1.0, abs(beta))
-        if beta <= lo:
-            return (self._interp(lo + h1) - self._interp(lo)) / h1
-        return (self._interp(hi) - self._interp(hi - h1)) / h1
+        return self._interp.derivative(beta)
 
 
 @dataclass(frozen=True)
@@ -139,23 +147,15 @@ class TabulatedModulation:
 
     times: tuple
     values: tuple
-    _interp: PchipInterpolator = field(init=False, repr=False, compare=False)
+    _interp: _MonotoneCubic = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        ts = np.asarray(self.times, dtype=float)
-        vals = np.asarray(self.values, dtype=float)
-        if ts.ndim != 1 or ts.size < 2 or ts.size != vals.size:
-            raise ValueError("tabulated modulation needs >= 2 (t, value) pairs")
-        if not np.all(np.diff(ts) > 0):
-            raise ValueError("tabulated abscissa must be strictly increasing")
-        object.__setattr__(self, "times", tuple(ts))
-        object.__setattr__(self, "values", tuple(vals))
-        object.__setattr__(self, "_interp", PchipInterpolator(ts, vals, extrapolate=False))
+        interp = _MonotoneCubic(self.times, self.values, "modulation", "t")
+        object.__setattr__(self, "times", tuple(interp.x))
+        object.__setattr__(self, "values", tuple(interp.y))
+        object.__setattr__(self, "_interp", interp)
 
     def value(self, t):
-        lo, hi = self.times[0], self.times[-1]
-        if np.any(np.asarray(t) < lo) or np.any(np.asarray(t) > hi):
-            raise ExtrapolationError(f"t outside tabulated range [{lo}, {hi}]")
         return self._interp(t)
 
 

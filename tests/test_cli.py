@@ -1,5 +1,9 @@
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -10,6 +14,8 @@ from drivetherm.config import RunConfig, load_run_config
 from drivetherm.exceptions import ConfigValidationError
 from drivetherm.reporting import (config_content_hash, config_from_manifest,
                                   read_csv, read_manifest, sha256_file)
+
+ROOT = Path(__file__).resolve().parent.parent
 
 BASE_CONFIG = """\
 # minimal resonant run
@@ -220,6 +226,16 @@ def test_tolerance_scale_env(tmp_path, monkeypatch):
     assert manifest["config"]["tolerances"]["scale"] == 10.0
 
 
+@pytest.mark.parametrize("scale", ["nan", "inf", "-1", "0", "abc"])
+def test_tolerance_scale_must_be_finite_positive(tmp_path, monkeypatch, capsys, scale):
+    monkeypatch.setenv("DRIVETHERM_TOLERANCE_SCALE", scale)
+    cfg = write(tmp_path, "run.yaml", BASE_CONFIG)
+    assert main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error")
+    assert "DRIVETHERM_TOLERANCE_SCALE must be a finite number > 0" in err
+
+
 def test_kernel_output(tmp_path):
     text = BASE_CONFIG.replace("manifest: run.json",
                                "manifest: run.json\n  kernel: kern.csv")
@@ -369,6 +385,56 @@ grid: {t_end: 6.0}
     cfg = write(tmp_path, "short.yaml", text)
     with pytest.raises(ConfigValidationError, match="tabulated temporal range"):
         load_run_config(str(cfg))
+
+
+TABULATED_TEMPORAL = """\
+model: {kind: qubit, omega: 1.0, v: sigma_x, beta_star: 2.0}
+drive:
+  lambda0: 0.05
+  envelope: {kind: gaussian, beta0: 4.0, s_beta: 2.0}
+  temporal:
+    kind: tabulated
+    points: [[0, 1], [1, 0.5], [2, 0]]
+"""
+
+
+def test_validate_numerical_failure_exits_cleanly(tmp_path, capsys):
+    # t_end = 0 makes validate run to 4 pi, past the temporal table
+    cfg = write(tmp_path, "short.yaml", TABULATED_TEMPORAL + "grid: {t_end: 0}\n")
+    assert main(["validate", "--config", str(cfg)]) == 1
+    assert capsys.readouterr().err.startswith("numerical failure")
+
+
+@pytest.mark.parametrize("scan, key", [
+    ("axis: time\n  values: [0.5, 1.0, 3.0]\n", "values"),
+    ("axis: temperature\n  values: [1.0, 2.0]\n  reduce:\n    mode: value_at_t\n"
+     "    t: 3.0\n", "t"),
+    ("axis: temperature\n  values: [1.0, 2.0]\n  reduce:\n    mode: max_over_t\n"
+     "    window: [0.5, 3.0]\n", "window"),
+], ids=["time-axis", "reduce.t", "reduce.window"])
+def test_scan_times_past_tabulated_temporal_table_rejected(tmp_path, capsys, scan, key):
+    text = TABULATED_TEMPORAL + "grid: {t_end: 2.0}\nscan:\n  " + scan
+    line = next(i for i, x in enumerate(text.splitlines(), 1) if x.strip().startswith(f"{key}:"))
+    cfg = write(tmp_path, "scan.yaml", text)
+    assert main(["scan", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert f"scan.yaml:{line}:" in err and "tabulated temporal range" in err
+
+
+def test_cli_loads_no_scipy(tmp_path):
+    # scipy is a test-only dependency: a fresh CLI run must not import it
+    script = (
+        "import sys\n"
+        "from drivetherm.cli import main\n"
+        f"code = main(['simulate', '--config', {str(ROOT / 'configs' / 'fig2a.yaml')!r},"
+        f" '--out', {str(tmp_path)!r}])\n"
+        "print(code, sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    done = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                          text=True, timeout=300, check=False)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.splitlines()[-1] == "0 []"
 
 
 def test_unknown_tolerance_key_rejected(tmp_path):

@@ -86,7 +86,11 @@ def test_gaussian_envelope_rejects_bad_width():
 def test_tabulated_envelope_interpolates_and_guards():
     env = TabulatedEnvelope(betas=(0.0, 1.0, 2.0, 4.0), values=(0.1, 0.9, 0.4, 0.2))
     assert abs(env.value(1.0) - 0.9) < 1e-15
-    assert env.derivative_is_approximate
+    # exact derivative of the Hermite cubic: on [0, 1] the end slope is 1.45 and
+    # the slope at the maximum is 0, so G'(s) = 1.45 - 1.0 s - 0.45 s^2; the knot
+    # at 2 takes the weighted harmonic mean 9 / (5 / -0.5 + 4 / -0.1) of its secants
+    assert abs(env.derivative(0.5) - 0.8375) < 1e-15
+    assert abs(env.derivative(2.0) - (-0.18)) < 1e-15
     with pytest.raises(ExtrapolationError):
         env.value(5.0)
     with pytest.raises(ValueError, match="strictly increasing"):
@@ -98,9 +102,40 @@ def test_tabulated_envelope_derivative_close_to_smooth_reference():
     env = TabulatedEnvelope(betas=tuple(xs), values=tuple(np.exp(-0.1 * xs)))
     d = env.derivative(5.0)
     assert abs(d - (-0.1 * np.exp(-0.5))) < 1e-4
-    # endpoints fall back to one-sided differencing instead of raising
+    # endpoints are inside the table: finite, no extrapolation error
     assert np.isfinite(env.derivative(0.0))
     assert np.isfinite(env.derivative(10.0))
+
+
+def _pchip_tables(rng):
+    """Monotone, non-monotone and flat-run tables of 2 to 12 points."""
+    for n in (2, 3, 4, 7, 12):
+        for _ in range(8):
+            x = np.cumsum(rng.uniform(0.05, 2.0, n)) - rng.uniform(0.0, 5.0)
+            yield x, rng.normal(size=n)
+            yield x, np.cumsum(rng.uniform(0.0, 1.0, n)) * rng.choice([-1.0, 1.0])
+            flat = rng.normal(size=n)
+            k = rng.integers(0, n - 1)
+            flat[k + 1] = flat[k]
+            yield x, flat
+
+
+def test_tabulated_profiles_match_scipy_pchip():
+    from scipy.interpolate import PchipInterpolator
+
+    rng = np.random.default_rng(20260810)
+    for x, y in _pchip_tables(rng):
+        ref = PchipInterpolator(x, y, extrapolate=False)
+        env = TabulatedEnvelope(betas=tuple(x), values=tuple(y))
+        mod = TabulatedModulation(times=tuple(x), values=tuple(y))
+        at = np.concatenate([rng.uniform(x[0], x[-1], 40), x, [x[0], x[-1]]])
+        y_scale = np.abs(y).max()
+        assert np.abs(env.value(at) - ref(at)).max() <= 1e-14 * y_scale
+        assert np.abs(mod.value(at) - ref(at)).max() <= 1e-14 * y_scale
+        d_ref = ref.derivative()(at)
+        assert np.abs(env.derivative(at) - d_ref).max() <= 1e-12 * np.abs(d_ref).max()
+        # scalar arguments take the same path
+        assert abs(env.derivative(x[-1]) - d_ref[-1]) <= 1e-12 * np.abs(d_ref).max()
 
 
 def test_tabulated_modulation_guards_range():
