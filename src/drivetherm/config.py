@@ -52,9 +52,12 @@ class Tolerances:
         for key, value in (overrides or {}).items():
             if key not in base:
                 raise KeyError(f"unknown tolerance {key!r}; expected one of {sorted(base)}")
-            base[key] = float(value)
-            if not math.isfinite(base[key]):
-                raise ValueError(f"tolerance {key!r} must be finite, got {value!r}")
+            base[key] = x = float(value)
+            # a drift bound of 0 fails every run; a population floor of 0 is allowed
+            bound = "> 0" if key == "step_drift" else ">= 0"
+            if not (math.isfinite(x) and (x > 0.0 if key == "step_drift" else x >= 0.0)):
+                raise ValueError(f"tolerance {key!r} must be a finite number {bound}, "
+                                 f"got {value!r}")
         return cls(scale=scale, **base)
 
     def as_dict(self) -> dict:

@@ -1,11 +1,13 @@
 """Time-ordered propagation for H(t, beta) = H0 + lambda(t, beta) V.
 
-The stepper is midpoint-exponential, U(t+dt) = exp(-i*dt*H(t+dt/2)) U(t):
-exactly unitary per step regardless of dt, second-order accurate overall.
-The chain U_k = S_{k-1} ... S_1 S_0 of step exponentials is formed as a
-blocked running product (batched matmuls over blocks of about sqrt(n)
-steps); it equals the sequential product up to round-off from the different
-association of the factors.
+The stepper is midpoint-exponential, U(t+dt) = exp(-i*dt*H(t+dt/2)) U(t),
+second-order accurate overall.  The step exponentials are one batched Taylor
+product with scaling and squaring (Al-Mohy & Higham, SIAM J. Matrix Anal.
+Appl. 31:970, 2009) of -i*dt*(H - (tr H/d) I), unitary to round-off; the
+trace returns as an exact phase, so an offset in H0 forces no squarings, and
+a step needing more than 16 squarings (error ~ 2^s round-offs) is too coarse.
+The chain U_k = S_{k-1} ... S_1 S_0 is a blocked running product over blocks
+of about sqrt(n) steps; it equals the sequential product up to round-off.
 Heisenberg operators V_H(t) = U^dag V U and the weighted integral
 M(t) = int_0^t dlambda/dbeta(s) V_H(s) ds are accumulated once, here, and
 cached on the resulting trace.  M is the one accumulated state of a run:
@@ -29,6 +31,12 @@ STEPS_PER_PERIOD = 200
 
 #: Unitarity drift (Frobenius defect of U^dag U) treated as a step-size failure.
 DRIFT_TOL = 1e-8
+
+#: Largest ||A||_1 whose first term dropped from the degree-m Taylor series of
+#: exp(A) is <= 2^-53, m = 1 .. 12; past the last, scale by 2^-s and square.
+_TAYLOR_THETA = [(2.0 ** -53 * math.factorial(m + 2)) ** (1 / (m + 2)) for m in range(12)]
+_MAX_SQUARINGS = 16
+_UNROLL_MAX_DIM = 3  # largest d whose stack products run elementwise, not as @
 
 
 @dataclass(frozen=True)
@@ -109,11 +117,11 @@ def propagate(model: GibbsModel, v, drive: DriveProfile, grid: TimeGrid,
     Raises
     ------
     DriveThermError
-        If the unitarity drift or M is not finite (a NaN or infinite drive
-        parameter or entry of V).
+        If a step generator, the unitarity drift or M is not finite (a NaN
+        or infinite drive parameter or entry of V).
     StepSizeTooCoarse
-        If the accumulated unitarity defect exceeds ``drift_tol``; the
-        exception carries a suggested finer ``n_steps``.
+        If a step needs more than 16 squarings or the unitarity defect
+        exceeds ``drift_tol``; it carries a suggested finer ``n_steps``.
     """
     v = hermitize(v)
     if v.shape != model.h0.shape:
@@ -122,22 +130,21 @@ def propagate(model: GibbsModel, v, drive: DriveProfile, grid: TimeGrid,
     n = grid.n_steps
     identity = np.eye(d, dtype=complex)
 
-    propagators = np.empty((n + 1, d, d), dtype=complex)
-    propagators[0] = identity
+    propagators = np.eye(d, dtype=complex)[None]
     if n > 0:
         dt = grid.dt
         t_mid = grid.nodes[:-1] + 0.5 * dt
         lam_mid = np.atleast_1d(lambda_at(drive, t_mid, model.beta))
-        h_stack = model.h0[None, :, :] + lam_mid[:, None, None] * v[None, :, :]
-        evals, evecs = np.linalg.eigh(h_stack)
-        phases = np.exp(-1j * dt * evals)
-        steps = (evecs * phases[:, None, :]) @ evecs.conj().swapaxes(1, 2)
-        propagators[1:] = _chain(steps)
+        c0, cv = np.trace(model.h0).real / d, np.trace(v).real / d
+        a = (-1j * dt) * ((model.h0 - c0 * identity)[..., None]
+                          + (v - cv * identity)[..., None] * lam_mid)
+        # step axis innermost in memory where _stack_mul runs elementwise along it
+        a = np.moveaxis(a, -1, 0) if d <= _UNROLL_MAX_DIM else a.transpose(2, 0, 1).copy()
+        propagators = _chain(_step_exponentials(a))
+        propagators[1:] *= np.exp((-1j * dt) * np.cumsum(c0 + cv * lam_mid))[:, None, None]
 
-    defects = np.linalg.norm(
-        np.einsum("kji,kjl->kil", propagators.conj(), propagators) - identity,
-        axis=(1, 2),
-    )
+    adjoints = propagators.conj().swapaxes(1, 2)
+    defects = np.linalg.norm(_stack_mul(adjoints, propagators) - identity, axis=(1, 2))
     drift = float(defects.max())
     if not math.isfinite(drift):
         raise DriveThermError(f"unitarity drift is {drift}: the drive or V is not finite")
@@ -149,8 +156,8 @@ def propagate(model: GibbsModel, v, drive: DriveProfile, grid: TimeGrid,
             suggested_n_steps=suggested,
         )
 
-    heisenberg_v = np.einsum("kji,jl,klm->kim", propagators.conj(), v, propagators,
-                             optimize=True)
+    heisenberg_v = np.ascontiguousarray(_stack_mul(adjoints, _stack_mul(v, propagators)))
+    propagators = np.ascontiguousarray(propagators)
     w = np.atleast_1d(dlambda_dbeta(drive, grid.nodes, model.beta))
     m = cumulative_trapezoid(w[:, None, None] * heisenberg_v, grid.dt)
     if not np.isfinite(m).all():
@@ -168,26 +175,61 @@ def propagate(model: GibbsModel, v, drive: DriveProfile, grid: TimeGrid,
     )
 
 
-def _chain(steps: np.ndarray) -> np.ndarray:
-    """Running products S_k ... S_1 S_0 of an (n, d, d) step stack.
+def _stack_mul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Matrix product of (..., d, d) stacks; either may be a single (d, d).
+    Batched ``@`` pays per matrix, so small d sums d broadcast outer products."""
+    d = a.shape[-1]
+    if d > _UNROLL_MAX_DIM:
+        return a @ b
+    out = a[..., :, :1] * b[..., :1, :]
+    for j in range(1, d):
+        out += a[..., :, j:j + 1] * b[..., j:j + 1, :]
+    return out
 
-    The stack is padded with identities into nb ~ sqrt(n) blocks of
+
+def _step_exponentials(a: np.ndarray) -> np.ndarray:
+    """exp(A_k) of an (n, d, d) stack: Horner on the Taylor series of the
+    smallest degree m with theta_m >= max_k ||A_k||_1, then s squarings."""
+    n, d, _ = a.shape
+    norm = float(np.abs(a).sum(axis=1).max())
+    if not math.isfinite(norm):
+        raise DriveThermError(f"unitarity drift is nan: step norm {norm}; drive or V not finite")
+    m = next((k for k, theta in enumerate(_TAYLOR_THETA, 1) if theta >= norm), 12)
+    s = max(0, math.ceil(math.log2(norm / _TAYLOR_THETA[-1]))) if m == 12 else 0
+    if s > _MAX_SQUARINGS:
+        suggested = n * 2 ** (s - _MAX_SQUARINGS)
+        raise StepSizeTooCoarse(f"step norm {norm:.3e} needs {s} > {_MAX_SQUARINGS} squarings; "
+                                f"retry with n_steps >= {suggested}", suggested_n_steps=suggested)
+    a = a * 0.5 ** s
+    out = a / m
+    for j in range(m - 1, 0, -1):
+        out = _stack_mul(a, out + np.eye(d)) * (1.0 / j)
+    out += np.eye(d)
+    for _ in range(s):
+        out = _stack_mul(out, out)
+    return out
+
+
+def _chain(steps: np.ndarray) -> np.ndarray:
+    """U_0 = I and the running products U_k = S_{k-1} ... S_0 of (n, d, d) steps.
+
+    The steps are padded with identities into nb ~ sqrt(n) blocks of
     b ~ sqrt(n) steps.  The in-block prefixes of all blocks are formed
-    together (b - 1 batched matmuls), then each block is carried by the last
-    product of the block before it (nb - 1 batched matmuls).
+    together (b - 1 batched products), then each block is carried by the last
+    product of the block before it (nb - 1 batched products).
     """
     n, d, _ = steps.shape
     b = math.isqrt(n - 1) + 1
     nb = -(-n // b)
-    padded = np.empty((nb * b, d, d), dtype=steps.dtype)
-    padded[:n] = steps
-    padded[n:] = np.eye(d)
-    blocks = padded.reshape(nb, b, d, d)
+    padded = np.empty_like(steps, shape=(1 + nb * b, d, d))
+    padded[0] = padded[n + 1:] = np.eye(d)
+    padded[1:n + 1] = steps
+    blocks = padded[1:].reshape(nb, b, d, d)
     for j in range(1, b):
-        blocks[:, j] = blocks[:, j] @ blocks[:, j - 1]
+        blocks[:, j] = _stack_mul(blocks[:, j], blocks[:, j - 1])
     for i in range(1, nb):
-        blocks[i] = blocks[i] @ blocks[i - 1, -1]
-    return padded[:n]
+        blocks[i] = _stack_mul(blocks[i], blocks[i - 1, -1])
+    return padded[:n + 1]
 
 
 def cumulative_trapezoid(values: np.ndarray, dt: float) -> np.ndarray:

@@ -57,7 +57,11 @@ def _setup_from_config(config: RunConfig):
     h0 = config.build_h0()
     v = config.build_v()
     drive = config.build_drive()
-    t_end = config.t_end if config.t_end > 0 else 2.0 * 2.0 * math.pi
+    t_end = config.t_end
+    if t_end == 0.0:
+        t_end = 2.0 * 2.0 * math.pi
+        if config.temporal["kind"] == "tabulated":
+            t_end = min(t_end, config.temporal["points"][-1][0])
     return h0, v, config.beta_star, drive, t_end
 
 

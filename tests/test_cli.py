@@ -11,7 +11,7 @@ import pytest
 from drivetherm import cli, engine, propagation
 from drivetherm.cli import main
 from drivetherm.config import RunConfig, load_run_config
-from drivetherm.exceptions import ConfigValidationError
+from drivetherm.exceptions import ConfigValidationError, DriveThermError
 from drivetherm.reporting import (config_content_hash, config_from_manifest,
                                   read_csv, read_manifest, sha256_file)
 
@@ -398,11 +398,21 @@ drive:
 """
 
 
-def test_validate_numerical_failure_exits_cleanly(tmp_path, capsys):
-    # t_end = 0 makes validate run to 4 pi, past the temporal table
+def test_validate_numerical_failure_exits_cleanly(tmp_path, capsys, monkeypatch):
+    def fail(config):
+        raise DriveThermError("t outside tabulated range")
+
+    monkeypatch.setattr(cli, "run_checks", fail)
     cfg = write(tmp_path, "short.yaml", TABULATED_TEMPORAL + "grid: {t_end: 0}\n")
     assert main(["validate", "--config", str(cfg)]) == 1
     assert capsys.readouterr().err.startswith("numerical failure")
+
+
+def test_validate_runs_on_short_tabulated_temporal_table(tmp_path, capsys):
+    # t_end = 0 lets validate pick its horizon: 4 pi, cut to the table's end
+    cfg = write(tmp_path, "short.yaml", TABULATED_TEMPORAL + "grid: {t_end: 0}\n")
+    assert main(["validate", "--config", str(cfg)]) == 0
+    assert "checks passed" in capsys.readouterr().out
 
 
 @pytest.mark.parametrize("scan, key", [
@@ -481,6 +491,16 @@ def test_non_finite_config_number_rejected(tmp_path, capsys, base, old, new):
     command = "scan" if "scan:" in text else "simulate"
     assert main([command, "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
     assert f"bad.yaml:{line}:" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("override", ["step_drift: -1.0e-8", "step_drift: 0.0",
+                                      "rank_floor: -1.0"])
+def test_out_of_range_tolerance_rejected(tmp_path, capsys, override):
+    text = BASE_CONFIG + f"tolerances: {{{override}}}\n"
+    cfg = write(tmp_path, "bad.yaml", text)
+    assert main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
+    assert f"bad.yaml:{len(text.splitlines())}:" in capsys.readouterr().err
     assert not (tmp_path / "o").exists()
 
 

@@ -1,11 +1,15 @@
 import numpy as np
 import pytest
 
-from drivetherm.drive import (ConstantEnvelope, CosineModulation, DriveProfile,
-                              GaussianEnvelope, lambda_at)
+from drivetherm.cli import main
+from drivetherm.drive import (ConstantEnvelope, ConstantModulation,
+                              CosineModulation, DriveProfile, GaussianEnvelope,
+                              lambda_at)
+from drivetherm.engine import qfi_driven
 from drivetherm.exceptions import DriveThermError, StepSizeTooCoarse
-from drivetherm.operators import SIGMA_X, SIGMA_Y, SIGMA_Z
-from drivetherm.propagation import (TimeGrid, beta_generator, default_n_steps,
+from drivetherm.operators import SIGMA_X, SIGMA_Y, SIGMA_Z, expm_hermitian_generator
+from drivetherm.propagation import (TimeGrid, _stack_mul, _step_exponentials,
+                                    beta_generator, default_n_steps,
                                     drho_dbeta_analytic, drho_dbeta_fd,
                                     propagate)
 from drivetherm.thermal import dpi_dbeta, make_gibbs
@@ -118,6 +122,88 @@ def test_non_finite_input_rejected(qubit_model, drive, v, message):
     with pytest.raises(DriveThermError, match=message) as err:
         propagate(qubit_model, v, drive, TimeGrid(TWO_PI, 50))
     assert type(err.value) is DriveThermError
+
+
+def unitarity_defect_2(u):
+    return np.linalg.norm(u.conj().T @ u - np.eye(len(u)), 2)
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 4, 6, 8])
+def test_step_exponentials_match_eigh_reference(rng, d):
+    # dt * ||H||_1 from 1e-9 to 50: every Taylor degree and the scaling branch
+    for scale in np.geomspace(1e-9, 50.0, 30):
+        hs = [random_hermitian(rng, d) for _ in range(5)]
+        hs = [h * (scale * f / np.linalg.norm(h, 1))
+              for h, f in zip(hs, np.linspace(0.5, 1.0, 5))]
+        a = -1j * np.array(hs)
+        # both memory layouts that propagate uses: step axis outermost and innermost
+        for stack in (a, np.moveaxis(np.ascontiguousarray(np.moveaxis(a, 0, -1)), -1, 0)):
+            steps = _step_exponentials(stack)
+            for h, u in zip(hs, steps):
+                assert np.abs(u - expm_hermitian_generator(h, 1.0)).max() <= 1e-13
+                assert unitarity_defect_2(u) <= 1e-13
+
+
+@pytest.mark.parametrize("d", [1, 3])
+def test_step_exponential_with_energy_offset_matches_eigh_reference(rng, d):
+    # one constant-drive step of H0 + 100 I + lambda0 V: the trace shift is exact
+    h0 = random_hermitian(rng, d) + 100.0 * np.eye(d)
+    v = random_hermitian(rng, d)
+    drive = DriveProfile(0.3, ConstantEnvelope(), ConstantModulation())
+    u = propagate(make_gibbs(h0, 1.0), v, drive, TimeGrid(0.7, 1)).propagators[1]
+    expected = expm_hermitian_generator(h0 + 0.3 * 0.5 * (v + v.conj().T), 0.7)
+    assert np.abs(u - expected).max() <= 1e-13
+    assert unitarity_defect_2(u) <= 1e-13
+
+
+@pytest.mark.parametrize("d", range(1, 9))
+def test_stack_mul_matches_matmul(rng, d):
+    def stack(*shape):
+        return rng.normal(size=shape + (d, d)) + 1j * rng.normal(size=shape + (d, d))
+
+    a, b, single = stack(7), stack(7), stack()
+    step_axis_innermost = np.moveaxis(np.ascontiguousarray(np.moveaxis(a, 0, -1)), -1, 0)
+    for x, y in ((a, b), (a, single), (single, b), (stack(3, 4), single),
+                 (step_axis_innermost, b), (single, step_axis_innermost)):
+        expected = x @ y
+        assert np.abs(_stack_mul(x, y) - expected).max() <= 1e-14 * np.abs(expected).max()
+
+
+def test_energy_offset_leaves_f_total_unchanged(rng):
+    h0 = random_hermitian(rng, 3)
+    v = random_hermitian(rng, 3)
+    drive = DriveProfile(0.2, GaussianEnvelope(1.5, 1.0), CosineModulation(1.3, 0.4))
+    grid = TimeGrid(8.0, 1600)
+    f_totals = [qfi_driven(propagate(make_gibbs(h, 1.0), v, drive, grid)).f_total
+                for h in (h0, h0 + 100.0 * np.eye(3))]
+    assert abs(f_totals[1] - f_totals[0]) <= 1e-12 * f_totals[0]
+
+
+def test_squaring_bound_suggests_a_grid_that_runs():
+    # ||A||_1 = dt * lambda0 needs 18 squarings on one step; 4 steps need 16
+    model = make_gibbs(0.0 * SIGMA_Z, 1.0)
+    drive = DriveProfile(1.0, ConstantEnvelope(), ConstantModulation())
+    theta_12 = (2.0 ** -53 * 6227020800.0) ** (1.0 / 13)
+    t_end = 1.5 * 2 ** 17 * theta_12
+    with pytest.raises(StepSizeTooCoarse, match="retry with n_steps >= 4") as err:
+        propagate(model, SIGMA_X, drive, TimeGrid(t_end, 1))
+    assert err.value.suggested_n_steps == 4
+    trace = propagate(model, SIGMA_X, drive, TimeGrid(t_end, 4))
+    expected = expm_hermitian_generator(SIGMA_X, t_end)
+    assert np.abs(trace.propagators[-1] - expected).max() <= 1e-9
+
+
+def test_cli_rejects_a_drive_too_strong_for_the_grid(tmp_path, capsys):
+    cfg = tmp_path / "strong.yaml"
+    cfg.write_text(
+        "model: {kind: qubit, omega: 1.0, v: sigma_x, beta_star: 5.0}\n"
+        "drive:\n"
+        "  lambda0: 1.0e+150\n"
+        "  envelope: {kind: gaussian, beta0: 10.0, s_beta: 3.0}\n"
+        "  temporal: {kind: cosine, omega_d: 1.0, phi: 0.0}\n"
+        "grid: {t_end: 6.283185307179586}\n", encoding="utf-8")
+    assert main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 1
+    assert "retry with n_steps" in capsys.readouterr().err
 
 
 def richardson_reference(model, v, drive, t_end, n_fine):
