@@ -18,9 +18,9 @@ from .drive import (ConstantEnvelope, ConstantModulation, CosineModulation,
                     DriveProfile, GaussianEnvelope, TabulatedEnvelope,
                     TabulatedModulation, dlambda_dbeta, lambda_at)
 from .engine import (CurrentTrace, QfiResult, build_current_trace,
-                     delta_sld, increment_series, increment_via_deltaL,
-                     increment_via_kernel, information_current, kernel,
-                     kernel_matrix, qfi_driven, qfi_time_series)
+                     increment_series, increment_via_kernel,
+                     information_current, kernel_matrix, qfi_driven,
+                     qfi_time_series)
 from .exceptions import (ConfigValidationError, DriveThermError,
                          ExtrapolationError, FullRankViolation,
                          StepSizeTooCoarse)
@@ -37,7 +37,8 @@ from .spin import (BlochTrace, bloch_precess, default_bloch_grid,
                    resonant_increment, short_time_coefficient,
                    weak_field_kernel)
 from .thermal import (GibbsModel, default_beta_max, dpi_dbeta,
-                      equilibrium_qfi, equilibrium_sld, make_gibbs)
+                      equilibrium_qfi, equilibrium_sld, make_gibbs,
+                      spectral_spread)
 
 __all__ = [
     "__version__",
@@ -46,7 +47,7 @@ __all__ = [
     "hermitize", "SIGMA_X", "SIGMA_Y", "SIGMA_Z",
     # thermal
     "GibbsModel", "default_beta_max", "dpi_dbeta", "equilibrium_qfi",
-    "equilibrium_sld", "make_gibbs",
+    "equilibrium_sld", "make_gibbs", "spectral_spread",
     # bures
     "jordan_apply", "jordan_inverse_apply", "sld", "spectral_qfi",
     # drive
@@ -58,8 +59,8 @@ __all__ = [
     "drho_dbeta_analytic", "drho_dbeta_fd", "default_grid", "default_n_steps",
     # engine
     "CurrentTrace", "QfiResult", "information_current", "build_current_trace",
-    "kernel", "kernel_matrix", "increment_via_kernel", "increment_via_deltaL",
-    "increment_series", "delta_sld", "qfi_driven", "qfi_time_series",
+    "kernel_matrix", "increment_via_kernel", "increment_series", "qfi_driven",
+    "qfi_time_series",
     # spin analytics
     "BlochTrace", "bloch_precess", "default_bloch_grid", "magnetization",
     "qubit_equilibrium_qfi", "weak_field_kernel", "short_time_coefficient",

@@ -61,13 +61,7 @@ def spectral_qfi(sigma: np.ndarray, dsigma: np.ndarray) -> float:
     """
     if sigma.shape != dsigma.shape:
         raise ValueError(f"dimension mismatch: {sigma.shape} vs {dsigma.shape}")
-    lam, q = eig(sigma)
-    dt = q.conj().T @ dsigma @ q
-    denom = lam[:, None] + lam[None, :]
-    cutoff = SPECTRAL_QFI_CUTOFF * 2.0 * float(lam[-1])
-    mask = denom > cutoff
-    safe = np.where(mask, denom, 1.0)
-    return float(np.sum(np.where(mask, 2.0 * np.abs(dt) ** 2 / safe, 0.0)))
+    return float(spectral_qfi_batch(sigma[None], dsigma[None])[0])
 
 
 def spectral_qfi_batch(sigmas: np.ndarray, dsigmas: np.ndarray) -> np.ndarray:

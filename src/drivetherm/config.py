@@ -18,10 +18,11 @@ from .drive import (ConstantEnvelope, ConstantModulation, CosineModulation,
                     DriveProfile, GaussianEnvelope, TabulatedEnvelope,
                     TabulatedModulation, sample_envelope_center)
 from .exceptions import ConfigValidationError
-from .operators import PAULI, SIGMA_Z, eig, hermitize
+from .operators import PAULI, SIGMA_Z, hermitize
 from .propagation import DRIFT_TOL, TimeGrid, default_n_steps
 from .scans import AXES, REDUCE_MODES, ReduceSpec, ScanSpec
-from .thermal import RANK_FLOOR, default_beta_max, equilibrium_qfi, make_gibbs
+from .thermal import (RANK_FLOOR, default_beta_max, equilibrium_qfi, make_gibbs,
+                      spectral_spread)
 
 TOLERANCE_SCALE_ENV = "DRIVETHERM_TOLERANCE_SCALE"
 
@@ -217,11 +218,7 @@ class RunConfig:
     # ---- builders -------------------------------------------------------
 
     def build_h0(self) -> np.ndarray:
-        if self.model_kind == "qubit":
-            return 0.5 * self.omega * SIGMA_Z
-        if self.model_kind == "diagonal":
-            return np.diag(np.asarray(self.energies, dtype=float)).astype(complex)
-        return _dense_from_rows(self.h0_dense)
+        return _build_h0(self.model_kind, self.omega, self.energies, self.h0_dense)
 
     def build_v(self) -> np.ndarray:
         if isinstance(self.v_spec, str):
@@ -258,7 +255,6 @@ class RunConfig:
             beta_star=self.beta_star,
             drive=self.build_drive(),
             reduce=reduce_spec,
-            n_measurements=self.n_measurements,
             drift_tol=self.tolerances.step_drift,
             rank_floor=self.tolerances.rank_floor,
         )
@@ -328,6 +324,14 @@ class RunConfig:
 def _dense_from_rows(rows) -> np.ndarray:
     mat = np.array([[complex(re, im) for re, im in row] for row in rows])
     return hermitize(mat)
+
+
+def _build_h0(kind: str, omega, energies, rows) -> np.ndarray:
+    if kind == "qubit":
+        return 0.5 * omega * SIGMA_Z
+    if kind == "diagonal":
+        return np.diag(np.asarray(energies, dtype=float)).astype(complex)
+    return _dense_from_rows(rows)
 
 
 def _build_envelope(env: dict):
@@ -440,21 +444,14 @@ def load_run_config(path: str, *, enforce_guard: bool = True) -> RunConfig:
 
     # ---- tolerances / guard ---------------------------------------------
     tol_sec = root.section("tolerances")
-    overrides = dict(tol_sec.data) if tol_sec else {}
+    overrides = {key: tol_sec.number(key) for key in tol_sec.data} if tol_sec else {}
     try:
         tolerances = Tolerances.resolve(overrides)
     except (KeyError, ValueError) as exc:
         raise ConfigValidationError(str(exc), path=path,
                                     line=root.line("tolerances")) from exc
 
-    stub = RunConfig(
-        model_kind=kind, omega=omega, energies=energies, h0_dense=h0_rows,
-        v_spec=v_spec, beta_star=beta_star, lambda0=0.0, envelope={"kind": "constant"},
-        temporal={"kind": "constant"}, t_end=0.0, n_steps=0, scan=None,
-        n_measurements=1, csv_name="", manifest_name="", kernel_csv_name=None,
-        seed=None, tolerances=tolerances,
-    )
-    h0 = stub.build_h0()
+    h0 = _build_h0(kind, omega, energies, h0_rows)
     beta_max = default_beta_max(h0)
     resolved["beta_max"] = beta_max if math.isfinite(beta_max) else None
     if enforce_guard and beta_star > beta_max:
@@ -463,8 +460,7 @@ def load_run_config(path: str, *, enforce_guard: bool = True) -> RunConfig:
             "(reduce beta_star, or override tolerances.rank_floor knowingly)",
             "beta_star")
 
-    h0_eigs = eig(h0).eigenvalues
-    spread = float(h0_eigs[-1] - h0_eigs[0])
+    spread = spectral_spread(h0)
 
     # ---- drive -----------------------------------------------------------
     drive_sec = root.section("drive", required=True)

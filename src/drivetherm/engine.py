@@ -15,10 +15,11 @@ The current is linear in V_H, so dL_t is the same fixed linear map applied
 to the weighted integral M_t = int_0^t w V_H accumulated by ``propagate``:
 dL_t = Q [-2i R o (Q^dag M_t Q)] Q^dag with R_ij = (p_j - p_i)/(p_i + p_j)
 in the thermal eigenbasis Q.  That map of M is the primary path, and both
-sides of the cross-check read the one M.  The per-node currents, their
-running trapezoid and the O(n^2) kernel double integral are retained as a
-verification mode (identical algebra, identical quadrature) and for kernel
-visualization.
+sides of the cross-check read the one M.  The per-node currents of a
+``CurrentTrace`` check it along the kernel route, with the same quadrature:
+``increment_series`` takes Tr[pi0 dL_t^2] of their running trapezoid, and
+``increment_via_kernel`` the O(n^2) double sum of the kernel, which
+``kernel_matrix`` writes out for visualization.
 
 Results are columnar: ``qfi_time_series`` returns one ``QfiResult`` whose
 fields are float64 arrays over the grid nodes, and ``qfi_driven`` returns
@@ -32,8 +33,9 @@ import numpy as np
 from .bures import spectral_qfi_batch
 from .drive import dlambda_dbeta
 from .exceptions import FullRankViolation
-from .propagation import EvolutionTrace, TimeGrid, cumulative_trapezoid
-from .thermal import GibbsModel, dpi_dbeta, equilibrium_qfi, equilibrium_sld
+from .propagation import (EvolutionTrace, TimeGrid, cumulative_trapezoid,
+                          drho_dbeta_analytic)
+from .thermal import GibbsModel, equilibrium_qfi, equilibrium_sld
 
 #: Test-harness hook: -1 is the physical commutator in the current; +1
 #: mutates it into an anticommutator (injected sign error for mutation tests).
@@ -112,23 +114,18 @@ def build_current_trace(trace: EvolutionTrace) -> CurrentTrace:
                         weights=weights)
 
 
-def kernel(model: GibbsModel, j_s: np.ndarray, j_u: np.ndarray) -> complex:
-    """Two-time current correlation K(s, u) = Tr[pi0 J_V(s) J_V(u)].
-
-    Satisfies K(u, s) = conj(K(s, u)); real and nonnegative at coincident
-    arguments.
-    """
-    if j_s.shape != j_u.shape:
-        raise ValueError(f"dimension mismatch: {j_s.shape} vs {j_u.shape}")
-    return complex(np.trace(model.state @ j_s @ j_u))
+def _eigenbasis_currents(ct: CurrentTrace) -> np.ndarray:
+    """The currents rotated into the thermal eigenbasis, Q^dag J_V Q."""
+    q = ct.model.basis
+    return np.einsum("ji,kjl,lm->kim", q.conj(), ct.currents, q)
 
 
 def kernel_matrix(ct: CurrentTrace) -> np.ndarray:
-    """Full complex kernel K(t_a, t_b) on the grid (O(n^2 d^2) memory)."""
-    q = ct.model.basis
-    p = ct.model.probabilities
-    jt = np.einsum("ji,kjl,lm->kim", q.conj(), ct.currents, q)
-    return np.einsum("i,aij,bji->ab", p, jt, jt)
+    """Full complex kernel K(t_a, t_b) = Tr[pi0 J_V(t_a) J_V(t_b)] on the grid
+    (O(n^2 d^2) memory).  K(t_b, t_a) = conj K(t_a, t_b), and the diagonal
+    is real and nonnegative."""
+    jt = _eigenbasis_currents(ct)
+    return np.einsum("i,aij,bji->ab", ct.model.probabilities, jt, jt)
 
 
 def increment_via_kernel(ct: CurrentTrace, *, return_diagnostics: bool = False):
@@ -139,9 +136,8 @@ def increment_via_kernel(ct: CurrentTrace, *, return_diagnostics: bool = False):
     computed as a diagnostic.  Evaluated in row chunks so large grids never
     materialize the full n^2 kernel.
     """
-    q = ct.model.basis
     p = ct.model.probabilities
-    jt = np.einsum("ji,kjl,lm->kim", q.conj(), ct.currents, q)
+    jt = _eigenbasis_currents(ct)
     cw = ct.trapezoid_weights * ct.weights
     total = 0.0
     asym = 0.0
@@ -157,29 +153,10 @@ def increment_via_kernel(ct: CurrentTrace, *, return_diagnostics: bool = False):
     return total
 
 
-def _delta_sld_stack(ct: CurrentTrace, k: int) -> np.ndarray:
-    """dL(t_0..t_k): running trapezoid of w(s) J_V(s)."""
-    wj = ct.weights[: k + 1, None, None] * ct.currents[: k + 1]
-    return cumulative_trapezoid(wj, ct.grid.dt)
-
-
-def delta_sld(ct: CurrentTrace, k: int | None = None) -> np.ndarray:
-    """Accumulated current dL(t_k) = trapezoid of w(s) J_V(s) up to node k."""
-    if k is None:
-        k = ct.grid.n_steps
-    return _delta_sld_stack(ct, k)[-1]
-
-
-def increment_via_deltaL(ct: CurrentTrace, k: int | None = None) -> float:
-    """Fisher increment as Tr[pi0 dL^2]; algebraically identical to the
-    kernel double integral under the shared trapezoid quadrature."""
-    dl = delta_sld(ct, k)
-    return float(np.real(np.trace(ct.model.state @ dl @ dl)))
-
-
 def increment_series(ct: CurrentTrace) -> np.ndarray:
-    """I_t at every grid node, via the running dL accumulation."""
-    dl = _delta_sld_stack(ct, ct.grid.n_steps)
+    """I_t = Tr[pi0 dL_t^2] at every grid node, with dL_t the running
+    trapezoid of w(s) J_V(s); the same quadrature as the kernel double sum."""
+    dl = cumulative_trapezoid(ct.weights[:, None, None] * ct.currents, ct.grid.dt)
     return np.real(np.einsum("ij,kjl,kli->k", ct.model.state, dl, dl))
 
 
@@ -228,13 +205,9 @@ def _decompose(trace: EvolutionTrace, nodes: np.ndarray,
     i_t, dl = increment_at(trace, nodes)
     mixed = np.abs(np.einsum("ij,jl,kli->k", pi0, equilibrium_sld(model), dl))
 
-    a = -1j * trace.M[nodes]
     u = trace.propagators[nodes]
-    u_dag = u.conj().swapaxes(1, 2)
-    rho = np.einsum("kij,jl,klm->kim", u, pi0, u_dag, optimize=True)
-    inner = dpi_dbeta(model)[None, :, :] + (a @ pi0 - pi0 @ a)
-    drho = u @ inner @ u_dag
-    f_spectral = spectral_qfi_batch(rho, drho)
+    rho = np.einsum("kij,jl,klm->kim", u, pi0, u.conj().swapaxes(1, 2), optimize=True)
+    f_spectral = spectral_qfi_batch(rho, drho_dbeta_analytic(trace, nodes))
 
     f_eq = np.full(len(nodes), equilibrium_qfi(model))
     f_total = f_eq + i_t

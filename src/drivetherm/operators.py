@@ -2,7 +2,7 @@
 
 Everything here operates on plain ``numpy`` arrays of shape (d, d) with
 d <= MAX_DIM.  Operators are kept exactly Hermitian by symmetrizing at
-construction; unitaries are validated against a Frobenius-norm defect.
+construction.
 """
 
 import warnings
@@ -16,9 +16,6 @@ MAX_DIM = 32
 #: Warn when the anti-Hermitian part removed at construction exceeds this
 #: (relative to the matrix norm).
 HERMITICITY_WARN = 1e-10
-
-#: Frobenius defect ||U^dag U - I||_F allowed for a unitary.
-UNITARITY_TOL = 1e-10
 
 
 class HermiticityWarning(UserWarning):
@@ -51,18 +48,6 @@ def hermitize(entries, warn_above: float = HERMITICITY_WARN) -> np.ndarray:
             stacklevel=2,
         )
     return herm
-
-
-def unitarity_defect(u: np.ndarray) -> float:
-    """Frobenius norm of U^dag U - I."""
-    d = u.shape[0]
-    return float(np.linalg.norm(u.conj().T @ u - np.eye(d)))
-
-
-def assert_unitary(u: np.ndarray, tol: float = UNITARITY_TOL) -> None:
-    defect = unitarity_defect(u)
-    if defect > tol:
-        raise ValueError(f"matrix is not unitary: defect {defect:.3e} > {tol:.1e}")
 
 
 class EigenSystem(NamedTuple):

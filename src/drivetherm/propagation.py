@@ -246,17 +246,18 @@ def beta_generator(trace: EvolutionTrace) -> np.ndarray:
     return -1j * trace.M
 
 
-def drho_dbeta_analytic(trace: EvolutionTrace, k: int) -> np.ndarray:
+def drho_dbeta_analytic(trace: EvolutionTrace, k) -> np.ndarray:
     """Analytic beta-derivative of rho(t_k): U (dpi + [A, pi0]) U^dag.
 
-    Traceless Hermitian; reduces to the rotated equilibrium derivative when
-    the drive is temperature-insensitive (A = 0).
+    ``k`` is one node index, giving a (d, d) matrix, or an array of them,
+    giving a stack.  Traceless Hermitian; reduces to the rotated equilibrium
+    derivative when the drive is temperature-insensitive (A = 0).
     """
     a_k = -1j * trace.M[k]
     pi0 = trace.model.state
     inner = dpi_dbeta(trace.model) + (a_k @ pi0 - pi0 @ a_k)
     u = trace.propagators[k]
-    return u @ inner @ u.conj().T
+    return u @ inner @ u.conj().swapaxes(-1, -2)
 
 
 #: Relative noise level of the centered difference above which a warning fires.

@@ -15,7 +15,8 @@ from .drive import CosineModulation, DriveProfile, GaussianEnvelope
 from .engine import QfiResult, increment_at, qfi_driven
 from .operators import eig, hermitize
 from .propagation import DRIFT_TOL, EvolutionTrace, default_grid, propagate
-from .thermal import RANK_FLOOR, GibbsModel, equilibrium_qfi, make_gibbs
+from .thermal import (RANK_FLOOR, GibbsModel, equilibrium_qfi, make_gibbs,
+                      spectral_spread)
 
 AXES = ("frequency", "temperature", "time")
 REDUCE_MODES = ("value_at_t", "max_over_t")
@@ -55,7 +56,6 @@ class ScanSpec:
     beta_star: float
     drive: DriveProfile
     reduce: ReduceSpec
-    n_measurements: int = 1
     drift_tol: float = DRIFT_TOL
     rank_floor: float = RANK_FLOOR
 
@@ -92,11 +92,6 @@ class ScanResult:
     argmax: float
 
 
-def _spectral_spread(h0: np.ndarray) -> float:
-    vals = eig(h0).eigenvalues
-    return float(vals[-1] - vals[0])
-
-
 def _best_node(trace: EvolutionTrace, window: tuple) -> int:
     """Node of the largest F_eq + I_t inside the window (ties -> earliest)."""
     t0, t1 = window
@@ -109,14 +104,14 @@ def _best_node(trace: EvolutionTrace, window: tuple) -> int:
 
 
 def _evaluate(model: GibbsModel, v: np.ndarray, drive: DriveProfile, t_end: float,
-              spread: float, *, window: tuple | None = None, drift_tol: float,
-              n_measurements: int) -> QfiResult:
+              spread: float, *, window: tuple | None = None,
+              drift_tol: float) -> QfiResult:
     """One propagation on the default grid, decomposed at one node: the
     final one, or the best node inside ``window``."""
     trace = propagate(model, v, drive, default_grid(t_end, spread, drive.omega_d),
                       drift_tol=drift_tol)
     at = None if window is None else _best_node(trace, window)
-    return qfi_driven(trace, at, n_measurements=n_measurements)
+    return qfi_driven(trace, at)
 
 
 def _evaluate_point(spec: ScanSpec, value: float) -> ScanPoint:
@@ -135,8 +130,8 @@ def _evaluate_point(spec: ScanSpec, value: float) -> ScanPoint:
         window = spec.reduce.window
         t_eval = window[1]
     row = _evaluate(make_gibbs(spec.h0, beta, rank_floor=spec.rank_floor), spec.v,
-                    drive, t_eval, _spectral_spread(spec.h0), window=window,
-                    drift_tol=spec.drift_tol, n_measurements=spec.n_measurements)
+                    drive, t_eval, spectral_spread(spec.h0), window=window,
+                    drift_tol=spec.drift_tol)
     return ScanPoint(value, row.f_eq, row.i_t, row.f_total, row.f_spectral)
 
 
@@ -167,24 +162,14 @@ class OptimizeResult:
     budget_exhausted: bool
 
 
-class _Budget:
-    def __init__(self, max_evals):
-        self.remaining = max_evals
-        self.exhausted = False
-
-    def take(self):
-        if self.remaining <= 0:
-            self.exhausted = True
-            return False
-        self.remaining -= 1
-        return True
+class _BudgetExhausted(Exception):
+    """Raised by the optimizer's objective once ``max_evals`` are spent."""
 
 
 def optimize_drive(h0, v, target_beta: float, t_eval: float,
                    bounds: Mapping[str, tuple], *, base_drive: DriveProfile,
                    coarse_points: int = 17, passes: int = 2,
                    golden_iters: int = 32, max_evals: int = 600,
-                   n_measurements: int = 1,
                    seed_resonance: bool = False,
                    rank_floor: float = RANK_FLOOR) -> OptimizeResult:
     """Maximize F_total(t_eval, target_beta) over a box of drive parameters.
@@ -206,6 +191,8 @@ def optimize_drive(h0, v, target_beta: float, t_eval: float,
     v = hermitize(v)
     if not bounds:
         raise ValueError("bounds must name at least one parameter")
+    if max_evals <= 0:
+        raise ValueError("max_evals must allow at least one evaluation")
     for name in bounds:
         if name not in _PARAM_ORDER:
             raise ValueError(f"unknown parameter {name!r}; expected one of {_PARAM_ORDER}")
@@ -215,7 +202,7 @@ def optimize_drive(h0, v, target_beta: float, t_eval: float,
         raise ValueError("optimize_drive tunes a cosine temporal modulation")
 
     model = make_gibbs(h0, target_beta, rank_floor=rank_floor)
-    spread = _spectral_spread(h0)
+    spread = spectral_spread(h0)
 
     def current(params):
         return DriveProfile(
@@ -249,74 +236,64 @@ def optimize_drive(h0, v, target_beta: float, t_eval: float,
         lo, hi = bounds["omega_d"]
         seeds = sorted(g for g in gaps if lo <= g <= hi)
 
-    budget = _Budget(max_evals)
     trail = []
     cache = {}
 
     def objective(p):
         key = tuple(p[name] for name in _PARAM_ORDER)
-        if key in cache:
-            return cache[key]
-        if not budget.take():
-            return None
-        result = _evaluate(model, v, current(p), t_eval, spread, drift_tol=DRIFT_TOL,
-                           n_measurements=n_measurements)
-        cache[key] = result.f_total
-        trail.append((dict(p), result.f_total))
-        return result.f_total
+        if key not in cache:
+            if len(trail) >= max_evals:
+                raise _BudgetExhausted
+            f_total = _evaluate(model, v, current(p), t_eval, spread, drift_tol=DRIFT_TOL).f_total
+            cache[key] = f_total
+            trail.append((dict(p), f_total))
+        return cache[key]
 
-    best_value = objective(params)
-    if best_value is None:
-        raise ValueError("max_evals must allow at least one evaluation")
-    best = dict(params)
+    best, best_value = dict(params), objective(params)
 
     def try_point(p):
         nonlocal best, best_value
         val = objective(p)
-        if val is None:
-            return False
         if val > best_value:
             best, best_value = dict(p), val
-        return True
+        return val
 
     free = [name for name in _PARAM_ORDER if name in bounds
             and bounds[name][1] > bounds[name][0]]
 
-    for _ in range(passes):
-        for name in free:
-            lo, hi = bounds[name]
-            grid_vals = list(np.linspace(lo, hi, coarse_points))
-            if name == "omega_d":
-                grid_vals = sorted(set(grid_vals) | set(seeds))
-            scores = []
-            for x in grid_vals:
-                p = dict(best)
-                p[name] = float(x)
-                if not try_point(p):
-                    return OptimizeResult(best, best_value, tuple(trail), True)
-                scores.append(cache[tuple(p[n] for n in _PARAM_ORDER)])
-            i_best = int(np.argmax(scores))
-            a = grid_vals[max(i_best - 1, 0)]
-            b = grid_vals[min(i_best + 1, len(grid_vals) - 1)]
-            if b <= a:
-                continue
-            # golden-section refinement of the bracket around the best node
-            x1 = b - _GOLDEN * (b - a)
-            x2 = a + _GOLDEN * (b - a)
-            for _ in range(golden_iters):
-                p1, p2 = dict(best), dict(best)
-                p1[name], p2[name] = x1, x2
-                if not (try_point(p1) and try_point(p2)):
-                    return OptimizeResult(best, best_value, tuple(trail), True)
-                f1 = cache[tuple(p1[n] for n in _PARAM_ORDER)]
-                f2 = cache[tuple(p2[n] for n in _PARAM_ORDER)]
-                if f1 < f2:
-                    a = x1
-                    x1 = x2
-                    x2 = a + _GOLDEN * (b - a)
-                else:
-                    b = x2
-                    x2 = x1
-                    x1 = b - _GOLDEN * (b - a)
-
-    return OptimizeResult(best, best_value, tuple(trail), budget.exhausted)
+    exhausted = False
+    try:
+        for _ in range(passes):
+            for name in free:
+                lo, hi = bounds[name]
+                grid_vals = list(np.linspace(lo, hi, coarse_points))
+                if name == "omega_d":
+                    grid_vals = sorted(set(grid_vals) | set(seeds))
+                scores = []
+                for x in grid_vals:
+                    p = dict(best)
+                    p[name] = float(x)
+                    scores.append(try_point(p))
+                i_best = int(np.argmax(scores))
+                a = grid_vals[max(i_best - 1, 0)]
+                b = grid_vals[min(i_best + 1, len(grid_vals) - 1)]
+                if b <= a:
+                    continue
+                # golden-section refinement of the bracket around the best node
+                x1 = b - _GOLDEN * (b - a)
+                x2 = a + _GOLDEN * (b - a)
+                for _ in range(golden_iters):
+                    p1, p2 = dict(best), dict(best)
+                    p1[name], p2[name] = x1, x2
+                    f1, f2 = try_point(p1), try_point(p2)
+                    if f1 < f2:
+                        a = x1
+                        x1 = x2
+                        x2 = a + _GOLDEN * (b - a)
+                    else:
+                        b = x2
+                        x2 = x1
+                        x1 = b - _GOLDEN * (b - a)
+    except _BudgetExhausted:
+        exhausted = True
+    return OptimizeResult(best, best_value, tuple(trail), exhausted)

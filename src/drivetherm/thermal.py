@@ -18,6 +18,12 @@ RANK_FLOOR = 1e-18
 BETA_SPREAD_CAP = 50.0
 
 
+def spectral_spread(h0: np.ndarray) -> float:
+    """Largest minus smallest eigenvalue of the Hermitian part of ``h0``."""
+    vals = eig(hermitize(h0)).eigenvalues
+    return float(vals[-1] - vals[0])
+
+
 def default_beta_max(h0: np.ndarray) -> float:
     """Full-rank guard: largest beta admitted for this Hamiltonian.
 
@@ -25,8 +31,7 @@ def default_beta_max(h0: np.ndarray) -> float:
     stay representable; infinite for trivial (proportional-to-identity)
     spectra, where the Gibbs state is maximally mixed at any temperature.
     """
-    vals = eig(hermitize(h0)).eigenvalues
-    spread = float(vals[-1] - vals[0])
+    spread = spectral_spread(h0)
     if spread <= 0.0:
         return np.inf
     return BETA_SPREAD_CAP / spread

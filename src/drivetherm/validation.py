@@ -17,9 +17,9 @@ from .drive import (ConstantEnvelope, CosineModulation, DriveProfile,
                     GaussianEnvelope)
 from .exceptions import DriveThermError
 from .operators import SIGMA_X, SIGMA_Z, eig, hermitize, pauli_components
-from .propagation import TimeGrid, default_n_steps, propagate
+from .propagation import DRIFT_TOL, TimeGrid, default_n_steps, propagate
 from .spin import magnetization, qubit_equilibrium_qfi, weak_field_kernel
-from .thermal import equilibrium_qfi, make_gibbs
+from .thermal import RANK_FLOOR, equilibrium_qfi, make_gibbs, spectral_spread
 
 
 @dataclass(frozen=True)
@@ -72,16 +72,17 @@ def run_checks(config: RunConfig | None = None, *, seed: int = 20260810) -> list
 
     if config is None:
         h0, v, beta_star, drive, t_end = _default_setup()
+        drift_tol, rank_floor = DRIFT_TOL, RANK_FLOOR
     else:
         h0, v, beta_star, drive, t_end = _setup_from_config(config)
+        drift_tol, rank_floor = config.tolerances.step_drift, config.tolerances.rank_floor
 
-    spread = float(np.ptp(eig(h0).eigenvalues))
+    spread = spectral_spread(h0)
     omega_d = drive.omega_d
 
     # --- model construction (full-rank guard surfaces here) ---------------
     try:
-        model = make_gibbs(h0, beta_star,
-                           rank_floor=(config.tolerances.rank_floor if config else 1e-18))
+        model = make_gibbs(h0, beta_star, rank_floor=rank_floor)
         checks.append(CheckResult("model-within-full-rank-guard", True, 0.0, 0.0))
     except DriveThermError as exc:
         checks.append(CheckResult(
@@ -114,7 +115,7 @@ def run_checks(config: RunConfig | None = None, *, seed: int = 20260810) -> list
     checks.append(CheckResult("jordan-inverse-round-trip", worst <= 1e-10, worst, 1e-10))
 
     # --- driven run: shared trace ------------------------------------------
-    trace = propagate(model, v, drive, grid)
+    trace = propagate(model, v, drive, grid, drift_tol=drift_tol)
     ct = engine.build_current_trace(trace)
     series = engine.qfi_time_series(trace)
 
@@ -142,9 +143,10 @@ def run_checks(config: RunConfig | None = None, *, seed: int = 20260810) -> list
     # increment path equivalence + antisymmetric-part residual
     short_grid = TimeGrid(min(t_end, 2.0 * math.pi),
                           default_n_steps(min(t_end, 2.0 * math.pi), spread, omega_d))
-    ct_short = engine.build_current_trace(propagate(model, v, drive, short_grid))
+    ct_short = engine.build_current_trace(propagate(model, v, drive, short_grid,
+                                                    drift_tol=drift_tol))
     i_kernel, asym = engine.increment_via_kernel(ct_short, return_diagnostics=True)
-    i_delta = engine.increment_via_deltaL(ct_short)
+    i_delta = engine.increment_series(ct_short)[-1]
     rel = abs(i_kernel - i_delta) / max(abs(i_delta), 1e-30)
     measured = max(rel if i_delta > 1e-25 else abs(i_kernel - i_delta), asym)
     checks.append(CheckResult("kernel-vs-accumulated-increment",
@@ -157,7 +159,7 @@ def run_checks(config: RunConfig | None = None, *, seed: int = 20260810) -> list
 
     # --- no-go: temperature-insensitive envelope ---------------------------
     nogo_drive = replace(drive, envelope=ConstantEnvelope())
-    nogo = engine.qfi_time_series(propagate(model, v, nogo_drive, grid))
+    nogo = engine.qfi_time_series(propagate(model, v, nogo_drive, grid, drift_tol=drift_tol))
     worst = float(max(np.abs(nogo.f_spectral - nogo.f_eq).max(), np.abs(nogo.i_t).max()))
     checks.append(CheckResult("no-go-constant-envelope", worst <= 1e-9, worst, 1e-9))
 
@@ -167,7 +169,8 @@ def run_checks(config: RunConfig | None = None, *, seed: int = 20260810) -> list
         envelope=GaussianEnvelope(beta0=beta_star + 2.0, s_beta=2.0),
         temporal=CosineModulation(omega_d=max(spread, 1.0), phi=0.0),
     )
-    commuting = engine.qfi_time_series(propagate(model, h0, commuting_drive, grid))
+    commuting = engine.qfi_time_series(propagate(model, h0, commuting_drive, grid,
+                                                 drift_tol=drift_tol))
     worst = float(np.abs(commuting.i_t).max())
     checks.append(CheckResult("no-go-commuting-perturbation", worst <= 1e-12,
                               worst, 1e-12))
@@ -197,7 +200,7 @@ def run_checks(config: RunConfig | None = None, *, seed: int = 20260810) -> list
     t_short = 1e-3
     sgrid = TimeGrid(t_short, 64)
     sct = engine.build_current_trace(propagate(qubit_model, SIGMA_X, qubit_drive, sgrid))
-    i_short = engine.increment_via_deltaL(sct)
+    i_short = engine.increment_series(sct)[-1]
     gprime = qubit_drive.envelope.derivative(5.0)
     coef = 4.0 * m**2 * (0.1 * gprime) ** 2
     measured = abs(i_short / t_short**2 - coef) / coef

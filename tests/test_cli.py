@@ -415,6 +415,15 @@ def test_validate_runs_on_short_tabulated_temporal_table(tmp_path, capsys):
     assert "checks passed" in capsys.readouterr().out
 
 
+def test_validate_honours_configured_step_drift(tmp_path, capsys):
+    # the configured model's propagations obey tolerances.step_drift, as in simulate
+    text = (ROOT / "configs" / "fig2a.yaml").read_text(encoding="utf-8")
+    cfg = write(tmp_path, "tight.yaml", text + "tolerances: {step_drift: 1.0e-20}\n")
+    assert main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 1
+    assert main(["validate", "--config", str(cfg)]) == 1
+    assert "exceeds 1.0e-20" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("scan, key", [
     ("axis: time\n  values: [0.5, 1.0, 3.0]\n", "values"),
     ("axis: temperature\n  values: [1.0, 2.0]\n  reduce:\n    mode: value_at_t\n"
@@ -501,6 +510,17 @@ def test_out_of_range_tolerance_rejected(tmp_path, capsys, override):
     cfg = write(tmp_path, "bad.yaml", text)
     assert main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
     assert f"bad.yaml:{len(text.splitlines())}:" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("value", ["true", "'1e-8'", "[1]"],
+                         ids=["bool", "string", "list"])
+def test_tolerance_override_must_be_a_number(tmp_path, capsys, value):
+    text = BASE_CONFIG + f"tolerances:\n  step_drift: {value}\n"
+    cfg = write(tmp_path, "bad.yaml", text)
+    assert main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert f"bad.yaml:{len(text.splitlines())}:" in err and "finite number" in err
     assert not (tmp_path / "o").exists()
 
 

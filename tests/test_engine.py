@@ -6,14 +6,14 @@ import pytest
 from drivetherm import FullRankViolation
 from drivetherm.drive import (ConstantEnvelope, CosineModulation, DriveProfile,
                               GaussianEnvelope)
-from drivetherm.engine import (build_current_trace, delta_sld,
-                               increment_series, increment_via_deltaL,
-                               increment_via_kernel, information_current,
-                               kernel, kernel_matrix, qfi_driven,
+from drivetherm.engine import (CurrentTrace, build_current_trace,
+                               increment_series, increment_via_kernel,
+                               information_current, kernel_matrix, qfi_driven,
                                qfi_time_series)
 from drivetherm.operators import (SIGMA_X, SIGMA_Y, SIGMA_Z,
                                   pauli_components)
-from drivetherm.propagation import TimeGrid, default_n_steps, propagate
+from drivetherm.propagation import (TimeGrid, cumulative_trapezoid,
+                                    default_n_steps, propagate)
 from drivetherm.thermal import equilibrium_sld, make_gibbs
 
 from conftest import random_hermitian
@@ -72,15 +72,16 @@ def test_current_requires_full_rank(rng):
 
 def test_kernel_hermiticity_and_positivity(rng):
     model = make_gibbs(random_hermitian(rng, 3), 1.0)
-    j_s = information_current(model, random_hermitian(rng, 3))
-    j_u = information_current(model, random_hermitian(rng, 3))
-    k_su = kernel(model, j_s, j_u)
-    k_us = kernel(model, j_u, j_s)
-    assert abs(k_su - np.conj(k_us)) < 1e-14
-    diag = kernel(model, j_s, j_s)
-    assert abs(diag.imag) < 1e-14 and diag.real >= 0.0
-    zero = np.zeros((3, 3))
-    assert kernel(model, zero, j_u) == 0.0
+    currents = np.stack([information_current(model, random_hermitian(rng, 3)),
+                         information_current(model, random_hermitian(rng, 3)),
+                         np.zeros((3, 3), dtype=complex)])
+    ct = CurrentTrace(grid=TimeGrid(1.0, 2), model=model, currents=currents,
+                      weights=np.ones(3))
+    km = kernel_matrix(ct)
+    assert np.abs(km - km.conj().T).max() < 1e-14
+    assert np.abs(np.diagonal(km).imag).max() < 1e-14
+    assert (np.diagonal(km).real >= 0.0).all()
+    assert (km[2] == 0.0).all() and (km[:, 2] == 0.0).all()
 
 
 def test_weak_field_kernel_matches_cosine(qubit_model):
@@ -126,7 +127,7 @@ def test_weak_field_current_convention(qubit_model):
 def test_single_node_trace(qubit_model, resonant_drive):
     ct = build_current_trace(propagate(qubit_model, SIGMA_X, resonant_drive,
                                        TimeGrid(0.0, 0)))
-    assert increment_via_deltaL(ct) == 0.0
+    assert increment_series(ct)[-1] == 0.0
     assert increment_via_kernel(ct) == 0.0
 
 
@@ -134,7 +135,7 @@ def test_increment_paths_agree(qubit_model, resonant_drive, rng):
     grid = TimeGrid(2 * TWO_PI, default_n_steps(2 * TWO_PI, 1.0, 1.0))
     ct = build_current_trace(propagate(qubit_model, SIGMA_X, resonant_drive, grid))
     i_kernel, asym = increment_via_kernel(ct, return_diagnostics=True)
-    i_delta = increment_via_deltaL(ct)
+    i_delta = increment_series(ct)[-1]
     assert abs(i_kernel - i_delta) <= 1e-10 * i_delta
     assert asym <= 1e-10
     # generic model too
@@ -144,7 +145,7 @@ def test_increment_paths_agree(qubit_model, resonant_drive, rng):
     drive = DriveProfile(0.08, GaussianEnvelope(2.0, 1.5), CosineModulation(1.3, 0.7))
     ct = build_current_trace(propagate(model, random_hermitian(rng, 3), drive, grid))
     i_kernel, asym = increment_via_kernel(ct, return_diagnostics=True)
-    i_delta = increment_via_deltaL(ct)
+    i_delta = increment_series(ct)[-1]
     assert abs(i_kernel - i_delta) <= 1e-10 * max(i_delta, 1e-30)
     assert asym <= 1e-10
 
@@ -153,20 +154,20 @@ def test_increment_zero_for_zero_weights(qubit_model):
     drive = DriveProfile(0.1, ConstantEnvelope(), CosineModulation(1.0, 0.0))
     grid = TimeGrid(TWO_PI, 300)
     ct = build_current_trace(propagate(qubit_model, SIGMA_X, drive, grid))
-    assert increment_via_deltaL(ct) == 0.0
+    assert increment_series(ct)[-1] == 0.0
 
 
 def test_increment_zero_for_commuting_perturbation(qubit_model, resonant_drive):
     grid = TimeGrid(TWO_PI, 300)
     ct = build_current_trace(propagate(qubit_model, SIGMA_Z, resonant_drive, grid))
-    assert increment_via_deltaL(ct) <= 1e-12
+    assert increment_series(ct)[-1] <= 1e-12
 
 
 def test_short_time_quadratic_coefficient(qubit_model, resonant_drive):
     t = 1e-3
     ct = build_current_trace(propagate(qubit_model, SIGMA_X, resonant_drive,
                                        TimeGrid(t, 64)))
-    i_t = increment_via_deltaL(ct)
+    i_t = increment_series(ct)[-1]
     m = np.tanh(2.5)
     gprime = -((5.0 - 10.0) / 9.0) * np.exp(-25.0 / 18.0)
     coef = 4 * m**2 * (0.1 * gprime) ** 2
@@ -176,7 +177,7 @@ def test_short_time_quadratic_coefficient(qubit_model, resonant_drive):
 def test_mixed_term_vanishes(qubit_model, resonant_drive):
     grid = TimeGrid(2 * TWO_PI, default_n_steps(2 * TWO_PI, 1.0, 1.0))
     ct = build_current_trace(propagate(qubit_model, SIGMA_X, resonant_drive, grid))
-    dl = delta_sld(ct)
+    dl = cumulative_trapezoid(ct.weights[:, None, None] * ct.currents, grid.dt)[-1]
     l_eq = equilibrium_sld(qubit_model)
     assert abs(np.trace(qubit_model.state @ l_eq @ dl)) <= 1e-10
 
@@ -220,14 +221,6 @@ def test_qfi_driven_crb_column(qubit_model, resonant_drive):
 def test_qfi_driven_rejects_bad_node_index(qubit_model, resonant_drive):
     with pytest.raises(ValueError, match="node index"):
         qfi_driven(propagate(qubit_model, SIGMA_X, resonant_drive, TimeGrid(1.0, 10)), at=11)
-
-
-def test_increment_series_matches_pointwise(qubit_model, resonant_drive):
-    grid = TimeGrid(TWO_PI, 100)
-    ct = build_current_trace(propagate(qubit_model, SIGMA_X, resonant_drive, grid))
-    series = increment_series(ct)
-    for k in (0, 11, 57, 100):
-        assert abs(series[k] - increment_via_deltaL(ct, k)) < 1e-15
 
 
 def test_dual_path_tightens_under_refinement(qubit_model, resonant_drive):

@@ -9,7 +9,8 @@ from pathlib import Path
 import numpy as np
 
 from drivetherm import SIGMA_X, SIGMA_Z, make_gibbs
-from drivetherm.propagation import TimeGrid, propagate
+from drivetherm.engine import build_current_trace, increment_series
+from drivetherm.propagation import TimeGrid, beta_generator, propagate
 
 TRACER = Path(__file__).resolve().parent.parent / "perfbench" / "tracer.py"
 
@@ -31,3 +32,13 @@ def test_propagate_result_exposes_counted_fields(resonant_drive):
     assert isinstance(result.grid.n_steps, numbers.Integral) and result.grid.n_steps == n
     for stack in (result.propagators, result.heisenberg_v):
         assert isinstance(stack, np.ndarray) and stack.shape == (n + 1, 2, 2)
+
+
+def test_stage_calls_outside_the_cli_path(resonant_drive):
+    # after the traced CLI call the tracer runs these on the captured traces
+    n = 7
+    trace = propagate(make_gibbs(0.5 * SIGMA_Z, 5.0), SIGMA_X, resonant_drive,
+                      TimeGrid(1.0, n))
+    series = increment_series(build_current_trace(trace))
+    assert series.shape == (n + 1,) and series.dtype == np.float64 and series[0] == 0.0
+    assert beta_generator(trace).shape == (n + 1, 2, 2)

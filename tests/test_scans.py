@@ -205,7 +205,7 @@ def test_max_over_t_decomposes_one_node(monkeypatch, make_spec):
     assert stack_sizes == [1] * len(spec.values)    # spectral route at one node
     t0, t1 = spec.reduce.window
     for point, trace, node in zip(points, traces, nodes):
-        series = qfi_time_series(trace, n_measurements=spec.n_measurements)
+        series = qfi_time_series(trace)
         inside = np.flatnonzero((series.t >= t0) & (series.t <= t1))
         k = int(inside[np.argmax(series.f_total[inside])])
         assert node == k
