@@ -9,7 +9,7 @@ Bures metric; its inverse is evaluated spectrally, (J^-1 X)_ij =
 import numpy as np
 
 from .exceptions import FullRankViolation
-from .operators import eig
+from .operators import eig, stack_mul
 from .thermal import RANK_FLOOR
 
 #: Relative threshold on l_i + l_j below which spectral-QFI terms are dropped.
@@ -67,7 +67,7 @@ def spectral_qfi(sigma: np.ndarray, dsigma: np.ndarray) -> float:
 def spectral_qfi_batch(sigmas: np.ndarray, dsigmas: np.ndarray) -> np.ndarray:
     """Vectorized :func:`spectral_qfi` over a leading stack axis."""
     lam, q = np.linalg.eigh(sigmas)
-    dt = q.conj().swapaxes(1, 2) @ dsigmas @ q
+    dt = stack_mul(stack_mul(q.conj().swapaxes(1, 2), dsigmas), q)
     denom = lam[:, :, None] + lam[:, None, :]
     cutoff = SPECTRAL_QFI_CUTOFF * 2.0 * lam[:, -1][:, None, None]
     mask = denom > cutoff

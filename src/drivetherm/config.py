@@ -42,6 +42,7 @@ class Tolerances:
 
     @classmethod
     def resolve(cls, overrides: dict | None = None) -> "Tolerances":
+        """Scaled defaults, then ``overrides`` (range-checked by the loader)."""
         raw = os.environ.get(TOLERANCE_SCALE_ENV, "1.0")
         try:
             scale = float(raw)
@@ -50,16 +51,7 @@ class Tolerances:
         if not (math.isfinite(scale) and scale > 0.0):
             raise ValueError(f"{TOLERANCE_SCALE_ENV} must be a finite number > 0, got {raw!r}")
         base = {"step_drift": DRIFT_TOL * scale, "rank_floor": RANK_FLOOR * scale}
-        for key, value in (overrides or {}).items():
-            if key not in base:
-                raise KeyError(f"unknown tolerance {key!r}; expected one of {sorted(base)}")
-            base[key] = x = float(value)
-            # a drift bound of 0 fails every run; a population floor of 0 is allowed
-            bound = "> 0" if key == "step_drift" else ">= 0"
-            if not (math.isfinite(x) and (x > 0.0 if key == "step_drift" else x >= 0.0)):
-                raise ValueError(f"tolerance {key!r} must be a finite number {bound}, "
-                                 f"got {value!r}")
-        return cls(scale=scale, **base)
+        return cls(scale=scale, **{**base, **(overrides or {})})
 
     def as_dict(self) -> dict:
         return asdict(self)
@@ -444,10 +436,17 @@ def load_run_config(path: str, *, enforce_guard: bool = True) -> RunConfig:
 
     # ---- tolerances / guard ---------------------------------------------
     tol_sec = root.section("tolerances")
-    overrides = {key: tol_sec.number(key) for key in tol_sec.data} if tol_sec else {}
+    overrides = {}
+    for key in tol_sec.data if tol_sec else ():
+        if key not in ("rank_floor", "step_drift"):
+            raise tol_sec.error(f"unknown tolerance {key!r}; expected one of "
+                                "['rank_floor', 'step_drift']", key)
+        # a drift bound of 0 fails every run; a population floor of 0 is allowed
+        bound = {"minimum": 0.0} if key == "rank_floor" else {"strict_min": 0.0}
+        overrides[key] = tol_sec.number(key, **bound)
     try:
         tolerances = Tolerances.resolve(overrides)
-    except (KeyError, ValueError) as exc:
+    except ValueError as exc:
         raise ConfigValidationError(str(exc), path=path,
                                     line=root.line("tolerances")) from exc
 

@@ -33,6 +33,7 @@ import numpy as np
 from .bures import spectral_qfi_batch
 from .drive import dlambda_dbeta
 from .exceptions import FullRankViolation
+from .operators import stack_mul
 from .propagation import (EvolutionTrace, TimeGrid, cumulative_trapezoid,
                           drho_dbeta_analytic)
 from .thermal import GibbsModel, equilibrium_qfi, equilibrium_sld
@@ -75,9 +76,9 @@ def information_current(model: GibbsModel, v_heisenberg: np.ndarray) -> np.ndarr
     """
     _require_full_rank(model)
     q = model.basis
-    vt = q.conj().T @ v_heisenberg @ q
+    vt = stack_mul(stack_mul(q.conj().T, v_heisenberg), q)
     jt = -2j * _current_ratio(model) * vt
-    return q @ jt @ q.conj().T
+    return stack_mul(stack_mul(q, jt), q.conj().T)
 
 
 @dataclass(frozen=True)
@@ -206,7 +207,7 @@ def _decompose(trace: EvolutionTrace, nodes: np.ndarray,
     mixed = np.abs(np.einsum("ij,jl,kli->k", pi0, equilibrium_sld(model), dl))
 
     u = trace.propagators[nodes]
-    rho = np.einsum("kij,jl,klm->kim", u, pi0, u.conj().swapaxes(1, 2), optimize=True)
+    rho = stack_mul(stack_mul(u, pi0), u.conj().swapaxes(1, 2))
     f_spectral = spectral_qfi_batch(rho, drho_dbeta_analytic(trace, nodes))
 
     f_eq = np.full(len(nodes), equilibrium_qfi(model))

@@ -1,8 +1,9 @@
 """Dense complex linear algebra for small Hermitian and unitary matrices.
 
 Everything here operates on plain ``numpy`` arrays of shape (d, d) with
-d <= MAX_DIM.  Operators are kept exactly Hermitian by symmetrizing at
-construction.
+d <= MAX_DIM; ``stack_mul`` is the one matrix product of (..., d, d) stacks
+that the propagator, the engine and the spectral route share.  Operators are
+kept exactly Hermitian by symmetrizing at construction.
 """
 
 import warnings
@@ -16,6 +17,9 @@ MAX_DIM = 32
 #: Warn when the anti-Hermitian part removed at construction exceeds this
 #: (relative to the matrix norm).
 HERMITICITY_WARN = 1e-10
+
+#: Largest d whose stack products run elementwise in ``stack_mul``, not as @.
+UNROLL_MAX_DIM = 3
 
 
 class HermiticityWarning(UserWarning):
@@ -84,6 +88,20 @@ def expm_hermitian_generator(a: np.ndarray, s: float) -> np.ndarray:
     vals, vecs = eig(a)
     phases = np.exp(-1j * s * vals)
     return (vecs * phases) @ vecs.conj().T
+
+
+def stack_mul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Matrix product of (..., d, d) stacks; either may be a single (d, d).
+    Batched ``@`` pays per matrix, so for d <= UNROLL_MAX_DIM it sums d
+    broadcast outer products instead (fastest with the stack axis innermost
+    in memory)."""
+    d = a.shape[-1]
+    if d > UNROLL_MAX_DIM:
+        return a @ b
+    out = a[..., :, :1] * b[..., :1, :]
+    for j in range(1, d):
+        out += a[..., :, j:j + 1] * b[..., j:j + 1, :]
+    return out
 
 
 def commutator(a: np.ndarray, b: np.ndarray) -> np.ndarray:

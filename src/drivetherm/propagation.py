@@ -23,7 +23,7 @@ import numpy as np
 
 from .drive import DriveProfile, dlambda_dbeta, lambda_at
 from .exceptions import DriveThermError, StepSizeTooCoarse
-from .operators import hermitize
+from .operators import UNROLL_MAX_DIM, hermitize, stack_mul
 from .thermal import GibbsModel, dpi_dbeta, make_gibbs
 
 #: Steps per fastest period at default resolution.
@@ -36,7 +36,6 @@ DRIFT_TOL = 1e-8
 #: exp(A) is <= 2^-53, m = 1 .. 12; past the last, scale by 2^-s and square.
 _TAYLOR_THETA = [(2.0 ** -53 * math.factorial(m + 2)) ** (1 / (m + 2)) for m in range(12)]
 _MAX_SQUARINGS = 16
-_UNROLL_MAX_DIM = 3  # largest d whose stack products run elementwise, not as @
 
 
 @dataclass(frozen=True)
@@ -138,13 +137,13 @@ def propagate(model: GibbsModel, v, drive: DriveProfile, grid: TimeGrid,
         c0, cv = np.trace(model.h0).real / d, np.trace(v).real / d
         a = (-1j * dt) * ((model.h0 - c0 * identity)[..., None]
                           + (v - cv * identity)[..., None] * lam_mid)
-        # step axis innermost in memory where _stack_mul runs elementwise along it
-        a = np.moveaxis(a, -1, 0) if d <= _UNROLL_MAX_DIM else a.transpose(2, 0, 1).copy()
+        # step axis innermost in memory where stack_mul runs elementwise along it
+        a = np.moveaxis(a, -1, 0) if d <= UNROLL_MAX_DIM else a.transpose(2, 0, 1).copy()
         propagators = _chain(_step_exponentials(a))
         propagators[1:] *= np.exp((-1j * dt) * np.cumsum(c0 + cv * lam_mid))[:, None, None]
 
     adjoints = propagators.conj().swapaxes(1, 2)
-    defects = np.linalg.norm(_stack_mul(adjoints, propagators) - identity, axis=(1, 2))
+    defects = np.linalg.norm(stack_mul(adjoints, propagators) - identity, axis=(1, 2))
     drift = float(defects.max())
     if not math.isfinite(drift):
         raise DriveThermError(f"unitarity drift is {drift}: the drive or V is not finite")
@@ -156,7 +155,7 @@ def propagate(model: GibbsModel, v, drive: DriveProfile, grid: TimeGrid,
             suggested_n_steps=suggested,
         )
 
-    heisenberg_v = np.ascontiguousarray(_stack_mul(adjoints, _stack_mul(v, propagators)))
+    heisenberg_v = np.ascontiguousarray(stack_mul(adjoints, stack_mul(v, propagators)))
     propagators = np.ascontiguousarray(propagators)
     w = np.atleast_1d(dlambda_dbeta(drive, grid.nodes, model.beta))
     m = cumulative_trapezoid(w[:, None, None] * heisenberg_v, grid.dt)
@@ -175,18 +174,6 @@ def propagate(model: GibbsModel, v, drive: DriveProfile, grid: TimeGrid,
     )
 
 
-def _stack_mul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Matrix product of (..., d, d) stacks; either may be a single (d, d).
-    Batched ``@`` pays per matrix, so small d sums d broadcast outer products."""
-    d = a.shape[-1]
-    if d > _UNROLL_MAX_DIM:
-        return a @ b
-    out = a[..., :, :1] * b[..., :1, :]
-    for j in range(1, d):
-        out += a[..., :, j:j + 1] * b[..., j:j + 1, :]
-    return out
-
-
 def _step_exponentials(a: np.ndarray) -> np.ndarray:
     """exp(A_k) of an (n, d, d) stack: Horner on the Taylor series of the
     smallest degree m with theta_m >= max_k ||A_k||_1, then s squarings."""
@@ -203,10 +190,10 @@ def _step_exponentials(a: np.ndarray) -> np.ndarray:
     a = a * 0.5 ** s
     out = a / m
     for j in range(m - 1, 0, -1):
-        out = _stack_mul(a, out + np.eye(d)) * (1.0 / j)
+        out = stack_mul(a, out + np.eye(d)) * (1.0 / j)
     out += np.eye(d)
     for _ in range(s):
-        out = _stack_mul(out, out)
+        out = stack_mul(out, out)
     return out
 
 
@@ -226,9 +213,9 @@ def _chain(steps: np.ndarray) -> np.ndarray:
     padded[1:n + 1] = steps
     blocks = padded[1:].reshape(nb, b, d, d)
     for j in range(1, b):
-        blocks[:, j] = _stack_mul(blocks[:, j], blocks[:, j - 1])
+        blocks[:, j] = stack_mul(blocks[:, j], blocks[:, j - 1])
     for i in range(1, nb):
-        blocks[i] = _stack_mul(blocks[i], blocks[i - 1, -1])
+        blocks[i] = stack_mul(blocks[i], blocks[i - 1, -1])
     return padded[:n + 1]
 
 
@@ -255,9 +242,9 @@ def drho_dbeta_analytic(trace: EvolutionTrace, k) -> np.ndarray:
     """
     a_k = -1j * trace.M[k]
     pi0 = trace.model.state
-    inner = dpi_dbeta(trace.model) + (a_k @ pi0 - pi0 @ a_k)
+    inner = dpi_dbeta(trace.model) + (stack_mul(a_k, pi0) - stack_mul(pi0, a_k))
     u = trace.propagators[k]
-    return u @ inner @ u.conj().swapaxes(-1, -2)
+    return stack_mul(stack_mul(u, inner), u.conj().swapaxes(-1, -2))
 
 
 #: Relative noise level of the centered difference above which a warning fires.

@@ -1,16 +1,20 @@
 """Result serialization: CSV data files and the JSON run manifest.
 
 Numbers are written with 17 significant digits (lossless double round
-trip).  Every data file opens with a ``# manifest_hash=...`` comment line
-tying it to exactly one manifest; the hash covers the artifact version,
-the resolved configuration, and the resolved defaults (the run identity),
-so it is computable before any data exists.
+trip), as ``%.17g``: each CSV is one repeated row template filled by a
+single ``%`` operation, which gives the same text as formatting each value
+with ``f"{x:.17g}"``.  The kernel CSV formats each sampled time once and
+writes it into the template.  Every data file opens with a
+``# manifest_hash=...`` comment line tying it to exactly one manifest; the
+hash covers the artifact version, the resolved configuration, and the
+resolved defaults (the run identity), so it is computable before any data
+exists.
 """
 
 import hashlib
 import json
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -24,10 +28,6 @@ SIMULATION_COLUMNS = ("t", "F_eq", "I_t", "F_total", "F_spectral",
 
 SCAN_AXIS_COLUMN = {"frequency": "omega_d", "temperature": "beta", "time": "t"}
 SCAN_VALUE_COLUMNS = ("F_eq", "I_t", "F_total", "F_spectral")
-
-
-def format_float(x: float) -> str:
-    return f"{x:.17g}"
 
 
 def _canonical_json(payload) -> str:
@@ -51,34 +51,43 @@ def sha256_file(path) -> str:
     return digest.hexdigest()
 
 
-def _write_csv(path, manifest_hash: str, header: Sequence[str],
-               rows: Iterable[Sequence[float]]) -> None:
-    lines = [f"# manifest_hash={manifest_hash}", ",".join(header)]
-    for row in rows:
-        lines.append(",".join(format_float(x) for x in row))
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+def _write_table(path, manifest_hash: str, header: Sequence[str],
+                 rows_template: str, values: Sequence[float]) -> None:
+    """Write the data file whose rows are ``rows_template % values``."""
+    head = f"# manifest_hash={manifest_hash}\n{','.join(header)}\n"
+    Path(path).write_text(head + rows_template % tuple(values), encoding="utf-8")
+
+
+def _float_table(path, manifest_hash: str, header: Sequence[str], table) -> None:
+    """Write a (rows, columns) float table, one %.17g per value, in one format call."""
+    table = np.asarray(table, dtype=float).reshape(-1, len(header))
+    row = ",".join(["%.17g"] * len(header)) + "\n"
+    _write_table(path, manifest_hash, header, row * len(table), table.ravel().tolist())
 
 
 def write_simulation_csv(path, results: QfiResult, manifest_hash: str) -> None:
     columns = (results.t, results.f_eq, results.i_t, results.f_total,
                results.f_spectral, results.rel_disagreement, results.crb_sigma)
-    _write_csv(path, manifest_hash, SIMULATION_COLUMNS,
-               zip(*(c.tolist() for c in columns)))
+    _float_table(path, manifest_hash, SIMULATION_COLUMNS, np.column_stack(columns))
 
 
 def write_scan_csv(path, axis: str, points: Sequence[ScanPoint],
                    manifest_hash: str) -> None:
     header = (SCAN_AXIS_COLUMN[axis],) + SCAN_VALUE_COLUMNS
     rows = [(p.axis_value, p.f_eq, p.i_t, p.f_total, p.f_spectral) for p in points]
-    _write_csv(path, manifest_hash, header, rows)
+    _float_table(path, manifest_hash, header, rows)
 
 
 def write_kernel_csv(path, times, kernel_sym, manifest_hash: str) -> None:
-    """Symmetrized kernel K_S(t_a, t_b) as (s, u, K_S) triples, row-major."""
-    n = len(times)
-    columns = (np.repeat(times, n), np.tile(times, n), np.ravel(kernel_sym))
-    _write_csv(path, manifest_hash, ("s", "u", "K_S"),
-               zip(*(c.tolist() for c in columns)))
+    """Symmetrized kernel K_S(t_a, t_b) as (s, u, K_S) triples, row-major:
+    s is the outer loop and u the inner.  Each time is formatted once and
+    written into the row template, so only the kernel values are formatted
+    per row."""
+    stamps = ["%.17g" % t for t in np.asarray(times).tolist()]
+    tails = [f",{u},%.17g" for u in stamps]
+    template = "".join(s + ("\n" + s).join(tails) + "\n" for s in stamps)
+    _write_table(path, manifest_hash, ("s", "u", "K_S"), template,
+                 np.ravel(kernel_sym).tolist())
 
 
 def read_csv(path):

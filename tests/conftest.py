@@ -21,6 +21,11 @@ def random_full_rank_state(rng, d, floor=0.05):
     return sigma / np.trace(sigma).real
 
 
+def step_axis_innermost(stack):
+    """The same (n, d, d) values laid out with the stack axis innermost in memory."""
+    return np.moveaxis(np.ascontiguousarray(np.moveaxis(stack, 0, -1)), -1, 0)
+
+
 def random_unitary(rng, d):
     a = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
     q, r = np.linalg.qr(a)

@@ -2,12 +2,14 @@ import numpy as np
 import pytest
 
 from drivetherm import FullRankViolation
-from drivetherm.bures import (jordan_apply, jordan_inverse_apply, sld,
-                              spectral_qfi)
+from drivetherm.bures import (SPECTRAL_QFI_CUTOFF, jordan_apply,
+                              jordan_inverse_apply, sld, spectral_qfi,
+                              spectral_qfi_batch)
 from drivetherm.operators import SIGMA_X, SIGMA_Z, expm_hermitian_generator
 from drivetherm.thermal import dpi_dbeta, equilibrium_qfi, make_gibbs
 
-from conftest import random_full_rank_state, random_hermitian, random_unitary
+from conftest import (random_full_rank_state, random_hermitian, random_unitary,
+                      step_axis_innermost)
 
 
 def test_jordan_apply_identity_state(rng):
@@ -185,3 +187,20 @@ def test_data_processing_monotonicity(rng):
         f_in = spectral_qfi(sigma, dsigma)
         f_out = spectral_qfi(channel(sigma), channel(dsigma))
         assert f_out <= f_in + 1e-9
+
+
+@pytest.mark.parametrize("d", range(1, 7))
+def test_spectral_qfi_batch_rotation_matches_matmul(rng, d):
+    # q^dag dsigma q runs through operators.stack_mul; batched @ is the reference
+    sigmas = np.stack([random_full_rank_state(rng, d) for _ in range(9)])
+    dsigmas = np.stack([random_hermitian(rng, d) for _ in range(9)])
+    lam, q = np.linalg.eigh(sigmas)
+    dt = q.conj().swapaxes(1, 2) @ dsigmas @ q
+    denom = lam[:, :, None] + lam[:, None, :]
+    mask = denom > SPECTRAL_QFI_CUTOFF * 2.0 * lam[:, -1][:, None, None]
+    expected = np.where(mask, 2.0 * np.abs(dt) ** 2 / np.where(mask, denom, 1.0),
+                        0.0).sum(axis=(1, 2))
+    for s, ds in ((sigmas, dsigmas), (step_axis_innermost(sigmas),
+                                      step_axis_innermost(dsigmas))):
+        got = spectral_qfi_batch(s, ds)
+        assert np.abs(got - expected).max() <= 1e-14 * np.abs(expected).max()

@@ -513,6 +513,20 @@ def test_out_of_range_tolerance_rejected(tmp_path, capsys, override):
     assert not (tmp_path / "o").exists()
 
 
+def test_tolerance_range_error_points_at_its_key(tmp_path, capsys):
+    # block style: the error names the key's own line, not the section's
+    lines = BASE_CONFIG.splitlines()
+    text = "\n".join(lines[:10] + ["grid: {t_end: 6.283185307179586}", "tolerances:",
+                                    "  rank_floor: 1.0e-18", "  step_drift: -1.0"]
+                      + lines[-3:]) + "\n"
+    assert text.splitlines()[11] == "tolerances:"
+    cfg = write(tmp_path, "anchor.yaml", text)
+    assert main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert "anchor.yaml:14:" in err and "step_drift" in err
+    assert not (tmp_path / "o").exists()
+
+
 @pytest.mark.parametrize("value", ["true", "'1e-8'", "[1]"],
                          ids=["bool", "string", "list"])
 def test_tolerance_override_must_be_a_number(tmp_path, capsys, value):

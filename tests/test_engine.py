@@ -16,7 +16,7 @@ from drivetherm.propagation import (TimeGrid, cumulative_trapezoid,
                                     default_n_steps, propagate)
 from drivetherm.thermal import equilibrium_sld, make_gibbs
 
-from conftest import random_hermitian
+from conftest import random_hermitian, step_axis_innermost
 
 TWO_PI = 2 * np.pi
 
@@ -282,3 +282,18 @@ def test_time_series_columns_are_float64_arrays(qubit_model, resonant_drive):
         assert column.dtype == np.float64 and column.shape == (grid.n_nodes,), field.name
     single = qfi_driven(propagate(qubit_model, SIGMA_X, resonant_drive, grid))
     assert all(type(getattr(single, f.name)) is float for f in fields(single))
+
+
+@pytest.mark.parametrize("d", range(1, 7))
+def test_current_rotations_match_matmul(rng, d):
+    # the two basis rotations run through operators.stack_mul; batched @ is the reference
+    model = make_gibbs(random_hermitian(rng, d), 0.7)
+    q, p = model.basis, model.probabilities
+    ratio = (p[None, :] - p[:, None]) / (p[:, None] + p[None, :])
+    v_h = np.stack([random_hermitian(rng, d) for _ in range(9)])
+    expected = q @ (-2j * ratio * (q.conj().T @ v_h @ q)) @ q.conj().T
+    for stack in (v_h, step_axis_innermost(v_h)):
+        got = information_current(model, stack)
+        assert np.abs(got - expected).max() <= 1e-14 * np.abs(expected).max()
+    single = information_current(model, v_h[4])
+    assert np.abs(single - expected[4]).max() <= 1e-14 * np.abs(expected).max()

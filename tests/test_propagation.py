@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -7,14 +9,15 @@ from drivetherm.drive import (ConstantEnvelope, ConstantModulation,
                               lambda_at)
 from drivetherm.engine import qfi_driven
 from drivetherm.exceptions import DriveThermError, StepSizeTooCoarse
-from drivetherm.operators import SIGMA_X, SIGMA_Y, SIGMA_Z, expm_hermitian_generator
-from drivetherm.propagation import (TimeGrid, _stack_mul, _step_exponentials,
+from drivetherm.operators import (SIGMA_X, SIGMA_Y, SIGMA_Z, expm_hermitian_generator,
+                                  stack_mul)
+from drivetherm.propagation import (TimeGrid, _step_exponentials,
                                     beta_generator, default_n_steps,
                                     drho_dbeta_analytic, drho_dbeta_fd,
                                     propagate)
 from drivetherm.thermal import dpi_dbeta, make_gibbs
 
-from conftest import random_hermitian
+from conftest import random_hermitian, step_axis_innermost
 
 TWO_PI = 2 * np.pi
 
@@ -166,7 +169,7 @@ def test_stack_mul_matches_matmul(rng, d):
     for x, y in ((a, b), (a, single), (single, b), (stack(3, 4), single),
                  (step_axis_innermost, b), (single, step_axis_innermost)):
         expected = x @ y
-        assert np.abs(_stack_mul(x, y) - expected).max() <= 1e-14 * np.abs(expected).max()
+        assert np.abs(stack_mul(x, y) - expected).max() <= 1e-14 * np.abs(expected).max()
 
 
 def test_energy_offset_leaves_f_total_unchanged(rng):
@@ -326,3 +329,21 @@ def test_drho_analytic_vs_fd_matrix(qubit_model, resonant_drive):
             analytic = drho_dbeta_analytic(trace, n)
             fd = drho_dbeta_fd(model, SIGMA_X, resonant_drive, grid, n)
             assert np.linalg.norm(analytic - fd) <= 1e-5
+
+
+@pytest.mark.parametrize("d", range(1, 7))
+def test_drho_dbeta_analytic_matches_matmul(rng, d):
+    # U (dpi + [A, pi0]) U^dag runs through operators.stack_mul; batched @ is the reference
+    model = make_gibbs(random_hermitian(rng, d), 0.9)
+    drive = DriveProfile(0.2, GaussianEnvelope(1.5, 1.0), CosineModulation(1.3, 0.4))
+    trace = propagate(model, random_hermitian(rng, d), drive, TimeGrid(2.0, 40))
+    a, u, pi0 = -1j * trace.M, trace.propagators, model.state
+    expected = u @ (dpi_dbeta(model) + a @ pi0 - pi0 @ a) @ u.conj().swapaxes(1, 2)
+    nodes = np.arange(trace.grid.n_nodes)
+    innermost = dataclasses.replace(trace, M=step_axis_innermost(trace.M),
+                                    propagators=step_axis_innermost(u))
+    for tr in (trace, innermost):
+        got = drho_dbeta_analytic(tr, nodes)
+        assert np.abs(got - expected).max() <= 1e-14 * np.abs(expected).max()
+        assert np.abs(drho_dbeta_analytic(tr, 17) - expected[17]).max() \
+            <= 1e-14 * np.abs(expected).max()

@@ -1,0 +1,77 @@
+"""The table writers: every value is written as f"{x:.17g}", in row order."""
+
+import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
+
+from drivetherm.engine import QfiResult
+from drivetherm.reporting import (SIMULATION_COLUMNS, write_kernel_csv,
+                                  write_scan_csv, write_simulation_csv)
+from drivetherm.scans import ScanPoint
+
+#: Values every drawn table contains, whatever else is drawn.
+SPECIAL = [np.inf, -np.inf, np.nan, -0.0, 5e-324, 1.7976931348623157e308]
+
+floats = st.floats(allow_nan=True, allow_infinity=True, width=64)
+
+
+def tables(n_columns):
+    """(rows, n_columns) float64 tables whose first rows hold every SPECIAL value."""
+    drawn = st.integers(0, 12).flatmap(
+        lambda n: arrays(np.float64, (n, n_columns), elements=floats))
+    head = np.resize(np.array(SPECIAL), (len(SPECIAL), n_columns))
+    return drawn.map(lambda body: np.vstack([head, body]))
+
+
+def expected_lines(rows):
+    return [",".join(f"{x:.17g}" for x in row) for row in rows]
+
+
+def body(path):
+    lines = path.read_text(encoding="utf-8").split("\n")
+    assert lines[0] == "# manifest_hash=h" and lines[-1] == ""
+    return lines[1], lines[2:-1]
+
+
+@settings(max_examples=60, deadline=None)
+@given(tables(len(SIMULATION_COLUMNS) + 1))
+def test_simulation_csv_formats_each_value_17g(tmp_path_factory, table):
+    path = tmp_path_factory.mktemp("sim") / "sim.csv"
+    write_simulation_csv(path, QfiResult(*table.T), "h")
+    header, lines = body(path)
+    assert header == ",".join(SIMULATION_COLUMNS)
+    assert lines == expected_lines(table[:, :len(SIMULATION_COLUMNS)].tolist())
+
+
+@settings(max_examples=30, deadline=None)
+@given(tables(5))
+def test_scan_csv_formats_each_value_17g(tmp_path_factory, table):
+    path = tmp_path_factory.mktemp("scan") / "scan.csv"
+    write_scan_csv(path, "temperature", [ScanPoint(*row) for row in table.tolist()], "h")
+    header, lines = body(path)
+    assert header == "beta,F_eq,I_t,F_total,F_spectral"
+    assert lines == expected_lines(table.tolist())
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 9).flatmap(lambda n: st.tuples(
+    arrays(np.float64, n, elements=floats), arrays(np.float64, (n, n), elements=floats))))
+def test_kernel_csv_rows_run_s_outer_u_inner(tmp_path_factory, drawn):
+    times, kernel = drawn
+    times[:len(SPECIAL)] = SPECIAL[:len(times)]
+    kernel.flat[:len(SPECIAL)] = SPECIAL[:kernel.size]
+    path = tmp_path_factory.mktemp("kernel") / "kernel.csv"
+    write_kernel_csv(path, times, kernel, "h")
+    header, lines = body(path)
+    assert header == "s,u,K_S"
+    t, k = times.tolist(), kernel.tolist()
+    rows = [(t[a], t[b], k[a][b]) for a in range(len(t)) for b in range(len(t))]
+    assert lines == expected_lines(rows)
+
+
+def test_empty_tables_write_the_header_only(tmp_path):
+    write_scan_csv(tmp_path / "scan.csv", "frequency", [], "h")
+    assert body(tmp_path / "scan.csv") == ("omega_d,F_eq,I_t,F_total,F_spectral", [])
+    write_kernel_csv(tmp_path / "kernel.csv", np.zeros(0), np.zeros((0, 0)), "h")
+    assert body(tmp_path / "kernel.csv") == ("s,u,K_S", [])
