@@ -95,9 +95,9 @@ def cmd_simulate(args) -> int:
         v = config.build_v()
         trace = propagate(model, v, drive, grid,
                           drift_tol=config.tolerances.step_drift)
-        results = engine.qfi_time_series(trace, n_measurements=config.n_measurements)
+        results = engine.qfi_time_series(trace, n_measurements=config.estimation["n_measurements"])
         kernel_payload = None
-        if config.kernel_csv_name is not None:
+        if config.output["kernel"] is not None:
             # currents at the sampled nodes only: all n of them would raise peak memory
             stride = max(1, grid.n_nodes // KERNEL_MAX_NODES)
             times = grid.nodes[::stride]
@@ -111,13 +111,13 @@ def cmd_simulate(args) -> int:
         return EXIT_NUMERICAL
 
     manifest_hash = config_content_hash(config)
-    csv_path = out_dir / config.csv_name
+    csv_path = out_dir / config.output["csv"]
     write_simulation_csv(csv_path, results, manifest_hash)
-    data_files = {config.csv_name: csv_path}
+    data_files = {config.output["csv"]: csv_path}
     if kernel_payload is not None:
-        kernel_path = out_dir / config.kernel_csv_name
+        kernel_path = out_dir / config.output["kernel"]
         write_kernel_csv(kernel_path, *kernel_payload, manifest_hash)
-        data_files[config.kernel_csv_name] = kernel_path
+        data_files[config.output["kernel"]] = kernel_path
 
     rows = len(results.t)
     diagnostics = {
@@ -128,7 +128,7 @@ def cmd_simulate(args) -> int:
     }
     manifest = build_manifest(config, wall_clock_seconds=time.monotonic() - started,
                               diagnostics=diagnostics, data_files=data_files)
-    write_manifest(out_dir / config.manifest_name, manifest)
+    write_manifest(out_dir / config.output["manifest"], manifest)
     log.info("wrote %s rows to %s", rows, csv_path)
     print(f"simulate: {rows} rows -> {csv_path}")
     return EXIT_OK
@@ -157,13 +157,13 @@ def cmd_scan(args) -> int:
         return EXIT_NUMERICAL
 
     manifest_hash = config_content_hash(config)
-    csv_path = out_dir / config.csv_name
+    csv_path = out_dir / config.output["csv"]
     write_scan_csv(csv_path, result.axis, result.points, manifest_hash)
     diagnostics = {"points": len(result.points), "argmax": result.argmax}
     manifest = build_manifest(config, wall_clock_seconds=time.monotonic() - started,
                               diagnostics=diagnostics,
-                              data_files={config.csv_name: csv_path})
-    write_manifest(out_dir / config.manifest_name, manifest)
+                              data_files={config.output["csv"]: csv_path})
+    write_manifest(out_dir / config.output["manifest"], manifest)
     print(f"scan: {len(result.points)} points -> {csv_path} "
           f"(argmax {result.axis} = {result.argmax:g})")
     return EXIT_OK

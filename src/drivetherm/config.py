@@ -2,14 +2,16 @@
 
 The configuration file is a single YAML document with nested sections
 (model / drive / grid / scan / estimation / output).  Validation errors
-carry ``file:line`` anchors.  All defaults (grid resolution, beta guard,
-tolerances, sampled envelope center) are resolved here so that a run is
-fully reproducible from the resolved snapshot stored in the manifest.
+carry ``file:line`` anchors; rules on a drive, grid or scan are stated once,
+in the domain constructor, and the loader anchors their errors.  All
+defaults (grid resolution, beta guard, tolerances, sampled envelope center)
+are resolved here so that a run is fully reproducible from the resolved
+record stored in the manifest.
 """
 
 import math
 import os
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass
 
 import numpy as np
 import yaml
@@ -53,9 +55,6 @@ class Tolerances:
         base = {"step_drift": DRIFT_TOL * scale, "rank_floor": RANK_FLOOR * scale}
         return cls(scale=scale, **{**base, **(overrides or {})})
 
-    def as_dict(self) -> dict:
-        return asdict(self)
-
 
 # --------------------------------------------------------------------------
 # YAML loading with per-key line numbers
@@ -96,6 +95,23 @@ def _finite_number(x) -> bool:
     return isinstance(x, (int, float)) and not isinstance(x, bool) and math.isfinite(x)
 
 
+#: The keys each section takes (a kind-tagged section takes all its kinds' keys).
+_KEYS = {
+    "": ("model", "drive", "grid", "scan", "estimation", "output", "seed", "tolerances"),
+    "model": ("kind", "omega", "energies", "h0", "v", "beta_star"),
+    "drive": ("lambda0", "envelope", "temporal"),
+    "drive.envelope": ("kind", "beta0", "s_beta", "points"),
+    "drive.temporal": ("kind", "omega_d", "phi", "points"),
+    "grid": ("t_end", "n_steps"),
+    "scan": ("axis", "values", "reduce"),
+    "scan.values": ("start", "stop", "num"),
+    "scan.reduce": ("mode", "t", "window"),
+    "estimation": ("n_measurements",),
+    "output": ("csv", "manifest", "kernel"),
+    "tolerances": ("step_drift", "rank_floor"),
+}
+
+
 class _Section:
     """A mapping view that raises line-anchored errors on bad access."""
 
@@ -111,6 +127,10 @@ class _Section:
         self.lines = lines
         self.path = path
         self.prefix = prefix
+        for key in data:
+            if key not in _KEYS[prefix]:
+                raise self.error(f"unknown {prefix or 'top-level'} key {key!r}; "
+                                 f"expected one of {sorted(_KEYS[prefix])}", key)
 
     def _dotted(self, key):
         return f"{self.prefix}.{key}" if self.prefix else key
@@ -121,21 +141,16 @@ class _Section:
     def error(self, message, key=None):
         return ConfigValidationError(message, path=self.path, line=self.line(key))
 
-    def __contains__(self, key):
-        return key in self.data
-
     def section(self, key, required=False):
-        if key not in self.data or self.data[key] is None:
-            if required:
-                raise self.error(f"missing required section '{self._dotted(key)}'", key)
-            return None
-        return _Section(self.data[key], self.lines, self.path, self._dotted(key))
+        """The sub-mapping at ``key``; empty when absent and not required."""
+        if required and self.data.get(key) is None:
+            raise self.error(f"missing required section '{self._dotted(key)}'", key)
+        return _Section(self.data.get(key), self.lines, self.path, self._dotted(key))
 
     def get(self, key, default=None):
         return self.data.get(key, default)
 
-    def number(self, key, default=None, *, required=False, minimum=None,
-               maximum=None, strict_min=None):
+    def number(self, key, default=None, *, required=False, minimum=None, strict_min=None):
         if key not in self.data:
             if required:
                 raise self.error(f"missing required key '{self._dotted(key)}'", key)
@@ -148,8 +163,6 @@ class _Section:
             raise self.error(f"'{self._dotted(key)}' must be >= {minimum}, got {value}", key)
         if strict_min is not None and value <= strict_min:
             raise self.error(f"'{self._dotted(key)}' must be > {strict_min}, got {value}", key)
-        if maximum is not None and value > maximum:
-            raise self.error(f"'{self._dotted(key)}' must be <= {maximum}, got {value}", key)
         return value
 
     def integer(self, key, default=None, *, required=False, minimum=None):
@@ -178,6 +191,14 @@ class _Section:
         return value
 
 
+def _built(sec: _Section, key, build, *args):
+    """``build(*args)``, reporting a constructor's ValueError at ``key``'s line."""
+    try:
+        return build(*args)
+    except ValueError as exc:
+        raise sec.error(str(exc), key) from exc
+
+
 # --------------------------------------------------------------------------
 # Resolved run configuration
 # --------------------------------------------------------------------------
@@ -185,68 +206,51 @@ class _Section:
 
 @dataclass(frozen=True)
 class RunConfig:
-    """Fully resolved run configuration (plain data; objects built on demand)."""
+    """The resolved run record: the manifest's ``config`` sections as JSON data.
 
-    model_kind: str                      # qubit | diagonal | dense
-    omega: float | None
-    energies: tuple | None
-    h0_dense: tuple | None               # ((re, im), ...) rows, or None
-    v_spec: object                       # pauli name or dense rows
-    beta_star: float
-    lambda0: float
-    envelope: dict
-    temporal: dict
-    t_end: float
-    n_steps: int
-    scan: dict | None
-    n_measurements: int
-    csv_name: str
-    manifest_name: str
-    kernel_csv_name: str | None
+    Domain objects are built on demand by the ``build_*`` methods.
+    """
+
+    model: dict              # kind, omega, energies, h0, v, beta_star
+    drive: dict              # lambda0, envelope, temporal
+    grid: dict               # t_end, n_steps
+    scan: dict | None        # axis, values, reduce: {mode, t, window}
+    estimation: dict         # n_measurements
+    output: dict             # csv, manifest, kernel
     seed: int | None
     tolerances: Tolerances
-    resolved_defaults: dict = field(default_factory=dict)
+    resolved_defaults: dict
 
     # ---- builders -------------------------------------------------------
 
     def build_h0(self) -> np.ndarray:
-        return _build_h0(self.model_kind, self.omega, self.energies, self.h0_dense)
+        return _build_h0(self.model)
 
     def build_v(self) -> np.ndarray:
-        if isinstance(self.v_spec, str):
-            return PAULI[self.v_spec].copy()
-        return _dense_from_rows(self.v_spec)
+        return _build_v(self.model)
 
     def build_model(self):
-        return make_gibbs(self.build_h0(), self.beta_star,
+        return make_gibbs(self.build_h0(), self.model["beta_star"],
                           rank_floor=self.tolerances.rank_floor)
 
     def build_drive(self) -> DriveProfile:
-        return DriveProfile(
-            lambda0=self.lambda0,
-            envelope=_build_envelope(self.envelope),
-            temporal=_build_temporal(self.temporal),
-        )
+        return DriveProfile(self.drive["lambda0"], _build_envelope(self.drive["envelope"]),
+                            _build_temporal(self.drive["temporal"]))
 
     def build_grid(self) -> TimeGrid:
-        return TimeGrid(self.t_end, self.n_steps)
+        return TimeGrid(self.grid["t_end"], self.grid["n_steps"])
 
     def build_scan_spec(self) -> ScanSpec:
         if self.scan is None:
             raise ValueError("configuration has no scan section")
-        reduce_spec = ReduceSpec(
-            mode=self.scan["reduce"]["mode"],
-            t=self.scan["reduce"].get("t"),
-            window=tuple(self.scan["reduce"]["window"]) if self.scan["reduce"].get("window") else None,
-        )
         return ScanSpec(
             axis=self.scan["axis"],
-            values=tuple(self.scan["values"]),
+            values=self.scan["values"],
             h0=self.build_h0(),
             v=self.build_v(),
-            beta_star=self.beta_star,
+            beta_star=self.model["beta_star"],
             drive=self.build_drive(),
-            reduce=reduce_spec,
+            reduce=_build_reduce(self.scan["reduce"]),
             drift_tol=self.tolerances.step_drift,
             rank_floor=self.tolerances.rank_floor,
         )
@@ -254,76 +258,28 @@ class RunConfig:
     # ---- round trip ------------------------------------------------------
 
     def to_dict(self) -> dict:
-        return {
-            "model": {
-                "kind": self.model_kind,
-                "omega": self.omega,
-                "energies": list(self.energies) if self.energies else None,
-                "h0": [list(map(list, row)) for row in self.h0_dense] if self.h0_dense else None,
-                "v": self.v_spec if isinstance(self.v_spec, str)
-                     else [list(map(list, row)) for row in self.v_spec],
-                "beta_star": self.beta_star,
-            },
-            "drive": {
-                "lambda0": self.lambda0,
-                "envelope": dict(self.envelope),
-                "temporal": dict(self.temporal),
-            },
-            "grid": {"t_end": self.t_end, "n_steps": self.n_steps},
-            "scan": self.scan,
-            "estimation": {"n_measurements": self.n_measurements},
-            "output": {
-                "csv": self.csv_name,
-                "manifest": self.manifest_name,
-                "kernel": self.kernel_csv_name,
-            },
-            "seed": self.seed,
-            "tolerances": self.tolerances.as_dict(),
-            "resolved_defaults": dict(self.resolved_defaults),
-        }
+        return asdict(self)
 
     @classmethod
     def from_dict(cls, payload: dict) -> "RunConfig":
-        model = payload["model"]
-        drive = payload["drive"]
-        tol = payload["tolerances"]
-        tolerances = Tolerances(step_drift=tol["step_drift"],
-                                rank_floor=tol["rank_floor"], scale=tol["scale"])
-        return cls(
-            model_kind=model["kind"],
-            omega=model["omega"],
-            energies=tuple(model["energies"]) if model["energies"] else None,
-            h0_dense=tuple(tuple(tuple(c) for c in row) for row in model["h0"]) if model["h0"] else None,
-            v_spec=model["v"] if isinstance(model["v"], str)
-                   else tuple(tuple(tuple(c) for c in row) for row in model["v"]),
-            beta_star=model["beta_star"],
-            lambda0=drive["lambda0"],
-            envelope=dict(drive["envelope"]),
-            temporal=dict(drive["temporal"]),
-            t_end=payload["grid"]["t_end"],
-            n_steps=payload["grid"]["n_steps"],
-            scan=payload["scan"],
-            n_measurements=payload["estimation"]["n_measurements"],
-            csv_name=payload["output"]["csv"],
-            manifest_name=payload["output"]["manifest"],
-            kernel_csv_name=payload["output"]["kernel"],
-            seed=payload["seed"],
-            tolerances=tolerances,
-            resolved_defaults=dict(payload["resolved_defaults"]),
-        )
+        return cls(**{**payload, "tolerances": Tolerances(**payload["tolerances"])})
 
 
 def _dense_from_rows(rows) -> np.ndarray:
-    mat = np.array([[complex(re, im) for re, im in row] for row in rows])
-    return hermitize(mat)
+    return hermitize(np.array([[complex(re, im) for re, im in row] for row in rows]))
 
 
-def _build_h0(kind: str, omega, energies, rows) -> np.ndarray:
-    if kind == "qubit":
-        return 0.5 * omega * SIGMA_Z
-    if kind == "diagonal":
-        return np.diag(np.asarray(energies, dtype=float)).astype(complex)
-    return _dense_from_rows(rows)
+def _build_h0(model: dict) -> np.ndarray:
+    if model["kind"] == "qubit":
+        return 0.5 * model["omega"] * SIGMA_Z
+    if model["kind"] == "diagonal":
+        return np.diag(np.asarray(model["energies"], dtype=float)).astype(complex)
+    return _dense_from_rows(model["h0"])
+
+
+def _build_v(model: dict) -> np.ndarray:
+    v = model["v"]
+    return PAULI[v].copy() if isinstance(v, str) else _dense_from_rows(v)
 
 
 def _build_envelope(env: dict):
@@ -332,10 +288,7 @@ def _build_envelope(env: dict):
         return GaussianEnvelope(beta0=env["beta0"], s_beta=env["s_beta"])
     if kind == "constant":
         return ConstantEnvelope()
-    return TabulatedEnvelope(
-        betas=tuple(p[0] for p in env["points"]),
-        values=tuple(p[1] for p in env["points"]),
-    )
+    return TabulatedEnvelope(*zip(*env["points"]))  # (betas, values)
 
 
 def _build_temporal(temp: dict):
@@ -344,122 +297,104 @@ def _build_temporal(temp: dict):
         return CosineModulation(omega_d=temp["omega_d"], phi=temp["phi"])
     if kind == "constant":
         return ConstantModulation()
-    return TabulatedModulation(
-        times=tuple(p[0] for p in temp["points"]),
-        values=tuple(p[1] for p in temp["points"]),
-    )
+    return TabulatedModulation(*zip(*temp["points"]))  # (times, values)
 
 
-def _parse_matrix_rows(sec: _Section, key: str, dim: int | None):
+def _build_reduce(reduce: dict) -> ReduceSpec:
+    window = reduce["window"]
+    return ReduceSpec(reduce["mode"], reduce["t"], tuple(window) if window else None)
+
+
+def _parse_matrix_rows(sec: _Section, key: str, dim: int | None) -> list:
     raw = sec.get(key)
     if not isinstance(raw, list) or not raw:
         raise sec.error(f"'{sec._dotted(key)}' must be a list of rows of [re, im] pairs", key)
-    rows = []
     for row in raw:
         if not isinstance(row, list):
             raise sec.error(f"'{sec._dotted(key)}' rows must be lists", key)
-        entries = []
         for cell in row:
             if not isinstance(cell, list) or len(cell) != 2 or not all(map(_finite_number, cell)):
                 raise sec.error(
                     f"'{sec._dotted(key)}' entries must be [re, im] finite number pairs", key)
-            entries.append((float(cell[0]), float(cell[1])))
-        rows.append(tuple(entries))
-    n = len(rows)
-    if any(len(r) != n for r in rows):
+    n = len(raw)
+    if any(len(r) != n for r in raw):
         raise sec.error(f"'{sec._dotted(key)}' must be square", key)
     if dim is not None and n != dim:
         raise sec.error(f"'{sec._dotted(key)}' must be {dim}x{dim}, got {n}x{n}", key)
-    return tuple(rows)
+    return [[[float(re), float(im)] for re, im in row] for row in raw]
 
 
-def _parse_pairs(sec: _Section, key: str):
+def _parse_pairs(sec: _Section, key: str) -> list:
     raw = sec.get(key)
     if not isinstance(raw, list) or len(raw) < 2:
         raise sec.error(f"'{sec._dotted(key)}' must be a list of >= 2 [x, value] pairs", key)
-    pairs = []
-    for item in raw:
-        if not isinstance(item, list) or len(item) != 2 or not all(map(_finite_number, item)):
-            raise sec.error(f"'{sec._dotted(key)}' entries must be finite [x, value] pairs", key)
-        pairs.append([float(item[0]), float(item[1])])
-    if not all(b[0] > a[0] for a, b in zip(pairs, pairs[1:])):
-        raise sec.error(f"'{sec._dotted(key)}' abscissa must be strictly increasing", key)
-    return pairs
+    if not all(isinstance(item, list) and len(item) == 2 and all(map(_finite_number, item))
+               for item in raw):
+        raise sec.error(f"'{sec._dotted(key)}' entries must be finite [x, value] pairs", key)
+    return [[float(x), float(value)] for x, value in raw]
 
 
 def load_run_config(path: str, *, enforce_guard: bool = True) -> RunConfig:
     """Parse and validate a run configuration file.
 
     Raises :class:`ConfigValidationError` with ``file:line`` anchors on any
-    inconsistency (dimensions, guard violations, malformed scan grids).
-    With ``enforce_guard=False`` a beta_star beyond the full-rank guard is
-    admitted at parse time so the violation can surface downstream as a
-    FullRankViolation (used by ``validate`` to report it as a failed check
-    with a remediation hint).
+    inconsistency (unknown keys, dimensions, guard violations, malformed
+    scan grids), including those the drive, grid and scan constructors
+    reject.  With ``enforce_guard=False`` a beta_star beyond the full-rank
+    guard is admitted at parse time so the violation can surface downstream
+    as a FullRankViolation (used by ``validate`` to report it as a failed
+    check with a remediation hint).
     """
     data, lines = _load_yaml_with_lines(path)
     root = _Section(data, lines, path)
     resolved: dict = {}
 
     # ---- model ----------------------------------------------------------
-    model = root.section("model", required=True)
-    kind = model.string("kind", required=True, choices=("qubit", "diagonal", "dense"))
-    omega = None
-    energies = None
-    h0_rows = None
+    model_sec = root.section("model", required=True)
+    kind = model_sec.string("kind", required=True, choices=("qubit", "diagonal", "dense"))
+    model = {"kind": kind, "omega": None, "energies": None, "h0": None}
     if kind == "qubit":
-        omega = model.number("omega", required=True, strict_min=0.0)
-        dim = 2
+        model["omega"] = model_sec.number("omega", required=True, strict_min=0.0)
     elif kind == "diagonal":
-        raw = model.get("energies")
+        raw = model_sec.get("energies")
         if not isinstance(raw, list) or len(raw) < 2 or not all(map(_finite_number, raw)):
-            raise model.error("'model.energies' must be a list of >= 2 finite numbers",
-                              "energies")
-        energies = tuple(float(x) for x in raw)
-        dim = len(energies)
+            raise model_sec.error("'model.energies' must be a list of >= 2 finite numbers",
+                                  "energies")
+        model["energies"] = [float(x) for x in raw]
     else:
-        h0_rows = _parse_matrix_rows(model, "h0", None)
-        dim = len(h0_rows)
+        model["h0"] = _parse_matrix_rows(model_sec, "h0", None)
+    h0 = _build_h0(model)
 
-    v_raw = model.get("v")
+    v_raw = model_sec.get("v")
     if isinstance(v_raw, str):
         if v_raw not in PAULI:
-            raise model.error(f"'model.v' names an unknown operator {v_raw!r}; "
-                              f"expected one of {sorted(PAULI)}", "v")
-        if dim != 2:
-            raise model.error(f"Pauli perturbation needs a 2-level model, got dim {dim}", "v")
-        v_spec: object = v_raw
+            raise model_sec.error(f"'model.v' names an unknown operator {v_raw!r}; "
+                                  f"expected one of {sorted(PAULI)}", "v")
+        if len(h0) != 2:
+            raise model_sec.error(
+                f"Pauli perturbation needs a 2-level model, got dim {len(h0)}", "v")
+        model["v"] = v_raw
     else:
-        v_spec = _parse_matrix_rows(model, "v", dim)
+        model["v"] = _parse_matrix_rows(model_sec, "v", len(h0))
 
-    beta_star = model.number("beta_star", required=True, minimum=0.0)
+    beta_star = model["beta_star"] = model_sec.number("beta_star", required=True, minimum=0.0)
 
     # ---- tolerances / guard ---------------------------------------------
     tol_sec = root.section("tolerances")
     overrides = {}
-    for key in tol_sec.data if tol_sec else ():
-        if key not in ("rank_floor", "step_drift"):
-            raise tol_sec.error(f"unknown tolerance {key!r}; expected one of "
-                                "['rank_floor', 'step_drift']", key)
+    for key in tol_sec.data:
         # a drift bound of 0 fails every run; a population floor of 0 is allowed
         bound = {"minimum": 0.0} if key == "rank_floor" else {"strict_min": 0.0}
         overrides[key] = tol_sec.number(key, **bound)
-    try:
-        tolerances = Tolerances.resolve(overrides)
-    except ValueError as exc:
-        raise ConfigValidationError(str(exc), path=path,
-                                    line=root.line("tolerances")) from exc
+    tolerances = _built(root, "tolerances", Tolerances.resolve, overrides)
 
-    h0 = _build_h0(kind, omega, energies, h0_rows)
     beta_max = default_beta_max(h0)
     resolved["beta_max"] = beta_max if math.isfinite(beta_max) else None
     if enforce_guard and beta_star > beta_max:
-        raise model.error(
+        raise model_sec.error(
             f"beta_star={beta_star} exceeds the full-rank guard beta_max={beta_max:.6g} "
             "(reduce beta_star, or override tolerances.rank_floor knowingly)",
             "beta_star")
-
-    spread = spectral_spread(h0)
 
     # ---- drive -----------------------------------------------------------
     drive_sec = root.section("drive", required=True)
@@ -469,47 +404,42 @@ def load_run_config(path: str, *, enforce_guard: bool = True) -> RunConfig:
     env_sec = drive_sec.section("envelope", required=True)
     env_kind = env_sec.string("kind", required=True,
                               choices=("gaussian", "constant", "tabulated"))
-    env_points = None
+    envelope = {"kind": env_kind}
     if env_kind == "gaussian":
-        s_beta = env_sec.number("s_beta", required=True, strict_min=0.0)
-        beta0_raw = env_sec.get("beta0")
-        if beta0_raw == "sample":
+        s_beta = env_sec.number("s_beta", required=True)
+        if env_sec.get("beta0") == "sample":
             if seed is None:
                 raise env_sec.error(
                     "'drive.envelope.beta0: sample' needs a top-level 'seed'", "beta0")
             f_eq = equilibrium_qfi(make_gibbs(h0, beta_star,
                                               rank_floor=tolerances.rank_floor))
-            beta0 = sample_envelope_center(beta_star, f_eq, seed)
-            resolved["sampled_beta0"] = beta0
+            beta0 = resolved["sampled_beta0"] = sample_envelope_center(beta_star, f_eq, seed)
         else:
             beta0 = env_sec.number("beta0", required=True)
-        envelope = {"kind": "gaussian", "beta0": beta0, "s_beta": s_beta}
-    elif env_kind == "constant":
-        envelope = {"kind": "constant"}
-    else:
-        env_points = _parse_pairs(env_sec, "points")
-        envelope = {"kind": "tabulated", "points": env_points}
-        if not env_points[0][0] <= beta_star <= env_points[-1][0]:
-            raise env_sec.error(
-                f"beta_star={beta_star} outside the tabulated envelope range "
-                f"[{env_points[0][0]}, {env_points[-1][0]}]", "points")
+        envelope.update(beta0=beta0, s_beta=s_beta)
+    elif env_kind == "tabulated":
+        envelope["points"] = _parse_pairs(env_sec, "points")
+    env = _built(env_sec, "s_beta" if env_kind == "gaussian" else "points",
+                 _build_envelope, envelope)
+    if env_kind == "tabulated" and not env.betas[0] <= beta_star <= env.betas[-1]:
+        raise env_sec.error(
+            f"beta_star={beta_star} outside the tabulated envelope range "
+            f"[{env.betas[0]}, {env.betas[-1]}]", "points")
 
     temp_sec = drive_sec.section("temporal", required=True)
     temp_kind = temp_sec.string("kind", required=True,
                                 choices=("cosine", "constant", "tabulated"))
+    temporal = {"kind": temp_kind}
     if temp_kind == "cosine":
-        temporal = {
-            "kind": "cosine",
-            "omega_d": temp_sec.number("omega_d", required=True, minimum=0.0),
-            "phi": temp_sec.number("phi", 0.0),
-        }
-    elif temp_kind == "constant":
-        temporal = {"kind": "constant"}
-    else:
-        temporal = {"kind": "tabulated", "points": _parse_pairs(temp_sec, "points")}
-
-    omega_d = temporal.get("omega_d", 0.0)
-    t_max = temporal["points"][-1][0] if temp_kind == "tabulated" else math.inf
+        temporal.update(omega_d=temp_sec.number("omega_d", required=True),
+                        phi=temp_sec.number("phi", 0.0))
+    elif temp_kind == "tabulated":
+        temporal["points"] = _parse_pairs(temp_sec, "points")
+    temp = _built(temp_sec, "omega_d" if temp_kind == "cosine" else "points",
+                  _build_temporal, temporal)
+    drive = {"lambda0": lambda0, "envelope": envelope, "temporal": temporal}
+    profile = DriveProfile(lambda0, env, temp)
+    t_max = temp.times[-1] if temp_kind == "tabulated" else math.inf
 
     def within_temporal_table(sec, key, name, t):
         if t > t_max:
@@ -518,112 +448,80 @@ def load_run_config(path: str, *, enforce_guard: bool = True) -> RunConfig:
 
     # ---- grid ------------------------------------------------------------
     grid_sec = root.section("grid", required=True)
-    t_end = grid_sec.number("t_end", required=True, minimum=0.0)
-    n_steps = grid_sec.integer("n_steps", minimum=0)
+    t_end = grid_sec.number("t_end", required=True)
+    n_steps = grid_sec.integer("n_steps")
     if n_steps is None:
-        n_steps = default_n_steps(t_end, spread, omega_d)
+        n_steps = default_n_steps(t_end, spectral_spread(h0), profile.omega_d)
         resolved["auto_n_steps"] = n_steps
-    if (t_end == 0.0) != (n_steps == 0):
-        raise grid_sec.error("t_end == 0 requires n_steps == 0 and vice versa", "t_end")
+    _built(grid_sec, "t_end", TimeGrid, t_end, n_steps)
     within_temporal_table(grid_sec, "t_end", "grid.t_end", t_end)
+    grid = {"t_end": t_end, "n_steps": n_steps}
 
     # ---- scan (optional) ---------------------------------------------------
     scan = None
-    scan_sec = root.section("scan")
-    if scan_sec is not None:
+    if root.get("scan") is not None:
+        scan_sec = root.section("scan")
         axis = scan_sec.string("axis", required=True, choices=AXES)
-        if axis == "frequency" and temp_kind != "cosine":
-            raise scan_sec.error("frequency scans need a cosine temporal modulation", "axis")
         values_raw = scan_sec.get("values")
         if isinstance(values_raw, dict):
             vsec = scan_sec.section("values")
             start = vsec.number("start", required=True)
             stop = vsec.number("stop", required=True)
             num = vsec.integer("num", required=True, minimum=1)
-            if num > 1 and stop <= start:
-                raise vsec.error("'scan.values.stop' must exceed 'start'", "stop")
             values = [float(x) for x in np.linspace(start, stop, num)]
-        elif isinstance(values_raw, list):
-            if not values_raw or not all(map(_finite_number, values_raw)):
-                raise scan_sec.error("'scan.values' must be a nonempty list of finite numbers",
-                                     "values")
+        elif isinstance(values_raw, list) and all(map(_finite_number, values_raw)):
             values = [float(x) for x in values_raw]
         else:
-            raise scan_sec.error(
-                "'scan.values' must be a list or a {start, stop, num} mapping", "values")
-        if not all(b > a for a, b in zip(values, values[1:])):
-            raise scan_sec.error("'scan.values' must be strictly increasing", "values")
-        if axis == "temperature" and values[0] < 0.0:
-            raise scan_sec.error("inverse temperatures must be >= 0", "values")
+            raise scan_sec.error("'scan.values' must be a list of finite numbers "
+                                 "or a {start, stop, num} mapping", "values")
+
+        red_sec = scan_sec.section("reduce")
+        if scan_sec.get("reduce") is None:
+            reduce = {"mode": "value_at_t", "t": t_end, "window": None}
+            resolved["auto_reduce"] = {"mode": "value_at_t", "t": t_end}
+        else:
+            reduce = {"mode": red_sec.string("mode", required=True, choices=REDUCE_MODES),
+                      "t": None, "window": None}
+            if reduce["mode"] == "value_at_t":
+                reduce["t"] = red_sec.number("t", t_end)
+                within_temporal_table(red_sec, "t", "scan.reduce.t", reduce["t"])
+            else:
+                window = red_sec.get("window")
+                if not (isinstance(window, list) and len(window) == 2
+                        and all(map(_finite_number, window))):
+                    raise red_sec.error(
+                        "'scan.reduce.window' must be a [t0, t1] pair of finite numbers",
+                        "window")
+                reduce["window"] = window = [float(x) for x in window]
+                within_temporal_table(red_sec, "window", "scan.reduce.window end", window[1])
+        reduce_spec = _built(red_sec, "t" if reduce["mode"] == "value_at_t" else "window",
+                             _build_reduce, reduce)
+        _built(scan_sec, "values", ScanSpec, axis, values, h0, _build_v(model), beta_star,
+               profile, reduce_spec)
+
+        if values[0] < 0.0:
+            noun = {"temperature": "inverse temperatures",
+                    "frequency": "driving frequencies", "time": "times"}[axis]
+            raise scan_sec.error(f"{noun} must be >= 0", "values")
         if enforce_guard and axis == "temperature" and values[-1] > beta_max:
             raise scan_sec.error(
                 f"temperature grid reaches beta={values[-1]} beyond the full-rank "
                 f"guard beta_max={beta_max:.6g}", "values")
-        if axis == "temperature" and env_points is not None and (
-                values[0] < env_points[0][0] or values[-1] > env_points[-1][0]):
+        if axis == "temperature" and env_kind == "tabulated" and (
+                values[0] < env.betas[0] or values[-1] > env.betas[-1]):
             raise scan_sec.error(
                 "temperature grid leaves the tabulated envelope range "
-                f"[{env_points[0][0]}, {env_points[-1][0]}]", "values")
-        if axis == "frequency" and values[0] < 0.0:
-            raise scan_sec.error("driving frequencies must be >= 0", "values")
-        if axis == "time" and values[0] < 0.0:
-            raise scan_sec.error("times must be >= 0", "values")
+                f"[{env.betas[0]}, {env.betas[-1]}]", "values")
         if axis == "time":
             within_temporal_table(scan_sec, "values", "scan time", values[-1])
+        scan = {"axis": axis, "values": values, "reduce": reduce}
 
-        red_sec = scan_sec.section("reduce")
-        if red_sec is None:
-            mode = "value_at_t"
-            red_t = t_end
-            window = None
-            resolved["auto_reduce"] = {"mode": mode, "t": red_t}
-        else:
-            mode = red_sec.string("mode", required=True, choices=REDUCE_MODES)
-            red_t = red_sec.number("t") if mode == "value_at_t" else None
-            if mode == "value_at_t" and red_t is None:
-                red_t = t_end
-            window = None
-            if mode == "max_over_t":
-                raw_window = red_sec.get("window")
-                if (not isinstance(raw_window, list) or len(raw_window) != 2
-                        or not all(map(_finite_number, raw_window))
-                        or not raw_window[1] > raw_window[0] >= 0):
-                    raise red_sec.error(
-                        "'scan.reduce.window' must be [t0, t1] with t1 > t0 >= 0", "window")
-                window = [float(raw_window[0]), float(raw_window[1])]
-                within_temporal_table(red_sec, "window", "scan.reduce.window end", window[1])
-            if red_t is not None:
-                within_temporal_table(red_sec, "t", "scan.reduce.t", red_t)
-        scan = {"axis": axis, "values": values,
-                "reduce": {"mode": mode, "t": red_t, "window": window}}
-
-    # ---- estimation / output / seed -------------------------------------
-    est_sec = root.section("estimation")
-    n_measurements = est_sec.integer("n_measurements", 1, minimum=1) if est_sec else 1
-
+    # ---- estimation / output --------------------------------------------
+    estimation = {"n_measurements":
+                  root.section("estimation").integer("n_measurements", 1, minimum=1)}
     out_sec = root.section("output")
-    csv_name = out_sec.string("csv", "results.csv") if out_sec else "results.csv"
-    manifest_name = out_sec.string("manifest", "manifest.json") if out_sec else "manifest.json"
-    kernel_name = out_sec.string("kernel") if out_sec else None
+    output = {"csv": out_sec.string("csv", "results.csv"),
+              "manifest": out_sec.string("manifest", "manifest.json"),
+              "kernel": out_sec.string("kernel")}
 
-    return RunConfig(
-        model_kind=kind,
-        omega=omega,
-        energies=energies,
-        h0_dense=h0_rows,
-        v_spec=v_spec,
-        beta_star=beta_star,
-        lambda0=lambda0,
-        envelope=envelope,
-        temporal=temporal,
-        t_end=t_end,
-        n_steps=n_steps,
-        scan=scan,
-        n_measurements=n_measurements,
-        csv_name=csv_name,
-        manifest_name=manifest_name,
-        kernel_csv_name=kernel_name,
-        seed=seed,
-        tolerances=tolerances,
-        resolved_defaults=resolved,
-    )
+    return RunConfig(model, drive, grid, scan, estimation, output, seed, tolerances, resolved)

@@ -38,8 +38,8 @@ class ReduceSpec:
     def __post_init__(self):
         if self.mode not in REDUCE_MODES:
             raise ValueError(f"reduce mode must be one of {REDUCE_MODES}, got {self.mode!r}")
-        if self.mode == "value_at_t" and self.t is None:
-            raise ValueError("value_at_t reduction needs a time t")
+        if self.mode == "value_at_t" and (self.t is None or self.t < 0.0):
+            raise ValueError(f"value_at_t reduction needs a time t >= 0, got {self.t}")
         if self.mode == "max_over_t":
             if self.window is None or len(self.window) != 2 or not self.window[1] > self.window[0] >= 0:
                 raise ValueError("max_over_t reduction needs a window (t0, t1) with t1 > t0 >= 0")

@@ -57,12 +57,12 @@ def _setup_from_config(config: RunConfig):
     h0 = config.build_h0()
     v = config.build_v()
     drive = config.build_drive()
-    t_end = config.t_end
+    t_end = config.grid["t_end"]
     if t_end == 0.0:
         t_end = 2.0 * 2.0 * math.pi
-        if config.temporal["kind"] == "tabulated":
-            t_end = min(t_end, config.temporal["points"][-1][0])
-    return h0, v, config.beta_star, drive, t_end
+        if config.drive["temporal"]["kind"] == "tabulated":
+            t_end = min(t_end, config.drive["temporal"]["points"][-1][0])
+    return h0, v, config.model["beta_star"], drive, t_end
 
 
 def run_checks(config: RunConfig | None = None, *, seed: int = 20260810) -> list[CheckResult]:

@@ -187,13 +187,13 @@ def test_config_guard_violation_is_validation_error(tmp_path):
         load_run_config(str(cfg))
     # validate admits the config at parse time and reports the violation
     loaded = load_run_config(str(cfg), enforce_guard=False)
-    assert loaded.beta_star == 80.0
+    assert loaded.model["beta_star"] == 80.0
 
 
 def test_config_auto_grid_resolution(tmp_path):
     cfg = write(tmp_path, "run.yaml", BASE_CONFIG)
     loaded = load_run_config(str(cfg))
-    assert loaded.n_steps == 200  # one period at 200 steps/period
+    assert loaded.grid["n_steps"] == 200  # one period at 200 steps/period
     assert loaded.resolved_defaults["auto_n_steps"] == 200
 
 
@@ -201,12 +201,12 @@ def test_config_envelope_center_sampler(tmp_path):
     text = BASE_CONFIG.replace("beta0: 10.0", "beta0: sample") + "seed: 42\n"
     cfg = write(tmp_path, "run.yaml", text)
     loaded = load_run_config(str(cfg))
-    drawn = loaded.envelope["beta0"]
+    drawn = loaded.drive["envelope"]["beta0"]
     assert loaded.resolved_defaults["sampled_beta0"] == drawn
     f_eq = 0.25 / np.cosh(2.5) ** 2
     half = 1.0 / math.sqrt(f_eq)
     assert max(0.0, 5.0 - half) <= drawn <= 5.0 + half
-    assert load_run_config(str(cfg)).envelope["beta0"] == drawn  # deterministic
+    assert load_run_config(str(cfg)).drive["envelope"]["beta0"] == drawn  # deterministic
     # sampling without a seed is rejected
     nosave = write(tmp_path, "apt.yaml",
                    BASE_CONFIG.replace("beta0: 10.0", "beta0: sample"))
@@ -587,3 +587,99 @@ grid: {t_end: 1.0}
     cfg = write(tmp_path, "bad.yaml", text)
     with pytest.raises(ConfigValidationError, match="2-level"):
         load_run_config(str(cfg))
+
+
+@pytest.mark.parametrize("old, new, key", [
+    ("output:", "outputs:", "outputs"),
+    ("t_end: 6.283185307179586", "t_end: 6.283185307179586\n  n_step: 7", "n_step"),
+    ("s_beta: 3.0}", "s_beta: 3.0, width: 2.0}", "envelope"),
+], ids=["root", "grid", "envelope"])
+def test_unknown_config_key_rejected(tmp_path, capsys, old, new, key):
+    text = BASE_CONFIG.replace(old, new)
+    line = next(i for i, x in enumerate(text.splitlines(), 1) if x.strip().startswith(key))
+    cfg = write(tmp_path, "typo.yaml", text)
+    assert main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert f"typo.yaml:{line}:" in err and "unknown" in err
+    assert not (tmp_path / "o").exists()
+
+
+#: config_content_hash prefixes of the shipped recipes; a change to either the
+#: resolved record or its serialization shows up here.
+SHIPPED_CONFIG_HASHES = {
+    "fig2a": "fa60735d2ac3",
+    "fig2b": "a21f8dc6338a",
+    "fig2c": "4d969c51ea29",
+    "fig3": "5514796fd51f",
+    "fig3_shifted": "b3e3d694c1ce",
+}
+
+
+@pytest.mark.parametrize("path", sorted((ROOT / "configs").glob("*.yaml")),
+                         ids=lambda p: p.stem)
+def test_shipped_config_keeps_its_identity(path):
+    loaded = load_run_config(str(path))
+    assert RunConfig.from_dict(json.loads(json.dumps(loaded.to_dict()))) == loaded
+    assert config_content_hash(loaded)[:12] == SHIPPED_CONFIG_HASHES[path.stem]
+
+
+BLOCK_SCAN_CONFIG = """\
+model:
+  kind: qubit
+  omega: 1.0
+  v: sigma_x
+  beta_star: 5.0
+drive:
+  lambda0: 0.1
+  envelope:
+    kind: gaussian
+    beta0: 10.0
+    s_beta: 3.0
+  temporal:
+    kind: cosine
+    omega_d: 1.0
+    phi: 0.0
+grid:
+  t_end: 6.0
+  n_steps: 60
+scan:
+  axis: frequency
+  values: [0.5, 1.0]
+  reduce:
+    mode: value_at_t
+    t: 6.0
+"""
+
+
+@pytest.mark.parametrize("old, new, line, message", [
+    ("    kind: gaussian\n    beta0: 10.0\n    s_beta: 3.0\n",
+     "    kind: tabulated\n    points: [[0.0, 0.2], [8.0, 1.0], [4.0, 0.3]]\n",
+     10, "strictly increasing"),
+    ("    kind: cosine\n    omega_d: 1.0\n    phi: 0.0\n",
+     "    kind: tabulated\n    points: [[0.0, 1.0], [9.0, 0.5], [7.0, 0.0]]\n",
+     14, "strictly increasing"),
+    ("t_end: 6.0", "t_end: 0.0", 17, "t_end == 0 requires n_steps == 0"),
+    ("t_end: 6.0", "t_end: -1.0", 17, "t_end must be >= 0"),
+    ("n_steps: 60", "n_steps: -5", 17, "n_steps must be >= 0"),
+    ("    kind: cosine\n    omega_d: 1.0\n    phi: 0.0\n", "    kind: constant\n",
+     19, "cosine"),
+    ("values: [0.5, 1.0]", "values: [1.0, 0.5]", 21, "strictly increasing"),
+    ("values: [0.5, 1.0]", "values:\n    start: 1.0\n    stop: 0.5\n    num: 3",
+     21, "strictly increasing"),
+    ("mode: value_at_t\n    t: 6.0", "mode: max_over_t\n    window: [3.0, 1.0]",
+     24, "t1 > t0 >= 0"),
+    ("    t: 6.0", "    t: -1.0", 24, "t >= 0"),
+    ("s_beta: 3.0", "s_beta: 0.0", 11, "s_beta must be > 0"),
+    ("omega_d: 1.0", "omega_d: -1.0", 14, "omega_d must be >= 0"),
+], ids=["envelope-abscissa", "temporal-abscissa", "t_end-iff-n_steps", "t_end-sign",
+        "n_steps-sign", "frequency-needs-cosine", "values-increasing",
+        "values-stop-le-start", "max_over_t-window", "reduce-t-sign", "s_beta", "omega_d"])
+def test_constructor_rules_fail_at_load_time(tmp_path, capsys, old, new, line, message):
+    # each rule lives in its domain constructor; the loader anchors its error
+    text = BLOCK_SCAN_CONFIG.replace(old, new)
+    assert text != BLOCK_SCAN_CONFIG
+    cfg = write(tmp_path, "rule.yaml", text)
+    assert main(["scan", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert f"rule.yaml:{line}:" in err and message in err
+    assert not (tmp_path / "o").exists()
