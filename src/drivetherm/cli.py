@@ -49,15 +49,12 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"drivetherm {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p_sim = sub.add_parser("simulate", help="time series of the decomposed QFI")
-    p_sim.add_argument("--config", required=True, help="run configuration (YAML)")
-    p_sim.add_argument("--out", required=True, help="output directory")
-    _add_common(p_sim)
-
-    p_scan = sub.add_parser("scan", help="parameter sweep (frequency/temperature/time)")
-    p_scan.add_argument("--config", required=True, help="run configuration (YAML)")
-    p_scan.add_argument("--out", required=True, help="output directory")
-    _add_common(p_scan)
+    for name, text in (("simulate", "time series of the decomposed QFI"),
+                       ("scan", "parameter sweep (frequency/temperature/time)")):
+        p_run = sub.add_parser(name, help=text)
+        p_run.add_argument("--config", required=True, help="run configuration (YAML)")
+        p_run.add_argument("--out", required=True, help="output directory")
+        _add_common(p_run)
 
     p_val = sub.add_parser("validate", help="run the built-in oracle/invariant suite")
     p_val.add_argument("--config", help="optional run configuration (YAML)")
@@ -67,50 +64,49 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _announce_tolerance_scale(config) -> None:
+def _load_config(args):
+    """The command's run config; None for ``validate`` without one.
+
+    Raises :class:`ConfigValidationError` for a bad file, and for a scan
+    section that ``simulate`` does not take or that ``scan`` lacks.
+    """
+    if args.config is None:
+        return None
+    if args.command == "validate":
+        # a beta_star beyond the full-rank guard is reported as a failed check
+        return load_run_config(args.config, enforce_guard=False)
+    config = load_run_config(args.config)
+    if args.command == "simulate" and config.scan is not None:
+        raise ConfigValidationError("'simulate' takes a config without a scan section "
+                                    "(use 'scan')", path=args.config)
+    if args.command == "scan" and config.scan is None:
+        raise ConfigValidationError("'scan' needs a scan section", path=args.config)
     if config.tolerances.scale != 1.0:
         log.info("%s=%s: all default tolerances scaled",
                  TOLERANCE_SCALE_ENV, config.tolerances.scale)
+    return config
 
 
-def cmd_simulate(args) -> int:
-    try:
-        config = load_run_config(args.config)
-    except ConfigValidationError as exc:
-        print(f"configuration error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    if config.scan is not None:
-        print(f"configuration error: {args.config}: 'simulate' takes a config "
-              "without a scan section (use 'scan')", file=sys.stderr)
-        return EXIT_CONFIG
-    _announce_tolerance_scale(config)
+def cmd_simulate(config, out_dir: Path, manifest_hash: str):
+    """Write the time series (and kernel) CSVs; return the manifest's
+    diagnostics and data files, and the summary line."""
+    model = config.build_model()
+    drive = config.build_drive()
+    grid = config.build_grid()
+    v = config.build_v()
+    trace = propagate(model, v, drive, grid, drift_tol=config.tolerances.step_drift)
+    results = engine.qfi_time_series(trace, n_measurements=config.estimation["n_measurements"])
+    kernel_payload = None
+    if config.output["kernel"] is not None:
+        # currents at the sampled nodes only: all n of them would raise peak memory
+        stride = max(1, grid.n_nodes // KERNEL_MAX_NODES)
+        times = grid.nodes[::stride]
+        thin = engine.CurrentTrace(
+            grid=grid, model=model,
+            currents=engine.information_current(model, trace.heisenberg_v[::stride]),
+            weights=np.atleast_1d(dlambda_dbeta(drive, times, model.beta)))
+        kernel_payload = (times, engine.kernel_matrix(thin).real)
 
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    started = time.monotonic()
-    try:
-        model = config.build_model()
-        drive = config.build_drive()
-        grid = config.build_grid()
-        v = config.build_v()
-        trace = propagate(model, v, drive, grid,
-                          drift_tol=config.tolerances.step_drift)
-        results = engine.qfi_time_series(trace, n_measurements=config.estimation["n_measurements"])
-        kernel_payload = None
-        if config.output["kernel"] is not None:
-            # currents at the sampled nodes only: all n of them would raise peak memory
-            stride = max(1, grid.n_nodes // KERNEL_MAX_NODES)
-            times = grid.nodes[::stride]
-            thin = engine.CurrentTrace(
-                grid=grid, model=model,
-                currents=engine.information_current(model, trace.heisenberg_v[::stride]),
-                weights=np.atleast_1d(dlambda_dbeta(drive, times, model.beta)))
-            kernel_payload = (times, engine.kernel_matrix(thin).real)
-    except (DriveThermError, np.linalg.LinAlgError) as exc:
-        print(f"numerical failure: {exc}", file=sys.stderr)
-        return EXIT_NUMERICAL
-
-    manifest_hash = config_content_hash(config)
     csv_path = out_dir / config.output["csv"]
     write_simulation_csv(csv_path, results, manifest_hash)
     data_files = {config.output["csv"]: csv_path}
@@ -126,71 +122,45 @@ def cmd_simulate(args) -> int:
         "max_rel_disagreement": float(results.rel_disagreement.max()),
         "max_mixed_term_residual": float(results.mixed_term_residual.max()),
     }
-    manifest = build_manifest(config, wall_clock_seconds=time.monotonic() - started,
-                              diagnostics=diagnostics, data_files=data_files)
-    write_manifest(out_dir / config.output["manifest"], manifest)
     log.info("wrote %s rows to %s", rows, csv_path)
-    print(f"simulate: {rows} rows -> {csv_path}")
-    return EXIT_OK
+    return diagnostics, data_files, f"simulate: {rows} rows -> {csv_path}"
 
 
-def cmd_scan(args) -> int:
-    try:
-        config = load_run_config(args.config)
-    except ConfigValidationError as exc:
-        print(f"configuration error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    if config.scan is None:
-        print(f"configuration error: {args.config}: 'scan' needs a scan section",
-              file=sys.stderr)
-        return EXIT_CONFIG
-    _announce_tolerance_scale(config)
-
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    started = time.monotonic()
-    try:
-        spec = config.build_scan_spec()
-        result = run_scan(spec)
-    except (DriveThermError, ValueError) as exc:  # np.linalg.LinAlgError is a ValueError
-        print(f"numerical failure: {exc}", file=sys.stderr)
-        return EXIT_NUMERICAL
-
-    manifest_hash = config_content_hash(config)
+def cmd_scan(config, out_dir: Path, manifest_hash: str):
+    """Write the scan CSV; return the manifest's diagnostics and data files,
+    and the summary line."""
+    result = run_scan(config.build_scan_spec())
     csv_path = out_dir / config.output["csv"]
     write_scan_csv(csv_path, result.axis, result.points, manifest_hash)
     diagnostics = {"points": len(result.points), "argmax": result.argmax}
+    return (diagnostics, {config.output["csv"]: csv_path},
+            f"scan: {len(result.points)} points -> {csv_path} "
+            f"(argmax {result.axis} = {result.argmax:g})")
+
+
+def _run_recorded(command, config, out: str) -> int:
+    """Run ``simulate`` or ``scan`` into ``out``, then write the manifest."""
+    out_dir = Path(out)
+    out_dir.mkdir(parents=True, exist_ok=True)
+    started = time.monotonic()
+    diagnostics, data_files, summary = command(config, out_dir, config_content_hash(config))
     manifest = build_manifest(config, wall_clock_seconds=time.monotonic() - started,
-                              diagnostics=diagnostics,
-                              data_files={config.output["csv"]: csv_path})
+                              diagnostics=diagnostics, data_files=data_files)
     write_manifest(out_dir / config.output["manifest"], manifest)
-    print(f"scan: {len(result.points)} points -> {csv_path} "
-          f"(argmax {result.axis} = {result.argmax:g})")
+    print(summary)
     return EXIT_OK
 
 
-def cmd_validate(args) -> int:
-    config = None
-    if args.config:
-        try:
-            config = load_run_config(args.config, enforce_guard=False)
-        except ConfigValidationError as exc:
-            print(f"configuration error: {exc}", file=sys.stderr)
-            return EXIT_CONFIG
-    try:
-        checks = run_checks(config)
-    except (DriveThermError, np.linalg.LinAlgError) as exc:
-        print(f"numerical failure: {exc}", file=sys.stderr)
-        return EXIT_NUMERICAL
+def cmd_validate(config, report: str | None) -> int:
+    checks = run_checks(config)
     print(summarize(checks))
-    if args.report:
+    if report:
         payload = {
             "artifact": {"name": "drivetherm", "version": __version__},
             "checks": [c.as_dict() for c in checks],
             "all_passed": all(c.passed for c in checks),
         }
-        Path(args.report).write_text(json.dumps(payload, indent=2) + "\n",
-                                     encoding="utf-8")
+        Path(report).write_text(json.dumps(payload, indent=2) + "\n", encoding="utf-8")
     failed = [c for c in checks if not c.passed]
     if failed:
         print("failed checks: " + ", ".join(c.name for c in failed), file=sys.stderr)
@@ -207,11 +177,19 @@ def main(argv=None) -> int:
     if args.parallelism != 1:
         log.warning("--parallelism %d is ignored: scan points run in order",
                     args.parallelism)
-    if args.command == "simulate":
-        return cmd_simulate(args)
-    if args.command == "scan":
-        return cmd_scan(args)
-    return cmd_validate(args)
+    try:
+        config = _load_config(args)
+    except ConfigValidationError as exc:
+        print(f"configuration error: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
+    try:
+        if args.command == "validate":
+            return cmd_validate(config, args.report)
+        return _run_recorded(cmd_simulate if args.command == "simulate" else cmd_scan,
+                             config, args.out)
+    except (DriveThermError, np.linalg.LinAlgError) as exc:
+        print(f"numerical failure: {exc}", file=sys.stderr)
+        return EXIT_NUMERICAL
 
 
 if __name__ == "__main__":

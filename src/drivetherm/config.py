@@ -273,7 +273,7 @@ def _build_h0(model: dict) -> np.ndarray:
     if model["kind"] == "qubit":
         return 0.5 * model["omega"] * SIGMA_Z
     if model["kind"] == "diagonal":
-        return np.diag(np.asarray(model["energies"], dtype=float)).astype(complex)
+        return hermitize(np.diag(np.asarray(model["energies"], dtype=float)))
     return _dense_from_rows(model["h0"])
 
 
@@ -363,7 +363,8 @@ def load_run_config(path: str, *, enforce_guard: bool = True) -> RunConfig:
         model["energies"] = [float(x) for x in raw]
     else:
         model["h0"] = _parse_matrix_rows(model_sec, "h0", None)
-    h0 = _build_h0(model)
+    # hermitize rejects a model above operators.MAX_DIM levels
+    h0 = _built(model_sec, "energies" if kind == "diagonal" else "h0", _build_h0, model)
 
     v_raw = model_sec.get("v")
     if isinstance(v_raw, str):

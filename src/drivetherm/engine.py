@@ -108,7 +108,7 @@ def build_current_trace(trace: EvolutionTrace) -> CurrentTrace:
     currents may still be nonzero but then carry no Fisher information.
     """
     weights = np.atleast_1d(
-        dlambda_dbeta(trace.drive, trace.grid.nodes, trace.beta)
+        dlambda_dbeta(trace.drive, trace.grid.nodes, trace.model.beta)
     ).astype(float)
     return CurrentTrace(grid=trace.grid, model=trace.model,
                         currents=information_current(trace.model, trace.heisenberg_v),

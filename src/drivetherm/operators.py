@@ -26,16 +26,12 @@ class HermiticityWarning(UserWarning):
     """Input matrix had a non-negligible anti-Hermitian part."""
 
 
-def frobenius(a: np.ndarray) -> float:
-    return float(np.linalg.norm(a))
-
-
-def hermitize(entries, warn_above: float = HERMITICITY_WARN) -> np.ndarray:
+def hermitize(entries) -> np.ndarray:
     """Return the Hermitian part (A + A^dag)/2 of a square matrix.
 
     Symmetrization prevents Hermiticity drift from accumulating over long
     integrations.  A :class:`HermiticityWarning` is emitted when the
-    discarded part exceeds ``warn_above`` relative to ``||A||_F``.
+    discarded part exceeds ``HERMITICITY_WARN`` relative to ``||A||_F``.
     """
     a = np.asarray(entries, dtype=complex)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
@@ -43,11 +39,11 @@ def hermitize(entries, warn_above: float = HERMITICITY_WARN) -> np.ndarray:
     if a.shape[0] > MAX_DIM:
         raise ValueError(f"dimension {a.shape[0]} exceeds supported maximum {MAX_DIM}")
     herm = 0.5 * (a + a.conj().T)
-    defect = frobenius(a - herm)
-    if defect > warn_above * max(1.0, frobenius(a)):
+    defect = float(np.linalg.norm(a - herm))
+    if defect > HERMITICITY_WARN * max(1.0, float(np.linalg.norm(a))):
         warnings.warn(
             f"matrix symmetrized: anti-Hermitian part {defect:.3e} above "
-            f"{warn_above:.1e} threshold",
+            f"{HERMITICITY_WARN:.1e} threshold",
             HermiticityWarning,
             stacklevel=2,
         )

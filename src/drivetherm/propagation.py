@@ -94,19 +94,10 @@ class EvolutionTrace:
     grid: TimeGrid
     model: GibbsModel
     drive: DriveProfile
-    v: np.ndarray
     propagators: np.ndarray
     heisenberg_v: np.ndarray
     M: np.ndarray
     unitarity_drift: float
-
-    @property
-    def beta(self) -> float:
-        return self.model.beta
-
-    @property
-    def dim(self) -> int:
-        return self.model.dim
 
 
 def propagate(model: GibbsModel, v, drive: DriveProfile, grid: TimeGrid,
@@ -166,7 +157,6 @@ def propagate(model: GibbsModel, v, drive: DriveProfile, grid: TimeGrid,
         grid=grid,
         model=model,
         drive=drive,
-        v=v,
         propagators=propagators,
         heisenberg_v=heisenberg_v,
         M=m,
@@ -252,8 +242,7 @@ FD_NOISE_WARN = 1e-4
 
 
 def drho_dbeta_fd(model: GibbsModel, v, drive: DriveProfile, grid: TimeGrid,
-                  k: int, h_beta: float | None = None, *,
-                  beta_max: float | None = None) -> np.ndarray:
+                  k: int, h_beta: float | None = None) -> np.ndarray:
     """Centered finite difference of rho(t_k, beta) in beta.
 
     Both branches are re-thermalized *and* re-propagated at beta +- h: the
@@ -267,8 +256,7 @@ def drho_dbeta_fd(model: GibbsModel, v, drive: DriveProfile, grid: TimeGrid,
         raise ValueError(f"beta - h_beta = {beta - h_beta} below 0; shrink h_beta")
     branches = []
     for shifted in (beta + h_beta, beta - h_beta):
-        shifted_model = make_gibbs(model.h0, shifted, beta_max=beta_max,
-                                   rank_floor=model.rank_floor)
+        shifted_model = make_gibbs(model.h0, shifted, rank_floor=model.rank_floor)
         tr = propagate(shifted_model, v, drive, grid)
         u = tr.propagators[k]
         branches.append(u @ shifted_model.state @ u.conj().T)

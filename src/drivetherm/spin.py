@@ -74,7 +74,7 @@ def _cross_matrix(b: np.ndarray) -> np.ndarray:
 
 
 def bloch_precess(omega: float, drive: DriveProfile, beta: float,
-                  grid: TimeGrid, *, norm_tol: float = BLOCH_NORM_TOL) -> BlochTrace:
+                  grid: TimeGrid) -> BlochTrace:
     """Bloch components of V_H(t) = U^dag sigma_x U under the driven field.
 
     The field is B(t) = (2*lambda(t, beta), 0, Omega).  Because V_H carries
@@ -86,7 +86,7 @@ def bloch_precess(omega: float, drive: DriveProfile, beta: float,
     (cos Omega t, -sin Omega t, 0).
 
     The unit norm of a is asserted (never renormalized); drift beyond
-    ``norm_tol`` raises :class:`StepSizeTooCoarse`.
+    ``BLOCH_NORM_TOL`` raises :class:`StepSizeTooCoarse`.
     """
     n = grid.n_steps
     vectors = np.empty((n + 1, 3))
@@ -109,9 +109,9 @@ def bloch_precess(omega: float, drive: DriveProfile, beta: float,
         vectors[k + 1] = m[:, 0]
 
     trace = BlochTrace(grid=grid, vectors=vectors)
-    if trace.norm_drift > norm_tol:
+    if trace.norm_drift > BLOCH_NORM_TOL:
         raise StepSizeTooCoarse(
-            f"Bloch norm drift {trace.norm_drift:.3e} exceeds {norm_tol:.1e}; "
+            f"Bloch norm drift {trace.norm_drift:.3e} exceeds {BLOCH_NORM_TOL:.1e}; "
             f"retry with n_steps >= {2 * max(n, 1)}",
             suggested_n_steps=2 * max(n, 1),
         )
@@ -128,16 +128,14 @@ def short_time_coefficient(m: float, lambda0: float, gprime: float) -> float:
     return 4.0 * m * m * (lambda0 * gprime) ** 2
 
 
-def detuned_amplitude(omega: float, omega_d: float, t,
-                      *, detuning_floor: float | None = None):
+def detuned_amplitude(omega: float, omega_d: float, t):
     """Closed-form weak-field amplitude A(t) for a detuned cosine drive.
 
     A(t) = C(t)^2 + S(t)^2 with C, S the elementary cos*cos and cos*sin
     integrals; bounded in t for any fixed nonzero detuning.  Vectorized
-    over t.
+    over t.  Detunings at or below ``DETUNING_FLOOR * omega`` are rejected.
     """
-    if detuning_floor is None:
-        detuning_floor = DETUNING_FLOOR * omega
+    detuning_floor = DETUNING_FLOOR * omega
     if abs(omega_d - omega) <= detuning_floor:
         raise ValueError(
             f"detuning |omega_d - omega| = {abs(omega_d - omega):.3e} below the "
@@ -154,10 +152,9 @@ def detuned_amplitude(omega: float, omega_d: float, t,
 
 
 def detuned_increment(omega: float, omega_d: float, m: float, lambda0: float,
-                      gprime: float, t, *, detuning_floor: float | None = None):
+                      gprime: float, t):
     """Weak-field increment 4 m^2 (lambda0 G')^2 A(t) off resonance."""
-    amplitude = detuned_amplitude(omega, omega_d, t, detuning_floor=detuning_floor)
-    return 4.0 * m * m * (lambda0 * gprime) ** 2 * amplitude
+    return short_time_coefficient(m, lambda0, gprime) * detuned_amplitude(omega, omega_d, t)
 
 
 class ResonantIncrement(NamedTuple):
@@ -180,7 +177,7 @@ def resonant_increment(omega: float, m: float, lambda0: float, gprime: float,
                        t: float) -> ResonantIncrement:
     """Resonant weak-field increment: exact A(t) value and the asymptotic
     m^2 (lambda0 G')^2 t^2 law, returned together."""
-    factor = 4.0 * m * m * (lambda0 * gprime) ** 2
+    factor = short_time_coefficient(m, lambda0, gprime)
     exact = factor * resonant_amplitude(omega, t)
-    quadratic = m * m * (lambda0 * gprime) ** 2 * t * t
+    quadratic = 0.25 * factor * t * t
     return ResonantIncrement(exact=float(exact), quadratic=float(quadratic))

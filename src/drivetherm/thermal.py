@@ -68,8 +68,7 @@ class GibbsModel:
         return float(self.probabilities @ self.energies)
 
 
-def make_gibbs(h0, beta: float, *, beta_max: float | None = None,
-               rank_floor: float = RANK_FLOOR) -> GibbsModel:
+def make_gibbs(h0, beta: float, *, rank_floor: float = RANK_FLOOR) -> GibbsModel:
     """Construct the Gibbs state of ``h0`` at inverse temperature ``beta``.
 
     Populations are computed in the eigenbasis of ``h0`` with the spectrum
@@ -78,19 +77,17 @@ def make_gibbs(h0, beta: float, *, beta_max: float | None = None,
     Raises
     ------
     FullRankViolation
-        If ``beta`` exceeds the guard (default :func:`default_beta_max`) or
-        the resulting smallest population falls at or below ``rank_floor``.
+        If ``beta`` exceeds the guard :func:`default_beta_max` or the
+        resulting smallest population falls at or below ``rank_floor``.
     """
     h0 = hermitize(h0)
     if beta < 0.0:
         raise ValueError(f"beta must be >= 0, got {beta}")
-    if beta_max is None:
-        beta_max = default_beta_max(h0)
+    beta_max = default_beta_max(h0)
     if beta > beta_max:
         raise FullRankViolation(
             f"beta={beta} exceeds the full-rank guard beta_max={beta_max:.6g}; "
-            "the inverse Bures superoperator needs a full-rank state "
-            "(reduce beta or raise beta_max/rank_floor explicitly)"
+            "the inverse Bures superoperator needs a full-rank state (reduce beta)"
         )
     energies, basis = eig(h0)
     shifted = beta * (energies - energies[0])

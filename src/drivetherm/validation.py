@@ -7,6 +7,7 @@ The suite runs on a default two-level configuration or on a user config.
 
 import math
 from dataclasses import dataclass, replace
+from typing import NamedTuple
 
 import numpy as np
 
@@ -16,9 +17,10 @@ from .config import RunConfig
 from .drive import (ConstantEnvelope, CosineModulation, DriveProfile,
                     GaussianEnvelope)
 from .exceptions import DriveThermError
-from .operators import SIGMA_X, SIGMA_Z, eig, hermitize, pauli_components
-from .propagation import DRIFT_TOL, TimeGrid, default_n_steps, propagate
-from .spin import magnetization, qubit_equilibrium_qfi, weak_field_kernel
+from .operators import SIGMA_X, SIGMA_Y, SIGMA_Z, eig, hermitize, pauli_components
+from .propagation import DRIFT_TOL, TimeGrid, default_grid, propagate
+from .spin import (magnetization, qubit_equilibrium_qfi, short_time_coefficient,
+                   weak_field_kernel)
 from .thermal import RANK_FLOOR, equilibrium_qfi, make_gibbs, spectral_spread
 
 
@@ -40,29 +42,40 @@ class CheckResult:
         }
 
 
-def _default_setup():
-    h0 = 0.5 * SIGMA_Z
-    v = SIGMA_X
-    beta_star = 5.0
-    drive = DriveProfile(
-        lambda0=0.1,
-        envelope=GaussianEnvelope(beta0=10.0, s_beta=3.0),
-        temporal=CosineModulation(omega_d=1.0, phi=0.0),
-    )
-    t_end = 2.0 * 2.0 * math.pi
-    return h0, v, beta_star, drive, t_end
+class _Setup(NamedTuple):
+    h0: np.ndarray
+    v: np.ndarray
+    beta_star: float
+    drive: DriveProfile
+    grid: TimeGrid
 
 
-def _setup_from_config(config: RunConfig):
+#: The reference qubit H0 = sigma_z/2, V = sigma_x at beta = 5 under a
+#: Gaussian-envelope cosine drive, run to t = 4 pi.  The suite runs on it
+#: without a config, and the closed-form checks always do.
+REFERENCE = _Setup(
+    h0=0.5 * SIGMA_Z,
+    v=SIGMA_X,
+    beta_star=5.0,
+    drive=DriveProfile(lambda0=0.1, envelope=GaussianEnvelope(beta0=10.0, s_beta=3.0),
+                       temporal=CosineModulation(omega_d=1.0, phi=0.0)),
+    grid=default_grid(4.0 * math.pi, 1.0, 1.0),
+)
+
+
+def _setup_from_config(config: RunConfig) -> _Setup:
+    """The configured run; a ``grid.t_end`` of 0 runs to t = 4 pi, or to the
+    end of a tabulated temporal table if that is earlier."""
     h0 = config.build_h0()
-    v = config.build_v()
     drive = config.build_drive()
-    t_end = config.grid["t_end"]
-    if t_end == 0.0:
-        t_end = 2.0 * 2.0 * math.pi
+    if config.grid["t_end"] > 0.0:
+        grid = config.build_grid()
+    else:
+        t_end = 4.0 * math.pi
         if config.drive["temporal"]["kind"] == "tabulated":
             t_end = min(t_end, config.drive["temporal"]["points"][-1][0])
-    return h0, v, config.model["beta_star"], drive, t_end
+        grid = default_grid(t_end, spectral_spread(h0), drive.omega_d)
+    return _Setup(h0, config.build_v(), config.model["beta_star"], drive, grid)
 
 
 def run_checks(config: RunConfig | None = None, *, seed: int = 20260810) -> list[CheckResult]:
@@ -70,11 +83,16 @@ def run_checks(config: RunConfig | None = None, *, seed: int = 20260810) -> list
     checks: list[CheckResult] = []
     rng = np.random.default_rng(seed)
 
+    def check(name, measured, threshold, *, at_least=False, detail=""):
+        """Record ``measured <= threshold`` (``>=`` with ``at_least``)."""
+        passed = measured >= threshold if at_least else measured <= threshold
+        checks.append(CheckResult(name, passed, measured, threshold, detail))
+
     if config is None:
-        h0, v, beta_star, drive, t_end = _default_setup()
+        h0, v, beta_star, drive, grid = REFERENCE
         drift_tol, rank_floor = DRIFT_TOL, RANK_FLOOR
     else:
-        h0, v, beta_star, drive, t_end = _setup_from_config(config)
+        h0, v, beta_star, drive, grid = _setup_from_config(config)
         drift_tol, rank_floor = config.tolerances.step_drift, config.tolerances.rank_floor
 
     spread = spectral_spread(h0)
@@ -83,23 +101,19 @@ def run_checks(config: RunConfig | None = None, *, seed: int = 20260810) -> list
     # --- model construction (full-rank guard surfaces here) ---------------
     try:
         model = make_gibbs(h0, beta_star, rank_floor=rank_floor)
-        checks.append(CheckResult("model-within-full-rank-guard", True, 0.0, 0.0))
     except DriveThermError as exc:
-        checks.append(CheckResult(
-            "model-within-full-rank-guard", False, math.inf, 0.0, detail=str(exc)))
+        check("model-within-full-rank-guard", math.inf, 0.0, detail=str(exc))
         return checks
-
-    grid = TimeGrid(t_end, default_n_steps(t_end, spread, omega_d))
+    check("model-within-full-rank-guard", 0.0, 0.0)
 
     # --- closed-form equilibrium baseline (two-level) ---------------------
     betas = np.linspace(0.0, 20.0, 101)
     worst = 0.0
     for b in betas:
         closed = qubit_equilibrium_qfi(1.0, float(b))
-        numeric = equilibrium_qfi(make_gibbs(0.5 * SIGMA_Z, float(b)))
+        numeric = equilibrium_qfi(make_gibbs(REFERENCE.h0, float(b)))
         worst = max(worst, abs(numeric - closed) / closed)
-    checks.append(CheckResult("equilibrium-baseline-closed-form", worst <= 1e-12,
-                              worst, 1e-12))
+    check("equilibrium-baseline-closed-form", worst, 1e-12)
 
     # --- Jordan product round trip -----------------------------------------
     worst = 0.0
@@ -108,11 +122,11 @@ def run_checks(config: RunConfig | None = None, *, seed: int = 20260810) -> list
         raw = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
         sigma = raw @ raw.conj().T + 0.1 * np.eye(d)
         sigma /= np.trace(sigma).real
-        x = hermitize(rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d)),
-                      warn_above=np.inf)
+        raw = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
+        x = 0.5 * (raw + raw.conj().T)
         back = jordan_apply(sigma, jordan_inverse_apply(sigma, x))
         worst = max(worst, float(np.linalg.norm(back - x) / np.linalg.norm(x)))
-    checks.append(CheckResult("jordan-inverse-round-trip", worst <= 1e-10, worst, 1e-10))
+    check("jordan-inverse-round-trip", worst, 1e-10)
 
     # --- driven run: shared trace ------------------------------------------
     trace = propagate(model, v, drive, grid, drift_tol=drift_tol)
@@ -121,47 +135,36 @@ def run_checks(config: RunConfig | None = None, *, seed: int = 20260810) -> list
 
     # currents live in the coherence sector: Tr[pi0 J] = 0
     overlaps = np.abs(np.einsum("ij,kji->k", model.state, ct.currents))
-    worst = float(overlaps.max())
-    checks.append(CheckResult("current-thermal-overlap", worst <= 1e-10, worst, 1e-10))
+    check("current-thermal-overlap", float(overlaps.max()), 1e-10)
 
     # spectrum preservation + unitarity of the trace
     v_eigs = eig(hermitize(v)).eigenvalues
     vh_eigs = np.linalg.eigvalsh(trace.heisenberg_v)
     spec_drift = float(np.abs(vh_eigs - v_eigs[None, :]).max())
-    measured = max(spec_drift, trace.unitarity_drift)
-    checks.append(CheckResult("unitarity-and-spectrum-preservation",
-                              measured <= 1e-10, measured, 1e-10))
+    check("unitarity-and-spectrum-preservation", max(spec_drift, trace.unitarity_drift), 1e-10)
 
-    # dual-path agreement
-    worst = float(series.rel_disagreement.max())
-    checks.append(CheckResult("dual-path-agreement", worst <= 1e-6, worst, 1e-6))
-
-    # mixed term
-    worst = float(series.mixed_term_residual.max())
-    checks.append(CheckResult("mixed-term-vanishing", worst <= 1e-10, worst, 1e-10))
+    check("dual-path-agreement", float(series.rel_disagreement.max()), 1e-6)
+    check("mixed-term-vanishing", float(series.mixed_term_residual.max()), 1e-10)
 
     # increment path equivalence + antisymmetric-part residual
-    short_grid = TimeGrid(min(t_end, 2.0 * math.pi),
-                          default_n_steps(min(t_end, 2.0 * math.pi), spread, omega_d))
+    short_grid = default_grid(min(grid.t_end, 2.0 * math.pi), spread, omega_d)
     ct_short = engine.build_current_trace(propagate(model, v, drive, short_grid,
                                                     drift_tol=drift_tol))
     i_kernel, asym = engine.increment_via_kernel(ct_short, return_diagnostics=True)
     i_delta = engine.increment_series(ct_short)[-1]
     rel = abs(i_kernel - i_delta) / max(abs(i_delta), 1e-30)
     measured = max(rel if i_delta > 1e-25 else abs(i_kernel - i_delta), asym)
-    checks.append(CheckResult("kernel-vs-accumulated-increment",
-                              measured <= 1e-10, measured, 1e-10))
+    check("kernel-vs-accumulated-increment", measured, 1e-10)
 
     # nonnegativity and gain over the run
     measured = float(min(series.i_t.min(), (series.f_total - series.f_eq).min()))
-    checks.append(CheckResult("increment-nonnegative", measured >= -1e-10,
-                              measured, -1e-10))
+    check("increment-nonnegative", measured, -1e-10, at_least=True)
 
     # --- no-go: temperature-insensitive envelope ---------------------------
     nogo_drive = replace(drive, envelope=ConstantEnvelope())
     nogo = engine.qfi_time_series(propagate(model, v, nogo_drive, grid, drift_tol=drift_tol))
     worst = float(max(np.abs(nogo.f_spectral - nogo.f_eq).max(), np.abs(nogo.i_t).max()))
-    checks.append(CheckResult("no-go-constant-envelope", worst <= 1e-9, worst, 1e-9))
+    check("no-go-constant-envelope", worst, 1e-9)
 
     # --- no-go: perturbation commuting with H0 -----------------------------
     commuting_drive = DriveProfile(
@@ -171,47 +174,38 @@ def run_checks(config: RunConfig | None = None, *, seed: int = 20260810) -> list
     )
     commuting = engine.qfi_time_series(propagate(model, h0, commuting_drive, grid,
                                                  drift_tol=drift_tol))
-    worst = float(np.abs(commuting.i_t).max())
-    checks.append(CheckResult("no-go-commuting-perturbation", worst <= 1e-12,
-                              worst, 1e-12))
+    check("no-go-commuting-perturbation", float(np.abs(commuting.i_t).max()), 1e-12)
 
     # --- two-level closed forms (always on the reference qubit) ------------
-    qubit_model = make_gibbs(0.5 * SIGMA_Z, 5.0)
-    qubit_drive = DriveProfile(
-        lambda0=0.1,
-        envelope=GaussianEnvelope(beta0=10.0, s_beta=3.0),
-        temporal=CosineModulation(omega_d=1.0, phi=0.0),
-    )
+    qubit_model = make_gibbs(REFERENCE.h0, REFERENCE.beta_star)
+    qubit_drive = REFERENCE.drive
+    m = magnetization(1.0, REFERENCE.beta_star)
 
     # current closed form 2m(ax sy - ay sx)
-    qgrid = TimeGrid(2.0 * math.pi, default_n_steps(2.0 * math.pi, 1.0, 1.0))
-    qtrace = propagate(qubit_model, SIGMA_X, qubit_drive, qgrid)
+    qgrid = default_grid(2.0 * math.pi, 1.0, 1.0)
+    qtrace = propagate(qubit_model, REFERENCE.v, qubit_drive, qgrid)
     qct = engine.build_current_trace(qtrace)
-    m = magnetization(1.0, 5.0)
     worst = 0.0
     for k in range(0, qgrid.n_nodes, 25):
         a = pauli_components(qtrace.heisenberg_v[k])
-        closed = 2.0 * m * (a[0] * np.array([[0, -1j], [1j, 0]]) - a[1] * SIGMA_X)
+        closed = 2.0 * m * (a[0] * SIGMA_Y - a[1] * SIGMA_X)
         worst = max(worst, float(np.abs(closed - qct.currents[k]).max()))
-    checks.append(CheckResult("qubit-current-closed-form", worst <= 1e-10,
-                              worst, 1e-10))
+    check("qubit-current-closed-form", worst, 1e-10)
 
     # short-time quadratic law
     t_short = 1e-3
-    sgrid = TimeGrid(t_short, 64)
-    sct = engine.build_current_trace(propagate(qubit_model, SIGMA_X, qubit_drive, sgrid))
+    sct = engine.build_current_trace(propagate(qubit_model, REFERENCE.v, qubit_drive,
+                                               TimeGrid(t_short, 64)))
     i_short = engine.increment_series(sct)[-1]
-    gprime = qubit_drive.envelope.derivative(5.0)
-    coef = 4.0 * m**2 * (0.1 * gprime) ** 2
-    measured = abs(i_short / t_short**2 - coef) / coef
-    checks.append(CheckResult("short-time-quadratic-law", measured <= 1e-3,
-                              measured, 1e-3))
+    coef = short_time_coefficient(m, qubit_drive.lambda0,
+                                  qubit_drive.envelope.derivative(REFERENCE.beta_star))
+    check("short-time-quadratic-law", abs(i_short / t_short**2 - coef) / coef, 1e-3)
 
     # weak-field kernel
     weak_drive = replace(qubit_drive, lambda0=1e-4)
-    wgrid = TimeGrid(4.0, default_n_steps(4.0, 1.0, 1.0))
-    wct = engine.build_current_trace(propagate(qubit_model, SIGMA_X, weak_drive, wgrid))
-    km = engine.kernel_matrix(wct)
+    wgrid = default_grid(4.0, 1.0, 1.0)
+    km = engine.kernel_matrix(engine.build_current_trace(
+        propagate(qubit_model, REFERENCE.v, weak_drive, wgrid)))
     nodes = wgrid.nodes
     idx = np.arange(0, wgrid.n_nodes, 16)
     worst = 0.0
@@ -219,8 +213,7 @@ def run_checks(config: RunConfig | None = None, *, seed: int = 20260810) -> list
         for b_i in idx:
             closed = weak_field_kernel(1.0, m, nodes[a_i], nodes[b_i])
             worst = max(worst, abs(km[a_i, b_i].real - closed))
-    checks.append(CheckResult("weak-field-kernel-closed-form", worst <= 1e-6,
-                              worst, 1e-6))
+    check("weak-field-kernel-closed-form", worst, 1e-6)
 
     return checks
 

@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from drivetherm import cli, engine, propagation
+from drivetherm import cli, engine, propagation, validation
 from drivetherm.cli import main
 from drivetherm.config import RunConfig, load_run_config
 from drivetherm.exceptions import ConfigValidationError, DriveThermError
@@ -398,14 +398,26 @@ drive:
 """
 
 
-def test_validate_numerical_failure_exits_cleanly(tmp_path, capsys, monkeypatch):
-    def fail(config):
-        raise DriveThermError("t outside tabulated range")
+@pytest.mark.parametrize("error", [DriveThermError, np.linalg.LinAlgError],
+                         ids=["DriveThermError", "LinAlgError"])
+@pytest.mark.parametrize("command, target, text", [
+    ("simulate", "propagate", BASE_CONFIG),
+    ("scan", "run_scan", SCAN_CONFIG),
+    ("validate", "run_checks", BASE_CONFIG),
+], ids=["simulate", "scan", "validate"])
+def test_numerical_failure_exits_cleanly(tmp_path, capsys, monkeypatch, command, target,
+                                         text, error):
+    def fail(*args, **kwargs):
+        raise error("injected failure")
 
-    monkeypatch.setattr(cli, "run_checks", fail)
-    cfg = write(tmp_path, "short.yaml", TABULATED_TEMPORAL + "grid: {t_end: 0}\n")
-    assert main(["validate", "--config", str(cfg)]) == 1
-    assert capsys.readouterr().err.startswith("numerical failure")
+    monkeypatch.setattr(cli, target, fail)
+    cfg = write(tmp_path, "run.yaml", text)
+    argv = [command, "--config", str(cfg)]
+    if command != "validate":
+        argv += ["--out", str(tmp_path / "o")]
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err == "numerical failure: injected failure\n"
 
 
 def test_validate_runs_on_short_tabulated_temporal_table(tmp_path, capsys):
@@ -553,7 +565,9 @@ def test_scan_honours_rank_floor(tmp_path):
     assert tolerances["rank_floor"] == 1e-30
 
 
-def test_simulate_with_kernel_propagates_once(tmp_path, monkeypatch):
+@pytest.fixture
+def propagated_steps(monkeypatch):
+    """The n_steps of every propagation the CLI runs, in call order."""
     calls = []
     original = propagation.propagate
 
@@ -561,14 +575,44 @@ def test_simulate_with_kernel_propagates_once(tmp_path, monkeypatch):
         calls.append(args[3].n_steps)
         return original(*args, **kwargs)
 
-    for module in (cli, engine, propagation):
+    for module in (cli, engine, propagation, validation):
         if getattr(module, "propagate", None) is original:
             monkeypatch.setattr(module, "propagate", counted)
+    return calls
+
+
+def test_simulate_with_kernel_propagates_once(tmp_path, propagated_steps):
     text = BASE_CONFIG.replace("manifest: run.json",
                                "manifest: run.json\n  kernel: kern.csv")
     cfg = write(tmp_path, "run.yaml", text)
     assert main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 0
-    assert calls == [200]
+    assert propagated_steps == [200]
+
+
+@pytest.mark.parametrize("grid, main_steps", [
+    ("t_end: 6.283185307179586", 200),
+    ("t_end: 6.283185307179586\n  n_steps: 37", 37),
+], ids=["auto", "configured"])
+def test_validate_propagates_on_the_configured_grid(tmp_path, propagated_steps, grid,
+                                                     main_steps):
+    # the main trace and both no-go runs use the config's grid; the kernel
+    # check (to 2 pi) and the reference-qubit checks keep their own grids
+    cfg = write(tmp_path, "run.yaml", BASE_CONFIG.replace("t_end: 6.283185307179586", grid))
+    assert main(["validate", "--config", str(cfg)]) == 0
+    assert propagated_steps == [main_steps, 200, main_steps, main_steps, 200, 64, 128]
+
+
+@pytest.mark.parametrize("kind, key, levels", [
+    ("diagonal", "energies", "[" + ", ".join(["0.0"] * 32) + ", 1.0]"),
+    ("dense", "h0", "[" + ", ".join(["[" + ", ".join(["[0.0, 0.0]"] * 33) + "]"] * 33) + "]"),
+], ids=["diagonal", "dense"])
+def test_model_above_max_dim_is_a_config_error(tmp_path, capsys, kind, key, levels):
+    text = BASE_CONFIG.replace("kind: qubit\n  omega: 1.0", f"kind: {kind}\n  {key}: {levels}")
+    cfg = write(tmp_path, "big.yaml", text)
+    assert main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error: ") and "big.yaml:4:" in err
+    assert "dimension 33 exceeds supported maximum 32" in err
 
 
 def test_pauli_perturbation_needs_two_levels(tmp_path):

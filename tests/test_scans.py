@@ -152,7 +152,7 @@ def test_max_over_t_window_ties_pick_earliest_node():
     c = np.sqrt([9.0, 1, 3, 3, 2, 3, 0, 0, 9])
     identity = np.broadcast_to(np.eye(2, dtype=complex), (9, 2, 2))
     trace = EvolutionTrace(grid=TimeGrid(4.0, 8), model=make_gibbs(0.5 * SIGMA_Z, 5.0),
-                           drive=base_drive(), v=SIGMA_X, propagators=identity,
+                           drive=base_drive(), propagators=identity,
                            heisenberg_v=np.broadcast_to(SIGMA_X, (9, 2, 2)),
                            M=c[:, None, None] * SIGMA_X, unitarity_drift=0.0)
     assert _best_node(trace, (0.25, 3.5)) == 2      # nodes 0 and 8 lie outside

@@ -18,13 +18,28 @@ grid: {t_end: 6.283185307179586}
 """
 
 
+CHECK_NAMES = [
+    "model-within-full-rank-guard",
+    "equilibrium-baseline-closed-form",
+    "jordan-inverse-round-trip",
+    "current-thermal-overlap",
+    "unitarity-and-spectrum-preservation",
+    "dual-path-agreement",
+    "mixed-term-vanishing",
+    "kernel-vs-accumulated-increment",
+    "increment-nonnegative",
+    "no-go-constant-envelope",
+    "no-go-commuting-perturbation",
+    "qubit-current-closed-form",
+    "short-time-quadratic-law",
+    "weak-field-kernel-closed-form",
+]
+
+
 def test_default_suite_passes():
     checks = run_checks()
     assert all(c.passed for c in checks)
-    names = {c.name for c in checks}
-    assert "dual-path-agreement" in names
-    assert "mixed-term-vanishing" in names
-    assert "no-go-constant-envelope" in names
+    assert [c.name for c in checks] == CHECK_NAMES
 
 
 def test_summarize_mentions_failures():
