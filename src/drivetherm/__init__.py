@@ -36,9 +36,8 @@ from .spin import (BlochTrace, bloch_precess, default_bloch_grid,
                    qubit_equilibrium_qfi, resonant_amplitude,
                    resonant_increment, short_time_coefficient,
                    weak_field_kernel)
-from .thermal import (GibbsModel, default_beta_max, dpi_dbeta,
-                      equilibrium_qfi, equilibrium_sld, make_gibbs,
-                      spectral_spread)
+from .thermal import (GibbsModel, dpi_dbeta, equilibrium_qfi,
+                      equilibrium_sld, make_gibbs, spectral_spread)
 
 __all__ = [
     "__version__",
@@ -46,8 +45,8 @@ __all__ = [
     "EigenSystem", "commutator", "eig", "expm_hermitian_generator",
     "hermitize", "SIGMA_X", "SIGMA_Y", "SIGMA_Z",
     # thermal
-    "GibbsModel", "default_beta_max", "dpi_dbeta", "equilibrium_qfi",
-    "equilibrium_sld", "make_gibbs", "spectral_spread",
+    "GibbsModel", "dpi_dbeta", "equilibrium_qfi", "equilibrium_sld",
+    "make_gibbs", "spectral_spread",
     # bures
     "jordan_apply", "jordan_inverse_apply", "sld", "spectral_qfi",
     # drive

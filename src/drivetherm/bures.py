@@ -23,32 +23,30 @@ def jordan_apply(sigma: np.ndarray, x: np.ndarray) -> np.ndarray:
     return 0.5 * (sigma @ x + x @ sigma)
 
 
-def jordan_inverse_apply(sigma: np.ndarray, x: np.ndarray, *,
-                         rank_floor: float = RANK_FLOOR) -> np.ndarray:
+def jordan_inverse_apply(sigma: np.ndarray, x: np.ndarray) -> np.ndarray:
     """Inverse Jordan product, spectrally: 2 X_ij / (l_i + l_j).
 
     Raises
     ------
     FullRankViolation
-        If the smallest eigenvalue of ``sigma`` is at or below ``rank_floor``.
+        If the smallest eigenvalue of ``sigma`` is at or below ``RANK_FLOOR``.
     """
     if sigma.shape != x.shape:
         raise ValueError(f"dimension mismatch: {sigma.shape} vs {x.shape}")
     lam, q = eig(sigma)
-    if float(lam[0]) <= rank_floor:
+    if float(lam[0]) <= RANK_FLOOR:
         raise FullRankViolation(
             f"inverse Jordan product needs a full-rank state; smallest "
-            f"eigenvalue {lam[0]:.3e} <= rank floor {rank_floor:.1e}"
+            f"eigenvalue {lam[0]:.3e} <= rank floor {RANK_FLOOR:.1e}"
         )
     xt = q.conj().T @ x @ q
     yt = 2.0 * xt / (lam[:, None] + lam[None, :])
     return q @ yt @ q.conj().T
 
 
-def sld(sigma: np.ndarray, dsigma: np.ndarray, *,
-        rank_floor: float = RANK_FLOOR) -> np.ndarray:
+def sld(sigma: np.ndarray, dsigma: np.ndarray) -> np.ndarray:
     """Symmetric logarithmic derivative: solves dsigma = {sigma, L}/2."""
-    return jordan_inverse_apply(sigma, dsigma, rank_floor=rank_floor)
+    return jordan_inverse_apply(sigma, dsigma)
 
 
 def spectral_qfi(sigma: np.ndarray, dsigma: np.ndarray) -> float:

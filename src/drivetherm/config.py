@@ -1,16 +1,17 @@
 """Run configuration: YAML parsing, validation, and resolution of defaults.
 
 The configuration file is a single YAML document with nested sections
-(model / drive / grid / scan / estimation / output).  Validation errors
-carry ``file:line`` anchors; rules on a drive, grid or scan are stated once,
-in the domain constructor, and the loader anchors their errors.  All
-defaults (grid resolution, beta guard, tolerances, sampled envelope center)
-are resolved here so that a run is fully reproducible from the resolved
-record stored in the manifest.
+(model / drive / grid / scan / estimation / output / tolerances).
+Validation errors carry ``file:line`` anchors; rules on a drive, grid, scan
+or Gibbs model are stated once, in the domain constructor, and the loader
+anchors their errors.  The full-rank rule of :func:`thermal.make_gibbs` is
+applied here, once, for every command.  All defaults (grid resolution,
+tolerances, sampled envelope center) are resolved here so that a run is
+fully reproducible from the resolved record stored in the manifest; the
+``tolerances`` section is the only place a tolerance is set.
 """
 
 import math
-import os
 from dataclasses import asdict, dataclass
 
 import numpy as np
@@ -19,41 +20,11 @@ import yaml
 from .drive import (ConstantEnvelope, ConstantModulation, CosineModulation,
                     DriveProfile, GaussianEnvelope, TabulatedEnvelope,
                     TabulatedModulation, sample_envelope_center)
-from .exceptions import ConfigValidationError
+from .exceptions import ConfigValidationError, FullRankViolation
 from .operators import PAULI, SIGMA_Z, hermitize
 from .propagation import DRIFT_TOL, TimeGrid, default_n_steps
 from .scans import AXES, REDUCE_MODES, ReduceSpec, ScanSpec
-from .thermal import (RANK_FLOOR, default_beta_max, equilibrium_qfi, make_gibbs,
-                      spectral_spread)
-
-TOLERANCE_SCALE_ENV = "DRIVETHERM_TOLERANCE_SCALE"
-
-
-@dataclass(frozen=True)
-class Tolerances:
-    """Numerical tolerances; all scaled by the env multiplier on load.
-
-    ``step_drift`` bounds the unitarity drift of every propagation and
-    ``rank_floor`` the smallest thermal population, in ``simulate`` and
-    ``scan`` alike.
-    """
-
-    step_drift: float = DRIFT_TOL
-    rank_floor: float = RANK_FLOOR
-    scale: float = 1.0
-
-    @classmethod
-    def resolve(cls, overrides: dict | None = None) -> "Tolerances":
-        """Scaled defaults, then ``overrides`` (range-checked by the loader)."""
-        raw = os.environ.get(TOLERANCE_SCALE_ENV, "1.0")
-        try:
-            scale = float(raw)
-        except ValueError:
-            scale = math.nan
-        if not (math.isfinite(scale) and scale > 0.0):
-            raise ValueError(f"{TOLERANCE_SCALE_ENV} must be a finite number > 0, got {raw!r}")
-        base = {"step_drift": DRIFT_TOL * scale, "rank_floor": RANK_FLOOR * scale}
-        return cls(scale=scale, **{**base, **(overrides or {})})
+from .thermal import RANK_FLOOR, equilibrium_qfi, make_gibbs
 
 
 # --------------------------------------------------------------------------
@@ -191,11 +162,12 @@ class _Section:
         return value
 
 
-def _built(sec: _Section, key, build, *args):
-    """``build(*args)``, reporting a constructor's ValueError at ``key``'s line."""
+def _built(sec: _Section, key, build, *args, **kwargs):
+    """``build(*args, **kwargs)``, reporting a constructor's ValueError or
+    FullRankViolation at ``key``'s line."""
     try:
-        return build(*args)
-    except ValueError as exc:
+        return build(*args, **kwargs)
+    except (ValueError, FullRankViolation) as exc:
         raise sec.error(str(exc), key) from exc
 
 
@@ -218,7 +190,7 @@ class RunConfig:
     estimation: dict         # n_measurements
     output: dict             # csv, manifest, kernel
     seed: int | None
-    tolerances: Tolerances
+    tolerances: dict         # step_drift, rank_floor
     resolved_defaults: dict
 
     # ---- builders -------------------------------------------------------
@@ -231,7 +203,7 @@ class RunConfig:
 
     def build_model(self):
         return make_gibbs(self.build_h0(), self.model["beta_star"],
-                          rank_floor=self.tolerances.rank_floor)
+                          rank_floor=self.tolerances["rank_floor"])
 
     def build_drive(self) -> DriveProfile:
         return DriveProfile(self.drive["lambda0"], _build_envelope(self.drive["envelope"]),
@@ -251,8 +223,8 @@ class RunConfig:
             beta_star=self.model["beta_star"],
             drive=self.build_drive(),
             reduce=_build_reduce(self.scan["reduce"]),
-            drift_tol=self.tolerances.step_drift,
-            rank_floor=self.tolerances.rank_floor,
+            drift_tol=self.tolerances["step_drift"],
+            rank_floor=self.tolerances["rank_floor"],
         )
 
     # ---- round trip ------------------------------------------------------
@@ -262,7 +234,7 @@ class RunConfig:
 
     @classmethod
     def from_dict(cls, payload: dict) -> "RunConfig":
-        return cls(**{**payload, "tolerances": Tolerances(**payload["tolerances"])})
+        return cls(**payload)
 
 
 def _dense_from_rows(rows) -> np.ndarray:
@@ -334,16 +306,16 @@ def _parse_pairs(sec: _Section, key: str) -> list:
     return [[float(x), float(value)] for x, value in raw]
 
 
-def load_run_config(path: str, *, enforce_guard: bool = True) -> RunConfig:
+def load_run_config(path: str) -> RunConfig:
     """Parse and validate a run configuration file.
 
     Raises :class:`ConfigValidationError` with ``file:line`` anchors on any
-    inconsistency (unknown keys, dimensions, guard violations, malformed
-    scan grids), including those the drive, grid and scan constructors
-    reject.  With ``enforce_guard=False`` a beta_star beyond the full-rank
-    guard is admitted at parse time so the violation can surface downstream
-    as a FullRankViolation (used by ``validate`` to report it as a failed
-    check with a remediation hint).
+    inconsistency (unknown keys, dimensions, malformed scan grids), including
+    those the drive, grid and scan constructors reject.  The Gibbs model at
+    ``beta_star``, and at the last value of a temperature scan, must pass the
+    full-rank rule of :func:`thermal.make_gibbs` under
+    ``tolerances.rank_floor``; since the smallest population falls with beta,
+    that covers every scan point.
     """
     data, lines = _load_yaml_with_lines(path)
     root = _Section(data, lines, path)
@@ -380,22 +352,16 @@ def load_run_config(path: str, *, enforce_guard: bool = True) -> RunConfig:
 
     beta_star = model["beta_star"] = model_sec.number("beta_star", required=True, minimum=0.0)
 
-    # ---- tolerances / guard ---------------------------------------------
+    # ---- tolerances / full-rank model -------------------------------------
     tol_sec = root.section("tolerances")
-    overrides = {}
+    tolerances = {"step_drift": DRIFT_TOL, "rank_floor": RANK_FLOOR}
     for key in tol_sec.data:
         # a drift bound of 0 fails every run; a population floor of 0 is allowed
         bound = {"minimum": 0.0} if key == "rank_floor" else {"strict_min": 0.0}
-        overrides[key] = tol_sec.number(key, **bound)
-    tolerances = _built(root, "tolerances", Tolerances.resolve, overrides)
-
-    beta_max = default_beta_max(h0)
-    resolved["beta_max"] = beta_max if math.isfinite(beta_max) else None
-    if enforce_guard and beta_star > beta_max:
-        raise model_sec.error(
-            f"beta_star={beta_star} exceeds the full-rank guard beta_max={beta_max:.6g} "
-            "(reduce beta_star, or override tolerances.rank_floor knowingly)",
-            "beta_star")
+        tolerances[key] = tol_sec.number(key, **bound)
+    gibbs = _built(model_sec, "beta_star", make_gibbs, h0, beta_star,
+                   rank_floor=tolerances["rank_floor"])
+    spread = float(gibbs.energies[-1] - gibbs.energies[0])
 
     # ---- drive -----------------------------------------------------------
     drive_sec = root.section("drive", required=True)
@@ -412,9 +378,8 @@ def load_run_config(path: str, *, enforce_guard: bool = True) -> RunConfig:
             if seed is None:
                 raise env_sec.error(
                     "'drive.envelope.beta0: sample' needs a top-level 'seed'", "beta0")
-            f_eq = equilibrium_qfi(make_gibbs(h0, beta_star,
-                                              rank_floor=tolerances.rank_floor))
-            beta0 = resolved["sampled_beta0"] = sample_envelope_center(beta_star, f_eq, seed)
+            beta0 = resolved["sampled_beta0"] = sample_envelope_center(
+                beta_star, equilibrium_qfi(gibbs), seed)
         else:
             beta0 = env_sec.number("beta0", required=True)
         envelope.update(beta0=beta0, s_beta=s_beta)
@@ -452,7 +417,7 @@ def load_run_config(path: str, *, enforce_guard: bool = True) -> RunConfig:
     t_end = grid_sec.number("t_end", required=True)
     n_steps = grid_sec.integer("n_steps")
     if n_steps is None:
-        n_steps = default_n_steps(t_end, spectral_spread(h0), profile.omega_d)
+        n_steps = default_n_steps(t_end, spread, profile.omega_d)
         resolved["auto_n_steps"] = n_steps
     _built(grid_sec, "t_end", TimeGrid, t_end, n_steps)
     within_temporal_table(grid_sec, "t_end", "grid.t_end", t_end)
@@ -463,6 +428,10 @@ def load_run_config(path: str, *, enforce_guard: bool = True) -> RunConfig:
     if root.get("scan") is not None:
         scan_sec = root.section("scan")
         axis = scan_sec.string("axis", required=True, choices=AXES)
+        if axis == "time" and scan_sec.get("reduce") is not None:
+            raise scan_sec.error("a time scan reads each point at its own time; "
+                                 "'scan.reduce' applies to frequency and temperature "
+                                 "scans only", "reduce")
         values_raw = scan_sec.get("values")
         if isinstance(values_raw, dict):
             vsec = scan_sec.section("values")
@@ -504,10 +473,9 @@ def load_run_config(path: str, *, enforce_guard: bool = True) -> RunConfig:
             noun = {"temperature": "inverse temperatures",
                     "frequency": "driving frequencies", "time": "times"}[axis]
             raise scan_sec.error(f"{noun} must be >= 0", "values")
-        if enforce_guard and axis == "temperature" and values[-1] > beta_max:
-            raise scan_sec.error(
-                f"temperature grid reaches beta={values[-1]} beyond the full-rank "
-                f"guard beta_max={beta_max:.6g}", "values")
+        if axis == "temperature":
+            _built(scan_sec, "values", make_gibbs, h0, values[-1],
+                   rank_floor=tolerances["rank_floor"])
         if axis == "temperature" and env_kind == "tabulated" and (
                 values[0] < env.betas[0] or values[-1] > env.betas[-1]):
             raise scan_sec.error(

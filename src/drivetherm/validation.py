@@ -16,7 +16,6 @@ from .bures import jordan_apply, jordan_inverse_apply
 from .config import RunConfig
 from .drive import (ConstantEnvelope, CosineModulation, DriveProfile,
                     GaussianEnvelope)
-from .exceptions import DriveThermError
 from .operators import SIGMA_X, SIGMA_Y, SIGMA_Z, eig, hermitize, pauli_components
 from .propagation import DRIFT_TOL, TimeGrid, default_grid, propagate
 from .spin import (magnetization, qubit_equilibrium_qfi, short_time_coefficient,
@@ -30,7 +29,6 @@ class CheckResult:
     passed: bool
     measured: float
     threshold: float
-    detail: str = ""
 
     def as_dict(self) -> dict:
         return {
@@ -38,7 +36,6 @@ class CheckResult:
             "passed": bool(self.passed),
             "measured": float(self.measured),
             "threshold": float(self.threshold),
-            "detail": self.detail,
         }
 
 
@@ -79,32 +76,30 @@ def _setup_from_config(config: RunConfig) -> _Setup:
 
 
 def run_checks(config: RunConfig | None = None, *, seed: int = 20260810) -> list[CheckResult]:
-    """Run the full suite; never raises on a failed check, only records it."""
+    """Run the 13 checks; never raises on a failed check, only records it.
+
+    A loaded ``config``'s Gibbs model already passed the full-rank rule of
+    :func:`thermal.make_gibbs`, so no check repeats it.
+    """
     checks: list[CheckResult] = []
     rng = np.random.default_rng(seed)
 
-    def check(name, measured, threshold, *, at_least=False, detail=""):
+    def check(name, measured, threshold, *, at_least=False):
         """Record ``measured <= threshold`` (``>=`` with ``at_least``)."""
         passed = measured >= threshold if at_least else measured <= threshold
-        checks.append(CheckResult(name, passed, measured, threshold, detail))
+        checks.append(CheckResult(name, passed, measured, threshold))
 
     if config is None:
         h0, v, beta_star, drive, grid = REFERENCE
         drift_tol, rank_floor = DRIFT_TOL, RANK_FLOOR
     else:
         h0, v, beta_star, drive, grid = _setup_from_config(config)
-        drift_tol, rank_floor = config.tolerances.step_drift, config.tolerances.rank_floor
+        drift_tol, rank_floor = config.tolerances["step_drift"], config.tolerances["rank_floor"]
 
     spread = spectral_spread(h0)
     omega_d = drive.omega_d
 
-    # --- model construction (full-rank guard surfaces here) ---------------
-    try:
-        model = make_gibbs(h0, beta_star, rank_floor=rank_floor)
-    except DriveThermError as exc:
-        check("model-within-full-rank-guard", math.inf, 0.0, detail=str(exc))
-        return checks
-    check("model-within-full-rank-guard", 0.0, 0.0)
+    model = make_gibbs(h0, beta_star, rank_floor=rank_floor)
 
     # --- closed-form equilibrium baseline (two-level) ---------------------
     betas = np.linspace(0.0, 20.0, 101)
@@ -224,11 +219,8 @@ def summarize(checks: list[CheckResult]) -> str:
     lines = []
     for c in checks:
         status = "PASS" if c.passed else "FAIL"
-        line = (f"{status}  {c.name.ljust(width)}  "
-                f"measured={c.measured:.3e}  threshold={c.threshold:.3e}")
-        if c.detail:
-            line += f"  ({c.detail})"
-        lines.append(line)
+        lines.append(f"{status}  {c.name.ljust(width)}  "
+                     f"measured={c.measured:.3e}  threshold={c.threshold:.3e}")
     n_fail = sum(1 for c in checks if not c.passed)
     lines.append(f"{len(checks) - n_fail}/{len(checks)} checks passed")
     return "\n".join(lines)

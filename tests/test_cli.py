@@ -75,6 +75,7 @@ def test_simulate_end_to_end(tmp_path):
                       "rel_disagreement", "crb_sigma"]
     assert len(rows) == manifest["diagnostics"]["rows"] == 201
     assert manifest["files"]["run.csv"] == sha256_file(out / "run.csv")
+    assert manifest["config"]["tolerances"] == {"step_drift": 1e-8, "rank_floor": 1e-18}
     for row in rows:
         t, f_eq, i_t, f_total, f_spec, rel, crb = row
         assert abs(f_total - (f_eq + i_t)) < 1e-16
@@ -183,11 +184,43 @@ def test_config_guard_violation_is_validation_error(tmp_path):
     cfg = write(tmp_path, "bad.yaml", BASE_CONFIG.replace("beta_star: 5.0",
                                                           "beta_star: 80.0"))
     assert main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
-    with pytest.raises(ConfigValidationError, match="beta_max"):
+    with pytest.raises(ConfigValidationError, match="bad.yaml:6: .* rank floor"):
         load_run_config(str(cfg))
-    # validate admits the config at parse time and reports the violation
-    loaded = load_run_config(str(cfg), enforce_guard=False)
-    assert loaded.model["beta_star"] == 80.0
+
+
+@pytest.mark.parametrize("command, base, edits, extra, code, anchor", [
+    ("simulate", BASE_CONFIG, {"beta_star: 5.0": "beta_star: 45.0"}, "", 2, "beta_star"),
+    ("simulate", BASE_CONFIG, {"beta_star: 5.0": "beta_star: 45.0",
+                               "beta0: 10.0": "beta0: sample"}, "seed: 3\n", 2, "beta_star"),
+    ("validate", BASE_CONFIG, {"beta_star: 5.0": "beta_star: 100.0",
+                               "beta0: 10.0": "beta0: sample"}, "seed: 3\n", 2, "beta_star"),
+    ("validate", BASE_CONFIG, {"beta_star: 5.0": "beta_star: 80.0"}, "", 2, "beta_star"),
+    ("scan", SCAN_CONFIG, {"axis: frequency": "axis: temperature",
+                           "[0.5, 1.0, 2.0]": "[5.0, 45.0]"}, "", 2, "values"),
+    ("simulate", BASE_CONFIG, {"beta_star: 5.0": "beta_star: 60.0"},
+     "tolerances: {rank_floor: 1.0e-30}\n", 0, None),
+], ids=["simulate", "simulate-sampled-beta0", "validate-sampled-beta0", "validate",
+        "temperature-scan", "lowered-rank-floor"])
+def test_full_rank_rule_applies_once_at_load(tmp_path, capsys, command, base, edits,
+                                             extra, code, anchor):
+    # one rule, the Gibbs population floor, for every command: a cold model is a
+    # configuration error at its line, and a lowered floor admits it
+    text = base
+    for old, new in edits.items():
+        text = text.replace(old, new)
+    cfg = write(tmp_path, "cold.yaml", text + extra)
+    out = tmp_path / "o"
+    argv = [command, "--config", str(cfg)] + ([] if command == "validate" else ["--out", str(out)])
+    assert main(argv) == code
+    if anchor is None:
+        _, _, rows = read_csv(out / "run.csv")
+        assert len(rows) == 201 and all(math.isfinite(x) for row in rows for x in row)
+        return
+    line = next(i for i, x in enumerate(text.splitlines(), 1)
+                if x.strip().startswith(f"{anchor}:"))
+    err = capsys.readouterr().err
+    assert f"cold.yaml:{line}:" in err and "rank floor" in err
+    assert not out.exists()
 
 
 def test_config_auto_grid_resolution(tmp_path):
@@ -212,28 +245,6 @@ def test_config_envelope_center_sampler(tmp_path):
                    BASE_CONFIG.replace("beta0: 10.0", "beta0: sample"))
     with pytest.raises(ConfigValidationError, match="seed"):
         load_run_config(str(nosave))
-
-
-def test_tolerance_scale_env(tmp_path, monkeypatch):
-    monkeypatch.setenv("DRIVETHERM_TOLERANCE_SCALE", "10.0")
-    cfg = write(tmp_path, "run.yaml", BASE_CONFIG)
-    loaded = load_run_config(str(cfg))
-    assert loaded.tolerances.scale == 10.0
-    assert loaded.tolerances.step_drift == 1e-7
-    out = tmp_path / "out"
-    assert main(["simulate", "--config", str(cfg), "--out", str(out)]) == 0
-    manifest = read_manifest(out / "run.json")
-    assert manifest["config"]["tolerances"]["scale"] == 10.0
-
-
-@pytest.mark.parametrize("scale", ["nan", "inf", "-1", "0", "abc"])
-def test_tolerance_scale_must_be_finite_positive(tmp_path, monkeypatch, capsys, scale):
-    monkeypatch.setenv("DRIVETHERM_TOLERANCE_SCALE", scale)
-    cfg = write(tmp_path, "run.yaml", BASE_CONFIG)
-    assert main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
-    err = capsys.readouterr().err
-    assert err.startswith("configuration error")
-    assert "DRIVETHERM_TOLERANCE_SCALE must be a finite number > 0" in err
 
 
 def test_kernel_output(tmp_path):
@@ -452,6 +463,24 @@ def test_scan_times_past_tabulated_temporal_table_rejected(tmp_path, capsys, sca
     assert f"scan.yaml:{line}:" in err and "tabulated temporal range" in err
 
 
+def test_time_scan_rejects_reduce(tmp_path, capsys):
+    # a time scan reads each point at its own time, so a reduction would be ignored
+    text = (SCAN_CONFIG.replace("axis: frequency", "axis: time")
+            .replace("{mode: value_at_t, t: 6.283185307179586}",
+                     "{mode: max_over_t, window: [0.0, 0.5]}"))
+    line = next(i for i, x in enumerate(text.splitlines(), 1) if x.strip().startswith("reduce:"))
+    cfg = write(tmp_path, "time.yaml", text)
+    assert main(["scan", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert f"time.yaml:{line}:" in err and "scan.reduce" in err
+    assert not (tmp_path / "o").exists()
+    without = write(tmp_path, "ok.yaml", "\n".join(x for x in text.splitlines()
+                                                    if "reduce:" not in x) + "\n")
+    assert main(["scan", "--config", str(without), "--out", str(tmp_path / "o")]) == 0
+    _, _, rows = read_csv(tmp_path / "o" / "scan.csv")
+    assert [r[0] for r in rows] == [0.5, 1.0, 2.0]
+
+
 def test_cli_loads_no_scipy(tmp_path):
     # scipy is a test-only dependency: a fresh CLI run must not import it
     script = (
@@ -651,11 +680,11 @@ def test_unknown_config_key_rejected(tmp_path, capsys, old, new, key):
 #: config_content_hash prefixes of the shipped recipes; a change to either the
 #: resolved record or its serialization shows up here.
 SHIPPED_CONFIG_HASHES = {
-    "fig2a": "fa60735d2ac3",
-    "fig2b": "a21f8dc6338a",
-    "fig2c": "4d969c51ea29",
-    "fig3": "5514796fd51f",
-    "fig3_shifted": "b3e3d694c1ce",
+    "fig2a": "d508a63576a0",
+    "fig2b": "a294bc503196",
+    "fig2c": "224de62c94f1",
+    "fig3": "261a26480e50",
+    "fig3_shifted": "cc69b9d0579f",
 }
 
 

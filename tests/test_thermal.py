@@ -4,8 +4,8 @@ import pytest
 from drivetherm import FullRankViolation
 from drivetherm.bures import spectral_qfi
 from drivetherm.operators import SIGMA_Z
-from drivetherm.thermal import (default_beta_max, dpi_dbeta, equilibrium_qfi,
-                                equilibrium_sld, make_gibbs)
+from drivetherm.thermal import (dpi_dbeta, equilibrium_qfi, equilibrium_sld,
+                                make_gibbs)
 
 from conftest import random_hermitian
 
@@ -46,19 +46,26 @@ def test_partition_function_qubit():
 
 
 def test_beta_guard_raises():
-    with pytest.raises(FullRankViolation, match="beta_max"):
+    # the population floor is the one guard on beta: e^-60/Z < 1e-18
+    with pytest.raises(FullRankViolation, match="rank floor"):
         make_gibbs(0.5 * SIGMA_Z, 60.0)
 
 
 def test_rank_floor_raises_before_guard():
-    # beta*spread = 45 passes the 50/spread guard but the smallest
-    # population e^-45/Z is below the 1e-18 floor
+    # beta*spread = 45: the smallest population e^-45/Z = 2.9e-20 is below
+    # the default floor; the floor is the only guard, so a lower floor admits
+    # this model and colder ones
     with pytest.raises(FullRankViolation, match="rank floor"):
         make_gibbs(0.5 * SIGMA_Z, 45.0)
+    for beta in (45.0, 60.0):
+        g = make_gibbs(0.5 * SIGMA_Z, beta, rank_floor=1e-30)
+        assert g.full_rank
+        assert g.probabilities[1] == pytest.approx(np.exp(-beta) / (1 + np.exp(-beta)),
+                                                   rel=1e-14)
 
 
 def test_beta_max_infinite_for_trivial_spectrum():
-    assert default_beta_max(np.eye(3, dtype=complex)) == np.inf
+    # a Gibbs state proportional to the identity is full rank at any beta
     g = make_gibbs(2.0 * np.eye(3, dtype=complex), 1e6)
     assert np.allclose(g.state, np.eye(3) / 3, atol=1e-14)
 

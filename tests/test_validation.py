@@ -19,7 +19,6 @@ grid: {t_end: 6.283185307179586}
 
 
 CHECK_NAMES = [
-    "model-within-full-rank-guard",
     "equilibrium-baseline-closed-form",
     "jordan-inverse-round-trip",
     "current-thermal-overlap",
@@ -77,10 +76,10 @@ def test_cli_validate_fails_under_mutation(tmp_path, monkeypatch, capsys):
 def test_cli_validate_surfaces_guard_violation(tmp_path, capsys):
     cfg = tmp_path / "guarded.yaml"
     cfg.write_text(GUARDED_CONFIG, encoding="utf-8")
-    assert main(["validate", "--config", str(cfg)]) == 1
-    out = capsys.readouterr()
-    assert "model-within-full-rank-guard" in out.out
-    assert "beta_max" in out.out  # remediation hint names the guard
+    # the loader applies the full-rank rule: a configuration error at beta_star
+    assert main(["validate", "--config", str(cfg)]) == 2
+    err = capsys.readouterr().err
+    assert "guarded.yaml:5:" in err and "rank floor" in err
 
 
 def test_cli_validate_with_explicit_config(tmp_path):
