@@ -37,7 +37,7 @@ from .spin import (BlochTrace, bloch_precess, default_bloch_grid,
                    resonant_increment, short_time_coefficient,
                    weak_field_kernel)
 from .thermal import (GibbsModel, dpi_dbeta, equilibrium_qfi,
-                      equilibrium_sld, make_gibbs, spectral_spread)
+                      equilibrium_sld, make_gibbs)
 
 __all__ = [
     "__version__",
@@ -46,7 +46,7 @@ __all__ = [
     "hermitize", "SIGMA_X", "SIGMA_Y", "SIGMA_Z",
     # thermal
     "GibbsModel", "dpi_dbeta", "equilibrium_qfi", "equilibrium_sld",
-    "make_gibbs", "spectral_spread",
+    "make_gibbs",
     # bures
     "jordan_apply", "jordan_inverse_apply", "sld", "spectral_qfi",
     # drive

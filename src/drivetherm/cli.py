@@ -1,7 +1,9 @@
 """Command-line interface: simulate, scan, validate.
 
-Exit codes: 0 success, 1 numerical failure (or failed validation checks),
-2 configuration validation failure.
+Exit codes: 0 success, 1 numerical failure (a dual-path mismatch above
+``engine.DUAL_PATH_TOL`` included, or failed validation checks),
+2 configuration validation failure.  Each command runs the objects the
+loader built (:class:`config.LoadedRun`).
 """
 
 import argparse
@@ -65,7 +67,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _load_config(args):
-    """The command's run config; None for ``validate`` without one.
+    """The command's loaded run; None for ``validate`` without a config.
 
     Raises :class:`ConfigValidationError` for a bad file (a model below the
     full-rank floor included), and for a scan section that ``simulate`` does
@@ -73,24 +75,23 @@ def _load_config(args):
     """
     if args.config is None:
         return None
-    config = load_run_config(args.config)
-    if args.command == "simulate" and config.scan is not None:
+    run = load_run_config(args.config)
+    if args.command == "simulate" and run.scan is not None:
         raise ConfigValidationError("'simulate' takes a config without a scan section "
                                     "(use 'scan')", path=args.config)
-    if args.command == "scan" and config.scan is None:
+    if args.command == "scan" and run.scan is None:
         raise ConfigValidationError("'scan' needs a scan section", path=args.config)
-    return config
+    return run
 
 
-def cmd_simulate(config, out_dir: Path, manifest_hash: str):
+def cmd_simulate(run, out_dir: Path, manifest_hash: str):
     """Write the time series (and kernel) CSVs; return the manifest's
     diagnostics and data files, and the summary line."""
-    model = config.build_model()
-    drive = config.build_drive()
-    grid = config.build_grid()
-    v = config.build_v()
+    config, model, v, drive, grid, _ = run
     trace = propagate(model, v, drive, grid, drift_tol=config.tolerances["step_drift"])
     results = engine.qfi_time_series(trace, n_measurements=config.estimation["n_measurements"])
+    worst = int(np.argmax(results.rel_disagreement))
+    engine.check_dual_path(results.rel_disagreement[worst], f"t={results.t[worst]:g}")
     kernel_payload = None
     if config.output["kernel"] is not None:
         # currents at the sampled nodes only: all n of them would raise peak memory
@@ -121,10 +122,11 @@ def cmd_simulate(config, out_dir: Path, manifest_hash: str):
     return diagnostics, data_files, f"simulate: {rows} rows -> {csv_path}"
 
 
-def cmd_scan(config, out_dir: Path, manifest_hash: str):
+def cmd_scan(run, out_dir: Path, manifest_hash: str):
     """Write the scan CSV; return the manifest's diagnostics and data files,
     and the summary line."""
-    result = run_scan(config.build_scan_spec())
+    result = run_scan(run.scan)
+    config = run.config
     csv_path = out_dir / config.output["csv"]
     write_scan_csv(csv_path, result.axis, result.points, manifest_hash)
     diagnostics = {"points": len(result.points), "argmax": result.argmax}
@@ -133,12 +135,13 @@ def cmd_scan(config, out_dir: Path, manifest_hash: str):
             f"(argmax {result.axis} = {result.argmax:g})")
 
 
-def _run_recorded(command, config, out: str) -> int:
+def _run_recorded(command, run, out: str) -> int:
     """Run ``simulate`` or ``scan`` into ``out``, then write the manifest."""
+    config = run.config
     out_dir = Path(out)
     out_dir.mkdir(parents=True, exist_ok=True)
     started = time.monotonic()
-    diagnostics, data_files, summary = command(config, out_dir, config_content_hash(config))
+    diagnostics, data_files, summary = command(run, out_dir, config_content_hash(config))
     manifest = build_manifest(config, wall_clock_seconds=time.monotonic() - started,
                               diagnostics=diagnostics, data_files=data_files)
     write_manifest(out_dir / config.output["manifest"], manifest)
@@ -146,8 +149,8 @@ def _run_recorded(command, config, out: str) -> int:
     return EXIT_OK
 
 
-def cmd_validate(config, report: str | None) -> int:
-    checks = run_checks(config)
+def cmd_validate(run, report: str | None) -> int:
+    checks = run_checks(run)
     print(summarize(checks))
     if report:
         payload = {
@@ -173,15 +176,15 @@ def main(argv=None) -> int:
         log.warning("--parallelism %d is ignored: scan points run in order",
                     args.parallelism)
     try:
-        config = _load_config(args)
+        run = _load_config(args)
     except ConfigValidationError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     try:
         if args.command == "validate":
-            return cmd_validate(config, args.report)
+            return cmd_validate(run, args.report)
         return _run_recorded(cmd_simulate if args.command == "simulate" else cmd_scan,
-                             config, args.out)
+                             run, args.out)
     except (DriveThermError, np.linalg.LinAlgError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL

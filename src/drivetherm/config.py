@@ -8,11 +8,14 @@ anchors their errors.  The full-rank rule of :func:`thermal.make_gibbs` is
 applied here, once, for every command.  All defaults (grid resolution,
 tolerances, sampled envelope center) are resolved here so that a run is
 fully reproducible from the resolved record stored in the manifest; the
-``tolerances`` section is the only place a tolerance is set.
+``tolerances`` section is the only place a tolerance is set.  The loader
+returns the record together with the domain objects it built, and the
+commands run those objects (:class:`LoadedRun`).
 """
 
 import math
 from dataclasses import asdict, dataclass
+from typing import NamedTuple
 
 import numpy as np
 import yaml
@@ -24,7 +27,7 @@ from .exceptions import ConfigValidationError, FullRankViolation
 from .operators import PAULI, SIGMA_Z, hermitize
 from .propagation import DRIFT_TOL, TimeGrid, default_n_steps
 from .scans import AXES, REDUCE_MODES, ReduceSpec, ScanSpec
-from .thermal import RANK_FLOOR, equilibrium_qfi, make_gibbs
+from .thermal import RANK_FLOOR, GibbsModel, equilibrium_qfi, make_gibbs
 
 
 # --------------------------------------------------------------------------
@@ -178,10 +181,7 @@ def _built(sec: _Section, key, build, *args, **kwargs):
 
 @dataclass(frozen=True)
 class RunConfig:
-    """The resolved run record: the manifest's ``config`` sections as JSON data.
-
-    Domain objects are built on demand by the ``build_*`` methods.
-    """
+    """The resolved run record: the manifest's ``config`` sections as JSON data."""
 
     model: dict              # kind, omega, energies, h0, v, beta_star
     drive: dict              # lambda0, envelope, temporal
@@ -193,42 +193,6 @@ class RunConfig:
     tolerances: dict         # step_drift, rank_floor
     resolved_defaults: dict
 
-    # ---- builders -------------------------------------------------------
-
-    def build_h0(self) -> np.ndarray:
-        return _build_h0(self.model)
-
-    def build_v(self) -> np.ndarray:
-        return _build_v(self.model)
-
-    def build_model(self):
-        return make_gibbs(self.build_h0(), self.model["beta_star"],
-                          rank_floor=self.tolerances["rank_floor"])
-
-    def build_drive(self) -> DriveProfile:
-        return DriveProfile(self.drive["lambda0"], _build_envelope(self.drive["envelope"]),
-                            _build_temporal(self.drive["temporal"]))
-
-    def build_grid(self) -> TimeGrid:
-        return TimeGrid(self.grid["t_end"], self.grid["n_steps"])
-
-    def build_scan_spec(self) -> ScanSpec:
-        if self.scan is None:
-            raise ValueError("configuration has no scan section")
-        return ScanSpec(
-            axis=self.scan["axis"],
-            values=self.scan["values"],
-            h0=self.build_h0(),
-            v=self.build_v(),
-            beta_star=self.model["beta_star"],
-            drive=self.build_drive(),
-            reduce=_build_reduce(self.scan["reduce"]),
-            drift_tol=self.tolerances["step_drift"],
-            rank_floor=self.tolerances["rank_floor"],
-        )
-
-    # ---- round trip ------------------------------------------------------
-
     def to_dict(self) -> dict:
         return asdict(self)
 
@@ -237,44 +201,21 @@ class RunConfig:
         return cls(**payload)
 
 
+class LoadedRun(NamedTuple):
+    """A validated run: the resolved record and the domain objects built from
+    it.  ``model`` is the Gibbs model of H0 at beta*; ``scan`` is None for a
+    config without a scan section."""
+
+    config: RunConfig
+    model: GibbsModel
+    v: np.ndarray
+    drive: DriveProfile
+    grid: TimeGrid
+    scan: ScanSpec | None
+
+
 def _dense_from_rows(rows) -> np.ndarray:
     return hermitize(np.array([[complex(re, im) for re, im in row] for row in rows]))
-
-
-def _build_h0(model: dict) -> np.ndarray:
-    if model["kind"] == "qubit":
-        return 0.5 * model["omega"] * SIGMA_Z
-    if model["kind"] == "diagonal":
-        return hermitize(np.diag(np.asarray(model["energies"], dtype=float)))
-    return _dense_from_rows(model["h0"])
-
-
-def _build_v(model: dict) -> np.ndarray:
-    v = model["v"]
-    return PAULI[v].copy() if isinstance(v, str) else _dense_from_rows(v)
-
-
-def _build_envelope(env: dict):
-    kind = env["kind"]
-    if kind == "gaussian":
-        return GaussianEnvelope(beta0=env["beta0"], s_beta=env["s_beta"])
-    if kind == "constant":
-        return ConstantEnvelope()
-    return TabulatedEnvelope(*zip(*env["points"]))  # (betas, values)
-
-
-def _build_temporal(temp: dict):
-    kind = temp["kind"]
-    if kind == "cosine":
-        return CosineModulation(omega_d=temp["omega_d"], phi=temp["phi"])
-    if kind == "constant":
-        return ConstantModulation()
-    return TabulatedModulation(*zip(*temp["points"]))  # (times, values)
-
-
-def _build_reduce(reduce: dict) -> ReduceSpec:
-    window = reduce["window"]
-    return ReduceSpec(reduce["mode"], reduce["t"], tuple(window) if window else None)
 
 
 def _parse_matrix_rows(sec: _Section, key: str, dim: int | None) -> list:
@@ -306,8 +247,8 @@ def _parse_pairs(sec: _Section, key: str) -> list:
     return [[float(x), float(value)] for x, value in raw]
 
 
-def load_run_config(path: str) -> RunConfig:
-    """Parse and validate a run configuration file.
+def load_run_config(path: str) -> LoadedRun:
+    """Parse and validate a run configuration file into the run it describes.
 
     Raises :class:`ConfigValidationError` with ``file:line`` anchors on any
     inconsistency (unknown keys, dimensions, malformed scan grids), including
@@ -325,18 +266,21 @@ def load_run_config(path: str) -> RunConfig:
     model_sec = root.section("model", required=True)
     kind = model_sec.string("kind", required=True, choices=("qubit", "diagonal", "dense"))
     model = {"kind": kind, "omega": None, "energies": None, "h0": None}
+    # hermitize rejects a model above operators.MAX_DIM levels
     if kind == "qubit":
         model["omega"] = model_sec.number("omega", required=True, strict_min=0.0)
+        h0 = 0.5 * model["omega"] * SIGMA_Z
     elif kind == "diagonal":
         raw = model_sec.get("energies")
         if not isinstance(raw, list) or len(raw) < 2 or not all(map(_finite_number, raw)):
             raise model_sec.error("'model.energies' must be a list of >= 2 finite numbers",
                                   "energies")
         model["energies"] = [float(x) for x in raw]
+        h0 = _built(model_sec, "energies", hermitize,
+                    np.diag(np.asarray(model["energies"], dtype=float)))
     else:
         model["h0"] = _parse_matrix_rows(model_sec, "h0", None)
-    # hermitize rejects a model above operators.MAX_DIM levels
-    h0 = _built(model_sec, "energies" if kind == "diagonal" else "h0", _build_h0, model)
+        h0 = _built(model_sec, "h0", _dense_from_rows, model["h0"])
 
     v_raw = model_sec.get("v")
     if isinstance(v_raw, str):
@@ -347,8 +291,10 @@ def load_run_config(path: str) -> RunConfig:
             raise model_sec.error(
                 f"Pauli perturbation needs a 2-level model, got dim {len(h0)}", "v")
         model["v"] = v_raw
+        v = PAULI[v_raw].copy()
     else:
         model["v"] = _parse_matrix_rows(model_sec, "v", len(h0))
+        v = _dense_from_rows(model["v"])
 
     beta_star = model["beta_star"] = model_sec.number("beta_star", required=True, minimum=0.0)
 
@@ -361,7 +307,6 @@ def load_run_config(path: str) -> RunConfig:
         tolerances[key] = tol_sec.number(key, **bound)
     gibbs = _built(model_sec, "beta_star", make_gibbs, h0, beta_star,
                    rank_floor=tolerances["rank_floor"])
-    spread = float(gibbs.energies[-1] - gibbs.energies[0])
 
     # ---- drive -----------------------------------------------------------
     drive_sec = root.section("drive", required=True)
@@ -383,10 +328,12 @@ def load_run_config(path: str) -> RunConfig:
         else:
             beta0 = env_sec.number("beta0", required=True)
         envelope.update(beta0=beta0, s_beta=s_beta)
+        env = _built(env_sec, "s_beta", GaussianEnvelope, beta0=beta0, s_beta=s_beta)
     elif env_kind == "tabulated":
         envelope["points"] = _parse_pairs(env_sec, "points")
-    env = _built(env_sec, "s_beta" if env_kind == "gaussian" else "points",
-                 _build_envelope, envelope)
+        env = _built(env_sec, "points", TabulatedEnvelope, *zip(*envelope["points"]))
+    else:
+        env = ConstantEnvelope()
     if env_kind == "tabulated" and not env.betas[0] <= beta_star <= env.betas[-1]:
         raise env_sec.error(
             f"beta_star={beta_star} outside the tabulated envelope range "
@@ -399,10 +346,13 @@ def load_run_config(path: str) -> RunConfig:
     if temp_kind == "cosine":
         temporal.update(omega_d=temp_sec.number("omega_d", required=True),
                         phi=temp_sec.number("phi", 0.0))
+        temp = _built(temp_sec, "omega_d", CosineModulation, temporal["omega_d"],
+                      temporal["phi"])
     elif temp_kind == "tabulated":
         temporal["points"] = _parse_pairs(temp_sec, "points")
-    temp = _built(temp_sec, "omega_d" if temp_kind == "cosine" else "points",
-                  _build_temporal, temporal)
+        temp = _built(temp_sec, "points", TabulatedModulation, *zip(*temporal["points"]))
+    else:
+        temp = ConstantModulation()
     drive = {"lambda0": lambda0, "envelope": envelope, "temporal": temporal}
     profile = DriveProfile(lambda0, env, temp)
     t_max = temp.times[-1] if temp_kind == "tabulated" else math.inf
@@ -417,14 +367,14 @@ def load_run_config(path: str) -> RunConfig:
     t_end = grid_sec.number("t_end", required=True)
     n_steps = grid_sec.integer("n_steps")
     if n_steps is None:
-        n_steps = default_n_steps(t_end, spread, profile.omega_d)
+        n_steps = default_n_steps(t_end, gibbs.spread, profile.omega_d)
         resolved["auto_n_steps"] = n_steps
-    _built(grid_sec, "t_end", TimeGrid, t_end, n_steps)
+    time_grid = _built(grid_sec, "t_end", TimeGrid, t_end, n_steps)
     within_temporal_table(grid_sec, "t_end", "grid.t_end", t_end)
     grid = {"t_end": t_end, "n_steps": n_steps}
 
     # ---- scan (optional) ---------------------------------------------------
-    scan = None
+    scan = scan_spec = None
     if root.get("scan") is not None:
         scan_sec = root.section("scan")
         axis = scan_sec.string("axis", required=True, choices=AXES)
@@ -449,12 +399,14 @@ def load_run_config(path: str) -> RunConfig:
         if scan_sec.get("reduce") is None:
             reduce = {"mode": "value_at_t", "t": t_end, "window": None}
             resolved["auto_reduce"] = {"mode": "value_at_t", "t": t_end}
+            reduce_spec = ReduceSpec("value_at_t", t_end)
         else:
             reduce = {"mode": red_sec.string("mode", required=True, choices=REDUCE_MODES),
                       "t": None, "window": None}
             if reduce["mode"] == "value_at_t":
                 reduce["t"] = red_sec.number("t", t_end)
                 within_temporal_table(red_sec, "t", "scan.reduce.t", reduce["t"])
+                reduce_spec = _built(red_sec, "t", ReduceSpec, "value_at_t", reduce["t"])
             else:
                 window = red_sec.get("window")
                 if not (isinstance(window, list) and len(window) == 2
@@ -464,10 +416,10 @@ def load_run_config(path: str) -> RunConfig:
                         "window")
                 reduce["window"] = window = [float(x) for x in window]
                 within_temporal_table(red_sec, "window", "scan.reduce.window end", window[1])
-        reduce_spec = _built(red_sec, "t" if reduce["mode"] == "value_at_t" else "window",
-                             _build_reduce, reduce)
-        _built(scan_sec, "values", ScanSpec, axis, values, h0, _build_v(model), beta_star,
-               profile, reduce_spec)
+                reduce_spec = _built(red_sec, "window", ReduceSpec, "max_over_t",
+                                     window=tuple(window))
+        scan_spec = _built(scan_sec, "values", ScanSpec, axis, values, gibbs, v, profile,
+                           reduce_spec, drift_tol=tolerances["step_drift"])
 
         if values[0] < 0.0:
             noun = {"temperature": "inverse temperatures",
@@ -493,4 +445,5 @@ def load_run_config(path: str) -> RunConfig:
               "manifest": out_sec.string("manifest", "manifest.json"),
               "kernel": out_sec.string("kernel")}
 
-    return RunConfig(model, drive, grid, scan, estimation, output, seed, tolerances, resolved)
+    config = RunConfig(model, drive, grid, scan, estimation, output, seed, tolerances, resolved)
+    return LoadedRun(config, gibbs, v, profile, time_grid, scan_spec)

@@ -32,7 +32,7 @@ import numpy as np
 
 from .bures import spectral_qfi_batch
 from .drive import dlambda_dbeta
-from .exceptions import FullRankViolation
+from .exceptions import DriveThermError, FullRankViolation
 from .operators import stack_mul
 from .propagation import (EvolutionTrace, TimeGrid, cumulative_trapezoid,
                           drho_dbeta_analytic)
@@ -44,6 +44,9 @@ _COMMUTATOR_SIGN = -1.0
 
 #: Floor in the relative-disagreement denominator (avoids 0/0 at t=0, no drive).
 REL_DISAGREEMENT_FLOOR = 1e-30
+
+#: Largest dual-path mismatch ``rel_disagreement`` a written result may carry.
+DUAL_PATH_TOL = 1e-6
 
 #: Row-chunk size for the blocked kernel double sum.
 _KERNEL_CHUNK = 256
@@ -219,6 +222,16 @@ def _decompose(trace: EvolutionTrace, nodes: np.ndarray,
     return QfiResult(t=trace.grid.nodes[nodes], f_eq=f_eq, i_t=i_t, f_total=f_total,
                      f_spectral=f_spectral, rel_disagreement=rel, crb_sigma=crb,
                      mixed_term_residual=mixed)
+
+
+def check_dual_path(rel: float, where: str) -> None:
+    """Raise :class:`DriveThermError` if the mismatch ``rel`` at ``where``
+    exceeds :data:`DUAL_PATH_TOL` (or is NaN)."""
+    if not rel <= DUAL_PATH_TOL:
+        raise DriveThermError(
+            f"dual-path mismatch {rel:.3e} at {where} exceeds {DUAL_PATH_TOL:.0e}: "
+            "F_eq + I_t and F_spectral disagree (populations below the spectral "
+            "route's cutoff cannot be resolved)")
 
 
 def qfi_time_series(trace: EvolutionTrace, *,

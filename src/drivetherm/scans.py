@@ -2,7 +2,11 @@
 
 Scan points are independent pure evaluations, run in axis order.  Every
 scan point and every optimizer step is one call of ``_evaluate``: one
-propagation on the default grid and the decomposition at one node.
+propagation on the default grid and the decomposition at one node.  Scans
+and the optimizer take the Gibbs model of H0 at beta*; only a temperature
+scan builds one per point, at that point's beta under the model's rank
+floor.  A scan point whose dual-path mismatch exceeds
+``engine.DUAL_PATH_TOL`` raises :class:`DriveThermError`.
 """
 
 import math
@@ -12,11 +16,10 @@ from typing import Mapping
 import numpy as np
 
 from .drive import CosineModulation, DriveProfile, GaussianEnvelope
-from .engine import QfiResult, increment_at, qfi_driven
-from .operators import eig, hermitize
+from .engine import QfiResult, check_dual_path, increment_at, qfi_driven
+from .operators import hermitize
 from .propagation import DRIFT_TOL, EvolutionTrace, default_grid, propagate
-from .thermal import (RANK_FLOOR, GibbsModel, equilibrium_qfi, make_gibbs,
-                      spectral_spread)
+from .thermal import GibbsModel, equilibrium_qfi, make_gibbs
 
 AXES = ("frequency", "temperature", "time")
 REDUCE_MODES = ("value_at_t", "max_over_t")
@@ -47,17 +50,16 @@ class ReduceSpec:
 
 @dataclass(frozen=True)
 class ScanSpec:
-    """One sweep axis over an otherwise fixed model/drive configuration."""
+    """One sweep axis over an otherwise fixed model/drive configuration;
+    ``model`` is the Gibbs model of H0 at beta*."""
 
     axis: str
     values: tuple
-    h0: np.ndarray
+    model: GibbsModel
     v: np.ndarray
-    beta_star: float
     drive: DriveProfile
     reduce: ReduceSpec
     drift_tol: float = DRIFT_TOL
-    rank_floor: float = RANK_FLOOR
 
     def __post_init__(self):
         if self.axis not in AXES:
@@ -68,7 +70,6 @@ class ScanSpec:
         if not all(b > a for a, b in zip(values, values[1:])):
             raise ValueError("scan grid must be strictly increasing")
         object.__setattr__(self, "values", values)
-        object.__setattr__(self, "h0", hermitize(self.h0))
         object.__setattr__(self, "v", hermitize(self.v))
         if self.axis == "frequency" and not isinstance(self.drive.temporal, CosineModulation):
             raise ValueError("frequency scans need a cosine temporal modulation")
@@ -104,23 +105,22 @@ def _best_node(trace: EvolutionTrace, window: tuple) -> int:
 
 
 def _evaluate(model: GibbsModel, v: np.ndarray, drive: DriveProfile, t_end: float,
-              spread: float, *, window: tuple | None = None,
-              drift_tol: float) -> QfiResult:
+              *, window: tuple | None = None, drift_tol: float) -> QfiResult:
     """One propagation on the default grid, decomposed at one node: the
     final one, or the best node inside ``window``."""
-    trace = propagate(model, v, drive, default_grid(t_end, spread, drive.omega_d),
+    trace = propagate(model, v, drive, default_grid(t_end, model.spread, drive.omega_d),
                       drift_tol=drift_tol)
     at = None if window is None else _best_node(trace, window)
     return qfi_driven(trace, at)
 
 
 def _evaluate_point(spec: ScanSpec, value: float) -> ScanPoint:
-    beta = spec.beta_star
+    model = spec.model
     drive = spec.drive
     if spec.axis == "frequency":
         drive = replace(drive, temporal=replace(drive.temporal, omega_d=value))
     elif spec.axis == "temperature":
-        beta = value
+        model = make_gibbs(model.h0, value, rank_floor=model.rank_floor)
     window = None
     if spec.axis == "time":
         t_eval = value
@@ -129,9 +129,8 @@ def _evaluate_point(spec: ScanSpec, value: float) -> ScanPoint:
     else:
         window = spec.reduce.window
         t_eval = window[1]
-    row = _evaluate(make_gibbs(spec.h0, beta, rank_floor=spec.rank_floor), spec.v,
-                    drive, t_eval, spectral_spread(spec.h0), window=window,
-                    drift_tol=spec.drift_tol)
+    row = _evaluate(model, spec.v, drive, t_eval, window=window, drift_tol=spec.drift_tol)
+    check_dual_path(row.rel_disagreement, f"{spec.axis} scan point {value:g}")
     return ScanPoint(value, row.f_eq, row.i_t, row.f_total, row.f_spectral)
 
 
@@ -166,28 +165,26 @@ class _BudgetExhausted(Exception):
     """Raised by the optimizer's objective once ``max_evals`` are spent."""
 
 
-def optimize_drive(h0, v, target_beta: float, t_eval: float,
+def optimize_drive(model: GibbsModel, v, t_eval: float,
                    bounds: Mapping[str, tuple], *, base_drive: DriveProfile,
                    coarse_points: int = 17, passes: int = 2,
                    golden_iters: int = 32, max_evals: int = 600,
-                   seed_resonance: bool = False,
-                   rank_floor: float = RANK_FLOOR) -> OptimizeResult:
-    """Maximize F_total(t_eval, target_beta) over a box of drive parameters.
+                   seed_resonance: bool = False) -> OptimizeResult:
+    """Maximize F_total(t_eval) at the Gibbs ``model``'s beta over a box of
+    drive parameters.
 
     Derivative-free: each pass sweeps the free parameters in a fixed order,
     laying a coarse grid across the parameter's bounds and refining the best
     bracket by golden section.  Deterministic given the arguments; never
     returns a point below the best coarse-grid evaluation.  With
-    ``seed_resonance`` the positive Bohr gaps of ``h0`` inside the omega_d
+    ``seed_resonance`` the positive Bohr gaps of H0 inside the omega_d
     bounds are added to the coarse grid (requires a weak drive,
     lambda0 <= WEAK_FIELD_CAP * spread, where the resonance heuristic is
     reliable).
 
     When the evaluation budget runs out the best point so far is returned
-    with ``budget_exhausted`` set.  ``rank_floor`` is the Gibbs model's
-    full-rank threshold, as ``ScanSpec.rank_floor`` is for scans.
+    with ``budget_exhausted`` set.
     """
-    h0 = hermitize(h0)
     v = hermitize(v)
     if not bounds:
         raise ValueError("bounds must name at least one parameter")
@@ -200,9 +197,6 @@ def optimize_drive(h0, v, target_beta: float, t_eval: float,
         raise ValueError("optimize_drive tunes a gaussian envelope")
     if not isinstance(base_drive.temporal, CosineModulation):
         raise ValueError("optimize_drive tunes a cosine temporal modulation")
-
-    model = make_gibbs(h0, target_beta, rank_floor=rank_floor)
-    spread = spectral_spread(h0)
 
     def current(params):
         return DriveProfile(
@@ -225,12 +219,12 @@ def optimize_drive(h0, v, target_beta: float, t_eval: float,
     seeds = []
     if seed_resonance and "omega_d" in bounds:
         lam_cap = bounds.get("lambda0", (params["lambda0"], params["lambda0"]))[1]
-        if lam_cap > WEAK_FIELD_CAP * spread:
+        if lam_cap > WEAK_FIELD_CAP * model.spread:
             raise ValueError(
                 f"analytic resonance seeding needs a weak field: lambda0 <= "
-                f"{WEAK_FIELD_CAP} * spectral spread ({WEAK_FIELD_CAP * spread:.3g})"
+                f"{WEAK_FIELD_CAP} * spectral spread ({WEAK_FIELD_CAP * model.spread:.3g})"
             )
-        energies = eig(h0).eigenvalues
+        energies = model.energies
         gaps = {round(float(b - a), 12) for i, a in enumerate(energies)
                 for b in energies[i + 1:] if b - a > 0}
         lo, hi = bounds["omega_d"]
@@ -244,7 +238,7 @@ def optimize_drive(h0, v, target_beta: float, t_eval: float,
         if key not in cache:
             if len(trail) >= max_evals:
                 raise _BudgetExhausted
-            f_total = _evaluate(model, v, current(p), t_eval, spread, drift_tol=DRIFT_TOL).f_total
+            f_total = _evaluate(model, v, current(p), t_eval, drift_tol=DRIFT_TOL).f_total
             cache[key] = f_total
             trail.append((dict(p), f_total))
         return cache[key]

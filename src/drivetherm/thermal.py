@@ -20,12 +20,6 @@ from .operators import eig, hermitize
 RANK_FLOOR = 1e-18
 
 
-def spectral_spread(h0: np.ndarray) -> float:
-    """Largest minus smallest eigenvalue of the Hermitian part of ``h0``."""
-    vals = eig(hermitize(h0)).eigenvalues
-    return float(vals[-1] - vals[0])
-
-
 @dataclass(frozen=True)
 class GibbsModel:
     """Thermal state e^(-beta*H0)/Z0 together with its spectral data.
@@ -51,6 +45,11 @@ class GibbsModel:
     @property
     def full_rank(self) -> bool:
         return float(self.probabilities.min()) > self.rank_floor
+
+    @property
+    def spread(self) -> float:
+        """Largest minus smallest energy of ``h0``."""
+        return float(self.energies[-1] - self.energies[0])
 
     @property
     def mean_energy(self) -> float:

@@ -2,7 +2,8 @@
 
 Each check pins an analytic closed form, a no-go condition, or an
 internal-consistency identity of the pipeline at an explicit tolerance.
-The suite runs on a default two-level configuration or on a user config.
+The suite runs on a default two-level configuration or on the objects of a
+loaded user config (:class:`config.LoadedRun`).
 """
 
 import math
@@ -13,14 +14,14 @@ import numpy as np
 
 from . import engine
 from .bures import jordan_apply, jordan_inverse_apply
-from .config import RunConfig
+from .config import LoadedRun
 from .drive import (ConstantEnvelope, CosineModulation, DriveProfile,
-                    GaussianEnvelope)
+                    GaussianEnvelope, TabulatedModulation)
 from .operators import SIGMA_X, SIGMA_Y, SIGMA_Z, eig, hermitize, pauli_components
 from .propagation import DRIFT_TOL, TimeGrid, default_grid, propagate
 from .spin import (magnetization, qubit_equilibrium_qfi, short_time_coefficient,
                    weak_field_kernel)
-from .thermal import RANK_FLOOR, equilibrium_qfi, make_gibbs, spectral_spread
+from .thermal import GibbsModel, equilibrium_qfi, make_gibbs
 
 
 @dataclass(frozen=True)
@@ -40,9 +41,8 @@ class CheckResult:
 
 
 class _Setup(NamedTuple):
-    h0: np.ndarray
+    model: GibbsModel
     v: np.ndarray
-    beta_star: float
     drive: DriveProfile
     grid: TimeGrid
 
@@ -51,35 +51,32 @@ class _Setup(NamedTuple):
 #: Gaussian-envelope cosine drive, run to t = 4 pi.  The suite runs on it
 #: without a config, and the closed-form checks always do.
 REFERENCE = _Setup(
-    h0=0.5 * SIGMA_Z,
+    model=make_gibbs(0.5 * SIGMA_Z, 5.0),
     v=SIGMA_X,
-    beta_star=5.0,
     drive=DriveProfile(lambda0=0.1, envelope=GaussianEnvelope(beta0=10.0, s_beta=3.0),
                        temporal=CosineModulation(omega_d=1.0, phi=0.0)),
     grid=default_grid(4.0 * math.pi, 1.0, 1.0),
 )
 
 
-def _setup_from_config(config: RunConfig) -> _Setup:
-    """The configured run; a ``grid.t_end`` of 0 runs to t = 4 pi, or to the
+def _setup_from_run(run: LoadedRun) -> _Setup:
+    """The loaded run; a ``grid.t_end`` of 0 runs to t = 4 pi, or to the
     end of a tabulated temporal table if that is earlier."""
-    h0 = config.build_h0()
-    drive = config.build_drive()
-    if config.grid["t_end"] > 0.0:
-        grid = config.build_grid()
-    else:
+    grid = run.grid
+    if grid.t_end == 0.0:
         t_end = 4.0 * math.pi
-        if config.drive["temporal"]["kind"] == "tabulated":
-            t_end = min(t_end, config.drive["temporal"]["points"][-1][0])
-        grid = default_grid(t_end, spectral_spread(h0), drive.omega_d)
-    return _Setup(h0, config.build_v(), config.model["beta_star"], drive, grid)
+        if isinstance(run.drive.temporal, TabulatedModulation):
+            t_end = min(t_end, run.drive.temporal.times[-1])
+        grid = default_grid(t_end, run.model.spread, run.drive.omega_d)
+    return _Setup(run.model, run.v, run.drive, grid)
 
 
-def run_checks(config: RunConfig | None = None, *, seed: int = 20260810) -> list[CheckResult]:
+def run_checks(run: LoadedRun | None = None, *, seed: int = 20260810) -> list[CheckResult]:
     """Run the 13 checks; never raises on a failed check, only records it.
 
-    A loaded ``config``'s Gibbs model already passed the full-rank rule of
-    :func:`thermal.make_gibbs`, so no check repeats it.
+    A loaded ``run``'s Gibbs model already passed the full-rank rule of
+    :func:`thermal.make_gibbs`, so no check repeats it; only the reference
+    qubit's models are built here.
     """
     checks: list[CheckResult] = []
     rng = np.random.default_rng(seed)
@@ -89,24 +86,20 @@ def run_checks(config: RunConfig | None = None, *, seed: int = 20260810) -> list
         passed = measured >= threshold if at_least else measured <= threshold
         checks.append(CheckResult(name, passed, measured, threshold))
 
-    if config is None:
-        h0, v, beta_star, drive, grid = REFERENCE
-        drift_tol, rank_floor = DRIFT_TOL, RANK_FLOOR
+    if run is None:
+        model, v, drive, grid = REFERENCE
+        drift_tol = DRIFT_TOL
     else:
-        h0, v, beta_star, drive, grid = _setup_from_config(config)
-        drift_tol, rank_floor = config.tolerances["step_drift"], config.tolerances["rank_floor"]
-
-    spread = spectral_spread(h0)
+        model, v, drive, grid = _setup_from_run(run)
+        drift_tol = run.config.tolerances["step_drift"]
     omega_d = drive.omega_d
-
-    model = make_gibbs(h0, beta_star, rank_floor=rank_floor)
 
     # --- closed-form equilibrium baseline (two-level) ---------------------
     betas = np.linspace(0.0, 20.0, 101)
     worst = 0.0
     for b in betas:
         closed = qubit_equilibrium_qfi(1.0, float(b))
-        numeric = equilibrium_qfi(make_gibbs(REFERENCE.h0, float(b)))
+        numeric = equilibrium_qfi(make_gibbs(REFERENCE.model.h0, float(b)))
         worst = max(worst, abs(numeric - closed) / closed)
     check("equilibrium-baseline-closed-form", worst, 1e-12)
 
@@ -138,11 +131,11 @@ def run_checks(config: RunConfig | None = None, *, seed: int = 20260810) -> list
     spec_drift = float(np.abs(vh_eigs - v_eigs[None, :]).max())
     check("unitarity-and-spectrum-preservation", max(spec_drift, trace.unitarity_drift), 1e-10)
 
-    check("dual-path-agreement", float(series.rel_disagreement.max()), 1e-6)
+    check("dual-path-agreement", float(series.rel_disagreement.max()), engine.DUAL_PATH_TOL)
     check("mixed-term-vanishing", float(series.mixed_term_residual.max()), 1e-10)
 
     # increment path equivalence + antisymmetric-part residual
-    short_grid = default_grid(min(grid.t_end, 2.0 * math.pi), spread, omega_d)
+    short_grid = default_grid(min(grid.t_end, 2.0 * math.pi), model.spread, omega_d)
     ct_short = engine.build_current_trace(propagate(model, v, drive, short_grid,
                                                     drift_tol=drift_tol))
     i_kernel, asym = engine.increment_via_kernel(ct_short, return_diagnostics=True)
@@ -164,17 +157,17 @@ def run_checks(config: RunConfig | None = None, *, seed: int = 20260810) -> list
     # --- no-go: perturbation commuting with H0 -----------------------------
     commuting_drive = DriveProfile(
         lambda0=0.1,
-        envelope=GaussianEnvelope(beta0=beta_star + 2.0, s_beta=2.0),
-        temporal=CosineModulation(omega_d=max(spread, 1.0), phi=0.0),
+        envelope=GaussianEnvelope(beta0=model.beta + 2.0, s_beta=2.0),
+        temporal=CosineModulation(omega_d=max(model.spread, 1.0), phi=0.0),
     )
-    commuting = engine.qfi_time_series(propagate(model, h0, commuting_drive, grid,
+    commuting = engine.qfi_time_series(propagate(model, model.h0, commuting_drive, grid,
                                                  drift_tol=drift_tol))
     check("no-go-commuting-perturbation", float(np.abs(commuting.i_t).max()), 1e-12)
 
     # --- two-level closed forms (always on the reference qubit) ------------
-    qubit_model = make_gibbs(REFERENCE.h0, REFERENCE.beta_star)
+    qubit_model = REFERENCE.model
     qubit_drive = REFERENCE.drive
-    m = magnetization(1.0, REFERENCE.beta_star)
+    m = magnetization(1.0, qubit_model.beta)
 
     # current closed form 2m(ax sy - ay sx)
     qgrid = default_grid(2.0 * math.pi, 1.0, 1.0)
@@ -193,7 +186,7 @@ def run_checks(config: RunConfig | None = None, *, seed: int = 20260810) -> list
                                                TimeGrid(t_short, 64)))
     i_short = engine.increment_series(sct)[-1]
     coef = short_time_coefficient(m, qubit_drive.lambda0,
-                                  qubit_drive.envelope.derivative(REFERENCE.beta_star))
+                                  qubit_drive.envelope.derivative(qubit_model.beta))
     check("short-time-quadratic-law", abs(i_short / t_short**2 - coef) / coef, 1e-3)
 
     # weak-field kernel

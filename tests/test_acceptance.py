@@ -73,9 +73,8 @@ def randomized_suite():
 def test_criterion_01_dual_path_equivalence(randomized_suite):
     stats, elapsed = randomized_suite
     started = time.monotonic()
-    config = load_run_config(str(CONFIG_DIR / "fig2b.yaml"))
-    series = qfi_time_series(propagate(config.build_model(), config.build_v(),
-                                       config.build_drive(), config.build_grid()))
+    run = load_run_config(str(CONFIG_DIR / "fig2b.yaml"))
+    series = qfi_time_series(propagate(run.model, run.v, run.drive, run.grid))
     elapsed += time.monotonic() - started
     worst = max(max(s["max_rel"] for s in stats), series.rel_disagreement.max())
     ok = worst <= 1e-6 and elapsed <= 60.0
@@ -215,8 +214,8 @@ def test_criterion_09_sensitivity_window_shift():
     scans = {}
     for beta0 in (5.0, 10.0):
         spec = ScanSpec(
-            axis="temperature", values=betas, h0=0.5 * SIGMA_Z, v=SIGMA_X,
-            beta_star=5.0,
+            axis="temperature", values=betas, model=make_gibbs(0.5 * SIGMA_Z, 5.0),
+            v=SIGMA_X,
             drive=DriveProfile(0.1, GaussianEnvelope(beta0, 3.0),
                                CosineModulation(1.0, 0.0)),
             reduce=ReduceSpec(mode="value_at_t", t=12.0),
@@ -278,13 +277,14 @@ def test_criterion_11_optimizer_sanity():
     t_eval = 6 * TWO_PI
     base = DriveProfile(0.1, GaussianEnvelope(10.0, 3.0),
                         CosineModulation(1.0, 0.0))
+    model = make_gibbs(0.5 * SIGMA_Z, 5.0)
     result = optimize_drive(
-        0.5 * SIGMA_Z, SIGMA_X, target_beta=5.0, t_eval=t_eval,
+        model, SIGMA_X, t_eval=t_eval,
         bounds={"omega_d": (0.5, 2.0)}, base_drive=base, coarse_points=33,
     )
     spec = ScanSpec(
         axis="frequency", values=tuple(np.linspace(0.5, 2.0, 301)),
-        h0=0.5 * SIGMA_Z, v=SIGMA_X, beta_star=5.0, drive=base,
+        model=model, v=SIGMA_X, drive=base,
         reduce=ReduceSpec(mode="value_at_t", t=t_eval),
     )
     dense = run_scan(spec)

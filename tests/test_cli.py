@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from drivetherm import cli, engine, propagation, validation
+from drivetherm import cli, config, engine, propagation, scans, thermal, validation
 from drivetherm.cli import main
 from drivetherm.config import RunConfig, load_run_config
 from drivetherm.exceptions import ConfigValidationError, DriveThermError
@@ -102,7 +102,7 @@ def test_manifest_round_trips_config(tmp_path):
     out = tmp_path / "out"
     main(["simulate", "--config", str(cfg), "--out", str(out)])
     manifest = read_manifest(out / "run.json")
-    loaded = load_run_config(str(cfg))
+    loaded = load_run_config(str(cfg)).config
     rebuilt = config_from_manifest(manifest)
     assert rebuilt == loaded
     assert config_content_hash(rebuilt) == manifest["content_hash"]
@@ -198,13 +198,14 @@ def test_config_guard_violation_is_validation_error(tmp_path):
     ("scan", SCAN_CONFIG, {"axis: frequency": "axis: temperature",
                            "[0.5, 1.0, 2.0]": "[5.0, 45.0]"}, "", 2, "values"),
     ("simulate", BASE_CONFIG, {"beta_star: 5.0": "beta_star: 60.0"},
-     "tolerances: {rank_floor: 1.0e-30}\n", 0, None),
+     "tolerances: {rank_floor: 1.0e-30}\n", 1, None),
 ], ids=["simulate", "simulate-sampled-beta0", "validate-sampled-beta0", "validate",
         "temperature-scan", "lowered-rank-floor"])
 def test_full_rank_rule_applies_once_at_load(tmp_path, capsys, command, base, edits,
                                              extra, code, anchor):
     # one rule, the Gibbs population floor, for every command: a cold model is a
     # configuration error at its line, and a lowered floor admits it
+    # (the result is then refused by the dual-path check, not by the floor)
     text = base
     for old, new in edits.items():
         text = text.replace(old, new)
@@ -212,20 +213,22 @@ def test_full_rank_rule_applies_once_at_load(tmp_path, capsys, command, base, ed
     out = tmp_path / "o"
     argv = [command, "--config", str(cfg)] + ([] if command == "validate" else ["--out", str(out)])
     assert main(argv) == code
+    err = capsys.readouterr().err
     if anchor is None:
-        _, _, rows = read_csv(out / "run.csv")
-        assert len(rows) == 201 and all(math.isfinite(x) for row in rows for x in row)
+        # the t = 0 row has F_total = F_eq ~ 8.8e-27, whose populations the
+        # spectral route cannot resolve: the run fails on the mismatch
+        assert "dual-path mismatch" in err and "at t=0 " in err
+        assert "rank floor" not in err
         return
     line = next(i for i, x in enumerate(text.splitlines(), 1)
                 if x.strip().startswith(f"{anchor}:"))
-    err = capsys.readouterr().err
     assert f"cold.yaml:{line}:" in err and "rank floor" in err
     assert not out.exists()
 
 
 def test_config_auto_grid_resolution(tmp_path):
     cfg = write(tmp_path, "run.yaml", BASE_CONFIG)
-    loaded = load_run_config(str(cfg))
+    loaded = load_run_config(str(cfg)).config
     assert loaded.grid["n_steps"] == 200  # one period at 200 steps/period
     assert loaded.resolved_defaults["auto_n_steps"] == 200
 
@@ -233,13 +236,15 @@ def test_config_auto_grid_resolution(tmp_path):
 def test_config_envelope_center_sampler(tmp_path):
     text = BASE_CONFIG.replace("beta0: 10.0", "beta0: sample") + "seed: 42\n"
     cfg = write(tmp_path, "run.yaml", text)
-    loaded = load_run_config(str(cfg))
+    loaded = load_run_config(str(cfg)).config
     drawn = loaded.drive["envelope"]["beta0"]
     assert loaded.resolved_defaults["sampled_beta0"] == drawn
     f_eq = 0.25 / np.cosh(2.5) ** 2
     half = 1.0 / math.sqrt(f_eq)
     assert max(0.0, 5.0 - half) <= drawn <= 5.0 + half
-    assert load_run_config(str(cfg)).drive["envelope"]["beta0"] == drawn  # deterministic
+    again = load_run_config(str(cfg))
+    assert again.config.drive["envelope"]["beta0"] == drawn  # deterministic
+    assert again.drive.envelope.beta0 == drawn  # the run's drive has the drawn center
     # sampling without a seed is rejected
     nosave = write(tmp_path, "apt.yaml",
                    BASE_CONFIG.replace("beta0: 10.0", "beta0: sample"))
@@ -282,7 +287,7 @@ grid: {t_end: 3.0}
     assert main(["simulate", "--config", str(cfg), "--out", str(out)]) == 0
     _, _, rows = read_csv(out / "results.csv")
     assert all(r[5] <= 1e-6 for r in rows)
-    loaded = load_run_config(str(cfg))
+    loaded = load_run_config(str(cfg)).config
     rebuilt = config_from_manifest(read_manifest(out / "manifest.json"))
     assert rebuilt == loaded  # dense matrices survive the round trip exactly
 
@@ -349,7 +354,7 @@ grid: {t_end: 1.0}
 
 def test_round_trip_from_dict_identity(tmp_path):
     cfg = write(tmp_path, "scan.yaml", SCAN_CONFIG)
-    loaded = load_run_config(str(cfg))
+    loaded = load_run_config(str(cfg)).config
     assert RunConfig.from_dict(json.loads(json.dumps(loaded.to_dict()))) == loaded
 
 
@@ -376,7 +381,7 @@ grid: {t_end: 6.0, n_steps: 600}
     _, _, rows = read_csv(out / "results.csv")
     assert all(r[5] <= 1e-6 for r in rows)
     # round trip preserves the tabulated points exactly
-    loaded = load_run_config(str(cfg))
+    loaded = load_run_config(str(cfg)).config
     manifest = read_manifest(out / "results.json") if (out / "results.json").exists() \
         else read_manifest(out / "manifest.json")
     assert config_from_manifest(manifest) == loaded
@@ -579,17 +584,36 @@ def test_tolerance_override_must_be_a_number(tmp_path, capsys, value):
     assert not (tmp_path / "o").exists()
 
 
-def test_scan_honours_rank_floor(tmp_path):
-    # beta = 44 leaves a smallest population of 7.8e-20: below the default
-    # rank floor, above the configured one, as simulate already allows
+def cold_scan(tmp_path, beta0):
+    """A temperature scan over beta = 43, 44 under a rank floor of 1e-30: the
+    smallest population at beta = 44 is 7.8e-20, below the default floor."""
     text = (SCAN_CONFIG.replace("axis: frequency", "axis: temperature")
             .replace("[0.5, 1.0, 2.0]", "[43.0, 44.0]")
+            .replace("beta0: 10.0", f"beta0: {beta0}")
             + "tolerances: {rank_floor: 1.0e-30}\n")
-    cfg = write(tmp_path, "scan.yaml", text)
+    return write(tmp_path, "scan.yaml", text)
+
+
+def test_scan_honours_rank_floor(tmp_path, capsys):
+    # the floor admits the model; with the envelope centred at beta0 = 10 the
+    # drive adds almost nothing at beta = 43, so F_total ~ F_eq ~ 2e-19 lies
+    # below the spectral route's cutoff and the scan fails on the mismatch
+    cfg = cold_scan(tmp_path, 10.0)
+    assert main(["scan", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 1
+    err = capsys.readouterr().err
+    assert "dual-path mismatch" in err and "temperature scan point 43 " in err
+    assert "rank floor" not in err
+
+
+def test_scan_below_default_floor_runs_when_resolved(tmp_path):
+    # centred at beta0 = 47 the drive lifts F_total to ~1e-2, which both
+    # routes resolve (mismatch 4e-16 and 1.9e-15 at t = 2 pi)
+    cfg = cold_scan(tmp_path, 47.0)
     out = tmp_path / "out"
     assert main(["scan", "--config", str(cfg), "--out", str(out)]) == 0
     _, _, rows = read_csv(out / "scan.csv")
     assert [r[0] for r in rows] == [43.0, 44.0]
+    assert all(abs(r[3] - r[4]) <= 1e-14 * r[4] for r in rows)
     tolerances = read_manifest(out / "scan.json")["config"]["tolerances"]
     assert tolerances["rank_floor"] == 1e-30
 
@@ -616,6 +640,57 @@ def test_simulate_with_kernel_propagates_once(tmp_path, propagated_steps):
     cfg = write(tmp_path, "run.yaml", text)
     assert main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 0
     assert propagated_steps == [200]
+
+
+@pytest.fixture
+def gibbs_betas(monkeypatch):
+    """The beta of every Gibbs model the CLI builds, in call order."""
+    calls = []
+    original = thermal.make_gibbs
+
+    def counted(h0, beta, **kwargs):
+        calls.append(beta)
+        return original(h0, beta, **kwargs)
+
+    for module in (config, propagation, scans, thermal, validation):
+        if getattr(module, "make_gibbs", None) is original:
+            monkeypatch.setattr(module, "make_gibbs", counted)
+    return calls
+
+
+@pytest.mark.parametrize("command, text, betas", [
+    ("simulate", BASE_CONFIG, [5.0]),
+    ("scan", SCAN_CONFIG, [5.0]),
+    ("scan", SCAN_CONFIG.replace("axis: frequency", "axis: time")
+     .replace("  reduce: {mode: value_at_t, t: 6.283185307179586}\n", ""), [5.0]),
+    # beta*, the last scan value (the load-time floor check), then one per point
+    ("scan", SCAN_CONFIG.replace("axis: frequency", "axis: temperature")
+     .replace("[0.5, 1.0, 2.0]", "[4.0, 5.0, 6.0]"), [5.0, 6.0, 4.0, 5.0, 6.0]),
+], ids=["simulate", "frequency-scan", "time-scan", "temperature-scan"])
+def test_one_gibbs_model_per_run(tmp_path, gibbs_betas, command, text, betas):
+    # the loader's model is the one every command runs; only a temperature
+    # scan builds a model per point
+    cfg = write(tmp_path, "run.yaml", text)
+    assert main([command, "--config", str(cfg), "--out", str(tmp_path / "o")]) == 0
+    assert gibbs_betas == betas
+
+
+@pytest.mark.parametrize("command, text, csv, where", [
+    # beta* = 38 passes the 1e-18 floor (smallest population 3.1e-17), but the
+    # spectral route drops populations that small: every row's mismatch is 3e13
+    ("simulate", (ROOT / "configs" / "fig2b.yaml").read_text(encoding="utf-8")
+     .replace("beta_star: 5.0", "beta_star: 38.0"), "fig2b.csv", " at t="),
+    # F_total = 3.1e-17 against F_spectral = 5.6e-38 at beta = 38
+    ("scan", SCAN_CONFIG.replace("axis: frequency", "axis: temperature")
+     .replace("[0.5, 1.0, 2.0]", "[5.0, 38.0]"), "scan.csv", " at temperature scan point 38 "),
+], ids=["simulate", "scan"])
+def test_unresolved_cold_result_exits_1(tmp_path, capsys, command, text, csv, where):
+    out = tmp_path / "o"
+    cfg = write(tmp_path, "cold.yaml", text)
+    assert main([command, "--config", str(cfg), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("numerical failure: dual-path mismatch") and where in err
+    assert not (out / csv).exists()
 
 
 @pytest.mark.parametrize("grid, main_steps", [
@@ -691,7 +766,7 @@ SHIPPED_CONFIG_HASHES = {
 @pytest.mark.parametrize("path", sorted((ROOT / "configs").glob("*.yaml")),
                          ids=lambda p: p.stem)
 def test_shipped_config_keeps_its_identity(path):
-    loaded = load_run_config(str(path))
+    loaded = load_run_config(str(path)).config
     assert RunConfig.from_dict(json.loads(json.dumps(loaded.to_dict()))) == loaded
     assert config_content_hash(loaded)[:12] == SHIPPED_CONFIG_HASHES[path.stem]
 

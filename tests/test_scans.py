@@ -22,13 +22,16 @@ def base_drive(lambda0=0.1, beta0=5.0, s_beta=3.0, omega_d=1.0):
                         CosineModulation(omega_d, 0.0))
 
 
+def qubit(beta=5.0, **kwargs):
+    return make_gibbs(0.5 * SIGMA_Z, beta, **kwargs)
+
+
 def freq_spec(values, t_eval=6 * TWO_PI, lambda0=0.1):
     return ScanSpec(
         axis="frequency",
         values=values,
-        h0=0.5 * SIGMA_Z,
+        model=qubit(),
         v=SIGMA_X,
-        beta_star=5.0,
         drive=base_drive(lambda0=lambda0, beta0=10.0),
         reduce=ReduceSpec(mode="value_at_t", t=t_eval),
     )
@@ -38,9 +41,8 @@ def temp_spec(values, drive, t_eval=12.0):
     return ScanSpec(
         axis="temperature",
         values=values,
-        h0=0.5 * SIGMA_Z,
+        model=qubit(),
         v=SIGMA_X,
-        beta_star=5.0,
         drive=drive,
         reduce=ReduceSpec(mode="value_at_t", t=t_eval),
     )
@@ -52,12 +54,11 @@ def test_spec_validation():
     with pytest.raises(ValueError, match="strictly increasing"):
         freq_spec((1.0, 1.0))
     with pytest.raises(ValueError, match="axis"):
-        ScanSpec(axis="volume", values=(1.0,), h0=0.5 * SIGMA_Z, v=SIGMA_X,
-                 beta_star=5.0, drive=base_drive(),
+        ScanSpec(axis="volume", values=(1.0,), model=qubit(), v=SIGMA_X,
+                 drive=base_drive(),
                  reduce=ReduceSpec(mode="value_at_t", t=1.0))
     with pytest.raises(ValueError, match="cosine"):
-        ScanSpec(axis="frequency", values=(1.0,), h0=0.5 * SIGMA_Z, v=SIGMA_X,
-                 beta_star=5.0,
+        ScanSpec(axis="frequency", values=(1.0,), model=qubit(), v=SIGMA_X,
                  drive=DriveProfile(0.1, GaussianEnvelope(5, 3), ConstantEnvelope()),
                  reduce=ReduceSpec(mode="value_at_t", t=1.0))
 
@@ -138,7 +139,7 @@ def test_max_over_t_reduction():
     spec = ScanSpec(
         axis="frequency",
         values=(1.0,),
-        h0=0.5 * SIGMA_Z, v=SIGMA_X, beta_star=5.0,
+        model=qubit(), v=SIGMA_X,
         drive=base_drive(beta0=10.0),
         reduce=ReduceSpec(mode="max_over_t", window=(0.0, TWO_PI)),
     )
@@ -151,7 +152,7 @@ def test_max_over_t_window_ties_pick_earliest_node():
     # M[k] = c_k sigma_x on a thermal qubit gives I_t proportional to c_k^2
     c = np.sqrt([9.0, 1, 3, 3, 2, 3, 0, 0, 9])
     identity = np.broadcast_to(np.eye(2, dtype=complex), (9, 2, 2))
-    trace = EvolutionTrace(grid=TimeGrid(4.0, 8), model=make_gibbs(0.5 * SIGMA_Z, 5.0),
+    trace = EvolutionTrace(grid=TimeGrid(4.0, 8), model=qubit(),
                            drive=base_drive(), propagators=identity,
                            heisenberg_v=np.broadcast_to(SIGMA_X, (9, 2, 2)),
                            M=c[:, None, None] * SIGMA_X, unitarity_drift=0.0)
@@ -162,16 +163,17 @@ def test_max_over_t_window_ties_pick_earliest_node():
 
 
 def qubit_window_spec():
-    return ScanSpec(axis="frequency", values=(0.8, 1.0, 1.3), h0=0.5 * SIGMA_Z,
-                    v=SIGMA_X, beta_star=5.0, drive=base_drive(beta0=10.0),
+    return ScanSpec(axis="frequency", values=(0.8, 1.0, 1.3), model=qubit(),
+                    v=SIGMA_X, drive=base_drive(beta0=10.0),
                     reduce=ReduceSpec(mode="max_over_t", window=(TWO_PI, 3 * TWO_PI)))
 
 
 def probe_window_spec():
     rng = np.random.default_rng(7)
     return ScanSpec(axis="temperature", values=(0.5, 1.0, 1.5),
-                    h0=random_hermitian(rng, 6), v=random_hermitian(rng, 6),
-                    beta_star=1.0, drive=base_drive(lambda0=0.2, beta0=1.0, s_beta=1.0),
+                    model=make_gibbs(random_hermitian(rng, 6), 1.0),
+                    v=random_hermitian(rng, 6),
+                    drive=base_drive(lambda0=0.2, beta0=1.0, s_beta=1.0),
                     reduce=ReduceSpec(mode="max_over_t", window=(1.0, 3.0)))
 
 
@@ -218,7 +220,7 @@ def test_max_over_t_decomposes_one_node(monkeypatch, make_spec):
 
 def test_optimizer_collapsed_bounds():
     result = optimize_drive(
-        0.5 * SIGMA_Z, SIGMA_X, target_beta=5.0, t_eval=TWO_PI,
+        qubit(), SIGMA_X, t_eval=TWO_PI,
         bounds={"omega_d": (1.3, 1.3)},
         base_drive=base_drive(beta0=10.0),
     )
@@ -229,7 +231,7 @@ def test_optimizer_collapsed_bounds():
 def test_optimizer_finds_resonance_and_matches_dense_scan():
     t_eval = 6 * TWO_PI
     result = optimize_drive(
-        0.5 * SIGMA_Z, SIGMA_X, target_beta=5.0, t_eval=t_eval,
+        qubit(), SIGMA_X, t_eval=t_eval,
         bounds={"omega_d": (0.5, 2.0)},
         base_drive=base_drive(beta0=10.0),
         coarse_points=33,
@@ -246,7 +248,7 @@ def test_optimizer_places_envelope_center_one_width_away():
     # |beta0 - beta*| ~ s_beta
     s_beta = 2.0
     result = optimize_drive(
-        0.5 * SIGMA_Z, SIGMA_X, target_beta=5.0, t_eval=2 * TWO_PI,
+        qubit(), SIGMA_X, t_eval=2 * TWO_PI,
         bounds={"beta0": (5.0, 11.0)},
         base_drive=base_drive(lambda0=0.01, beta0=8.0, s_beta=s_beta),
         coarse_points=25,
@@ -256,8 +258,7 @@ def test_optimizer_places_envelope_center_one_width_away():
     best_dense = max(
         dense_vals,
         key=lambda b0: _evaluate_point(
-            ScanSpec(axis="temperature", values=(5.0,), h0=0.5 * SIGMA_Z,
-                     v=SIGMA_X, beta_star=5.0,
+            ScanSpec(axis="temperature", values=(5.0,), model=qubit(), v=SIGMA_X,
                      drive=base_drive(lambda0=0.01, beta0=float(b0), s_beta=s_beta),
                      reduce=ReduceSpec(mode="value_at_t", t=2 * TWO_PI)),
             5.0).f_total,
@@ -268,7 +269,7 @@ def test_optimizer_places_envelope_center_one_width_away():
 
 def test_optimizer_budget_flag():
     result = optimize_drive(
-        0.5 * SIGMA_Z, SIGMA_X, target_beta=5.0, t_eval=TWO_PI,
+        qubit(), SIGMA_X, t_eval=TWO_PI,
         bounds={"omega_d": (0.5, 2.0)},
         base_drive=base_drive(beta0=10.0),
         max_evals=5,
@@ -280,13 +281,12 @@ def test_optimizer_budget_flag():
 
 def test_optimizer_honours_rank_floor():
     # at beta = 44 the qubit's excited population is 7.8e-20, below the
-    # default floor of 1e-18
-    args = (0.5 * SIGMA_Z, SIGMA_X, 44.0, 6.0, {"omega_d": (0.5, 1.5)})
-    kwargs = dict(base_drive=base_drive(beta0=40.0), coarse_points=5, passes=1,
-                  golden_iters=4)
+    # default floor of 1e-18; the optimizer runs the model it is given
     with pytest.raises(FullRankViolation, match="rank floor"):
-        optimize_drive(*args, **kwargs)
-    result = optimize_drive(*args, rank_floor=1e-30, **kwargs)
+        qubit(44.0)
+    result = optimize_drive(qubit(44.0, rank_floor=1e-30), SIGMA_X, 6.0,
+                            {"omega_d": (0.5, 1.5)}, base_drive=base_drive(beta0=40.0),
+                            coarse_points=5, passes=1, golden_iters=4)
     assert 0.5 <= result.params["omega_d"] <= 1.5
     assert np.isfinite(result.value) and result.value > 0.0
 
@@ -294,13 +294,13 @@ def test_optimizer_honours_rank_floor():
 def test_optimizer_resonance_seeding_weak_field_cap():
     with pytest.raises(ValueError, match="weak field"):
         optimize_drive(
-            0.5 * SIGMA_Z, SIGMA_X, target_beta=5.0, t_eval=TWO_PI,
+            qubit(), SIGMA_X, t_eval=TWO_PI,
             bounds={"omega_d": (0.5, 2.0)},
             base_drive=base_drive(lambda0=0.5, beta0=10.0),
             seed_resonance=True,
         )
     result = optimize_drive(
-        0.5 * SIGMA_Z, SIGMA_X, target_beta=5.0, t_eval=4 * TWO_PI,
+        qubit(), SIGMA_X, t_eval=4 * TWO_PI,
         bounds={"omega_d": (0.5, 2.0)},
         base_drive=base_drive(lambda0=0.05, beta0=10.0),
         coarse_points=9, passes=1, seed_resonance=True,

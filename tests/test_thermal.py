@@ -31,6 +31,13 @@ def test_qubit_populations_match_magnetization():
     assert abs(g.state[0, 1]) == 0.0
 
 
+def test_spread_is_the_spectral_width(rng):
+    h0 = random_hermitian(rng, 4)
+    vals = np.linalg.eigvalsh(h0)
+    assert abs(make_gibbs(h0, 0.7).spread - (vals[-1] - vals[0])) < 1e-12
+    assert make_gibbs(0.5 * SIGMA_Z, 3.0).spread == 1.0
+
+
 def test_state_commutes_with_hamiltonian(rng):
     h0 = random_hermitian(rng, 4)
     g = make_gibbs(h0, 1.3)
