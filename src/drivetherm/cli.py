@@ -9,6 +9,7 @@ loader built (:class:`config.LoadedRun`).
 import argparse
 import json
 import logging
+import shutil
 import sys
 import time
 from pathlib import Path
@@ -17,7 +18,6 @@ import numpy as np
 
 from . import __version__, engine
 from .config import load_run_config
-from .drive import dlambda_dbeta
 from .exceptions import ConfigValidationError, DriveThermError
 from .propagation import propagate
 from .reporting import (build_manifest, config_content_hash, write_kernel_csv,
@@ -95,13 +95,9 @@ def cmd_simulate(run, out_dir: Path, manifest_hash: str):
     kernel_payload = None
     if config.output["kernel"] is not None:
         # currents at the sampled nodes only: all n of them would raise peak memory
-        stride = max(1, grid.n_nodes // KERNEL_MAX_NODES)
-        times = grid.nodes[::stride]
-        thin = engine.CurrentTrace(
-            grid=grid, model=model,
-            currents=engine.information_current(model, trace.heisenberg_v[::stride]),
-            weights=np.atleast_1d(dlambda_dbeta(drive, times, model.beta)))
-        kernel_payload = (times, engine.kernel_matrix(thin).real)
+        stride = -(-grid.n_nodes // KERNEL_MAX_NODES)
+        currents = engine.information_current(model, trace.heisenberg_v[::stride])
+        kernel_payload = (grid.nodes[::stride], engine.kernel_matrix(model, currents).real)
 
     csv_path = out_dir / config.output["csv"]
     write_simulation_csv(csv_path, results, manifest_hash)
@@ -136,12 +132,19 @@ def cmd_scan(run, out_dir: Path, manifest_hash: str):
 
 
 def _run_recorded(command, run, out: str) -> int:
-    """Run ``simulate`` or ``scan`` into ``out``, then write the manifest."""
+    """Run ``simulate`` or ``scan`` into ``out``, then write the manifest; if
+    the command raises, remove ``out`` again when this call created it."""
     config = run.config
     out_dir = Path(out)
+    created = not out_dir.exists()
     out_dir.mkdir(parents=True, exist_ok=True)
     started = time.monotonic()
-    diagnostics, data_files, summary = command(run, out_dir, config_content_hash(config))
+    try:
+        diagnostics, data_files, summary = command(run, out_dir, config_content_hash(config))
+    except BaseException:
+        if created:
+            shutil.rmtree(out_dir)
+        raise
     manifest = build_manifest(config, wall_clock_seconds=time.monotonic() - started,
                               diagnostics=diagnostics, data_files=data_files)
     write_manifest(out_dir / config.output["manifest"], manifest)

@@ -69,17 +69,22 @@ def _finite_number(x) -> bool:
     return isinstance(x, (int, float)) and not isinstance(x, bool) and math.isfinite(x)
 
 
-#: The keys each section takes (a kind-tagged section takes all its kinds' keys).
+#: The keys each section takes; a section with a ``kind`` (``scan.reduce``:
+#: ``mode``) takes those of the kind it names, listed with the tag first.
 _KEYS = {
     "": ("model", "drive", "grid", "scan", "estimation", "output", "seed", "tolerances"),
-    "model": ("kind", "omega", "energies", "h0", "v", "beta_star"),
+    "model": {"qubit": ("kind", "omega", "v", "beta_star"),
+              "diagonal": ("kind", "energies", "v", "beta_star"),
+              "dense": ("kind", "h0", "v", "beta_star")},
     "drive": ("lambda0", "envelope", "temporal"),
-    "drive.envelope": ("kind", "beta0", "s_beta", "points"),
-    "drive.temporal": ("kind", "omega_d", "phi", "points"),
+    "drive.envelope": {"gaussian": ("kind", "beta0", "s_beta"), "constant": ("kind",),
+                       "tabulated": ("kind", "points")},
+    "drive.temporal": {"cosine": ("kind", "omega_d", "phi"), "constant": ("kind",),
+                       "tabulated": ("kind", "points")},
     "grid": ("t_end", "n_steps"),
     "scan": ("axis", "values", "reduce"),
     "scan.values": ("start", "stop", "num"),
-    "scan.reduce": ("mode", "t", "window"),
+    "scan.reduce": {"value_at_t": ("mode", "t"), "max_over_t": ("mode", "window")},
     "estimation": ("n_measurements",),
     "output": ("csv", "manifest", "kernel"),
     "tolerances": ("step_drift", "rank_floor"),
@@ -101,10 +106,15 @@ class _Section:
         self.lines = lines
         self.path = path
         self.prefix = prefix
+        allowed, of_kind = _KEYS[prefix], ""
+        if isinstance(allowed, dict):  # an unknown kind fails its tag's own check
+            tag = next(iter(allowed.values()))[0]
+            kind = str(data.get(tag))
+            allowed, of_kind = allowed.get(kind, data), f" for {tag} {kind!r}"
         for key in data:
-            if key not in _KEYS[prefix]:
-                raise self.error(f"unknown {prefix or 'top-level'} key {key!r}; "
-                                 f"expected one of {sorted(_KEYS[prefix])}", key)
+            if key not in allowed:
+                raise self.error(f"unknown {prefix or 'top-level'} key {key!r}{of_kind}; "
+                                 f"expected one of {sorted(allowed)}", key)
 
     def _dotted(self, key):
         return f"{self.prefix}.{key}" if self.prefix else key
@@ -264,7 +274,7 @@ def load_run_config(path: str) -> LoadedRun:
 
     # ---- model ----------------------------------------------------------
     model_sec = root.section("model", required=True)
-    kind = model_sec.string("kind", required=True, choices=("qubit", "diagonal", "dense"))
+    kind = model_sec.string("kind", required=True, choices=_KEYS["model"])
     model = {"kind": kind, "omega": None, "energies": None, "h0": None}
     # hermitize rejects a model above operators.MAX_DIM levels
     if kind == "qubit":
@@ -314,8 +324,7 @@ def load_run_config(path: str) -> LoadedRun:
     seed = root.integer("seed")
 
     env_sec = drive_sec.section("envelope", required=True)
-    env_kind = env_sec.string("kind", required=True,
-                              choices=("gaussian", "constant", "tabulated"))
+    env_kind = env_sec.string("kind", required=True, choices=_KEYS["drive.envelope"])
     envelope = {"kind": env_kind}
     if env_kind == "gaussian":
         s_beta = env_sec.number("s_beta", required=True)
@@ -340,8 +349,7 @@ def load_run_config(path: str) -> LoadedRun:
             f"[{env.betas[0]}, {env.betas[-1]}]", "points")
 
     temp_sec = drive_sec.section("temporal", required=True)
-    temp_kind = temp_sec.string("kind", required=True,
-                                choices=("cosine", "constant", "tabulated"))
+    temp_kind = temp_sec.string("kind", required=True, choices=_KEYS["drive.temporal"])
     temporal = {"kind": temp_kind}
     if temp_kind == "cosine":
         temporal.update(omega_d=temp_sec.number("omega_d", required=True),

@@ -175,8 +175,7 @@ class DriveProfile:
 
 def lambda_at(profile: DriveProfile, t, beta):
     """Drive amplitude at (t, beta); vectorized over t."""
-    value = profile.lambda0 * profile.envelope.value(beta) * profile.temporal.value(t)
-    return float(value) if np.isscalar(t) or np.ndim(t) == 0 else value
+    return profile.lambda0 * profile.envelope.value(beta) * profile.temporal.value(t)
 
 
 def dlambda_dbeta(profile: DriveProfile, t, beta):
@@ -186,8 +185,7 @@ def dlambda_dbeta(profile: DriveProfile, t, beta):
     weight entering the non-equilibrium contribution, so an exactly-zero
     derivative is the no-go condition.
     """
-    value = profile.lambda0 * profile.envelope.derivative(beta) * profile.temporal.value(t)
-    return float(value) if np.isscalar(t) or np.ndim(t) == 0 else value
+    return profile.lambda0 * profile.envelope.derivative(beta) * profile.temporal.value(t)
 
 
 def sample_envelope_center(beta_star: float, equilibrium_qfi_value: float,

@@ -16,10 +16,12 @@ to the weighted integral M_t = int_0^t w V_H accumulated by ``propagate``:
 dL_t = Q [-2i R o (Q^dag M_t Q)] Q^dag with R_ij = (p_j - p_i)/(p_i + p_j)
 in the thermal eigenbasis Q.  That map of M is the primary path, and both
 sides of the cross-check read the one M.  The per-node currents of a
-``CurrentTrace`` check it along the kernel route, with the same quadrature:
-``increment_series`` takes Tr[pi0 dL_t^2] of their running trapezoid, and
-``increment_via_kernel`` the O(n^2) double sum of the kernel, which
-``kernel_matrix`` writes out for visualization.
+``CurrentTrace``, built from a trace and its weights w by
+``build_current_trace``, check it along the kernel route, with the same
+quadrature: ``increment_series`` takes Tr[pi0 dL_t^2] of their running
+trapezoid, and ``increment_via_kernel`` the O(n^2) double sum of the
+kernel.  ``kernel_matrix`` writes the kernel out for any stack of
+currents, such as those at a subset of the nodes.
 
 Results are columnar: ``qfi_time_series`` returns one ``QfiResult`` whose
 fields are float64 arrays over the grid nodes, and ``qfi_driven`` returns
@@ -31,16 +33,11 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from .bures import spectral_qfi_batch
-from .drive import dlambda_dbeta
 from .exceptions import DriveThermError, FullRankViolation
 from .operators import stack_mul
 from .propagation import (EvolutionTrace, TimeGrid, cumulative_trapezoid,
                           drho_dbeta_analytic)
 from .thermal import GibbsModel, equilibrium_qfi, equilibrium_sld
-
-#: Test-harness hook: -1 is the physical commutator in the current; +1
-#: mutates it into an anticommutator (injected sign error for mutation tests).
-_COMMUTATOR_SIGN = -1.0
 
 #: Floor in the relative-disagreement denominator (avoids 0/0 at t=0, no drive).
 REL_DISAGREEMENT_FLOOR = 1e-30
@@ -53,11 +50,9 @@ _KERNEL_CHUNK = 256
 
 
 def _current_ratio(model: GibbsModel) -> np.ndarray:
-    """(p_j + sign*p_i)/(p_i + p_j) in the thermal eigenbasis (zero diagonal
-    for the physical sign)."""
+    """(p_j - p_i)/(p_i + p_j) in the thermal eigenbasis (zero diagonal)."""
     p = model.probabilities
-    num = p[None, :] + _COMMUTATOR_SIGN * p[:, None]
-    return num / (p[:, None] + p[None, :])
+    return (p[None, :] - p[:, None]) / (p[:, None] + p[None, :])
 
 
 def _require_full_rank(model: GibbsModel) -> None:
@@ -93,56 +88,45 @@ class CurrentTrace:
     currents: np.ndarray          # (n_nodes, d, d) Hermitian
     weights: np.ndarray           # (n_nodes,)  w_k = dlambda/dbeta(t_k)
 
-    @property
-    def trapezoid_weights(self) -> np.ndarray:
-        """Composite-trapezoid node coefficients on the grid."""
-        n = self.grid.n_steps
-        if n == 0:
-            return np.zeros(1)
-        c = np.full(n + 1, self.grid.dt)
-        c[0] = c[-1] = 0.5 * self.grid.dt
-        return c
-
 
 def build_current_trace(trace: EvolutionTrace) -> CurrentTrace:
-    """Currents at every node plus the weights they enter with.
+    """Currents at every node plus the trace's weights they enter with.
 
     Weights vanish identically for temperature-insensitive envelopes; the
     currents may still be nonzero but then carry no Fisher information.
     """
-    weights = np.atleast_1d(
-        dlambda_dbeta(trace.drive, trace.grid.nodes, trace.model.beta)
-    ).astype(float)
     return CurrentTrace(grid=trace.grid, model=trace.model,
                         currents=information_current(trace.model, trace.heisenberg_v),
-                        weights=weights)
+                        weights=trace.weights)
 
 
-def _eigenbasis_currents(ct: CurrentTrace) -> np.ndarray:
+def _eigenbasis_currents(model: GibbsModel, currents: np.ndarray) -> np.ndarray:
     """The currents rotated into the thermal eigenbasis, Q^dag J_V Q."""
-    q = ct.model.basis
-    return np.einsum("ji,kjl,lm->kim", q.conj(), ct.currents, q)
+    q = model.basis
+    return np.einsum("ji,kjl,lm->kim", q.conj(), currents, q)
 
 
-def kernel_matrix(ct: CurrentTrace) -> np.ndarray:
-    """Full complex kernel K(t_a, t_b) = Tr[pi0 J_V(t_a) J_V(t_b)] on the grid
-    (O(n^2 d^2) memory).  K(t_b, t_a) = conj K(t_a, t_b), and the diagonal
-    is real and nonnegative."""
-    jt = _eigenbasis_currents(ct)
-    return np.einsum("i,aij,bji->ab", ct.model.probabilities, jt, jt)
+def kernel_matrix(model: GibbsModel, currents: np.ndarray) -> np.ndarray:
+    """Full complex kernel K(t_a, t_b) = Tr[pi0 J_V(t_a) J_V(t_b)] of an
+    (n, d, d) current stack (O(n^2 d^2) memory).  K(t_b, t_a) =
+    conj K(t_a, t_b), and the diagonal is real and nonnegative."""
+    jt = _eigenbasis_currents(model, currents)
+    return np.einsum("i,aij,bji->ab", model.probabilities, jt, jt)
 
 
-def increment_via_kernel(ct: CurrentTrace, *, return_diagnostics: bool = False):
-    """Fisher increment by the double trapezoid of w(s) w(u) K_S(s, u).
+def increment_via_kernel(ct: CurrentTrace) -> tuple[float, float]:
+    """Fisher increment by the double trapezoid of w(s) w(u) K_S(s, u),
+    returned with the antisymmetric part's residual.
 
     The symmetrized kernel K_S = Re K is used; the antisymmetric part drops
     out of the symmetric double sum, and its residual contribution is
-    computed as a diagnostic.  Evaluated in row chunks so large grids never
+    returned as a diagnostic.  Evaluated in row chunks so large grids never
     materialize the full n^2 kernel.
     """
     p = ct.model.probabilities
-    jt = _eigenbasis_currents(ct)
-    cw = ct.trapezoid_weights * ct.weights
+    jt = _eigenbasis_currents(ct.model, ct.currents)
+    cw = ct.grid.dt * ct.weights  # times the composite-trapezoid node coefficients
+    cw[[0, -1]] *= 0.5
     total = 0.0
     asym = 0.0
     n = jt.shape[0]
@@ -152,9 +136,7 @@ def increment_via_kernel(ct: CurrentTrace, *, return_diagnostics: bool = False):
         row = cw[a0:a1]
         total += float(row @ k_chunk.real @ cw)
         asym += float(row @ k_chunk.imag @ cw)
-    if return_diagnostics:
-        return total, abs(asym)
-    return total
+    return total, abs(asym)
 
 
 def increment_series(ct: CurrentTrace) -> np.ndarray:

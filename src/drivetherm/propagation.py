@@ -10,7 +10,8 @@ The chain U_k = S_{k-1} ... S_1 S_0 is a blocked running product over blocks
 of about sqrt(n) steps; it equals the sequential product up to round-off.
 Heisenberg operators V_H(t) = U^dag V U and the weighted integral
 M(t) = int_0^t dlambda/dbeta(s) V_H(s) ds are accumulated once, here, and
-cached on the resulting trace.  M is the one accumulated state of a run:
+cached on the resulting trace together with the weights w = dlambda/dbeta
+at the nodes.  M is the one accumulated state of a run:
 the beta-generator is A = -i M, and the accumulated information current dL
 of the engine is a fixed linear map of M.
 """
@@ -87,13 +88,14 @@ class EvolutionTrace:
     """Propagators, Heisenberg perturbation and their weighted integral.
 
     ``propagators[k]`` is U(t_k); ``heisenberg_v[k] = U(t_k)^dag V U(t_k)``
-    shares the spectrum of V and stays Hermitian for all k.  ``M[k]`` is the
-    Hermitian cumulative trapezoid of dlambda_dbeta(s) * V_H(s) up to t_k.
+    shares the spectrum of V and stays Hermitian for all k.  ``weights[k]``
+    is w = dlambda/dbeta at t_k, and ``M[k]`` the Hermitian cumulative
+    trapezoid of w * V_H up to t_k.
     """
 
     grid: TimeGrid
     model: GibbsModel
-    drive: DriveProfile
+    weights: np.ndarray
     propagators: np.ndarray
     heisenberg_v: np.ndarray
     M: np.ndarray
@@ -124,7 +126,7 @@ def propagate(model: GibbsModel, v, drive: DriveProfile, grid: TimeGrid,
     if n > 0:
         dt = grid.dt
         t_mid = grid.nodes[:-1] + 0.5 * dt
-        lam_mid = np.atleast_1d(lambda_at(drive, t_mid, model.beta))
+        lam_mid = lambda_at(drive, t_mid, model.beta)
         c0, cv = np.trace(model.h0).real / d, np.trace(v).real / d
         a = (-1j * dt) * ((model.h0 - c0 * identity)[..., None]
                           + (v - cv * identity)[..., None] * lam_mid)
@@ -148,7 +150,7 @@ def propagate(model: GibbsModel, v, drive: DriveProfile, grid: TimeGrid,
 
     heisenberg_v = np.ascontiguousarray(stack_mul(adjoints, stack_mul(v, propagators)))
     propagators = np.ascontiguousarray(propagators)
-    w = np.atleast_1d(dlambda_dbeta(drive, grid.nodes, model.beta))
+    w = dlambda_dbeta(drive, grid.nodes, model.beta)
     m = cumulative_trapezoid(w[:, None, None] * heisenberg_v, grid.dt)
     if not np.isfinite(m).all():
         raise DriveThermError("the weighted integral M is not finite: "
@@ -156,7 +158,7 @@ def propagate(model: GibbsModel, v, drive: DriveProfile, grid: TimeGrid,
     return EvolutionTrace(
         grid=grid,
         model=model,
-        drive=drive,
+        weights=w,
         propagators=propagators,
         heisenberg_v=heisenberg_v,
         M=m,

@@ -5,7 +5,7 @@ scan point and every optimizer step is one call of ``_evaluate``: one
 propagation on the default grid and the decomposition at one node.  Scans
 and the optimizer take the Gibbs model of H0 at beta*; only a temperature
 scan builds one per point, at that point's beta under the model's rank
-floor.  A scan point whose dual-path mismatch exceeds
+floor.  A scan point or optimizer step whose dual-path mismatch exceeds
 ``engine.DUAL_PATH_TOL`` raises :class:`DriveThermError`.
 """
 
@@ -105,13 +105,16 @@ def _best_node(trace: EvolutionTrace, window: tuple) -> int:
 
 
 def _evaluate(model: GibbsModel, v: np.ndarray, drive: DriveProfile, t_end: float,
-              *, window: tuple | None = None, drift_tol: float) -> QfiResult:
+              where: str, *, window: tuple | None = None, drift_tol: float) -> QfiResult:
     """One propagation on the default grid, decomposed at one node: the
-    final one, or the best node inside ``window``."""
+    final one, or the best node inside ``window``.  A dual-path mismatch
+    there raises :class:`DriveThermError` naming ``where``."""
     trace = propagate(model, v, drive, default_grid(t_end, model.spread, drive.omega_d),
                       drift_tol=drift_tol)
     at = None if window is None else _best_node(trace, window)
-    return qfi_driven(trace, at)
+    row = qfi_driven(trace, at)
+    check_dual_path(row.rel_disagreement, where)
+    return row
 
 
 def _evaluate_point(spec: ScanSpec, value: float) -> ScanPoint:
@@ -129,8 +132,8 @@ def _evaluate_point(spec: ScanSpec, value: float) -> ScanPoint:
     else:
         window = spec.reduce.window
         t_eval = window[1]
-    row = _evaluate(model, spec.v, drive, t_eval, window=window, drift_tol=spec.drift_tol)
-    check_dual_path(row.rel_disagreement, f"{spec.axis} scan point {value:g}")
+    row = _evaluate(model, spec.v, drive, t_eval, f"{spec.axis} scan point {value:g}",
+                    window=window, drift_tol=spec.drift_tol)
     return ScanPoint(value, row.f_eq, row.i_t, row.f_total, row.f_spectral)
 
 
@@ -183,7 +186,8 @@ def optimize_drive(model: GibbsModel, v, t_eval: float,
     reliable).
 
     When the evaluation budget runs out the best point so far is returned
-    with ``budget_exhausted`` set.
+    with ``budget_exhausted`` set.  A point whose dual-path mismatch exceeds
+    ``engine.DUAL_PATH_TOL`` raises :class:`DriveThermError`.
     """
     v = hermitize(v)
     if not bounds:
@@ -238,7 +242,8 @@ def optimize_drive(model: GibbsModel, v, t_eval: float,
         if key not in cache:
             if len(trail) >= max_evals:
                 raise _BudgetExhausted
-            f_total = _evaluate(model, v, current(p), t_eval, drift_tol=DRIFT_TOL).f_total
+            where = "optimizer point " + ", ".join(f"{k}={p[k]:g}" for k in _PARAM_ORDER)
+            f_total = _evaluate(model, v, current(p), t_eval, where, drift_tol=DRIFT_TOL).f_total
             cache[key] = f_total
             trail.append((dict(p), f_total))
         return cache[key]

@@ -8,7 +8,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from drivetherm import cli, config, engine, propagation, scans, thermal, validation
+from drivetherm import (cli, config, drive, engine, propagation, scans, thermal,
+                        validation)
 from drivetherm.cli import main
 from drivetherm.config import RunConfig, load_run_config
 from drivetherm.exceptions import ConfigValidationError, DriveThermError
@@ -263,6 +264,20 @@ def test_kernel_output(tmp_path):
     diag = {(r[0], r[1]): r[2] for r in rows}
     for (s, u), val in diag.items():
         assert abs(val - diag[(u, s)]) < 1e-12  # symmetrized kernel
+
+
+def test_kernel_output_honours_its_node_cap(tmp_path):
+    # 2,001 nodes: a floor-divided stride of 8 would write 251 times
+    text = BASE_CONFIG.replace("t_end: 6.283185307179586",
+                               "t_end: 6.283185307179586\n  n_steps: 2000")
+    text = text.replace("manifest: run.json", "manifest: run.json\n  kernel: kern.csv")
+    cfg = write(tmp_path, "run.yaml", text)
+    out = tmp_path / "out"
+    assert main(["simulate", "--config", str(cfg), "--out", str(out)]) == 0
+    _, _, rows = read_csv(out / "kern.csv")
+    times = {r[0] for r in rows}
+    assert 1 < len(times) <= cli.KERNEL_MAX_NODES
+    assert len(rows) == len(times) ** 2
 
 
 def test_dense_model_config(tmp_path):
@@ -643,6 +658,31 @@ def test_simulate_with_kernel_propagates_once(tmp_path, propagated_steps):
 
 
 @pytest.fixture
+def weight_evaluations(monkeypatch):
+    """The number of nodes of every dlambda/dbeta evaluation, in call order."""
+    calls = []
+    original = drive.dlambda_dbeta
+
+    def counted(profile, t, beta):
+        calls.append(np.size(t))
+        return original(profile, t, beta)
+
+    for module in (cli, drive, engine, propagation, validation):
+        if getattr(module, "dlambda_dbeta", None) is original:
+            monkeypatch.setattr(module, "dlambda_dbeta", counted)
+    return calls
+
+
+def test_simulate_with_kernel_evaluates_weights_once(tmp_path, weight_evaluations):
+    # propagate's weights of M are the ones the kernel route reads
+    text = BASE_CONFIG.replace("manifest: run.json",
+                               "manifest: run.json\n  kernel: kern.csv")
+    cfg = write(tmp_path, "run.yaml", text)
+    assert main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 0
+    assert weight_evaluations == [201]
+
+
+@pytest.fixture
 def gibbs_betas(monkeypatch):
     """The beta of every Gibbs model the CLI builds, in call order."""
     calls = []
@@ -691,6 +731,11 @@ def test_unresolved_cold_result_exits_1(tmp_path, capsys, command, text, csv, wh
     err = capsys.readouterr().err
     assert err.startswith("numerical failure: dual-path mismatch") and where in err
     assert not (out / csv).exists()
+    assert not out.exists()  # the run made the directory, so it removes it again
+    out.mkdir()
+    (out / "keep.txt").write_text("kept", encoding="utf-8")
+    assert main([command, "--config", str(cfg), "--out", str(out)]) == 1
+    assert sorted(p.name for p in out.iterdir()) == ["keep.txt"]  # left as it was
 
 
 @pytest.mark.parametrize("grid, main_steps", [
@@ -830,4 +875,25 @@ def test_constructor_rules_fail_at_load_time(tmp_path, capsys, old, new, line, m
     assert main(["scan", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
     err = capsys.readouterr().err
     assert f"rule.yaml:{line}:" in err and message in err
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("old, new, key, kind", [
+    ("  omega: 1.0\n", "  omega: 1.0\n  energies: [0.0, 7.0]\n", "energies", "kind 'qubit'"),
+    ("    s_beta: 3.0\n", "    s_beta: 3.0\n    points: [[0.0, 1.0], [20.0, 1.0]]\n",
+     "points", "kind 'gaussian'"),
+    ("    phi: 0.0\n", "    phi: 0.0\n    points: [[0.0, 1.0], [9.0, 0.5]]\n",
+     "points", "kind 'cosine'"),
+    ("    t: 6.0\n", "    t: 6.0\n    window: [100.0, -3.0]\n", "window",
+     "mode 'value_at_t'"),
+], ids=["model", "drive.envelope", "drive.temporal", "scan.reduce"])
+def test_key_of_another_kind_rejected(tmp_path, capsys, old, new, key, kind):
+    # a key that only another kind reads would be dropped, so it is an error
+    text = BLOCK_SCAN_CONFIG.replace(old, new)
+    assert text != BLOCK_SCAN_CONFIG
+    line = next(i for i, x in enumerate(text.splitlines(), 1) if x.strip().startswith(f"{key}:"))
+    cfg = write(tmp_path, "kind.yaml", text)
+    assert main(["scan", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert f"kind.yaml:{line}:" in err and "unknown" in err and kind in err
     assert not (tmp_path / "o").exists()

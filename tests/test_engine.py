@@ -5,8 +5,8 @@ import pytest
 
 from drivetherm import FullRankViolation
 from drivetherm.drive import (ConstantEnvelope, CosineModulation, DriveProfile,
-                              GaussianEnvelope)
-from drivetherm.engine import (CurrentTrace, build_current_trace,
+                              GaussianEnvelope, dlambda_dbeta)
+from drivetherm.engine import (build_current_trace,
                                increment_series, increment_via_kernel,
                                information_current, kernel_matrix, qfi_driven,
                                qfi_time_series)
@@ -75,9 +75,7 @@ def test_kernel_hermiticity_and_positivity(rng):
     currents = np.stack([information_current(model, random_hermitian(rng, 3)),
                          information_current(model, random_hermitian(rng, 3)),
                          np.zeros((3, 3), dtype=complex)])
-    ct = CurrentTrace(grid=TimeGrid(1.0, 2), model=model, currents=currents,
-                      weights=np.ones(3))
-    km = kernel_matrix(ct)
+    km = kernel_matrix(model, currents)
     assert np.abs(km - km.conj().T).max() < 1e-14
     assert np.abs(np.diagonal(km).imag).max() < 1e-14
     assert (np.diagonal(km).real >= 0.0).all()
@@ -89,7 +87,7 @@ def test_weak_field_kernel_matches_cosine(qubit_model):
     drive = DriveProfile(1e-6, GaussianEnvelope(10.0, 3.0), CosineModulation(1.0, 0.0))
     grid = TimeGrid(4.0, default_n_steps(4.0, 1.0, 1.0))
     ct = build_current_trace(propagate(qubit_model, SIGMA_X, drive, grid))
-    km = kernel_matrix(ct).real
+    km = kernel_matrix(ct.model, ct.currents).real
     m = np.tanh(2.5)
     nodes = grid.nodes
     expected = 4 * m**2 * np.cos(nodes[:, None] - nodes[None, :])
@@ -102,6 +100,15 @@ def test_build_current_trace_weights(qubit_model):
     ct = build_current_trace(propagate(qubit_model, SIGMA_X, con, grid))
     assert np.abs(ct.weights).max() == 0.0
     assert np.abs(ct.currents).max() > 0.1  # currents flow, but enter with zero weight
+
+
+def test_trace_carries_the_weights_of_m(qubit_model, resonant_drive):
+    # propagate keeps the w it weights M with; the current trace reads those
+    grid = TimeGrid(TWO_PI, 200)
+    trace = propagate(qubit_model, SIGMA_X, resonant_drive, grid)
+    assert np.array_equal(trace.weights,
+                          dlambda_dbeta(resonant_drive, grid.nodes, qubit_model.beta))
+    assert build_current_trace(trace).weights is trace.weights
 
 
 def test_weak_field_current_convention(qubit_model):
@@ -128,13 +135,13 @@ def test_single_node_trace(qubit_model, resonant_drive):
     ct = build_current_trace(propagate(qubit_model, SIGMA_X, resonant_drive,
                                        TimeGrid(0.0, 0)))
     assert increment_series(ct)[-1] == 0.0
-    assert increment_via_kernel(ct) == 0.0
+    assert increment_via_kernel(ct)[0] == 0.0
 
 
 def test_increment_paths_agree(qubit_model, resonant_drive, rng):
     grid = TimeGrid(2 * TWO_PI, default_n_steps(2 * TWO_PI, 1.0, 1.0))
     ct = build_current_trace(propagate(qubit_model, SIGMA_X, resonant_drive, grid))
-    i_kernel, asym = increment_via_kernel(ct, return_diagnostics=True)
+    i_kernel, asym = increment_via_kernel(ct)
     i_delta = increment_series(ct)[-1]
     assert abs(i_kernel - i_delta) <= 1e-10 * i_delta
     assert asym <= 1e-10
@@ -144,7 +151,7 @@ def test_increment_paths_agree(qubit_model, resonant_drive, rng):
     grid = TimeGrid(4.0, default_n_steps(4.0, float(np.ptp(np.linalg.eigvalsh(h0))), 1.3))
     drive = DriveProfile(0.08, GaussianEnvelope(2.0, 1.5), CosineModulation(1.3, 0.7))
     ct = build_current_trace(propagate(model, random_hermitian(rng, 3), drive, grid))
-    i_kernel, asym = increment_via_kernel(ct, return_diagnostics=True)
+    i_kernel, asym = increment_via_kernel(ct)
     i_delta = increment_series(ct)[-1]
     assert abs(i_kernel - i_delta) <= 1e-10 * max(i_delta, 1e-30)
     assert asym <= 1e-10

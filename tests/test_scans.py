@@ -5,7 +5,7 @@ from drivetherm import engine, scans
 from drivetherm.drive import (ConstantEnvelope, CosineModulation, DriveProfile,
                               GaussianEnvelope)
 from drivetherm.engine import qfi_time_series
-from drivetherm.exceptions import FullRankViolation
+from drivetherm.exceptions import DriveThermError, FullRankViolation
 from drivetherm.operators import SIGMA_X, SIGMA_Z
 from drivetherm.propagation import EvolutionTrace, TimeGrid
 from drivetherm.scans import (OptimizeResult, ReduceSpec, ScanSpec, _best_node,
@@ -153,7 +153,7 @@ def test_max_over_t_window_ties_pick_earliest_node():
     c = np.sqrt([9.0, 1, 3, 3, 2, 3, 0, 0, 9])
     identity = np.broadcast_to(np.eye(2, dtype=complex), (9, 2, 2))
     trace = EvolutionTrace(grid=TimeGrid(4.0, 8), model=qubit(),
-                           drive=base_drive(), propagators=identity,
+                           weights=np.ones(9), propagators=identity,
                            heisenberg_v=np.broadcast_to(SIGMA_X, (9, 2, 2)),
                            M=c[:, None, None] * SIGMA_X, unitarity_drift=0.0)
     assert _best_node(trace, (0.25, 3.5)) == 2      # nodes 0 and 8 lie outside
@@ -289,6 +289,15 @@ def test_optimizer_honours_rank_floor():
                             coarse_points=5, passes=1, golden_iters=4)
     assert 0.5 <= result.params["omega_d"] <= 1.5
     assert np.isfinite(result.value) and result.value > 0.0
+
+
+def test_optimizer_rejects_unresolved_point():
+    # beta = 38 passes the default floor, but F_total ~ 3e-17 lies below the
+    # spectral route's cutoff: the first point's mismatch is 3.1e13
+    with pytest.raises(DriveThermError, match="dual-path mismatch .* at optimizer point "
+                                              "omega_d=1, beta0=10"):
+        optimize_drive(qubit(38.0), SIGMA_X, 10 * TWO_PI, {"omega_d": (0.5, 2.0)},
+                       base_drive=base_drive(beta0=10.0))
 
 
 def test_optimizer_resonance_seeding_weak_field_cap():

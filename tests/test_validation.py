@@ -47,10 +47,16 @@ def test_summarize_mentions_failures():
     assert f"{len(checks)}/{len(checks)} checks passed" in text
 
 
+def anticommutator_ratio(model):
+    """The current's ratio with the sign of the commutator flipped: an
+    injected sign error that makes the current an anticommutator."""
+    p = model.probabilities
+    return (p[None, :] + p[:, None]) / (p[:, None] + p[None, :])
+
+
 def test_injected_current_sign_error_fails_mixed_term(monkeypatch):
-    # mutation hook: flipping the commutator sign turns the current's
-    # commutator into an anticommutator; the mixed term no longer vanishes
-    monkeypatch.setattr(engine, "_COMMUTATOR_SIGN", 1.0)
+    # with an anticommutator in the current the mixed term no longer vanishes
+    monkeypatch.setattr(engine, "_current_ratio", anticommutator_ratio)
     checks = {c.name: c for c in run_checks()}
     assert not checks["mixed-term-vanishing"].passed
 
@@ -64,7 +70,7 @@ def test_cli_validate_passes(tmp_path):
 
 
 def test_cli_validate_fails_under_mutation(tmp_path, monkeypatch, capsys):
-    monkeypatch.setattr(engine, "_COMMUTATOR_SIGN", 1.0)
+    monkeypatch.setattr(engine, "_current_ratio", anticommutator_ratio)
     report = tmp_path / "report.json"
     assert main(["validate", "--report", str(report)]) == 1
     err = capsys.readouterr().err
