@@ -70,12 +70,18 @@ def _load_config(args):
     """The command's loaded run; None for ``validate`` without a config.
 
     Raises :class:`ConfigValidationError` for a bad file (a model below the
-    full-rank floor included), and for a scan section that ``simulate`` does
-    not take or that ``scan`` lacks.
+    full-rank floor included), for a scan section that ``simulate`` does
+    not take or that ``scan`` lacks, and for an ``--out`` that is, or lies
+    inside, a file.
     """
     if args.config is None:
         return None
     run = load_run_config(args.config)
+    if args.command != "validate":
+        out = Path(args.out)
+        nearest = next(p for p in (out, *out.parents) if p.exists())
+        if not nearest.is_dir():
+            raise ConfigValidationError(f"--out {args.out}: {nearest} is not a directory")
     if args.command == "simulate" and run.scan is not None:
         raise ConfigValidationError("'simulate' takes a config without a scan section "
                                     "(use 'scan')", path=args.config)
@@ -94,10 +100,12 @@ def cmd_simulate(run, out_dir: Path, manifest_hash: str):
     engine.check_dual_path(results.rel_disagreement[worst], f"t={results.t[worst]:g}")
     kernel_payload = None
     if config.output["kernel"] is not None:
-        # currents at the sampled nodes only: all n of them would raise peak memory
-        stride = -(-grid.n_nodes // KERNEL_MAX_NODES)
-        currents = engine.information_current(model, trace.heisenberg_v[::stride])
-        kernel_payload = (grid.nodes[::stride], engine.kernel_matrix(model, currents).real)
+        # both ends and evenly spread nodes between; currents at those nodes
+        # only, since all n of them would raise peak memory
+        k = min(grid.n_nodes, KERNEL_MAX_NODES)
+        nodes = np.unique(np.rint(np.linspace(0, grid.n_steps, k)).astype(int))
+        currents = engine.information_current(model, trace.heisenberg_v[nodes])
+        kernel_payload = (grid.nodes[nodes], engine.kernel_matrix(model, currents).real)
 
     csv_path = out_dir / config.output["csv"]
     write_simulation_csv(csv_path, results, manifest_hash)

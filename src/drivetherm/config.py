@@ -14,6 +14,7 @@ commands run those objects (:class:`LoadedRun`).
 """
 
 import math
+import os
 from dataclasses import asdict, dataclass
 from typing import NamedTuple
 
@@ -448,10 +449,20 @@ def load_run_config(path: str) -> LoadedRun:
     # ---- estimation / output --------------------------------------------
     estimation = {"n_measurements":
                   root.section("estimation").integer("n_measurements", 1, minimum=1)}
+    # each output is a plain file name inside --out (non-empty, no path
+    # separator, not . or ..), and no two outputs name the same file
     out_sec = root.section("output")
-    output = {"csv": out_sec.string("csv", "results.csv"),
-              "manifest": out_sec.string("manifest", "manifest.json"),
-              "kernel": out_sec.string("kernel")}
+    output = {}
+    for key, default in (("csv", "results.csv"), ("manifest", "manifest.json"),
+                         ("kernel", None)):
+        name = out_sec.string(key, default)
+        if name is not None and (name in ("", ".", "..") or os.path.basename(name) != name):
+            raise out_sec.error(f"'output.{key}' must be a plain file name, got {name!r}", key)
+        if name is not None and name in output.values():
+            other = next(k for k, v in output.items() if v == name)
+            raise out_sec.error(f"'output.{key}' and 'output.{other}' name the same file "
+                                f"{name!r}", key if key in out_sec.data else other)
+        output[key] = name
 
     config = RunConfig(model, drive, grid, scan, estimation, output, seed, tolerances, resolved)
     return LoadedRun(config, gibbs, v, profile, time_grid, scan_spec)

@@ -1,11 +1,14 @@
 """Time-ordered propagation for H(t, beta) = H0 + lambda(t, beta) V.
 
 The stepper is midpoint-exponential, U(t+dt) = exp(-i*dt*H(t+dt/2)) U(t),
-second-order accurate overall.  The step exponentials are one batched Taylor
-product with scaling and squaring (Al-Mohy & Higham, SIAM J. Matrix Anal.
-Appl. 31:970, 2009) of -i*dt*(H - (tr H/d) I), unitary to round-off; the
-trace returns as an exact phase, so an offset in H0 forces no squarings, and
-a step needing more than 16 squarings (error ~ 2^s round-offs) is too coarse.
+second-order accurate overall.  The step exponentials of
+A = -i*dt*(H - (tr H/d) I) are, for a qubit, the closed SU(2) form
+exp(A) = e^{tr A/2} (cos r I + (sin r / r) A'), with A' the traceless part of
+A and r^2 = -det A'; for d != 2 they are one batched Taylor product with
+scaling and squaring (Al-Mohy & Higham, SIAM J. Matrix Anal. Appl. 31:970,
+2009).  Both are unitary to round-off; the trace returns as an exact phase,
+so an offset in H0 forces no squarings, and a step whose Taylor product would
+need more than 16 squarings (error ~ 2^s round-offs) is too coarse.
 The chain U_k = S_{k-1} ... S_1 S_0 is a blocked running product over blocks
 of about sqrt(n) steps; it equals the sequential product up to round-off.
 Heisenberg operators V_H(t) = U^dag V U and the weighted integral
@@ -167,8 +170,9 @@ def propagate(model: GibbsModel, v, drive: DriveProfile, grid: TimeGrid,
 
 
 def _step_exponentials(a: np.ndarray) -> np.ndarray:
-    """exp(A_k) of an (n, d, d) stack: Horner on the Taylor series of the
-    smallest degree m with theta_m >= max_k ||A_k||_1, then s squarings."""
+    """exp(A_k) of an (n, d, d) anti-Hermitian stack: the closed SU(2) form
+    for d = 2, else Horner on the Taylor series of the smallest degree m with
+    theta_m >= max_k ||A_k||_1, then s squarings."""
     n, d, _ = a.shape
     norm = float(np.abs(a).sum(axis=1).max())
     if not math.isfinite(norm):
@@ -179,6 +183,8 @@ def _step_exponentials(a: np.ndarray) -> np.ndarray:
         suggested = n * 2 ** (s - _MAX_SQUARINGS)
         raise StepSizeTooCoarse(f"step norm {norm:.3e} needs {s} > {_MAX_SQUARINGS} squarings; "
                                 f"retry with n_steps >= {suggested}", suggested_n_steps=suggested)
+    if d == 2:
+        return _qubit_exponentials(a)
     a = a * 0.5 ** s
     out = a / m
     for j in range(m - 1, 0, -1):
@@ -186,6 +192,24 @@ def _step_exponentials(a: np.ndarray) -> np.ndarray:
     out += np.eye(d)
     for _ in range(s):
         out = stack_mul(out, out)
+    return out
+
+
+def _qubit_exponentials(a: np.ndarray) -> np.ndarray:
+    """exp(A_k) of an (n, 2, 2) anti-Hermitian stack, in A's memory layout:
+    e^{tr A/2} (cos r I + (sin r / r) A'), where A' = A - (tr A/2) I squares
+    to -r^2 I."""
+    half_trace = 0.5 * (a[:, 0, 0] + a[:, 1, 1])
+    p = a[:, 0, 0] - half_trace
+    r = np.sqrt(p.imag ** 2 + a[:, 1, 0].real ** 2 + a[:, 1, 0].imag ** 2)
+    phase = np.exp(half_trace)
+    cos_r = phase * np.cos(r)
+    sinc_r = phase * np.sinc(r / np.pi)
+    out = np.empty_like(a)
+    out[:, 0, 0] = cos_r + sinc_r * p
+    out[:, 1, 1] = cos_r - sinc_r * p
+    out[:, 0, 1] = sinc_r * a[:, 0, 1]
+    out[:, 1, 0] = sinc_r * a[:, 1, 0]
     return out
 
 

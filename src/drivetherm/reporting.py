@@ -1,10 +1,11 @@
 """Result serialization: CSV data files and the JSON run manifest.
 
 Numbers are written with 17 significant digits (lossless double round
-trip), as ``%.17g``: each CSV is one repeated row template filled by a
-single ``%`` operation, which gives the same text as formatting each value
-with ``f"{x:.17g}"``.  The kernel CSV formats each sampled time once and
-writes it into the template.  Every data file opens with a
+trip), as ``%.17g``: each CSV is a repeated row template filled by one
+``%`` operation per block of rows, which gives the same text as formatting
+each value with ``f"{x:.17g}"``.  A column of bitwise-identical values
+(``F_eq`` of a time series) and each sampled time of the kernel CSV are
+formatted once and written into the template.  Every data file opens with a
 ``# manifest_hash=...`` comment line tying it to exactly one manifest; the
 hash covers the artifact version, the resolved configuration, and the
 resolved defaults (the run identity), so it is computable before any data
@@ -22,6 +23,9 @@ from . import __version__
 from .config import RunConfig
 from .engine import QfiResult
 from .scans import ScanPoint
+
+#: Rows per format call of a float table: bounds the writer's transient memory.
+_CHUNK_ROWS = 2048
 
 SIMULATION_COLUMNS = ("t", "F_eq", "I_t", "F_total", "F_spectral",
                       "rel_disagreement", "crb_sigma")
@@ -51,18 +55,26 @@ def sha256_file(path) -> str:
     return digest.hexdigest()
 
 
-def _write_table(path, manifest_hash: str, header: Sequence[str],
-                 rows_template: str, values: Sequence[float]) -> None:
-    """Write the data file whose rows are ``rows_template % values``."""
-    head = f"# manifest_hash={manifest_hash}\n{','.join(header)}\n"
-    Path(path).write_text(head + rows_template % tuple(values), encoding="utf-8")
+def _write_table(path, manifest_hash: str, header: Sequence[str], chunks) -> None:
+    """Write the data file whose rows are the text ``chunks``, in order."""
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(f"# manifest_hash={manifest_hash}\n{','.join(header)}\n")
+        fh.writelines(chunks)
 
 
 def _float_table(path, manifest_hash: str, header: Sequence[str], table) -> None:
-    """Write a (rows, columns) float table, one %.17g per value, in one format call."""
+    """Write a (rows, columns) float table, one %.17g per value, one format call
+    per block of _CHUNK_ROWS rows.  A column of bitwise-identical values is
+    formatted once, into the row template."""
     table = np.asarray(table, dtype=float).reshape(-1, len(header))
-    row = ",".join(["%.17g"] * len(header)) + "\n"
-    _write_table(path, manifest_hash, header, row * len(table), table.ravel().tolist())
+    bits = table.view(np.uint64)
+    constant = (bits == bits[:1]).all(axis=0) & (len(table) > 0)
+    cells = ["%.17g" % table[0, j] if same else "%.17g" for j, same in enumerate(constant)]
+    row = ",".join(cells) + "\n"
+    values = table[:, ~constant]
+    blocks = (values[i:i + _CHUNK_ROWS] for i in range(0, len(values), _CHUNK_ROWS))
+    _write_table(path, manifest_hash, header,
+                 (row * len(b) % tuple(b.ravel().tolist()) for b in blocks))
 
 
 def write_simulation_csv(path, results: QfiResult, manifest_hash: str) -> None:
@@ -86,8 +98,8 @@ def write_kernel_csv(path, times, kernel_sym, manifest_hash: str) -> None:
     stamps = ["%.17g" % t for t in np.asarray(times).tolist()]
     tails = [f",{u},%.17g" for u in stamps]
     template = "".join(s + ("\n" + s).join(tails) + "\n" for s in stamps)
-    _write_table(path, manifest_hash, ("s", "u", "K_S"), template,
-                 np.ravel(kernel_sym).tolist())
+    _write_table(path, manifest_hash, ("s", "u", "K_S"),
+                 [template % tuple(np.ravel(kernel_sym).tolist())])
 
 
 def read_csv(path):

@@ -267,7 +267,7 @@ def test_kernel_output(tmp_path):
 
 
 def test_kernel_output_honours_its_node_cap(tmp_path):
-    # 2,001 nodes: a floor-divided stride of 8 would write 251 times
+    # 2,001 nodes, more than the cap: the sample keeps both ends of the grid
     text = BASE_CONFIG.replace("t_end: 6.283185307179586",
                                "t_end: 6.283185307179586\n  n_steps: 2000")
     text = text.replace("manifest: run.json", "manifest: run.json\n  kernel: kern.csv")
@@ -278,6 +278,7 @@ def test_kernel_output_honours_its_node_cap(tmp_path):
     times = {r[0] for r in rows}
     assert 1 < len(times) <= cli.KERNEL_MAX_NODES
     assert len(rows) == len(times) ** 2
+    assert rows[0][0] == 0.0 and rows[-1][0] == 6.283185307179586  # both ends of the grid
 
 
 def test_dense_model_config(tmp_path):
@@ -449,6 +450,42 @@ def test_numerical_failure_exits_cleanly(tmp_path, capsys, monkeypatch, command,
     assert main(argv) == 1
     err = capsys.readouterr().err
     assert err == "numerical failure: injected failure\n"
+
+
+@pytest.mark.parametrize("out", ["afile", "afile/sub"], ids=["file", "inside-file"])
+@pytest.mark.parametrize("command, text", [("simulate", BASE_CONFIG), ("scan", SCAN_CONFIG)],
+                         ids=["simulate", "scan"])
+def test_out_naming_a_file_is_a_configuration_error(tmp_path, capsys, command, text, out):
+    cfg = write(tmp_path, "run.yaml", text)
+    afile = write(tmp_path, "afile", "keep\n")
+    assert main([command, "--config", str(cfg), "--out", str(tmp_path / out)]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("configuration error:"), err
+    assert "not a directory" in err[0]
+    assert afile.read_text(encoding="utf-8") == "keep\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["afile", "run.yaml"]
+
+
+@pytest.mark.parametrize("old, new, line", [
+    ("manifest: run.json", "manifest: run.csv", 15),
+    ("manifest: run.json", "manifest: run.json\n  kernel: run.csv", 16),
+    ("csv: run.csv", "csv: /abs/x.csv", 14),
+    ("csv: run.csv", "csv: ../x.csv", 14),
+    ("csv: run.csv", "csv: sub/x.csv", 14),
+    ("csv: run.csv", 'csv: ""', 14),
+    ("csv: run.csv", 'csv: "."', 14),
+    ("csv: run.csv", 'csv: ".."', 14),
+], ids=["csv-is-manifest", "kernel-is-csv", "absolute", "parent", "subdirectory", "empty",
+        "dot", "dot-dot"])
+def test_output_names_are_plain_distinct_file_names(tmp_path, capsys, old, new, line):
+    text = BASE_CONFIG.replace(old, new)
+    assert text != BASE_CONFIG
+    cfg = write(tmp_path, "run.yaml", text)
+    out = tmp_path / "o"
+    assert main(["simulate", "--config", str(cfg), "--out", str(out)]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith(f"configuration error: {cfg}:{line}:"), err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["run.yaml"]
 
 
 def test_validate_runs_on_short_tabulated_temporal_table(tmp_path, capsys):

@@ -147,7 +147,7 @@ def test_step_exponentials_match_eigh_reference(rng, d):
                 assert unitarity_defect_2(u) <= 1e-13
 
 
-@pytest.mark.parametrize("d", [1, 3])
+@pytest.mark.parametrize("d", [1, 2, 3])
 def test_step_exponential_with_energy_offset_matches_eigh_reference(rng, d):
     # one constant-drive step of H0 + 100 I + lambda0 V: the trace shift is exact
     h0 = random_hermitian(rng, d) + 100.0 * np.eye(d)

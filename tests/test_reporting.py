@@ -1,10 +1,12 @@
 """The table writers: every value is written as f"{x:.17g}", in row order."""
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from drivetherm import reporting
 from drivetherm.engine import QfiResult
 from drivetherm.reporting import (SIMULATION_COLUMNS, write_kernel_csv,
                                   write_scan_csv, write_simulation_csv)
@@ -75,3 +77,15 @@ def test_empty_tables_write_the_header_only(tmp_path):
     assert body(tmp_path / "scan.csv") == ("omega_d,F_eq,I_t,F_total,F_spectral", [])
     write_kernel_csv(tmp_path / "kernel.csv", np.zeros(0), np.zeros((0, 0)), "h")
     assert body(tmp_path / "kernel.csv") == ("s,u,K_S", [])
+
+
+@pytest.mark.parametrize("constant", [np.nan, -0.0], ids=["nan", "minus-zero"])
+def test_constant_column_is_written_as_each_value_17g(tmp_path, constant):
+    # F_eq is constant; I_t mixes 0.0 and -0.0, which compare equal but are not
+    # one value; the rows span three format blocks
+    rows = 2 * reporting._CHUNK_ROWS + 3
+    table = np.linspace(-1.0, 1.0, rows * 8).reshape(rows, 8)
+    table[:, 1] = constant
+    table[:, 2] = np.where(np.arange(rows) % 2, -0.0, 0.0)
+    write_simulation_csv(tmp_path / "sim.csv", QfiResult(*table.T), "h")
+    assert body(tmp_path / "sim.csv")[1] == expected_lines(table[:, :7].tolist())
