@@ -24,8 +24,7 @@ from .engine import (CurrentTrace, QfiResult, build_current_trace,
 from .exceptions import (ConfigValidationError, DriveThermError,
                          ExtrapolationError, FullRankViolation,
                          StepSizeTooCoarse)
-from .operators import (SIGMA_X, SIGMA_Y, SIGMA_Z, EigenSystem, commutator,
-                        eig, expm_hermitian_generator, hermitize)
+from .operators import SIGMA_X, SIGMA_Y, SIGMA_Z, EigenSystem, eig, hermitize
 from .propagation import (EvolutionTrace, TimeGrid, beta_generator,
                           default_grid, default_n_steps, drho_dbeta_analytic,
                           drho_dbeta_fd, propagate)
@@ -42,8 +41,7 @@ from .thermal import (GibbsModel, dpi_dbeta, equilibrium_qfi,
 __all__ = [
     "__version__",
     # operators
-    "EigenSystem", "commutator", "eig", "expm_hermitian_generator",
-    "hermitize", "SIGMA_X", "SIGMA_Y", "SIGMA_Z",
+    "EigenSystem", "eig", "hermitize", "SIGMA_X", "SIGMA_Y", "SIGMA_Z",
     # thermal
     "GibbsModel", "dpi_dbeta", "equilibrium_qfi", "equilibrium_sld",
     "make_gibbs",

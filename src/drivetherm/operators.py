@@ -76,16 +76,6 @@ def eig(a: np.ndarray) -> EigenSystem:
     return EigenSystem(vals, vecs)
 
 
-def expm_hermitian_generator(a: np.ndarray, s: float) -> np.ndarray:
-    """exp(-i*s*A) for Hermitian A, via eigendecomposition.
-
-    Exactly unitary up to eigensolver roundoff regardless of ``s``.
-    """
-    vals, vecs = eig(a)
-    phases = np.exp(-1j * s * vals)
-    return (vecs * phases) @ vecs.conj().T
-
-
 def stack_mul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Matrix product of (..., d, d) stacks; either may be a single (d, d).
     Batched ``@`` pays per matrix, so for d <= UNROLL_MAX_DIM it sums d
@@ -98,13 +88,6 @@ def stack_mul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     for j in range(1, d):
         out += a[..., :, j:j + 1] * b[..., j:j + 1, :]
     return out
-
-
-def commutator(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """A@B - B@A (anti-Hermitian for Hermitian inputs)."""
-    if a.shape != b.shape:
-        raise ValueError(f"dimension mismatch: {a.shape} vs {b.shape}")
-    return a @ b - b @ a
 
 
 # Pauli matrices: the ubiquitous d=2 special case.

@@ -1,14 +1,16 @@
 """Time-ordered propagation for H(t, beta) = H0 + lambda(t, beta) V.
 
 The stepper is midpoint-exponential, U(t+dt) = exp(-i*dt*H(t+dt/2)) U(t),
-second-order accurate overall.  The step exponentials of
-A = -i*dt*(H - (tr H/d) I) are, for a qubit, the closed SU(2) form
-exp(A) = e^{tr A/2} (cos r I + (sin r / r) A'), with A' the traceless part of
-A and r^2 = -det A'; for d != 2 they are one batched Taylor product with
-scaling and squaring (Al-Mohy & Higham, SIAM J. Matrix Anal. Appl. 31:970,
-2009).  Both are unitary to round-off; the trace returns as an exact phase,
-so an offset in H0 forces no squarings, and a step whose Taylor product would
-need more than 16 squarings (error ~ 2^s round-offs) is too coarse.
+second-order accurate overall.  The traceless step exponents
+A_k = -i*dt*(H_k - (tr H_k/d) I) = A0 + lambda_k A1 are affine in the drive
+at the step midpoint.  For a qubit exp(A_k) is the closed SU(2) form; for
+d != 2 it is one Taylor polynomial in lambda_k with scaling and squaring
+(Al-Mohy & Higham, SIAM J. Matrix Anal. Appl. 31:970, 2009), whose d x d
+coefficients are formed once per run and applied to all steps as one matrix
+product.  Degree and squarings read one norm, ||A0||_1 + max|lambda| ||A1||_1.
+Both routes are unitary to round-off; the trace returns as an exact phase,
+so an offset in H0 forces no squarings, and steps that would need more than
+16 squarings (error ~ 2^s round-offs) are too coarse.
 The chain U_k = S_{k-1} ... S_1 S_0 is a blocked running product over blocks
 of about sqrt(n) steps; it equals the sequential product up to round-off.
 Heisenberg operators V_H(t) = U^dag V U and the weighted integral
@@ -112,10 +114,10 @@ def propagate(model: GibbsModel, v, drive: DriveProfile, grid: TimeGrid,
     Raises
     ------
     DriveThermError
-        If a step generator, the unitarity drift or M is not finite (a NaN
+        If the step norm, the unitarity drift or M is not finite (a NaN
         or infinite drive parameter or entry of V).
     StepSizeTooCoarse
-        If a step needs more than 16 squarings or the unitarity defect
+        If the steps need more than 16 squarings or the unitarity defect
         exceeds ``drift_tol``; it carries a suggested finer ``n_steps``.
     """
     v = hermitize(v)
@@ -126,16 +128,16 @@ def propagate(model: GibbsModel, v, drive: DriveProfile, grid: TimeGrid,
     identity = np.eye(d, dtype=complex)
 
     propagators = np.eye(d, dtype=complex)[None]
+    # a non-finite drive value is reported once, by the finiteness checks below
+    with np.errstate(all="ignore"):
+        w = dlambda_dbeta(drive, grid.nodes, model.beta)
+        lam_mid = lambda_at(drive, grid.nodes[:-1] + 0.5 * grid.dt, model.beta)
     if n > 0:
         dt = grid.dt
-        t_mid = grid.nodes[:-1] + 0.5 * dt
-        lam_mid = lambda_at(drive, t_mid, model.beta)
         c0, cv = np.trace(model.h0).real / d, np.trace(v).real / d
-        a = (-1j * dt) * ((model.h0 - c0 * identity)[..., None]
-                          + (v - cv * identity)[..., None] * lam_mid)
-        # step axis innermost in memory where stack_mul runs elementwise along it
-        a = np.moveaxis(a, -1, 0) if d <= UNROLL_MAX_DIM else a.transpose(2, 0, 1).copy()
-        propagators = _chain(_step_exponentials(a))
+        a0 = (-1j * dt) * (model.h0 - c0 * identity)
+        a1 = (-1j * dt) * (v - cv * identity)
+        propagators = _chain(_step_exponentials(a0, a1, lam_mid))
         propagators[1:] *= np.exp((-1j * dt) * np.cumsum(c0 + cv * lam_mid))[:, None, None]
 
     adjoints = propagators.conj().swapaxes(1, 2)
@@ -153,7 +155,6 @@ def propagate(model: GibbsModel, v, drive: DriveProfile, grid: TimeGrid,
 
     heisenberg_v = np.ascontiguousarray(stack_mul(adjoints, stack_mul(v, propagators)))
     propagators = np.ascontiguousarray(propagators)
-    w = dlambda_dbeta(drive, grid.nodes, model.beta)
     m = cumulative_trapezoid(w[:, None, None] * heisenberg_v, grid.dt)
     if not np.isfinite(m).all():
         raise DriveThermError("the weighted integral M is not finite: "
@@ -169,12 +170,24 @@ def propagate(model: GibbsModel, v, drive: DriveProfile, grid: TimeGrid,
     )
 
 
-def _step_exponentials(a: np.ndarray) -> np.ndarray:
-    """exp(A_k) of an (n, d, d) anti-Hermitian stack: the closed SU(2) form
-    for d = 2, else Horner on the Taylor series of the smallest degree m with
-    theta_m >= max_k ||A_k||_1, then s squarings."""
-    n, d, _ = a.shape
-    norm = float(np.abs(a).sum(axis=1).max())
+def _step_exponentials(a0: np.ndarray, a1: np.ndarray, lam: np.ndarray) -> np.ndarray:
+    """exp(A_k) of the steps A_k = A0 + lam_k A1, for anti-Hermitian (d, d) A0
+    and A1 and n real drive values lam_k, as an (n, d, d) stack; for
+    d <= UNROLL_MAX_DIM its step axis is innermost in memory.
+
+    The degree m, the squarings s and both guards read the one norm
+    N = ||A0||_1 + L ||A1||_1 >= max_k ||A_k||_1, with L = max_k |lam_k|: m is
+    the smallest degree with theta_m >= N, then s squarings.  A qubit takes the
+    closed SU(2) form.  For d != 2 the degree-m Taylor polynomial is expanded
+    in mu_k = lam_k / L in [-1, 1]: with B0 = 2^-s A0 and B1 = 2^-s L A1,
+    p_m(B0 + mu_k B1) = I + sum_j mu_k^j C_j, where C_j = sum_{i=1..m} P_{i,j}
+    and P_{i,j} = (B0 P_{i-1,j} + B1 P_{i-1,j-1}) / i, P_{0,0} = I.  The whole
+    stack is then one real product of the powers mu_k^j with the C_j, plus I,
+    squared s times.  I is added after the product, so that the small terms
+    are summed at their own scale and meet the 1 in one rounding."""
+    d, n = len(a0), len(lam)
+    scale = float(np.abs(lam).max())
+    norm = float(np.abs(a0).sum(axis=0).max()) + scale * float(np.abs(a1).sum(axis=0).max())
     if not math.isfinite(norm):
         raise DriveThermError(f"unitarity drift is nan: step norm {norm}; drive or V not finite")
     m = next((k for k, theta in enumerate(_TAYLOR_THETA, 1) if theta >= norm), 12)
@@ -184,12 +197,27 @@ def _step_exponentials(a: np.ndarray) -> np.ndarray:
         raise StepSizeTooCoarse(f"step norm {norm:.3e} needs {s} > {_MAX_SQUARINGS} squarings; "
                                 f"retry with n_steps >= {suggested}", suggested_n_steps=suggested)
     if d == 2:
-        return _qubit_exponentials(a)
-    a = a * 0.5 ** s
-    out = a / m
-    for j in range(m - 1, 0, -1):
-        out = stack_mul(a, out + np.eye(d)) * (1.0 / j)
-    out += np.eye(d)
+        return _qubit_exponentials(np.moveaxis(a0[..., None] + a1[..., None] * lam, -1, 0))
+    scale = scale or 1.0
+    b0, b1 = a0 * 0.5 ** s, a1 * (scale * 0.5 ** s)
+    p = np.eye(d, dtype=complex)[None]
+    c = np.zeros((m + 1, d, d), dtype=complex)
+    for i in range(1, m + 1):
+        nxt = np.zeros((i + 1, d, d), dtype=complex)
+        nxt[:-1] = b0 @ p
+        nxt[1:] += b1 @ p
+        p = nxt / i
+        c[:i + 1] += p
+    powers = np.empty((n, m + 1))
+    powers[:, 0] = 1.0
+    powers[:, 1:] = (lam / scale)[:, None]
+    np.cumprod(powers[:, 1:], axis=1, out=powers[:, 1:])
+    # the complex C_j read as float pairs: one real (n, m+1) x (m+1, 2 d^2) product
+    out = (powers @ c.reshape(m + 1, d * d).view(float)).view(complex).reshape(n, d, d)
+    if d <= UNROLL_MAX_DIM:  # step axis innermost, as stack_mul and _chain want
+        out = np.moveaxis(np.ascontiguousarray(np.moveaxis(out, 0, -1)), -1, 0)
+    for i in range(d):
+        out[:, i, i] += 1.0
     for _ in range(s):
         out = stack_mul(out, out)
     return out

@@ -94,12 +94,19 @@ def write_kernel_csv(path, times, kernel_sym, manifest_hash: str) -> None:
     """Symmetrized kernel K_S(t_a, t_b) as (s, u, K_S) triples, row-major:
     s is the outer loop and u the inner.  Each time is formatted once and
     written into the row template, so only the kernel values are formatted
-    per row."""
+    per row; one format call fills a block of whole s rows, about _CHUNK_ROWS
+    lines."""
     stamps = ["%.17g" % t for t in np.asarray(times).tolist()]
     tails = [f",{u},%.17g" for u in stamps]
-    template = "".join(s + ("\n" + s).join(tails) + "\n" for s in stamps)
-    _write_table(path, manifest_hash, ("s", "u", "K_S"),
-                 [template % tuple(np.ravel(kernel_sym).tolist())])
+    kernel = np.asarray(kernel_sym).reshape(len(stamps), len(stamps))
+    step = max(1, _CHUNK_ROWS // max(1, len(stamps)))
+
+    def blocks():
+        for i in range(0, len(stamps), step):
+            template = "".join(s + ("\n" + s).join(tails) + "\n" for s in stamps[i:i + step])
+            yield template % tuple(kernel[i:i + step].ravel().tolist())
+
+    _write_table(path, manifest_hash, ("s", "u", "K_S"), blocks())
 
 
 def read_csv(path):

@@ -452,6 +452,14 @@ def test_numerical_failure_exits_cleanly(tmp_path, capsys, monkeypatch, command,
     assert err == "numerical failure: injected failure\n"
 
 
+def test_non_finite_drive_fails_in_one_line(tmp_path, capsys):
+    # s_beta**2 underflows to 0, so dlambda/dbeta = -inf * G = -inf * 0 at every node
+    cfg = write(tmp_path, "run.yaml", BASE_CONFIG.replace("s_beta: 3.0", "s_beta: 1.0e-300"))
+    assert main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("numerical failure:"), err
+
+
 @pytest.mark.parametrize("out", ["afile", "afile/sub"], ids=["file", "inside-file"])
 @pytest.mark.parametrize("command, text", [("simulate", BASE_CONFIG), ("scan", SCAN_CONFIG)],
                          ids=["simulate", "scan"])

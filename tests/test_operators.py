@@ -2,11 +2,11 @@ import numpy as np
 import pytest
 
 from drivetherm.operators import (SIGMA_X, SIGMA_Y, SIGMA_Z,
-                                  HermiticityWarning, commutator, eig,
-                                  expm_hermitian_generator, hermitize,
+                                  HermiticityWarning, eig, hermitize,
                                   pauli_components)
 
 from conftest import random_hermitian
+from oracles import commutator, expm_hermitian_generator
 
 
 def charpoly_roots(a):

@@ -9,8 +9,7 @@ from drivetherm.drive import (ConstantEnvelope, ConstantModulation,
                               lambda_at)
 from drivetherm.engine import qfi_driven
 from drivetherm.exceptions import DriveThermError, StepSizeTooCoarse
-from drivetherm.operators import (SIGMA_X, SIGMA_Y, SIGMA_Z, expm_hermitian_generator,
-                                  stack_mul)
+from drivetherm.operators import SIGMA_X, SIGMA_Y, SIGMA_Z, UNROLL_MAX_DIM, stack_mul
 from drivetherm.propagation import (TimeGrid, _step_exponentials,
                                     beta_generator, default_n_steps,
                                     drho_dbeta_analytic, drho_dbeta_fd,
@@ -18,6 +17,7 @@ from drivetherm.propagation import (TimeGrid, _step_exponentials,
 from drivetherm.thermal import dpi_dbeta, make_gibbs
 
 from conftest import random_hermitian, step_axis_innermost
+from oracles import expm_hermitian_generator
 
 TWO_PI = 2 * np.pi
 
@@ -118,8 +118,7 @@ NAN_V = np.array([[0.0, np.nan], [np.nan, 0.0]])
     pytest.param(resonant_drive(), NAN_V, "unitarity drift is nan", id="v-nan"),
     # G'(beta) = inf * 0 in dlambda/dbeta: finite propagators, NaN M
     pytest.param(resonant_drive(beta0=np.inf), SIGMA_X, "integral M is not finite",
-                 id="beta0-inf",
-                 marks=pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")),
+                 id="beta0-inf"),
 ])
 def test_non_finite_input_rejected(qubit_model, drive, v, message):
     with pytest.raises(DriveThermError, match=message) as err:
@@ -131,23 +130,58 @@ def unitarity_defect_2(u):
     return np.linalg.norm(u.conj().T @ u - np.eye(len(u)), 2)
 
 
+def traceless_hermitian(rng, d):
+    h = random_hermitian(rng, d)
+    return h - (np.trace(h).real / d) * np.eye(d)
+
+
+def check_step_exponentials(h0, v, lam):
+    """_step_exponentials of A_k = -i (H0 + lam_k V) against the eigh reference,
+    in the memory layout that _chain and stack_mul rely on."""
+    steps = _step_exponentials(-1j * h0, -1j * v, lam)
+    assert steps.shape == (len(lam),) + h0.shape
+    if len(h0) <= UNROLL_MAX_DIM:
+        assert steps.strides[0] == steps.itemsize
+    for x, u in zip(lam, steps):
+        assert np.abs(u - expm_hermitian_generator(h0 + x * v, 1.0)).max() <= 1e-13
+        assert unitarity_defect_2(u) <= 1e-13
+
+
 @pytest.mark.parametrize("d", [1, 2, 3, 4, 6, 8])
 def test_step_exponentials_match_eigh_reference(rng, d):
-    # dt * ||H||_1 from 1e-9 to 50: every Taylor degree and the scaling branch
-    for scale in np.geomspace(1e-9, 50.0, 30):
-        hs = [random_hermitian(rng, d) for _ in range(5)]
-        hs = [h * (scale * f / np.linalg.norm(h, 1))
-              for h, f in zip(hs, np.linspace(0.5, 1.0, 5))]
-        a = -1j * np.array(hs)
-        # both memory layouts that propagate uses: step axis outermost and innermost
-        for stack in (a, np.moveaxis(np.ascontiguousarray(np.moveaxis(a, 0, -1)), -1, 0)):
-            steps = _step_exponentials(stack)
-            for h, u in zip(hs, steps):
-                assert np.abs(u - expm_hermitian_generator(h, 1.0)).max() <= 1e-13
-                assert unitarity_defect_2(u) <= 1e-13
+    # N = ||A0||_1 + max|lam| ||A1||_1 from 1e-9 to 50: every Taylor degree
+    # and the scaling branch
+    for norm in np.geomspace(1e-9, 50.0, 30):
+        h0, v = traceless_hermitian(rng, d), traceless_hermitian(rng, d)
+        lam = rng.uniform(-2.0, 2.0, 5)
+        scale = norm / max(np.linalg.norm(h0, 1) + np.abs(lam).max() * np.linalg.norm(v, 1), 1e-300)
+        check_step_exponentials(scale * h0, scale * v, lam)
 
 
-@pytest.mark.parametrize("d", [1, 2, 3])
+@pytest.mark.parametrize("d", [2, 3, 6])
+def test_step_exponentials_of_cancelling_generators(rng, d):
+    # H0 + lam V nearly cancels at lam ~ L = 1e6, while N ~ 2 ||H0||_1
+    h0, w = traceless_hermitian(rng, d), traceless_hermitian(rng, d)
+    big = 1e6
+    v = -h0 / big + 1e-9 * w
+    check_step_exponentials(h0, v, big * np.array([1.0, 1.0 - 1e-3, 1.0 + 1e-7, 0.5, -1.0]))
+
+
+@pytest.mark.parametrize("d", [2, 3, 6])
+def test_step_exponentials_of_a_huge_drive_on_a_tiny_step(rng, d):
+    # |lam| up to 1e200 with dt = 1e-200: lam dt stays O(1) and the result finite
+    h0, v = traceless_hermitian(rng, d), traceless_hermitian(rng, d)
+    lam = np.array([1e200, -3e199, 1e100, 0.0, 7e199]) / np.linalg.norm(v, 1)
+    check_step_exponentials(1e-200 * h0, 1e-200 * v, lam)
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 6])
+def test_step_exponentials_without_drive(rng, d):
+    h0 = traceless_hermitian(rng, d)
+    check_step_exponentials(h0, traceless_hermitian(rng, d), np.zeros(4))
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 4, 6])
 def test_step_exponential_with_energy_offset_matches_eigh_reference(rng, d):
     # one constant-drive step of H0 + 100 I + lambda0 V: the trace shift is exact
     h0 = random_hermitian(rng, d) + 100.0 * np.eye(d)

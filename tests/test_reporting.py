@@ -89,3 +89,17 @@ def test_constant_column_is_written_as_each_value_17g(tmp_path, constant):
     table[:, 2] = np.where(np.arange(rows) % 2, -0.0, 0.0)
     write_simulation_csv(tmp_path / "sim.csv", QfiResult(*table.T), "h")
     assert body(tmp_path / "sim.csv")[1] == expected_lines(table[:, :7].tolist())
+
+
+def test_kernel_csv_spanning_format_blocks_is_written_17g(tmp_path):
+    # 70 times: blocks of 29, 29 and 12 whole s rows
+    n = 70
+    assert reporting._CHUNK_ROWS // n == 29
+    times = np.linspace(0.0, 3.0, n)
+    kernel = np.sin(np.add.outer(times, 1.1 * times)) / 3.0
+    times[1:1 + len(SPECIAL)] = SPECIAL
+    kernel.flat[-len(SPECIAL):] = SPECIAL
+    write_kernel_csv(tmp_path / "kernel.csv", times, kernel, "h")
+    t, k = times.tolist(), kernel.tolist()
+    rows = [(t[a], t[b], k[a][b]) for a in range(n) for b in range(n)]
+    assert body(tmp_path / "kernel.csv") == ("s,u,K_S", expected_lines(rows))
