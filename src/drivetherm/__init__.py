@@ -13,7 +13,7 @@ times in its inverse, beta likewise.
 
 __version__ = "0.1.0"
 
-from .bures import jordan_apply, jordan_inverse_apply, sld, spectral_qfi
+from .bures import jordan_apply, jordan_inverse_apply, spectral_qfi
 from .drive import (ConstantEnvelope, ConstantModulation, CosineModulation,
                     DriveProfile, GaussianEnvelope, TabulatedEnvelope,
                     TabulatedModulation, dlambda_dbeta, lambda_at)
@@ -24,14 +24,13 @@ from .engine import (CurrentTrace, QfiResult, build_current_trace,
 from .exceptions import (ConfigValidationError, DriveThermError,
                          ExtrapolationError, FullRankViolation,
                          StepSizeTooCoarse)
-from .operators import SIGMA_X, SIGMA_Y, SIGMA_Z, EigenSystem, eig, hermitize
+from .operators import SIGMA_X, SIGMA_Y, SIGMA_Z, hermitize
 from .propagation import (EvolutionTrace, TimeGrid, beta_generator,
                           default_grid, default_n_steps, drho_dbeta_analytic,
-                          drho_dbeta_fd, propagate)
+                          propagate)
 from .scans import (OptimizeResult, ReduceSpec, ScanPoint, ScanResult,
                     ScanSpec, optimize_drive, run_scan)
-from .spin import (BlochTrace, bloch_precess, default_bloch_grid,
-                   detuned_amplitude, detuned_increment, magnetization,
+from .spin import (detuned_amplitude, detuned_increment, magnetization,
                    qubit_equilibrium_qfi, resonant_amplitude,
                    resonant_increment, short_time_coefficient,
                    weak_field_kernel)
@@ -41,28 +40,27 @@ from .thermal import (GibbsModel, dpi_dbeta, equilibrium_qfi,
 __all__ = [
     "__version__",
     # operators
-    "EigenSystem", "eig", "hermitize", "SIGMA_X", "SIGMA_Y", "SIGMA_Z",
+    "hermitize", "SIGMA_X", "SIGMA_Y", "SIGMA_Z",
     # thermal
     "GibbsModel", "dpi_dbeta", "equilibrium_qfi", "equilibrium_sld",
     "make_gibbs",
     # bures
-    "jordan_apply", "jordan_inverse_apply", "sld", "spectral_qfi",
+    "jordan_apply", "jordan_inverse_apply", "spectral_qfi",
     # drive
     "DriveProfile", "GaussianEnvelope", "ConstantEnvelope",
     "TabulatedEnvelope", "CosineModulation", "ConstantModulation",
     "TabulatedModulation", "lambda_at", "dlambda_dbeta",
     # propagation
     "TimeGrid", "EvolutionTrace", "propagate", "beta_generator",
-    "drho_dbeta_analytic", "drho_dbeta_fd", "default_grid", "default_n_steps",
+    "drho_dbeta_analytic", "default_grid", "default_n_steps",
     # engine
     "CurrentTrace", "QfiResult", "information_current", "build_current_trace",
     "kernel_matrix", "increment_via_kernel", "increment_series", "qfi_driven",
     "qfi_time_series",
     # spin analytics
-    "BlochTrace", "bloch_precess", "default_bloch_grid", "magnetization",
-    "qubit_equilibrium_qfi", "weak_field_kernel", "short_time_coefficient",
-    "detuned_amplitude", "detuned_increment", "resonant_amplitude",
-    "resonant_increment",
+    "magnetization", "qubit_equilibrium_qfi", "weak_field_kernel",
+    "short_time_coefficient", "detuned_amplitude", "detuned_increment",
+    "resonant_amplitude", "resonant_increment",
     # scans
     "ScanSpec", "ScanPoint", "ScanResult", "ReduceSpec", "run_scan",
     "optimize_drive", "OptimizeResult",

@@ -1,5 +1,6 @@
-"""Bures geometry: the Jordan superoperator, its inverse, the SLD, and the
-spectral form of the quantum Fisher information.
+"""Bures geometry: the Jordan superoperator, its inverse (which maps a
+tangent dsigma to the SLD), and the spectral form of the quantum Fisher
+information.
 
 For a state sigma the Jordan product J_sigma(X) = {sigma, X}/2 defines the
 Bures metric; its inverse is evaluated spectrally, (J^-1 X)_ij =
@@ -9,7 +10,7 @@ Bures metric; its inverse is evaluated spectrally, (J^-1 X)_ij =
 import numpy as np
 
 from .exceptions import FullRankViolation
-from .operators import eig, stack_mul
+from .operators import stack_mul
 from .thermal import RANK_FLOOR
 
 #: Relative threshold on l_i + l_j below which spectral-QFI terms are dropped.
@@ -24,7 +25,8 @@ def jordan_apply(sigma: np.ndarray, x: np.ndarray) -> np.ndarray:
 
 
 def jordan_inverse_apply(sigma: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """Inverse Jordan product, spectrally: 2 X_ij / (l_i + l_j).
+    """Inverse Jordan product, spectrally: 2 X_ij / (l_i + l_j).  Applied
+    to a tangent dsigma it gives the SLD L, which solves dsigma = {sigma, L}/2.
 
     Raises
     ------
@@ -33,7 +35,7 @@ def jordan_inverse_apply(sigma: np.ndarray, x: np.ndarray) -> np.ndarray:
     """
     if sigma.shape != x.shape:
         raise ValueError(f"dimension mismatch: {sigma.shape} vs {x.shape}")
-    lam, q = eig(sigma)
+    lam, q = np.linalg.eigh(sigma)
     if float(lam[0]) <= RANK_FLOOR:
         raise FullRankViolation(
             f"inverse Jordan product needs a full-rank state; smallest "
@@ -42,11 +44,6 @@ def jordan_inverse_apply(sigma: np.ndarray, x: np.ndarray) -> np.ndarray:
     xt = q.conj().T @ x @ q
     yt = 2.0 * xt / (lam[:, None] + lam[None, :])
     return q @ yt @ q.conj().T
-
-
-def sld(sigma: np.ndarray, dsigma: np.ndarray) -> np.ndarray:
-    """Symmetric logarithmic derivative: solves dsigma = {sigma, L}/2."""
-    return jordan_inverse_apply(sigma, dsigma)
 
 
 def spectral_qfi(sigma: np.ndarray, dsigma: np.ndarray) -> float:

@@ -15,6 +15,7 @@ commands run those objects (:class:`LoadedRun`).
 
 import math
 import os
+import re
 from dataclasses import asdict, dataclass
 from typing import NamedTuple
 
@@ -36,10 +37,21 @@ from .thermal import RANK_FLOOR, GibbsModel, equilibrium_qfi, make_gibbs
 # --------------------------------------------------------------------------
 
 
+class _Loader(yaml.SafeLoader):
+    """SafeLoader that also resolves YAML 1.2 floats, which YAML 1.1 reads as
+    strings: an exponent without a dot (1e-1) or without a sign (1.0e5)."""
+
+
+_Loader.add_implicit_resolver(
+    "tag:yaml.org,2002:float",
+    re.compile(r"^[-+]?(?:\.[0-9]+|[0-9]+(?:\.[0-9]*)?)(?:[eE][-+]?[0-9]+)?$"),
+    list("-+.0123456789"))
+
+
 def _load_yaml_with_lines(path: str):
     """Parse YAML returning (data, {dotted.path: 1-based line})."""
     with open(path, "r", encoding="utf-8") as fh:
-        loader = yaml.SafeLoader(fh.read())
+        loader = _Loader(fh.read())
     try:
         node = loader.get_single_node()
         data = loader.construct_document(node) if node is not None else None

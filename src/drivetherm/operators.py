@@ -7,7 +7,6 @@ kept exactly Hermitian by symmetrizing at construction.
 """
 
 import warnings
-from typing import NamedTuple
 
 import numpy as np
 
@@ -48,32 +47,6 @@ def hermitize(entries) -> np.ndarray:
             stacklevel=2,
         )
     return herm
-
-
-class EigenSystem(NamedTuple):
-    """Eigendecomposition of a Hermitian matrix.
-
-    ``eigenvalues`` are real and ascending; ``eigenvectors`` holds the
-    corresponding orthonormal eigenvectors as columns.
-    """
-
-    eigenvalues: np.ndarray
-    eigenvectors: np.ndarray
-
-
-class DiagonalizationError(np.linalg.LinAlgError):
-    pass
-
-
-def eig(a: np.ndarray) -> EigenSystem:
-    """Eigendecomposition of a Hermitian matrix (ascending eigenvalues)."""
-    try:
-        vals, vecs = np.linalg.eigh(a)
-    except np.linalg.LinAlgError as exc:  # pragma: no cover - LAPACK rarely fails at d<=32
-        raise DiagonalizationError(
-            f"eigensolver failed to converge on a {a.shape[0]}x{a.shape[0]} matrix: {exc}"
-        ) from exc
-    return EigenSystem(vals, vecs)
 
 
 def stack_mul(a: np.ndarray, b: np.ndarray) -> np.ndarray:

@@ -22,7 +22,6 @@ of the engine is a fixed linear map of M.
 """
 
 import math
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -30,7 +29,7 @@ import numpy as np
 from .drive import DriveProfile, dlambda_dbeta, lambda_at
 from .exceptions import DriveThermError, StepSizeTooCoarse
 from .operators import UNROLL_MAX_DIM, hermitize, stack_mul
-from .thermal import GibbsModel, dpi_dbeta, make_gibbs
+from .thermal import GibbsModel, dpi_dbeta
 
 #: Steps per fastest period at default resolution.
 STEPS_PER_PERIOD = 200
@@ -289,38 +288,3 @@ def drho_dbeta_analytic(trace: EvolutionTrace, k) -> np.ndarray:
     inner = dpi_dbeta(trace.model) + (stack_mul(a_k, pi0) - stack_mul(pi0, a_k))
     u = trace.propagators[k]
     return stack_mul(stack_mul(u, inner), u.conj().swapaxes(-1, -2))
-
-
-#: Relative noise level of the centered difference above which a warning fires.
-FD_NOISE_WARN = 1e-4
-
-
-def drho_dbeta_fd(model: GibbsModel, v, drive: DriveProfile, grid: TimeGrid,
-                  k: int, h_beta: float | None = None) -> np.ndarray:
-    """Centered finite difference of rho(t_k, beta) in beta.
-
-    Both branches are re-thermalized *and* re-propagated at beta +- h: the
-    temperature enters through the initial state and through the drive.
-    Default step 1e-5 * max(1, beta) balances truncation and cancellation.
-    """
-    beta = model.beta
-    if h_beta is None:
-        h_beta = 1e-5 * max(1.0, beta)
-    if beta - h_beta < 0.0:
-        raise ValueError(f"beta - h_beta = {beta - h_beta} below 0; shrink h_beta")
-    branches = []
-    for shifted in (beta + h_beta, beta - h_beta):
-        shifted_model = make_gibbs(model.h0, shifted, rank_floor=model.rank_floor)
-        tr = propagate(shifted_model, v, drive, grid)
-        u = tr.propagators[k]
-        branches.append(u @ shifted_model.state @ u.conj().T)
-    result = (branches[0] - branches[1]) / (2.0 * h_beta)
-    noise = np.finfo(float).eps / (2.0 * h_beta)
-    scale = max(float(np.linalg.norm(result)), 1e-300)
-    if noise / scale > FD_NOISE_WARN:
-        warnings.warn(
-            f"finite-difference step h_beta={h_beta:.1e} is cancellation-limited "
-            f"(relative noise ~{noise / scale:.1e})",
-            stacklevel=2,
-        )
-    return result

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .exceptions import FullRankViolation
-from .operators import eig, hermitize
+from .operators import hermitize
 
 #: Smallest thermal population treated as numerically full rank.
 RANK_FLOOR = 1e-18
@@ -72,7 +72,7 @@ def make_gibbs(h0, beta: float, *, rank_floor: float = RANK_FLOOR) -> GibbsModel
     h0 = hermitize(h0)
     if beta < 0.0:
         raise ValueError(f"beta must be >= 0, got {beta}")
-    energies, basis = eig(h0)
+    energies, basis = np.linalg.eigh(h0)
     shifted = beta * (energies - energies[0])
     weights = np.exp(-shifted)
     z_shifted = float(weights.sum())

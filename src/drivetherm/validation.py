@@ -17,10 +17,11 @@ from .bures import jordan_apply, jordan_inverse_apply
 from .config import LoadedRun
 from .drive import (ConstantEnvelope, CosineModulation, DriveProfile,
                     GaussianEnvelope, TabulatedModulation)
-from .operators import SIGMA_X, SIGMA_Y, SIGMA_Z, eig, hermitize, pauli_components
-from .propagation import DRIFT_TOL, TimeGrid, default_grid, propagate
-from .spin import (magnetization, qubit_equilibrium_qfi, short_time_coefficient,
-                   weak_field_kernel)
+from .operators import SIGMA_X, SIGMA_Y, SIGMA_Z, hermitize, pauli_components
+from .propagation import (DRIFT_TOL, TimeGrid, default_grid, default_n_steps,
+                          propagate)
+from .spin import (magnetization, qubit_equilibrium_qfi, resonant_increment,
+                   short_time_coefficient, weak_field_kernel)
 from .thermal import GibbsModel, equilibrium_qfi, make_gibbs
 
 
@@ -72,7 +73,7 @@ def _setup_from_run(run: LoadedRun) -> _Setup:
 
 
 def run_checks(run: LoadedRun | None = None, *, seed: int = 20260810) -> list[CheckResult]:
-    """Run the 13 checks; never raises on a failed check, only records it.
+    """Run the 14 checks; never raises on a failed check, only records it.
 
     A loaded ``run``'s Gibbs model already passed the full-rank rule of
     :func:`thermal.make_gibbs`, so no check repeats it; only the reference
@@ -118,15 +119,15 @@ def run_checks(run: LoadedRun | None = None, *, seed: int = 20260810) -> list[Ch
 
     # --- driven run: shared trace ------------------------------------------
     trace = propagate(model, v, drive, grid, drift_tol=drift_tol)
-    ct = engine.build_current_trace(trace)
     series = engine.qfi_time_series(trace)
 
     # currents live in the coherence sector: Tr[pi0 J] = 0
-    overlaps = np.abs(np.einsum("ij,kji->k", model.state, ct.currents))
+    currents = engine.information_current(model, trace.heisenberg_v)
+    overlaps = np.abs(np.einsum("ij,kji->k", model.state, currents))
     check("current-thermal-overlap", float(overlaps.max()), 1e-10)
 
     # spectrum preservation + unitarity of the trace
-    v_eigs = eig(hermitize(v)).eigenvalues
+    v_eigs, _ = np.linalg.eigh(hermitize(v))
     vh_eigs = np.linalg.eigvalsh(trace.heisenberg_v)
     spec_drift = float(np.abs(vh_eigs - v_eigs[None, :]).max())
     check("unitarity-and-spectrum-preservation", max(spec_drift, trace.unitarity_drift), 1e-10)
@@ -134,14 +135,13 @@ def run_checks(run: LoadedRun | None = None, *, seed: int = 20260810) -> list[Ch
     check("dual-path-agreement", float(series.rel_disagreement.max()), engine.DUAL_PATH_TOL)
     check("mixed-term-vanishing", float(series.mixed_term_residual.max()), 1e-10)
 
-    # increment path equivalence + antisymmetric-part residual
+    # the kernel double sum against the written I_t + antisymmetric residual
     short_grid = default_grid(min(grid.t_end, 2.0 * math.pi), model.spread, omega_d)
-    ct_short = engine.build_current_trace(propagate(model, v, drive, short_grid,
-                                                    drift_tol=drift_tol))
-    i_kernel, asym = engine.increment_via_kernel(ct_short)
-    i_delta = engine.increment_series(ct_short)[-1]
-    rel = abs(i_kernel - i_delta) / max(abs(i_delta), 1e-30)
-    measured = max(rel if i_delta > 1e-25 else abs(i_kernel - i_delta), asym)
+    short = propagate(model, v, drive, short_grid, drift_tol=drift_tol)
+    i_kernel, asym = engine.increment_via_kernel(engine.build_current_trace(short))
+    i_t = engine.qfi_driven(short).i_t
+    rel = abs(i_kernel - i_t) / max(abs(i_t), 1e-30)
+    measured = max(rel if i_t > 1e-25 else abs(i_kernel - i_t), asym)
     check("kernel-vs-accumulated-increment", measured, 1e-10)
 
     # nonnegativity and gain over the run
@@ -168,25 +168,24 @@ def run_checks(run: LoadedRun | None = None, *, seed: int = 20260810) -> list[Ch
     qubit_model = REFERENCE.model
     qubit_drive = REFERENCE.drive
     m = magnetization(1.0, qubit_model.beta)
+    gprime = qubit_drive.envelope.derivative(qubit_model.beta)
 
     # current closed form 2m(ax sy - ay sx)
     qgrid = default_grid(2.0 * math.pi, 1.0, 1.0)
     qtrace = propagate(qubit_model, REFERENCE.v, qubit_drive, qgrid)
-    qct = engine.build_current_trace(qtrace)
+    vh = qtrace.heisenberg_v[::25]
     worst = 0.0
-    for k in range(0, qgrid.n_nodes, 25):
-        a = pauli_components(qtrace.heisenberg_v[k])
+    for v_k, current in zip(vh, engine.information_current(qubit_model, vh)):
+        a = pauli_components(v_k)
         closed = 2.0 * m * (a[0] * SIGMA_Y - a[1] * SIGMA_X)
-        worst = max(worst, float(np.abs(closed - qct.currents[k]).max()))
+        worst = max(worst, float(np.abs(closed - current).max()))
     check("qubit-current-closed-form", worst, 1e-10)
 
     # short-time quadratic law
     t_short = 1e-3
-    sct = engine.build_current_trace(propagate(qubit_model, REFERENCE.v, qubit_drive,
-                                               TimeGrid(t_short, 64)))
-    i_short = engine.increment_series(sct)[-1]
-    coef = short_time_coefficient(m, qubit_drive.lambda0,
-                                  qubit_drive.envelope.derivative(qubit_model.beta))
+    i_short = engine.qfi_driven(propagate(qubit_model, REFERENCE.v, qubit_drive,
+                                          TimeGrid(t_short, 64))).i_t
+    coef = short_time_coefficient(m, qubit_drive.lambda0, gprime)
     check("short-time-quadratic-law", abs(i_short / t_short**2 - coef) / coef, 1e-3)
 
     # weak-field kernel, at every 16th node
@@ -201,6 +200,15 @@ def run_checks(run: LoadedRun | None = None, *, seed: int = 20260810) -> list[Ch
         for b_i, u in enumerate(nodes):
             worst = max(worst, abs(km[a_i, b_i].real - weak_field_kernel(1.0, m, s, u)))
     check("weak-field-kernel-closed-form", worst, 1e-6)
+
+    # resonant long-time law: the exact weak-field A(t), pointwise to 2 %
+    lam0 = 0.01
+    rgrid = TimeGrid(100.0, default_n_steps(100.0, 1.0, 1.0))
+    i_res = engine.qfi_time_series(propagate(qubit_model, REFERENCE.v,
+                                             replace(qubit_drive, lambda0=lam0), rgrid)).i_t
+    exact = np.array([resonant_increment(1.0, m, lam0, gprime, t).exact
+                      for t in rgrid.nodes[1:]])
+    check("resonant-long-time-law", float(np.abs(i_res[1:] / exact - 1.0).max()), 0.02)
 
     return checks
 

@@ -17,11 +17,13 @@ from drivetherm import (CosineModulation, DriveProfile, GaussianEnvelope,
 from drivetherm.config import load_run_config
 from drivetherm.drive import ConstantEnvelope
 from drivetherm.engine import increment_series
-from drivetherm.propagation import drho_dbeta_analytic, drho_dbeta_fd
+from drivetherm.propagation import drho_dbeta_analytic
 from drivetherm.scans import ReduceSpec, ScanSpec, optimize_drive, run_scan
 from drivetherm.spin import (detuned_increment, magnetization,
                              qubit_equilibrium_qfi, resonant_increment)
 from drivetherm.thermal import equilibrium_qfi
+
+from oracles import drho_dbeta_fd
 
 TWO_PI = 2.0 * np.pi
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"

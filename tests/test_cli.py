@@ -483,8 +483,9 @@ def test_out_naming_a_file_is_a_configuration_error(tmp_path, capsys, command, t
     ("csv: run.csv", 'csv: ""', 14),
     ("csv: run.csv", 'csv: "."', 14),
     ("csv: run.csv", 'csv: ".."', 14),
+    ("csv: run.csv", "csv: 1e5", 14),
 ], ids=["csv-is-manifest", "kernel-is-csv", "absolute", "parent", "subdirectory", "empty",
-        "dot", "dot-dot"])
+        "dot", "dot-dot", "number"])
 def test_output_names_are_plain_distinct_file_names(tmp_path, capsys, old, new, line):
     text = BASE_CONFIG.replace(old, new)
     assert text != BASE_CONFIG
@@ -494,6 +495,20 @@ def test_output_names_are_plain_distinct_file_names(tmp_path, capsys, old, new, 
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith(f"configuration error: {cfg}:{line}:"), err
     assert sorted(p.name for p in tmp_path.iterdir()) == ["run.yaml"]
+
+
+def test_yaml_exponent_without_a_dot_is_a_number(tmp_path):
+    # YAML 1.2 floats: 1e-1 reads as the number 0.1, not as a string
+    text = (ROOT / "configs" / "fig2a.yaml").read_text(encoding="utf-8")
+    written = []
+    for spelling in ("1e-1", "1.0e-1"):
+        edited = text.replace("lambda0: 0.1 ", f"lambda0: {spelling} ")
+        assert edited != text
+        out = tmp_path / spelling
+        assert main(["simulate", "--config", str(write(tmp_path, f"{spelling}.yaml", edited)),
+                     "--out", str(out)]) == 0
+        written.append((out / "fig2a.csv").read_bytes())
+    assert written[0] == written[1]
 
 
 def test_validate_runs_on_short_tabulated_temporal_table(tmp_path, capsys):
@@ -793,7 +808,7 @@ def test_validate_propagates_on_the_configured_grid(tmp_path, propagated_steps, 
     # check (to 2 pi) and the reference-qubit checks keep their own grids
     cfg = write(tmp_path, "run.yaml", BASE_CONFIG.replace("t_end: 6.283185307179586", grid))
     assert main(["validate", "--config", str(cfg)]) == 0
-    assert propagated_steps == [main_steps, 200, main_steps, main_steps, 200, 64, 128]
+    assert propagated_steps == [main_steps, 200, main_steps, main_steps, 200, 64, 128, 3184]
 
 
 @pytest.mark.parametrize("kind, key, levels", [

@@ -2,55 +2,11 @@ import numpy as np
 import pytest
 
 from drivetherm.operators import (SIGMA_X, SIGMA_Y, SIGMA_Z,
-                                  HermiticityWarning, eig, hermitize,
+                                  HermiticityWarning, hermitize,
                                   pauli_components)
 
 from conftest import random_hermitian
 from oracles import commutator, expm_hermitian_generator
-
-
-def charpoly_roots(a):
-    """Characteristic-polynomial roots via Newton's identities + companion
-    matrix (np.roots); independent of the Hermitian eigensolver."""
-    d = a.shape[0]
-    power = np.eye(d, dtype=complex)
-    p = []
-    for k in range(1, d + 1):
-        power = power @ a
-        p.append(np.trace(power))
-    e = [1.0 + 0j]
-    for k in range(1, d + 1):
-        acc = 0.0 + 0j
-        for i in range(1, k + 1):
-            acc += (-1) ** (i - 1) * e[k - i] * p[i - 1]
-        e.append(acc / k)
-    coeffs = [(-1) ** k * e[k] for k in range(d + 1)]
-    return np.sort(np.roots(coeffs).real)
-
-
-def test_eig_diagonal_spectrum():
-    vals = eig(np.diag([0.5, -0.5]).astype(complex)).eigenvalues
-    assert np.allclose(vals, [-0.5, 0.5], atol=0)
-
-
-def test_eig_pauli_x_spectrum():
-    vals = eig(SIGMA_X).eigenvalues
-    assert np.allclose(vals, [-1.0, 1.0], atol=1e-15)
-
-
-def test_eig_matches_charpoly_roots(rng):
-    a = random_hermitian(rng, 4)
-    vals = eig(a).eigenvalues
-    assert np.abs(vals - charpoly_roots(a)).max() < 1e-8
-
-
-def test_eig_reconstruction(rng):
-    for d in (2, 3, 4, 8):
-        for _ in range(250):
-            a = random_hermitian(rng, d)
-            vals, vecs = eig(a)
-            rebuilt = (vecs * vals) @ vecs.conj().T
-            assert np.linalg.norm(rebuilt - a) <= 1e-10 * np.linalg.norm(a)
 
 
 def test_expm_zero_generator():

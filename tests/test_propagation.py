@@ -12,12 +12,11 @@ from drivetherm.exceptions import DriveThermError, StepSizeTooCoarse
 from drivetherm.operators import SIGMA_X, SIGMA_Y, SIGMA_Z, UNROLL_MAX_DIM, stack_mul
 from drivetherm.propagation import (TimeGrid, _step_exponentials,
                                     beta_generator, default_n_steps,
-                                    drho_dbeta_analytic, drho_dbeta_fd,
-                                    propagate)
+                                    drho_dbeta_analytic, propagate)
 from drivetherm.thermal import dpi_dbeta, make_gibbs
 
 from conftest import random_hermitian, step_axis_innermost
-from oracles import expm_hermitian_generator
+from oracles import drho_dbeta_fd, expm_hermitian_generator
 
 TWO_PI = 2 * np.pi
 

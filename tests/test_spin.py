@@ -6,12 +6,13 @@ from drivetherm.engine import build_current_trace, increment_series, kernel_matr
 from drivetherm.exceptions import StepSizeTooCoarse
 from drivetherm.operators import SIGMA_X, SIGMA_Z, pauli_components
 from drivetherm.propagation import TimeGrid, default_n_steps, propagate
-from drivetherm.spin import (bloch_precess, default_bloch_grid,
-                             detuned_amplitude, detuned_increment,
+from drivetherm.spin import (detuned_amplitude, detuned_increment,
                              magnetization, qubit_equilibrium_qfi,
                              resonant_amplitude, resonant_increment,
                              short_time_coefficient, weak_field_kernel)
 from drivetherm.thermal import equilibrium_qfi, make_gibbs
+
+from oracles import bloch_precess, default_bloch_grid
 
 TWO_PI = 2 * np.pi
 

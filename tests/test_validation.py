@@ -32,6 +32,7 @@ CHECK_NAMES = [
     "qubit-current-closed-form",
     "short-time-quadratic-law",
     "weak-field-kernel-closed-form",
+    "resonant-long-time-law",
 ]
 
 
