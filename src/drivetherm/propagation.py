@@ -3,12 +3,12 @@
 The stepper is midpoint-exponential, U(t+dt) = exp(-i*dt*H(t+dt/2)) U(t),
 second-order accurate overall.  The traceless step exponents
 A_k = -i*dt*(H_k - (tr H_k/d) I) = A0 + lambda_k A1 are affine in the drive
-at the step midpoint.  For a qubit exp(A_k) is the closed SU(2) form; for
-d != 2 it is one Taylor polynomial in lambda_k with scaling and squaring
-(Al-Mohy & Higham, SIAM J. Matrix Anal. Appl. 31:970, 2009), whose d x d
-coefficients are formed once per run and applied to all steps as one matrix
-product.  Degree and squarings read one norm, ||A0||_1 + max|lambda| ||A1||_1.
-Both routes are unitary to round-off; the trace returns as an exact phase,
+at the step midpoint.  For every d, exp(A_k) is one Taylor polynomial in
+lambda_k with scaling and squaring (Al-Mohy & Higham, SIAM J. Matrix Anal.
+Appl. 31:970, 2009), whose d x d coefficients are formed once per run and
+applied to all steps as one matrix product.  Degree and squarings read one
+norm, ||A0||_1 + max|lambda| ||A1||_1.
+The steps are unitary to round-off; the trace returns as an exact phase,
 so an offset in H0 forces no squarings, and steps that would need more than
 16 squarings (error ~ 2^s round-offs) are too coarse.
 The chain U_k = S_{k-1} ... S_1 S_0 is a blocked running product over blocks
@@ -176,9 +176,9 @@ def _step_exponentials(a0: np.ndarray, a1: np.ndarray, lam: np.ndarray) -> np.nd
 
     The degree m, the squarings s and both guards read the one norm
     N = ||A0||_1 + L ||A1||_1 >= max_k ||A_k||_1, with L = max_k |lam_k|: m is
-    the smallest degree with theta_m >= N, then s squarings.  A qubit takes the
-    closed SU(2) form.  For d != 2 the degree-m Taylor polynomial is expanded
-    in mu_k = lam_k / L in [-1, 1]: with B0 = 2^-s A0 and B1 = 2^-s L A1,
+    the smallest degree with theta_m >= N, then s squarings.  The degree-m
+    Taylor polynomial is expanded in mu_k = lam_k / L in [-1, 1]: with
+    B0 = 2^-s A0 and B1 = 2^-s L A1,
     p_m(B0 + mu_k B1) = I + sum_j mu_k^j C_j, where C_j = sum_{i=1..m} P_{i,j}
     and P_{i,j} = (B0 P_{i-1,j} + B1 P_{i-1,j-1}) / i, P_{0,0} = I.  The whole
     stack is then one real product of the powers mu_k^j with the C_j, plus I,
@@ -195,8 +195,6 @@ def _step_exponentials(a0: np.ndarray, a1: np.ndarray, lam: np.ndarray) -> np.nd
         suggested = n * 2 ** (s - _MAX_SQUARINGS)
         raise StepSizeTooCoarse(f"step norm {norm:.3e} needs {s} > {_MAX_SQUARINGS} squarings; "
                                 f"retry with n_steps >= {suggested}", suggested_n_steps=suggested)
-    if d == 2:
-        return _qubit_exponentials(np.moveaxis(a0[..., None] + a1[..., None] * lam, -1, 0))
     scale = scale or 1.0
     b0, b1 = a0 * 0.5 ** s, a1 * (scale * 0.5 ** s)
     p = np.eye(d, dtype=complex)[None]
@@ -219,24 +217,6 @@ def _step_exponentials(a0: np.ndarray, a1: np.ndarray, lam: np.ndarray) -> np.nd
         out[:, i, i] += 1.0
     for _ in range(s):
         out = stack_mul(out, out)
-    return out
-
-
-def _qubit_exponentials(a: np.ndarray) -> np.ndarray:
-    """exp(A_k) of an (n, 2, 2) anti-Hermitian stack, in A's memory layout:
-    e^{tr A/2} (cos r I + (sin r / r) A'), where A' = A - (tr A/2) I squares
-    to -r^2 I."""
-    half_trace = 0.5 * (a[:, 0, 0] + a[:, 1, 1])
-    p = a[:, 0, 0] - half_trace
-    r = np.sqrt(p.imag ** 2 + a[:, 1, 0].real ** 2 + a[:, 1, 0].imag ** 2)
-    phase = np.exp(half_trace)
-    cos_r = phase * np.cos(r)
-    sinc_r = phase * np.sinc(r / np.pi)
-    out = np.empty_like(a)
-    out[:, 0, 0] = cos_r + sinc_r * p
-    out[:, 1, 1] = cos_r - sinc_r * p
-    out[:, 0, 1] = sinc_r * a[:, 0, 1]
-    out[:, 1, 0] = sinc_r * a[:, 1, 0]
     return out
 
 

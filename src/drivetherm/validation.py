@@ -20,8 +20,8 @@ from .drive import (ConstantEnvelope, CosineModulation, DriveProfile,
 from .operators import SIGMA_X, SIGMA_Y, SIGMA_Z, hermitize, pauli_components
 from .propagation import (DRIFT_TOL, TimeGrid, default_grid, default_n_steps,
                           propagate)
-from .spin import (magnetization, qubit_equilibrium_qfi, resonant_increment,
-                   short_time_coefficient, weak_field_kernel)
+from .spin import (detuned_increment, magnetization, qubit_equilibrium_qfi,
+                   resonant_increment, short_time_coefficient, weak_field_kernel)
 from .thermal import GibbsModel, equilibrium_qfi, make_gibbs
 
 
@@ -73,7 +73,7 @@ def _setup_from_run(run: LoadedRun) -> _Setup:
 
 
 def run_checks(run: LoadedRun | None = None, *, seed: int = 20260810) -> list[CheckResult]:
-    """Run the 14 checks; never raises on a failed check, only records it.
+    """Run the 15 checks; never raises on a failed check, only records it.
 
     A loaded ``run``'s Gibbs model already passed the full-rank rule of
     :func:`thermal.make_gibbs`, so no check repeats it; only the reference
@@ -209,6 +209,13 @@ def run_checks(run: LoadedRun | None = None, *, seed: int = 20260810) -> list[Ch
     exact = np.array([resonant_increment(1.0, m, lam0, gprime, t).exact
                       for t in rgrid.nodes[1:]])
     check("resonant-long-time-law", float(np.abs(i_res[1:] / exact - 1.0).max()), 0.02)
+
+    # detuned drive (omega_d = 2): I_t stays on the bounded weak-field law
+    dgrid = default_grid(20.0 * math.pi, 1.0, 2.0)
+    detuned = replace(qubit_drive, lambda0=lam0, temporal=CosineModulation(omega_d=2.0, phi=0.0))
+    i_det = engine.qfi_time_series(propagate(qubit_model, REFERENCE.v, detuned, dgrid)).i_t
+    law = detuned_increment(1.0, 2.0, m, lam0, gprime, dgrid.nodes)
+    check("detuned-bounded-law", float(np.abs(i_det - law).max() / law.max()), 0.02)
 
     return checks
 

@@ -1,8 +1,21 @@
 import numpy as np
 import pytest
+from hypothesis import settings
+from hypothesis.configuration import set_hypothesis_home_dir
 
 from drivetherm import (CosineModulation, DriveProfile, GaussianEnvelope,
                         SIGMA_Z, make_gibbs)
+
+# the same examples on every run, no example database on disk
+settings.register_profile("drivetherm", derandomize=True, deadline=None, database=None)
+settings.load_profile("drivetherm")
+
+
+@pytest.hookimpl(trylast=True)
+def pytest_configure(config):
+    # Hypothesis caches the package's source constants in its home directory
+    # when it collects; keep that in pytest's temporary tree, not .hypothesis/
+    set_hypothesis_home_dir(config._tmp_path_factory.mktemp("hypothesis"))
 
 
 @pytest.fixture

@@ -808,7 +808,8 @@ def test_validate_propagates_on_the_configured_grid(tmp_path, propagated_steps, 
     # check (to 2 pi) and the reference-qubit checks keep their own grids
     cfg = write(tmp_path, "run.yaml", BASE_CONFIG.replace("t_end: 6.283185307179586", grid))
     assert main(["validate", "--config", str(cfg)]) == 0
-    assert propagated_steps == [main_steps, 200, main_steps, main_steps, 200, 64, 128, 3184]
+    assert propagated_steps == [main_steps, 200, main_steps, main_steps, 200, 64, 128, 3184,
+                                4000]
 
 
 @pytest.mark.parametrize("kind, key, levels", [

@@ -7,7 +7,7 @@ from drivetherm.cli import main
 from drivetherm.drive import (ConstantEnvelope, ConstantModulation,
                               CosineModulation, DriveProfile, GaussianEnvelope,
                               lambda_at)
-from drivetherm.engine import qfi_driven
+from drivetherm.engine import qfi_driven, qfi_time_series
 from drivetherm.exceptions import DriveThermError, StepSizeTooCoarse
 from drivetherm.operators import SIGMA_X, SIGMA_Y, SIGMA_Z, UNROLL_MAX_DIM, stack_mul
 from drivetherm.propagation import (TimeGrid, _step_exponentials,
@@ -269,6 +269,14 @@ def test_self_convergence_against_refined_reference():
     ref = richardson_reference(model, SIGMA_X, drive, t_end, 8 * n)
     u = propagate(model, SIGMA_X, drive, TimeGrid(t_end, n)).propagators[-1]
     assert np.linalg.norm(u - ref) < 1e-8
+
+
+def test_long_qubit_run_keeps_round_off_small(qubit_model, resonant_drive):
+    # 100 resonant periods on 20,000 steps: the chain's round-off stays near
+    # 1e-13 in the unitarity drift and in the dual-path mismatch
+    trace = propagate(qubit_model, SIGMA_X, resonant_drive, TimeGrid(100 * TWO_PI, 20000))
+    assert trace.unitarity_drift <= 1e-12
+    assert qfi_time_series(trace).rel_disagreement.max() <= 1e-12
 
 
 def test_beta_generator_zero_cases(qubit_model):

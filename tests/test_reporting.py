@@ -36,7 +36,7 @@ def body(path):
     return lines[1], lines[2:-1]
 
 
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=60)
 @given(tables(len(SIMULATION_COLUMNS) + 1))
 def test_simulation_csv_formats_each_value_17g(tmp_path_factory, table):
     path = tmp_path_factory.mktemp("sim") / "sim.csv"
@@ -46,7 +46,7 @@ def test_simulation_csv_formats_each_value_17g(tmp_path_factory, table):
     assert lines == expected_lines(table[:, :len(SIMULATION_COLUMNS)].tolist())
 
 
-@settings(max_examples=30, deadline=None)
+@settings(max_examples=30)
 @given(tables(5))
 def test_scan_csv_formats_each_value_17g(tmp_path_factory, table):
     path = tmp_path_factory.mktemp("scan") / "scan.csv"
@@ -56,7 +56,7 @@ def test_scan_csv_formats_each_value_17g(tmp_path_factory, table):
     assert lines == expected_lines(table.tolist())
 
 
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=60)
 @given(st.integers(1, 9).flatmap(lambda n: st.tuples(
     arrays(np.float64, n, elements=floats), arrays(np.float64, (n, n), elements=floats))))
 def test_kernel_csv_rows_run_s_outer_u_inner(tmp_path_factory, drawn):

@@ -33,6 +33,7 @@ CHECK_NAMES = [
     "short-time-quadratic-law",
     "weak-field-kernel-closed-form",
     "resonant-long-time-law",
+    "detuned-bounded-law",
 ]
 
 
