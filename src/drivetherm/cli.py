@@ -71,9 +71,14 @@ def _load_config(args):
 
     Raises :class:`ConfigValidationError` for a bad file (a model below the
     full-rank floor included), for a scan section that ``simulate`` does
-    not take or that ``scan`` lacks, and for an ``--out`` that is, or lies
-    inside, a file.
+    not take or that ``scan`` lacks, for an ``--out`` at or inside a file,
+    and for a ``--report`` that is a directory or lies in none.
     """
+    if args.command == "validate" and args.report is not None:
+        report = Path(args.report)
+        if report.is_dir() or not report.parent.is_dir():
+            raise ConfigValidationError(
+                f"--report {args.report}: not a file in an existing directory")
     if args.config is None:
         return None
     run = load_run_config(args.config)
@@ -94,12 +99,13 @@ def cmd_simulate(run, out_dir: Path, manifest_hash: str):
     """Write the time series (and kernel) CSVs; return the manifest's
     diagnostics and data files, and the summary line."""
     config, model, v, drive, grid, _ = run
-    trace = propagate(model, v, drive, grid, drift_tol=config.tolerances["step_drift"])
-    results = engine.qfi_time_series(trace, n_measurements=config.estimation["n_measurements"])
+    output = config["output"]
+    trace = propagate(model, v, drive, grid, drift_tol=config["tolerances"]["step_drift"])
+    results = engine.qfi_time_series(trace, n_measurements=config["estimation"]["n_measurements"])
     worst = int(np.argmax(results.rel_disagreement))
     engine.check_dual_path(results.rel_disagreement[worst], f"t={results.t[worst]:g}")
     kernel_payload = None
-    if config.output["kernel"] is not None:
+    if output["kernel"] is not None:
         # both ends and evenly spread nodes between; currents at those nodes
         # only, since all n of them would raise peak memory
         k = min(grid.n_nodes, KERNEL_MAX_NODES)
@@ -107,13 +113,13 @@ def cmd_simulate(run, out_dir: Path, manifest_hash: str):
         currents = engine.information_current(model, trace.heisenberg_v[nodes])
         kernel_payload = (grid.nodes[nodes], engine.kernel_matrix(model, currents).real)
 
-    csv_path = out_dir / config.output["csv"]
+    csv_path = out_dir / output["csv"]
     write_simulation_csv(csv_path, results, manifest_hash)
-    data_files = {config.output["csv"]: csv_path}
+    data_files = {output["csv"]: csv_path}
     if kernel_payload is not None:
-        kernel_path = out_dir / config.output["kernel"]
+        kernel_path = out_dir / output["kernel"]
         write_kernel_csv(kernel_path, *kernel_payload, manifest_hash)
-        data_files[config.output["kernel"]] = kernel_path
+        data_files[output["kernel"]] = kernel_path
 
     rows = len(results.t)
     diagnostics = {
@@ -130,11 +136,11 @@ def cmd_scan(run, out_dir: Path, manifest_hash: str):
     """Write the scan CSV; return the manifest's diagnostics and data files,
     and the summary line."""
     result = run_scan(run.scan)
-    config = run.config
-    csv_path = out_dir / config.output["csv"]
+    name = run.config["output"]["csv"]
+    csv_path = out_dir / name
     write_scan_csv(csv_path, result.axis, result.points, manifest_hash)
     diagnostics = {"points": len(result.points), "argmax": result.argmax}
-    return (diagnostics, {config.output["csv"]: csv_path},
+    return (diagnostics, {name: csv_path},
             f"scan: {len(result.points)} points -> {csv_path} "
             f"(argmax {result.axis} = {result.argmax:g})")
 
@@ -155,7 +161,7 @@ def _run_recorded(command, run, out: str) -> int:
         raise
     manifest = build_manifest(config, wall_clock_seconds=time.monotonic() - started,
                               diagnostics=diagnostics, data_files=data_files)
-    write_manifest(out_dir / config.output["manifest"], manifest)
+    write_manifest(out_dir / config["output"]["manifest"], manifest)
     print(summary)
     return EXIT_OK
 

@@ -16,7 +16,6 @@ commands run those objects (:class:`LoadedRun`).
 import math
 import os
 import re
-from dataclasses import asdict, dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -50,15 +49,18 @@ _Loader.add_implicit_resolver(
 
 def _load_yaml_with_lines(path: str):
     """Parse YAML returning (data, {dotted.path: 1-based line})."""
-    with open(path, "r", encoding="utf-8") as fh:
-        loader = _Loader(fh.read())
     try:
+        with open(path, "r", encoding="utf-8") as fh:
+            text = fh.read()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ConfigValidationError(f"cannot read the file: {exc}", path=path) from exc
+    try:  # the loader rejects control characters as it is built
+        loader = _Loader(text)
         node = loader.get_single_node()
         data = loader.construct_document(node) if node is not None else None
+        loader.dispose()
     except yaml.YAMLError as exc:
         raise ConfigValidationError(f"not valid YAML: {exc}", path=path) from exc
-    finally:
-        loader.dispose()
     lines: dict[str, int] = {}
 
     def walk(nd, prefix):
@@ -198,38 +200,21 @@ def _built(sec: _Section, key, build, *args, **kwargs):
 
 
 # --------------------------------------------------------------------------
-# Resolved run configuration
+# Resolved run
 # --------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    """The resolved run record: the manifest's ``config`` sections as JSON data."""
-
-    model: dict              # kind, omega, energies, h0, v, beta_star
-    drive: dict              # lambda0, envelope, temporal
-    grid: dict               # t_end, n_steps
-    scan: dict | None        # axis, values, reduce: {mode, t, window}
-    estimation: dict         # n_measurements
-    output: dict             # csv, manifest, kernel
-    seed: int | None
-    tolerances: dict         # step_drift, rank_floor
-    resolved_defaults: dict
-
-    def to_dict(self) -> dict:
-        return asdict(self)
-
-    @classmethod
-    def from_dict(cls, payload: dict) -> "RunConfig":
-        return cls(**payload)
 
 
 class LoadedRun(NamedTuple):
     """A validated run: the resolved record and the domain objects built from
-    it.  ``model`` is the Gibbs model of H0 at beta*; ``scan`` is None for a
-    config without a scan section."""
+    it.  ``config`` is the record as JSON data, the manifest's ``config``:
+    model (kind, omega, energies, h0, v, beta_star), drive (lambda0, envelope,
+    temporal), grid (t_end, n_steps), scan (axis, values, reduce: {mode, t,
+    window}), estimation (n_measurements), output (csv, manifest, kernel),
+    seed, tolerances (step_drift, rank_floor) and resolved_defaults.
+    ``model`` is the Gibbs model of H0 at beta*; ``scan``, here and in the
+    record, is None for a config without a scan section."""
 
-    config: RunConfig
+    config: dict
     model: GibbsModel
     v: np.ndarray
     drive: DriveProfile
@@ -459,11 +444,15 @@ def load_run_config(path: str) -> LoadedRun:
         scan = {"axis": axis, "values": values, "reduce": reduce}
 
     # ---- estimation / output --------------------------------------------
-    estimation = {"n_measurements":
-                  root.section("estimation").integer("n_measurements", 1, minimum=1)}
+    # a scan writes no Cramer-Rao column and no kernel; its record keeps the defaults
+    est_sec, out_sec = root.section("estimation"), root.section("output")
+    for sec, key in ((est_sec, "n_measurements"), (out_sec, "kernel")):
+        if scan is not None and key in sec.data:
+            raise sec.error(f"a scan config takes no '{sec._dotted(key)}': 'scan' writes "
+                            "neither the Cramer-Rao column nor a kernel", key)
+    estimation = {"n_measurements": est_sec.integer("n_measurements", 1, minimum=1)}
     # each output is a plain file name inside --out (non-empty, no path
     # separator, not . or ..), and no two outputs name the same file
-    out_sec = root.section("output")
     output = {}
     for key, default in (("csv", "results.csv"), ("manifest", "manifest.json"),
                          ("kernel", None)):
@@ -476,5 +465,7 @@ def load_run_config(path: str) -> LoadedRun:
                                 f"{name!r}", key if key in out_sec.data else other)
         output[key] = name
 
-    config = RunConfig(model, drive, grid, scan, estimation, output, seed, tolerances, resolved)
+    config = {"model": model, "drive": drive, "grid": grid, "scan": scan,
+              "estimation": estimation, "output": output, "seed": seed,
+              "tolerances": tolerances, "resolved_defaults": resolved}
     return LoadedRun(config, gibbs, v, profile, time_grid, scan_spec)

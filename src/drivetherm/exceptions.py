@@ -36,4 +36,3 @@ class ConfigValidationError(DriveThermError):
         super().__init__(f"{prefix} {message}".strip())
         self.path = path
         self.line = line
-        self.bare_message = message

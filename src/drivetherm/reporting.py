@@ -20,7 +20,6 @@ from typing import Sequence
 import numpy as np
 
 from . import __version__
-from .config import RunConfig
 from .engine import QfiResult
 from .scans import ScanPoint
 
@@ -38,12 +37,9 @@ def _canonical_json(payload) -> str:
     return json.dumps(payload, sort_keys=True, separators=(",", ":"))
 
 
-def config_content_hash(config: RunConfig) -> str:
+def config_content_hash(config: dict) -> str:
     """Identity hash of a run: version + resolved config + resolved defaults."""
-    identity = {
-        "artifact": {"name": "drivetherm", "version": __version__},
-        "config": config.to_dict(),
-    }
+    identity = {"artifact": {"name": "drivetherm", "version": __version__}, "config": config}
     return hashlib.sha256(_canonical_json(identity).encode("utf-8")).hexdigest()
 
 
@@ -120,13 +116,13 @@ def read_csv(path):
     return manifest_hash, header, rows
 
 
-def build_manifest(config: RunConfig, *, wall_clock_seconds: float,
+def build_manifest(config: dict, *, wall_clock_seconds: float,
                    diagnostics: dict, data_files: dict) -> dict:
     """Assemble the manifest; ``data_files`` maps name -> on-disk path."""
     return {
         "artifact": {"name": "drivetherm", "version": __version__},
         "content_hash": config_content_hash(config),
-        "config": config.to_dict(),
+        "config": config,
         "wall_clock_seconds": wall_clock_seconds,
         "diagnostics": diagnostics,
         "files": {name: sha256_file(path) for name, path in data_files.items()},
@@ -136,12 +132,3 @@ def build_manifest(config: RunConfig, *, wall_clock_seconds: float,
 def write_manifest(path, manifest: dict) -> None:
     Path(path).write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n",
                           encoding="utf-8")
-
-
-def read_manifest(path) -> dict:
-    return json.loads(Path(path).read_text(encoding="utf-8"))
-
-
-def config_from_manifest(manifest: dict) -> RunConfig:
-    """Reconstruct the resolved RunConfig recorded in a manifest."""
-    return RunConfig.from_dict(manifest["config"])

@@ -92,7 +92,7 @@ def run_checks(run: LoadedRun | None = None, *, seed: int = 20260810) -> list[Ch
         drift_tol = DRIFT_TOL
     else:
         model, v, drive, grid = _setup_from_run(run)
-        drift_tol = run.config.tolerances["step_drift"]
+        drift_tol = run.config["tolerances"]["step_drift"]
     omega_d = drive.omega_d
 
     # --- closed-form equilibrium baseline (two-level) ---------------------

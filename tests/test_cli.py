@@ -11,10 +11,9 @@ import pytest
 from drivetherm import (cli, config, drive, engine, propagation, scans, thermal,
                         validation)
 from drivetherm.cli import main
-from drivetherm.config import RunConfig, load_run_config
+from drivetherm.config import load_run_config
 from drivetherm.exceptions import ConfigValidationError, DriveThermError
-from drivetherm.reporting import (config_content_hash, config_from_manifest,
-                                  read_csv, read_manifest, sha256_file)
+from drivetherm.reporting import config_content_hash, read_csv, sha256_file
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -64,12 +63,16 @@ def write(tmp_path, name, text):
     return path
 
 
+def read_json(path):
+    return json.loads(Path(path).read_text(encoding="utf-8"))
+
+
 def test_simulate_end_to_end(tmp_path):
     cfg = write(tmp_path, "run.yaml", BASE_CONFIG)
     out = tmp_path / "out"
     assert main(["simulate", "--config", str(cfg), "--out", str(out)]) == 0
 
-    manifest = read_manifest(out / "run.json")
+    manifest = read_json(out / "run.json")
     manifest_hash, header, rows = read_csv(out / "run.csv")
     assert manifest_hash == manifest["content_hash"]
     assert header == ["t", "F_eq", "I_t", "F_total", "F_spectral",
@@ -102,11 +105,10 @@ def test_manifest_round_trips_config(tmp_path):
     cfg = write(tmp_path, "run.yaml", BASE_CONFIG)
     out = tmp_path / "out"
     main(["simulate", "--config", str(cfg), "--out", str(out)])
-    manifest = read_manifest(out / "run.json")
+    manifest = read_json(out / "run.json")
     loaded = load_run_config(str(cfg)).config
-    rebuilt = config_from_manifest(manifest)
-    assert rebuilt == loaded
-    assert config_content_hash(rebuilt) == manifest["content_hash"]
+    assert manifest["config"] == loaded
+    assert config_content_hash(manifest["config"]) == manifest["content_hash"]
 
 
 def test_simulate_zero_drive_rows(tmp_path):
@@ -144,7 +146,7 @@ def test_scan_end_to_end(tmp_path):
     cfg = write(tmp_path, "scan.yaml", SCAN_CONFIG)
     out = tmp_path / "out"
     assert main(["scan", "--config", str(cfg), "--out", str(out)]) == 0
-    manifest = read_manifest(out / "scan.json")
+    manifest = read_json(out / "scan.json")
     manifest_hash, header, rows = read_csv(out / "scan.csv")
     assert header == ["omega_d", "F_eq", "I_t", "F_total", "F_spectral"]
     assert [r[0] for r in rows] == [0.5, 1.0, 2.0]
@@ -230,21 +232,21 @@ def test_full_rank_rule_applies_once_at_load(tmp_path, capsys, command, base, ed
 def test_config_auto_grid_resolution(tmp_path):
     cfg = write(tmp_path, "run.yaml", BASE_CONFIG)
     loaded = load_run_config(str(cfg)).config
-    assert loaded.grid["n_steps"] == 200  # one period at 200 steps/period
-    assert loaded.resolved_defaults["auto_n_steps"] == 200
+    assert loaded["grid"]["n_steps"] == 200  # one period at 200 steps/period
+    assert loaded["resolved_defaults"]["auto_n_steps"] == 200
 
 
 def test_config_envelope_center_sampler(tmp_path):
     text = BASE_CONFIG.replace("beta0: 10.0", "beta0: sample") + "seed: 42\n"
     cfg = write(tmp_path, "run.yaml", text)
     loaded = load_run_config(str(cfg)).config
-    drawn = loaded.drive["envelope"]["beta0"]
-    assert loaded.resolved_defaults["sampled_beta0"] == drawn
+    drawn = loaded["drive"]["envelope"]["beta0"]
+    assert loaded["resolved_defaults"]["sampled_beta0"] == drawn
     f_eq = 0.25 / np.cosh(2.5) ** 2
     half = 1.0 / math.sqrt(f_eq)
     assert max(0.0, 5.0 - half) <= drawn <= 5.0 + half
     again = load_run_config(str(cfg))
-    assert again.config.drive["envelope"]["beta0"] == drawn  # deterministic
+    assert again.config["drive"]["envelope"]["beta0"] == drawn  # deterministic
     assert again.drive.envelope.beta0 == drawn  # the run's drive has the drawn center
     # sampling without a seed is rejected
     nosave = write(tmp_path, "apt.yaml",
@@ -304,8 +306,7 @@ grid: {t_end: 3.0}
     _, _, rows = read_csv(out / "results.csv")
     assert all(r[5] <= 1e-6 for r in rows)
     loaded = load_run_config(str(cfg)).config
-    rebuilt = config_from_manifest(read_manifest(out / "manifest.json"))
-    assert rebuilt == loaded  # dense matrices survive the round trip exactly
+    assert read_json(out / "manifest.json")["config"] == loaded  # dense matrices exactly
 
 
 def test_tabulated_envelope_must_cover_beta_star(tmp_path):
@@ -368,10 +369,10 @@ grid: {t_end: 1.0}
         load_run_config(str(cfg))
 
 
-def test_round_trip_from_dict_identity(tmp_path):
+def test_record_round_trips_through_json(tmp_path):
     cfg = write(tmp_path, "scan.yaml", SCAN_CONFIG)
     loaded = load_run_config(str(cfg)).config
-    assert RunConfig.from_dict(json.loads(json.dumps(loaded.to_dict()))) == loaded
+    assert json.loads(json.dumps(loaded)) == loaded
 
 
 def test_tabulated_profiles_through_config(tmp_path):
@@ -398,9 +399,7 @@ grid: {t_end: 6.0, n_steps: 600}
     assert all(r[5] <= 1e-6 for r in rows)
     # round trip preserves the tabulated points exactly
     loaded = load_run_config(str(cfg)).config
-    manifest = read_manifest(out / "results.json") if (out / "results.json").exists() \
-        else read_manifest(out / "manifest.json")
-    assert config_from_manifest(manifest) == loaded
+    assert read_json(out / "manifest.json")["config"] == loaded
 
 
 def test_tabulated_temporal_must_cover_grid(tmp_path):
@@ -472,6 +471,53 @@ def test_out_naming_a_file_is_a_configuration_error(tmp_path, capsys, command, t
     assert "not a directory" in err[0]
     assert afile.read_text(encoding="utf-8") == "keep\n"
     assert sorted(p.name for p in tmp_path.iterdir()) == ["afile", "run.yaml"]
+
+
+@pytest.mark.parametrize("argv", [
+    ["simulate", "--config", "missing.yaml", "--out", "o"],
+    ["simulate", "--config", "adir", "--out", "o"],
+    ["simulate", "--config", "latin1.yaml", "--out", "o"],
+    ["validate", "--report", "missing/report.json"],
+    ["validate", "--report", "adir"],
+    ["validate", "--report", "afile/report.json"],
+], ids=["config-missing", "config-directory", "config-not-utf8", "report-missing-directory",
+        "report-directory", "report-below-file"])
+def test_unusable_path_is_one_line_configuration_error(tmp_path, capsys, monkeypatch, argv):
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setattr(cli, "run_checks", lambda run: pytest.fail("checks ran"))
+    (tmp_path / "adir").mkdir()
+    write(tmp_path, "afile", "keep\n")
+    (tmp_path / "latin1.yaml").write_bytes(BASE_CONFIG.replace("# minimal", "# d\xe9j\xe0")
+                                           .encode("latin-1"))
+    before = sorted(tmp_path.rglob("*"))
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error:") and err.count("\n") == 1, err
+    assert sorted(tmp_path.rglob("*")) == before
+    assert (tmp_path / "afile").read_text(encoding="utf-8") == "keep\n"
+
+
+def test_control_character_in_config_is_a_configuration_error(tmp_path, capsys):
+    cfg = write(tmp_path, "run.yaml", BASE_CONFIG.replace("# minimal", "# \x07 minimal"))
+    assert main(["validate", "--config", str(cfg)]) == 2
+    assert capsys.readouterr().err.startswith(f"configuration error: {cfg}: not valid YAML:")
+
+
+@pytest.mark.parametrize("extra, line", [
+    ("  kernel: k.csv\n", 19),
+    ("estimation:\n  n_measurements: 50\n", 20),
+], ids=["kernel", "n_measurements"])
+def test_scan_config_rejects_simulate_only_keys(tmp_path, capsys, extra, line):
+    # a scan writes neither a kernel nor the Cramer-Rao column
+    cfg = write(tmp_path, "scan.yaml", SCAN_CONFIG + extra)
+    out = tmp_path / "out"
+    assert main(["scan", "--config", str(cfg), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"configuration error: {cfg}:{line}:") and err.count("\n") == 1, err
+    assert "scan" in err and not out.exists()
+    # the same keys on a simulate config run
+    cfg = write(tmp_path, "run.yaml", BASE_CONFIG + extra)
+    assert main(["simulate", "--config", str(cfg), "--out", str(out)]) == 0
 
 
 @pytest.mark.parametrize("old, new, line", [
@@ -689,7 +735,7 @@ def test_scan_below_default_floor_runs_when_resolved(tmp_path):
     _, _, rows = read_csv(out / "scan.csv")
     assert [r[0] for r in rows] == [43.0, 44.0]
     assert all(abs(r[3] - r[4]) <= 1e-14 * r[4] for r in rows)
-    tolerances = read_manifest(out / "scan.json")["config"]["tolerances"]
+    tolerances = read_json(out / "scan.json")["config"]["tolerances"]
     assert tolerances["rank_floor"] == 1e-30
 
 
@@ -873,7 +919,7 @@ SHIPPED_CONFIG_HASHES = {
                          ids=lambda p: p.stem)
 def test_shipped_config_keeps_its_identity(path):
     loaded = load_run_config(str(path)).config
-    assert RunConfig.from_dict(json.loads(json.dumps(loaded.to_dict()))) == loaded
+    assert json.loads(json.dumps(loaded)) == loaded
     assert config_content_hash(loaded)[:12] == SHIPPED_CONFIG_HASHES[path.stem]
 
 

@@ -11,6 +11,8 @@ import copy
 import io
 import math
 import os
+import subprocess
+import sys
 from pathlib import Path
 
 import yaml
@@ -103,3 +105,27 @@ def test_mutated_config_fails_cleanly_inside_out(tmp_path_factory, mutation):
         assert err.endswith("\n") and err.count("\n") == 1, err
     written = [p for p in root.rglob("*") if p.is_file() and p != cfg]
     assert all((work / "out") in p.parents for p in written), written
+
+
+FAILING_GIVEN = """\
+from hypothesis import given, strategies as st
+
+
+@given(st.integers())
+def test_fails(x):
+    assert x < 5
+"""
+
+
+def test_failing_given_prints_its_falsifying_example(tmp_path):
+    # under the project's warning filters, a failing @given test reports its
+    # example rather than ending in an internal error of the plugin
+    (tmp_path / "test_failing_given.py").write_text(FAILING_GIVEN, encoding="utf-8")
+    pyproject = Path(__file__).resolve().parent.parent / "pyproject.toml"
+    proc = subprocess.run(
+        [sys.executable, "-m", "pytest", "-c", str(pyproject), "--rootdir", str(tmp_path),
+         "-p", "no:cacheprovider", "test_failing_given.py"],
+        cwd=tmp_path, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 1, proc.stdout + proc.stderr
+    assert "Falsifying example" in proc.stdout
+    assert "INTERNALERROR" not in proc.stdout + proc.stderr
