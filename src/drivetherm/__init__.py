@@ -13,7 +13,7 @@ times in its inverse, beta likewise.
 
 __version__ = "0.1.0"
 
-from .bures import jordan_apply, jordan_inverse_apply, spectral_qfi
+from .bures import jordan_apply, jordan_inverse_apply
 from .drive import (ConstantEnvelope, ConstantModulation, CosineModulation,
                     DriveProfile, GaussianEnvelope, TabulatedEnvelope,
                     TabulatedModulation, dlambda_dbeta, lambda_at)
@@ -45,7 +45,7 @@ __all__ = [
     "GibbsModel", "dpi_dbeta", "equilibrium_qfi", "equilibrium_sld",
     "make_gibbs",
     # bures
-    "jordan_apply", "jordan_inverse_apply", "spectral_qfi",
+    "jordan_apply", "jordan_inverse_apply",
     # drive
     "DriveProfile", "GaussianEnvelope", "ConstantEnvelope",
     "TabulatedEnvelope", "CosineModulation", "ConstantModulation",

@@ -46,21 +46,15 @@ def jordan_inverse_apply(sigma: np.ndarray, x: np.ndarray) -> np.ndarray:
     return q @ yt @ q.conj().T
 
 
-def spectral_qfi(sigma: np.ndarray, dsigma: np.ndarray) -> float:
-    """Fisher information of the family through (sigma, dsigma).
+def spectral_qfi_batch(sigmas: np.ndarray, dsigmas: np.ndarray) -> np.ndarray:
+    """Fisher information of each family through (sigma, dsigma), over a
+    leading stack axis.
 
     Sum of 2|<i|dsigma|j>|^2/(l_i+l_j) over eigenvalue pairs, with terms
     whose denominator falls below ``SPECTRAL_QFI_CUTOFF * max(l_i+l_j)``
     dropped; the truncation is inert for full-rank states and regularizes
     near-singular ones.
     """
-    if sigma.shape != dsigma.shape:
-        raise ValueError(f"dimension mismatch: {sigma.shape} vs {dsigma.shape}")
-    return float(spectral_qfi_batch(sigma[None], dsigma[None])[0])
-
-
-def spectral_qfi_batch(sigmas: np.ndarray, dsigmas: np.ndarray) -> np.ndarray:
-    """Vectorized :func:`spectral_qfi` over a leading stack axis."""
     lam, q = np.linalg.eigh(sigmas)
     dt = stack_mul(stack_mul(q.conj().swapaxes(1, 2), dsigmas), q)
     denom = lam[:, :, None] + lam[:, None, :]

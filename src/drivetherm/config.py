@@ -16,6 +16,7 @@ commands run those objects (:class:`LoadedRun`).
 import math
 import os
 import re
+import sys
 from typing import NamedTuple
 
 import numpy as np
@@ -59,8 +60,15 @@ def _load_yaml_with_lines(path: str):
         node = loader.get_single_node()
         data = loader.construct_document(node) if node is not None else None
         loader.dispose()
-    except yaml.YAMLError as exc:
-        raise ConfigValidationError(f"not valid YAML: {exc}", path=path) from exc
+    except yaml.YAMLError as exc:  # one line, anchored where the parser stopped
+        mark = getattr(exc, "problem_mark", None)
+        if mark is not None:
+            line, problem = mark.line + 1, exc.problem
+        else:  # a ReaderError (control character) has a text position, not a mark
+            position = getattr(exc, "position", None)
+            line = None if position is None else text.count("\n", 0, position) + 1
+            problem = str(exc).splitlines()[0]
+        raise ConfigValidationError(f"not valid YAML: {problem}", path=path, line=line) from exc
     lines: dict[str, int] = {}
 
     def walk(nd, prefix):
@@ -80,8 +88,14 @@ def _load_yaml_with_lines(path: str):
 
 
 def _finite_number(x) -> bool:
-    """A YAML int or float (not a bool) with a finite value."""
-    return isinstance(x, (int, float)) and not isinstance(x, bool) and math.isfinite(x)
+    """A YAML int or float (not a bool) in the finite float range."""
+    return isinstance(x, (int, float)) and not isinstance(x, bool) and abs(x) <= sys.float_info.max
+
+
+#: Per scalar kind: the test a value passes, and the form its error names.
+_SCALARS = {float: (_finite_number, "a finite number"),
+            int: (lambda x: isinstance(x, int) and not isinstance(x, bool), "an integer"),
+            str: (lambda x: isinstance(x, str), "a string")}
 
 
 #: The keys each section takes; a section with a ``kind`` (``scan.reduce``:
@@ -134,11 +148,9 @@ class _Section:
     def _dotted(self, key):
         return f"{self.prefix}.{key}" if self.prefix else key
 
-    def line(self, key=None):
-        return self.lines.get(self._dotted(key) if key else self.prefix)
-
     def error(self, message, key=None):
-        return ConfigValidationError(message, path=self.path, line=self.line(key))
+        line = self.lines.get(self._dotted(key) if key else self.prefix)
+        return ConfigValidationError(message, path=self.path, line=line)
 
     def section(self, key, required=False):
         """The sub-mapping at ``key``; empty when absent and not required."""
@@ -146,48 +158,44 @@ class _Section:
             raise self.error(f"missing required section '{self._dotted(key)}'", key)
         return _Section(self.data.get(key), self.lines, self.path, self._dotted(key))
 
-    def get(self, key, default=None):
-        return self.data.get(key, default)
-
-    def number(self, key, default=None, *, required=False, minimum=None, strict_min=None):
+    def value(self, key, default=None, *, kind=float, required=False, minimum=None,
+              strict_min=None, choices=None):
+        """The scalar at ``key``: a finite number as a float (``kind=float``), an
+        integer or a string; ``default`` when absent and not required."""
         if key not in self.data:
             if required:
                 raise self.error(f"missing required key '{self._dotted(key)}'", key)
             return default
-        value = self.data[key]
-        if not _finite_number(value):
-            raise self.error(f"'{self._dotted(key)}' must be a finite number, got {value!r}", key)
-        value = float(value)
+        value, (accepts, form) = self.data[key], _SCALARS[kind]
+        name = f"'{self._dotted(key)}'"
+        if not accepts(value):
+            raise self.error(f"{name} must be {form}, got {value!r}", key)
+        value = kind(value)
         if minimum is not None and value < minimum:
-            raise self.error(f"'{self._dotted(key)}' must be >= {minimum}, got {value}", key)
+            raise self.error(f"{name} must be >= {minimum}, got {value}", key)
         if strict_min is not None and value <= strict_min:
-            raise self.error(f"'{self._dotted(key)}' must be > {strict_min}, got {value}", key)
-        return value
-
-    def integer(self, key, default=None, *, required=False, minimum=None):
-        if key not in self.data:
-            if required:
-                raise self.error(f"missing required key '{self._dotted(key)}'", key)
-            return default
-        value = self.data[key]
-        if isinstance(value, bool) or not isinstance(value, int):
-            raise self.error(f"'{self._dotted(key)}' must be an integer, got {value!r}", key)
-        if minimum is not None and value < minimum:
-            raise self.error(f"'{self._dotted(key)}' must be >= {minimum}, got {value}", key)
-        return value
-
-    def string(self, key, default=None, *, required=False, choices=None):
-        if key not in self.data:
-            if required:
-                raise self.error(f"missing required key '{self._dotted(key)}'", key)
-            return default
-        value = self.data[key]
-        if not isinstance(value, str):
-            raise self.error(f"'{self._dotted(key)}' must be a string, got {value!r}", key)
+            raise self.error(f"{name} must be > {strict_min}, got {value}", key)
         if choices is not None and value not in choices:
-            raise self.error(
-                f"'{self._dotted(key)}' must be one of {sorted(choices)}, got {value!r}", key)
+            raise self.error(f"{name} must be one of {sorted(choices)}, got {value!r}", key)
         return value
+
+    def floats(self, key, form, fits):
+        """The nested list at ``key`` as a float array whose shape ``fits``.
+
+        Every leaf must be a finite number (not a bool, NaN or string) and no
+        list may be ragged; otherwise the error says the key "must be <form>".
+        """
+        def finite(x):
+            return all(map(finite, x)) if isinstance(x, list) else _finite_number(x)
+
+        raw = self.data.get(key)
+        try:  # numpy rejects a ragged list
+            array = np.array(raw, dtype=float) if isinstance(raw, list) and finite(raw) else None
+        except ValueError:
+            array = None
+        if array is None or not fits(array.shape):
+            raise self.error(f"'{self._dotted(key)}' must be {form}", key)
+        return array
 
 
 def _built(sec: _Section, key, build, *args, **kwargs):
@@ -222,37 +230,23 @@ class LoadedRun(NamedTuple):
     scan: ScanSpec | None
 
 
-def _dense_from_rows(rows) -> np.ndarray:
-    return hermitize(np.array([[complex(re, im) for re, im in row] for row in rows]))
+def _dense(sec: _Section, key: str, dim: int | None, model: dict) -> np.ndarray:
+    """The complex matrix at ``key``, written as d x d rows of [re, im] pairs
+    (any d >= 1, or ``dim``); the rows go into the ``model`` record."""
+    size = "a square" if dim is None else f"a {dim}x{dim}"
+    rows = sec.floats(key, f"{size} list of rows of finite [re, im] pairs",
+                      lambda s: len(s) == 3 and s[0] == s[1] >= 1 and s[2] == 2
+                      and dim in (None, s[0]))
+    model[key] = rows.tolist()
+    return rows.view(complex)[..., 0]
 
 
-def _parse_matrix_rows(sec: _Section, key: str, dim: int | None) -> list:
-    raw = sec.get(key)
-    if not isinstance(raw, list) or not raw:
-        raise sec.error(f"'{sec._dotted(key)}' must be a list of rows of [re, im] pairs", key)
-    for row in raw:
-        if not isinstance(row, list):
-            raise sec.error(f"'{sec._dotted(key)}' rows must be lists", key)
-        for cell in row:
-            if not isinstance(cell, list) or len(cell) != 2 or not all(map(_finite_number, cell)):
-                raise sec.error(
-                    f"'{sec._dotted(key)}' entries must be [re, im] finite number pairs", key)
-    n = len(raw)
-    if any(len(r) != n for r in raw):
-        raise sec.error(f"'{sec._dotted(key)}' must be square", key)
-    if dim is not None and n != dim:
-        raise sec.error(f"'{sec._dotted(key)}' must be {dim}x{dim}, got {n}x{n}", key)
-    return [[[float(re), float(im)] for re, im in row] for row in raw]
-
-
-def _parse_pairs(sec: _Section, key: str) -> list:
-    raw = sec.get(key)
-    if not isinstance(raw, list) or len(raw) < 2:
-        raise sec.error(f"'{sec._dotted(key)}' must be a list of >= 2 [x, value] pairs", key)
-    if not all(isinstance(item, list) and len(item) == 2 and all(map(_finite_number, item))
-               for item in raw):
-        raise sec.error(f"'{sec._dotted(key)}' entries must be finite [x, value] pairs", key)
-    return [[float(x), float(value)] for x, value in raw]
+def _points(sec: _Section, record: dict) -> np.ndarray:
+    """The (x, value) columns of the table at ``points``; the pairs go into ``record``."""
+    points = sec.floats("points", "a list of >= 2 finite [x, value] pairs",
+                        lambda s: len(s) == 2 and s[0] >= 2 and s[1] == 2)
+    record["points"] = points.tolist()
+    return points.T
 
 
 def load_run_config(path: str) -> LoadedRun:
@@ -272,25 +266,21 @@ def load_run_config(path: str) -> LoadedRun:
 
     # ---- model ----------------------------------------------------------
     model_sec = root.section("model", required=True)
-    kind = model_sec.string("kind", required=True, choices=_KEYS["model"])
+    kind = model_sec.value("kind", kind=str, required=True, choices=_KEYS["model"])
     model = {"kind": kind, "omega": None, "energies": None, "h0": None}
     # hermitize rejects a model above operators.MAX_DIM levels
     if kind == "qubit":
-        model["omega"] = model_sec.number("omega", required=True, strict_min=0.0)
+        model["omega"] = model_sec.value("omega", required=True, strict_min=0.0)
         h0 = 0.5 * model["omega"] * SIGMA_Z
     elif kind == "diagonal":
-        raw = model_sec.get("energies")
-        if not isinstance(raw, list) or len(raw) < 2 or not all(map(_finite_number, raw)):
-            raise model_sec.error("'model.energies' must be a list of >= 2 finite numbers",
-                                  "energies")
-        model["energies"] = [float(x) for x in raw]
-        h0 = _built(model_sec, "energies", hermitize,
-                    np.diag(np.asarray(model["energies"], dtype=float)))
+        energies = model_sec.floats("energies", "a list of >= 2 finite numbers",
+                                    lambda s: len(s) == 1 and s[0] >= 2)
+        model["energies"] = energies.tolist()
+        h0 = _built(model_sec, "energies", hermitize, np.diag(energies))
     else:
-        model["h0"] = _parse_matrix_rows(model_sec, "h0", None)
-        h0 = _built(model_sec, "h0", _dense_from_rows, model["h0"])
+        h0 = _built(model_sec, "h0", hermitize, _dense(model_sec, "h0", None, model))
 
-    v_raw = model_sec.get("v")
+    v_raw = model_sec.data.get("v")
     if isinstance(v_raw, str):
         if v_raw not in PAULI:
             raise model_sec.error(f"'model.v' names an unknown operator {v_raw!r}; "
@@ -301,10 +291,9 @@ def load_run_config(path: str) -> LoadedRun:
         model["v"] = v_raw
         v = PAULI[v_raw].copy()
     else:
-        model["v"] = _parse_matrix_rows(model_sec, "v", len(h0))
-        v = _dense_from_rows(model["v"])
+        v = hermitize(_dense(model_sec, "v", len(h0), model))
 
-    beta_star = model["beta_star"] = model_sec.number("beta_star", required=True, minimum=0.0)
+    beta_star = model["beta_star"] = model_sec.value("beta_star", required=True, minimum=0.0)
 
     # ---- tolerances / full-rank model -------------------------------------
     tol_sec = root.section("tolerances")
@@ -312,33 +301,32 @@ def load_run_config(path: str) -> LoadedRun:
     for key in tol_sec.data:
         # a drift bound of 0 fails every run; a population floor of 0 is allowed
         bound = {"minimum": 0.0} if key == "rank_floor" else {"strict_min": 0.0}
-        tolerances[key] = tol_sec.number(key, **bound)
+        tolerances[key] = tol_sec.value(key, **bound)
     gibbs = _built(model_sec, "beta_star", make_gibbs, h0, beta_star,
                    rank_floor=tolerances["rank_floor"])
 
     # ---- drive -----------------------------------------------------------
     drive_sec = root.section("drive", required=True)
-    lambda0 = drive_sec.number("lambda0", required=True)
-    seed = root.integer("seed")
+    lambda0 = drive_sec.value("lambda0", required=True)
+    seed = root.value("seed", kind=int)
 
     env_sec = drive_sec.section("envelope", required=True)
-    env_kind = env_sec.string("kind", required=True, choices=_KEYS["drive.envelope"])
+    env_kind = env_sec.value("kind", kind=str, required=True, choices=_KEYS["drive.envelope"])
     envelope = {"kind": env_kind}
     if env_kind == "gaussian":
-        s_beta = env_sec.number("s_beta", required=True)
-        if env_sec.get("beta0") == "sample":
+        s_beta = env_sec.value("s_beta", required=True)
+        if env_sec.data.get("beta0") == "sample":
             if seed is None:
                 raise env_sec.error(
                     "'drive.envelope.beta0: sample' needs a top-level 'seed'", "beta0")
             beta0 = resolved["sampled_beta0"] = sample_envelope_center(
                 beta_star, equilibrium_qfi(gibbs), seed)
         else:
-            beta0 = env_sec.number("beta0", required=True)
+            beta0 = env_sec.value("beta0", required=True)
         envelope.update(beta0=beta0, s_beta=s_beta)
         env = _built(env_sec, "s_beta", GaussianEnvelope, beta0=beta0, s_beta=s_beta)
     elif env_kind == "tabulated":
-        envelope["points"] = _parse_pairs(env_sec, "points")
-        env = _built(env_sec, "points", TabulatedEnvelope, *zip(*envelope["points"]))
+        env = _built(env_sec, "points", TabulatedEnvelope, *_points(env_sec, envelope))
     else:
         env = ConstantEnvelope()
     if env_kind == "tabulated" and not env.betas[0] <= beta_star <= env.betas[-1]:
@@ -347,16 +335,15 @@ def load_run_config(path: str) -> LoadedRun:
             f"[{env.betas[0]}, {env.betas[-1]}]", "points")
 
     temp_sec = drive_sec.section("temporal", required=True)
-    temp_kind = temp_sec.string("kind", required=True, choices=_KEYS["drive.temporal"])
+    temp_kind = temp_sec.value("kind", kind=str, required=True, choices=_KEYS["drive.temporal"])
     temporal = {"kind": temp_kind}
     if temp_kind == "cosine":
-        temporal.update(omega_d=temp_sec.number("omega_d", required=True),
-                        phi=temp_sec.number("phi", 0.0))
+        temporal.update(omega_d=temp_sec.value("omega_d", required=True),
+                        phi=temp_sec.value("phi", 0.0))
         temp = _built(temp_sec, "omega_d", CosineModulation, temporal["omega_d"],
                       temporal["phi"])
     elif temp_kind == "tabulated":
-        temporal["points"] = _parse_pairs(temp_sec, "points")
-        temp = _built(temp_sec, "points", TabulatedModulation, *zip(*temporal["points"]))
+        temp = _built(temp_sec, "points", TabulatedModulation, *_points(temp_sec, temporal))
     else:
         temp = ConstantModulation()
     drive = {"lambda0": lambda0, "envelope": envelope, "temporal": temporal}
@@ -370,8 +357,8 @@ def load_run_config(path: str) -> LoadedRun:
 
     # ---- grid ------------------------------------------------------------
     grid_sec = root.section("grid", required=True)
-    t_end = grid_sec.number("t_end", required=True)
-    n_steps = grid_sec.integer("n_steps")
+    t_end = grid_sec.value("t_end", required=True)
+    n_steps = grid_sec.value("n_steps", kind=int)
     if n_steps is None:
         n_steps = default_n_steps(t_end, gibbs.spread, profile.omega_d)
         resolved["auto_n_steps"] = n_steps
@@ -381,46 +368,38 @@ def load_run_config(path: str) -> LoadedRun:
 
     # ---- scan (optional) ---------------------------------------------------
     scan = scan_spec = None
-    if root.get("scan") is not None:
+    if root.data.get("scan") is not None:
         scan_sec = root.section("scan")
-        axis = scan_sec.string("axis", required=True, choices=AXES)
-        if axis == "time" and scan_sec.get("reduce") is not None:
+        axis = scan_sec.value("axis", kind=str, required=True, choices=AXES)
+        if axis == "time" and scan_sec.data.get("reduce") is not None:
             raise scan_sec.error("a time scan reads each point at its own time; "
                                  "'scan.reduce' applies to frequency and temperature "
                                  "scans only", "reduce")
-        values_raw = scan_sec.get("values")
-        if isinstance(values_raw, dict):
+        if isinstance(scan_sec.data.get("values"), dict):
             vsec = scan_sec.section("values")
-            start = vsec.number("start", required=True)
-            stop = vsec.number("stop", required=True)
-            num = vsec.integer("num", required=True, minimum=1)
-            values = [float(x) for x in np.linspace(start, stop, num)]
-        elif isinstance(values_raw, list) and all(map(_finite_number, values_raw)):
-            values = [float(x) for x in values_raw]
+            start = vsec.value("start", required=True)
+            stop = vsec.value("stop", required=True)
+            num = vsec.value("num", kind=int, required=True, minimum=1)
+            values = np.linspace(start, stop, num).tolist()
         else:
-            raise scan_sec.error("'scan.values' must be a list of finite numbers "
-                                 "or a {start, stop, num} mapping", "values")
+            values = scan_sec.floats("values", "a list of finite numbers or a {start, stop, "
+                                     "num} mapping", lambda s: len(s) == 1).tolist()
 
         red_sec = scan_sec.section("reduce")
-        if scan_sec.get("reduce") is None:
+        if scan_sec.data.get("reduce") is None:
             reduce = {"mode": "value_at_t", "t": t_end, "window": None}
             resolved["auto_reduce"] = {"mode": "value_at_t", "t": t_end}
             reduce_spec = ReduceSpec("value_at_t", t_end)
         else:
-            reduce = {"mode": red_sec.string("mode", required=True, choices=REDUCE_MODES),
-                      "t": None, "window": None}
+            mode = red_sec.value("mode", kind=str, required=True, choices=REDUCE_MODES)
+            reduce = {"mode": mode, "t": None, "window": None}
             if reduce["mode"] == "value_at_t":
-                reduce["t"] = red_sec.number("t", t_end)
+                reduce["t"] = red_sec.value("t", t_end)
                 within_temporal_table(red_sec, "t", "scan.reduce.t", reduce["t"])
                 reduce_spec = _built(red_sec, "t", ReduceSpec, "value_at_t", reduce["t"])
             else:
-                window = red_sec.get("window")
-                if not (isinstance(window, list) and len(window) == 2
-                        and all(map(_finite_number, window))):
-                    raise red_sec.error(
-                        "'scan.reduce.window' must be a [t0, t1] pair of finite numbers",
-                        "window")
-                reduce["window"] = window = [float(x) for x in window]
+                reduce["window"] = window = red_sec.floats(
+                    "window", "a [t0, t1] pair of finite numbers", lambda s: s == (2,)).tolist()
                 within_temporal_table(red_sec, "window", "scan.reduce.window end", window[1])
                 reduce_spec = _built(red_sec, "window", ReduceSpec, "max_over_t",
                                      window=tuple(window))
@@ -450,13 +429,13 @@ def load_run_config(path: str) -> LoadedRun:
         if scan is not None and key in sec.data:
             raise sec.error(f"a scan config takes no '{sec._dotted(key)}': 'scan' writes "
                             "neither the Cramer-Rao column nor a kernel", key)
-    estimation = {"n_measurements": est_sec.integer("n_measurements", 1, minimum=1)}
+    estimation = {"n_measurements": est_sec.value("n_measurements", 1, kind=int, minimum=1)}
     # each output is a plain file name inside --out (non-empty, no path
     # separator, not . or ..), and no two outputs name the same file
     output = {}
     for key, default in (("csv", "results.csv"), ("manifest", "manifest.json"),
                          ("kernel", None)):
-        name = out_sec.string(key, default)
+        name = out_sec.value(key, default, kind=str)
         if name is not None and (name in ("", ".", "..") or os.path.basename(name) != name):
             raise out_sec.error(f"'output.{key}' must be a plain file name, got {name!r}", key)
         if name is not None and name in output.values():

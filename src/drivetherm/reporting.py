@@ -105,17 +105,6 @@ def write_kernel_csv(path, times, kernel_sym, manifest_hash: str) -> None:
     _write_table(path, manifest_hash, ("s", "u", "K_S"), blocks())
 
 
-def read_csv(path):
-    """Read a package-emitted CSV: (manifest_hash, header, rows)."""
-    text = Path(path).read_text(encoding="utf-8").strip().splitlines()
-    if not text or not text[0].startswith("# manifest_hash="):
-        raise ValueError(f"{path} is not a drivetherm data file")
-    manifest_hash = text[0].split("=", 1)[1]
-    header = text[1].split(",")
-    rows = [[float(x) for x in line.split(",")] for line in text[2:]]
-    return manifest_hash, header, rows
-
-
 def build_manifest(config: dict, *, wall_clock_seconds: float,
                    diagnostics: dict, data_files: dict) -> dict:
     """Assemble the manifest; ``data_files`` maps name -> on-disk path."""

@@ -5,6 +5,7 @@ from hypothesis.configuration import set_hypothesis_home_dir
 
 from drivetherm import (CosineModulation, DriveProfile, GaussianEnvelope,
                         SIGMA_Z, make_gibbs)
+from drivetherm.bures import spectral_qfi_batch
 
 # the same examples on every run, no example database on disk
 settings.register_profile("drivetherm", derandomize=True, deadline=None, database=None)
@@ -26,6 +27,11 @@ def rng():
 def random_hermitian(rng, d, scale=1.0):
     a = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
     return scale * 0.5 * (a + a.conj().T)
+
+
+def spectral_qfi(sigma, dsigma):
+    """The spectral QFI of one state and tangent."""
+    return float(spectral_qfi_batch(sigma[None], dsigma[None])[0])
 
 
 def random_full_rank_state(rng, d, floor=0.05):

@@ -3,13 +3,12 @@ import pytest
 
 from drivetherm import FullRankViolation
 from drivetherm.bures import (SPECTRAL_QFI_CUTOFF, jordan_apply,
-                              jordan_inverse_apply, spectral_qfi,
-                              spectral_qfi_batch)
+                              jordan_inverse_apply, spectral_qfi_batch)
 from drivetherm.operators import SIGMA_X, SIGMA_Z
 from drivetherm.thermal import dpi_dbeta, equilibrium_qfi, make_gibbs
 
 from conftest import (random_full_rank_state, random_hermitian, random_unitary,
-                      step_axis_innermost)
+                      spectral_qfi, step_axis_innermost)
 from oracles import expm_hermitian_generator
 
 

@@ -13,7 +13,7 @@ from drivetherm import (cli, config, drive, engine, propagation, scans, thermal,
 from drivetherm.cli import main
 from drivetherm.config import load_run_config
 from drivetherm.exceptions import ConfigValidationError, DriveThermError
-from drivetherm.reporting import config_content_hash, read_csv, sha256_file
+from drivetherm.reporting import config_content_hash, sha256_file
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -65,6 +65,14 @@ def write(tmp_path, name, text):
 
 def read_json(path):
     return json.loads(Path(path).read_text(encoding="utf-8"))
+
+
+def read_csv(path):
+    """(manifest_hash, header, rows) of a data file the CLI wrote."""
+    first, header, *rows = Path(path).read_text(encoding="utf-8").splitlines()
+    assert first.startswith("# manifest_hash="), first
+    return first.split("=", 1)[1], header.split(","), [[float(x) for x in r.split(",")]
+                                                        for r in rows]
 
 
 def test_simulate_end_to_end(tmp_path):
@@ -500,7 +508,22 @@ def test_unusable_path_is_one_line_configuration_error(tmp_path, capsys, monkeyp
 def test_control_character_in_config_is_a_configuration_error(tmp_path, capsys):
     cfg = write(tmp_path, "run.yaml", BASE_CONFIG.replace("# minimal", "# \x07 minimal"))
     assert main(["validate", "--config", str(cfg)]) == 2
-    assert capsys.readouterr().err.startswith(f"configuration error: {cfg}: not valid YAML:")
+    assert capsys.readouterr().err.startswith(f"configuration error: {cfg}:1: not valid YAML:")
+
+
+@pytest.mark.parametrize("text, line, problem", [
+    ("model: [\n", 2, "expected the node content"),
+    (BASE_CONFIG.replace("  omega: 1.0", "   omega: 1.0"), 4, "mapping values"),
+    (BASE_CONFIG.replace("  beta_star: 5.0", "  beta_star: 5.0 \x07"), 6,
+     "unacceptable character #x0007"),
+], ids=["unclosed-flow", "indentation", "control-character"])
+def test_yaml_syntax_error_is_one_anchored_line(tmp_path, capsys, text, line, problem):
+    cfg = write(tmp_path, "syntax.yaml", text)
+    assert main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1, err
+    assert err[0].startswith(f"configuration error: {cfg}:{line}: not valid YAML: "), err
+    assert problem in err[0] and not (tmp_path / "o").exists()
 
 
 @pytest.mark.parametrize("extra, line", [
@@ -1004,3 +1027,92 @@ def test_key_of_another_kind_rejected(tmp_path, capsys, old, new, key, kind):
     err = capsys.readouterr().err
     assert f"kind.yaml:{line}:" in err and "unknown" in err and kind in err
     assert not (tmp_path / "o").exists()
+
+
+LIST_CONFIG = """\
+model:
+  kind: dense
+  h0: [[[0.5, 0.0], [0.1, 0.2]], [[0.1, -0.2], [-0.5, 0.0]]]
+  v: [[[0.0, 0.0], [1.0, 0.0]], [[1.0, 0.0], [0.0, 0.0]]]
+  beta_star: 2.0
+drive:
+  lambda0: 0.05
+  envelope:
+    kind: tabulated
+    points: [[0.0, 0.2], [4.0, 1.0]]
+  temporal:
+    kind: tabulated
+    points: [[0.0, 1.0], [8.0, 0.5]]
+grid: {t_end: 6.0}
+scan:
+  axis: temperature
+  values: [1.0, 2.0]
+  reduce:
+    mode: max_over_t
+    window: [1.0, 6.0]
+"""
+
+#: Per list key: the text it replaces in LIST_CONFIG, the replacement (its value
+#: left as {}) and the key's line there; then a value that loads, and bad values:
+#: ragged, a true leaf, a NaN leaf, too short, and one level too deep.
+LIST_KEYS = {
+    "model.energies": ("  kind: dense\n  h0: [[[0.5, 0.0], [0.1, 0.2]], "
+                       "[[0.1, -0.2], [-0.5, 0.0]]]", "  kind: diagonal\n  energies: {}", 3,
+                       ["[-0.5, 0.5]", "[-0.5, [0.5]]", "[-0.5, true]", "[-0.5, .nan]", "[0.5]",
+                        "[[-0.5], [0.5]]"]),
+    "model.h0": ("  h0: [[[0.5, 0.0], [0.1, 0.2]], [[0.1, -0.2], [-0.5, 0.0]]]",
+                 "  h0: {}", 3,
+                 ["[[[0.5, 0.0], [0.1, 0.2]], [[0.1, -0.2], [-0.5, 0.0]]]",
+                  "[[[0.5, 0.0], [0.1, 0.2]], [[0.1, -0.2]]]",
+                  "[[[0.5, 0.0], [0.1, true]], [[0.1, -0.2], [-0.5, 0.0]]]",
+                  "[[[0.5, 0.0], [0.1, .nan]], [[0.1, -0.2], [-0.5, 0.0]]]",
+                  "[[[0.5], [0.1]], [[0.1], [-0.5]]]",
+                  "[[[[0.5, 0.0]], [[0.1, 0.2]]], [[[0.1, -0.2]], [[-0.5, 0.0]]]]"]),
+    "model.v": ("  v: [[[0.0, 0.0], [1.0, 0.0]], [[1.0, 0.0], [0.0, 0.0]]]", "  v: {}", 4,
+                ["[[[0.0, 0.0], [1.0, 0.0]], [[1.0, 0.0], [0.0, 0.0]]]",
+                 "[[[0.0, 0.0], [1.0, 0.0]], [[1.0, 0.0]]]",
+                 "[[[0.0, 0.0], [true, 0.0]], [[1.0, 0.0], [0.0, 0.0]]]",
+                 "[[[0.0, 0.0], [.nan, 0.0]], [[1.0, 0.0], [0.0, 0.0]]]",
+                 "[[[1.0, 0.0]]]",
+                 "[[[[0.0, 0.0]], [[1.0, 0.0]]], [[[1.0, 0.0]], [[0.0, 0.0]]]]"]),
+    "drive.envelope.points": ("    points: [[0.0, 0.2], [4.0, 1.0]]", "    points: {}", 10,
+                              ["[[0.0, 0.2], [4.0, 1.0]]", "[[0.0, 0.2], [4.0]]",
+                               "[[0.0, true], [4.0, 1.0]]", "[[0.0, .nan], [4.0, 1.0]]",
+                               "[[0.0, 0.2]]", "[[[0.0, 0.2]], [[4.0, 1.0]]]"]),
+    "drive.temporal.points": ("    points: [[0.0, 1.0], [8.0, 0.5]]", "    points: {}", 13,
+                              ["[[0.0, 1.0], [8.0, 0.5]]", "[[0.0, 1.0], [8.0]]",
+                               "[[0.0, 1.0], [true, 0.5]]", "[[0.0, 1.0], [.nan, 0.5]]",
+                               "[[0.0, 1.0]]", "[[[0.0, 1.0]], [[8.0, 0.5]]]"]),
+    "scan.values": ("  values: [1.0, 2.0]", "  values: {}", 17,
+                    ["[1.0, 2.0]", "[1.0, [2.0]]", "[1.0, true]", "[1.0, .nan]", "[]",
+                     "[[1.0], [2.0]]"]),
+    "scan.reduce.window": ("    window: [1.0, 6.0]", "    window: {}", 20,
+                           ["[1.0, 6.0]", "[1.0, [6.0]]", "[1.0, true]", "[1.0, .nan]",
+                            "[1.0]", "[[1.0, 6.0]]"]),
+}
+
+
+def list_config(key, value):
+    old, new, _, _ = LIST_KEYS[key]
+    text = LIST_CONFIG.replace(old, new.format(value))
+    assert text != LIST_CONFIG or new.format(value) == old
+    return text
+
+
+@pytest.mark.parametrize("key", LIST_KEYS)
+def test_list_config_loads(tmp_path, key):
+    # each malformed value below stands in for one that loads
+    load_run_config(str(write(tmp_path, "list.yaml", list_config(key, LIST_KEYS[key][3][0]))))
+
+
+@pytest.mark.parametrize("key, case", [(key, case) for key in LIST_KEYS for case in range(1, 6)],
+                         ids=[f"{key}-{name}" for key in LIST_KEYS for name in
+                              ("ragged", "true", "nan", "too-short", "too-deep")])
+def test_malformed_list_is_one_anchored_line(tmp_path, capsys, key, case):
+    cfg = write(tmp_path, "list.yaml", list_config(key, LIST_KEYS[key][3][case]))
+    out = tmp_path / "o"
+    assert main(["scan", "--config", str(cfg), "--out", str(out)]) == 2
+    err = capsys.readouterr().err.splitlines()
+    line = LIST_KEYS[key][2]
+    assert len(err) == 1 and err[0].startswith(f"configuration error: {cfg}:{line}:"), err
+    assert not out.exists()

@@ -27,8 +27,9 @@ CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 #: Stands for an absolute path outside ``--out``, filled in per example.
 ABSOLUTE = "<absolute>"
 
-POOL = [True, None, "sigma_q", [1.0, 2.0], {"kind": "unknown"}, 0, 0.0, -1, -0.5,
-        1e-300, math.nan, "", ".", "../escape.csv", "sub/x.csv", ABSOLUTE]
+POOL = [True, None, "sigma_q", [1.0, 2.0], [[1.0, 2.0], [3.0]], [True, 1.0],
+        {"kind": "unknown"}, 0, 0.0, -1, -0.5, 1e-300, math.nan, "", ".", "../escape.csv",
+        "sub/x.csv", ABSOLUTE]
 
 
 def shortened(config):

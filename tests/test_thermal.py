@@ -2,12 +2,11 @@ import numpy as np
 import pytest
 
 from drivetherm import FullRankViolation
-from drivetherm.bures import spectral_qfi
 from drivetherm.operators import SIGMA_Z
 from drivetherm.thermal import (dpi_dbeta, equilibrium_qfi, equilibrium_sld,
                                 make_gibbs)
 
-from conftest import random_hermitian
+from conftest import random_hermitian, spectral_qfi
 
 
 def test_infinite_temperature_is_maximally_mixed():
