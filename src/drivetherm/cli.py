@@ -101,20 +101,20 @@ def cmd_simulate(run, out_dir: Path, manifest_hash: str):
     config, model, v, drive, grid, _ = run
     output = config["output"]
     trace = propagate(model, v, drive, grid, drift_tol=config["tolerances"]["step_drift"])
-    results = engine.qfi_time_series(trace, n_measurements=config["estimation"]["n_measurements"])
+    results = engine.qfi_time_series(trace)
     worst = int(np.argmax(results.rel_disagreement))
     engine.check_dual_path(results.rel_disagreement[worst], f"t={results.t[worst]:g}")
     kernel_payload = None
     if output["kernel"] is not None:
-        # both ends and evenly spread nodes between; currents at those nodes
+        # both ends and evenly spread nodes between; the kernel of those nodes
         # only, since all n of them would raise peak memory
         k = min(grid.n_nodes, KERNEL_MAX_NODES)
         nodes = np.unique(np.rint(np.linspace(0, grid.n_steps, k)).astype(int))
-        currents = engine.information_current(model, trace.heisenberg_v[nodes])
-        kernel_payload = (grid.nodes[nodes], engine.kernel_matrix(model, currents).real)
+        kernel_payload = (grid.nodes[nodes], engine.kernel_matrix(model, trace.heisenberg_v[nodes]).real)
 
     csv_path = out_dir / output["csv"]
-    write_simulation_csv(csv_path, results, manifest_hash)
+    write_simulation_csv(csv_path, results, manifest_hash,
+                         n_measurements=config["estimation"]["n_measurements"])
     data_files = {output["csv"]: csv_path}
     if kernel_payload is not None:
         kernel_path = out_dir / output["kernel"]

@@ -49,15 +49,40 @@ _Loader.add_implicit_resolver(
 
 
 def _load_yaml_with_lines(path: str):
-    """Parse YAML returning (data, {dotted.path: 1-based line})."""
+    """Parse YAML returning (data, {dotted.path: 1-based line}); a key written
+    twice in one mapping is an error at its second line."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             text = fh.read()
     except (OSError, UnicodeDecodeError) as exc:
         raise ConfigValidationError(f"cannot read the file: {exc}", path=path) from exc
+    lines: dict[str, int] = {}
+    flattened = set()  # an alias walks a mapping again, after its merge keys are gone
+
+    def walk(nd, prefix):
+        if isinstance(nd, yaml.MappingNode):
+            written = set()
+            for key_node, _ in () if id(nd) in flattened else nd.value:  # as written
+                dotted = f"{prefix}.{key_node.value}" if prefix else str(key_node.value)
+                if dotted in written:
+                    raise ConfigValidationError(f"duplicate key {dotted!r}", path=path,
+                                                line=key_node.start_mark.line + 1)
+                written.add(dotted)
+            loader.flatten_mapping(nd)  # merge keys (<<) first: a written key keeps its line
+            flattened.add(id(nd))
+            for key_node, value_node in nd.value:
+                key = str(key_node.value)
+                dotted = f"{prefix}.{key}" if prefix else key
+                lines[dotted] = key_node.start_mark.line + 1
+                walk(value_node, dotted)
+        elif isinstance(nd, yaml.SequenceNode):
+            for i, item in enumerate(nd.value):
+                walk(item, f"{prefix}[{i}]")
+
     try:  # the loader rejects control characters as it is built
         loader = _Loader(text)
         node = loader.get_single_node()
+        walk(node, "")
         data = loader.construct_document(node) if node is not None else None
         loader.dispose()
     except yaml.YAMLError as exc:  # one line, anchored where the parser stopped
@@ -69,21 +94,6 @@ def _load_yaml_with_lines(path: str):
             line = None if position is None else text.count("\n", 0, position) + 1
             problem = str(exc).splitlines()[0]
         raise ConfigValidationError(f"not valid YAML: {problem}", path=path, line=line) from exc
-    lines: dict[str, int] = {}
-
-    def walk(nd, prefix):
-        if isinstance(nd, yaml.MappingNode):
-            for key_node, value_node in nd.value:
-                key = str(key_node.value)
-                dotted = f"{prefix}.{key}" if prefix else key
-                lines[dotted] = key_node.start_mark.line + 1
-                walk(value_node, dotted)
-        elif isinstance(nd, yaml.SequenceNode):
-            for i, item in enumerate(nd.value):
-                walk(item, f"{prefix}[{i}]")
-
-    if node is not None:
-        walk(node, "")
     return data, lines
 
 

@@ -11,17 +11,19 @@ with w = dlambda/dbeta and dL_t the accumulated current.  The total
 F_total = F_eq + I_t is cross-checked against the spectral Fisher
 information of the evolved state, computed along an independent route.
 
-The current is linear in V_H, so dL_t is the same fixed linear map applied
-to the weighted integral M_t = int_0^t w V_H accumulated by ``propagate``:
-dL_t = Q [-2i R o (Q^dag M_t Q)] Q^dag with R_ij = (p_j - p_i)/(p_i + p_j)
-in the thermal eigenbasis Q.  That map of M is the primary path, and both
-sides of the cross-check read the one M.  The per-node currents of a
-``CurrentTrace``, built from a trace and its weights w by
-``build_current_trace``, check it along the kernel route, with the same
-quadrature: ``increment_series`` takes Tr[pi0 dL_t^2] of their running
-trapezoid, and ``increment_via_kernel`` the O(n^2) double sum of the
-kernel.  ``kernel_matrix`` writes the kernel out for any stack of
-currents, such as those at a subset of the nodes.
+J^-1 is applied in one frame: ``_coherences`` maps an operator X to
+-2i R o (Q^dag X Q), R_ij = (p_j - p_i)/(p_i + p_j), in the thermal
+eigenbasis Q, and is the only rotation into that basis.  The current is
+linear in V_H, so the accumulated current is that map of the weighted
+integral M_t = int_0^t w V_H kept by ``propagate``, and there
+I_t = sum_i p_i sum_j |dL~_ij|^2 is a sum of squares.  Both sides of the
+cross-check read the one M.  The kernel route reads the same trace:
+``kernel_matrix`` takes Heisenberg operators, such as those at a subset of
+the nodes, and ``increment_via_kernel`` the O(n^2) double sum of the
+kernel with the same quadrature.  ``CurrentTrace``, ``build_current_trace``
+and ``increment_series`` (Tr[pi0 dL_t^2] of the running trapezoid of the
+per-node lab-frame currents) are the reference route the tests compare
+against; perfbench resolves them by name.
 
 Results are columnar: ``qfi_time_series`` returns one ``QfiResult`` whose
 fields are float64 arrays over the grid nodes, and ``qfi_driven`` returns
@@ -49,19 +51,18 @@ DUAL_PATH_TOL = 1e-6
 _KERNEL_CHUNK = 256
 
 
-def _current_ratio(model: GibbsModel) -> np.ndarray:
-    """(p_j - p_i)/(p_i + p_j) in the thermal eigenbasis (zero diagonal)."""
-    p = model.probabilities
-    return (p[None, :] - p[:, None]) / (p[:, None] + p[None, :])
-
-
-def _require_full_rank(model: GibbsModel) -> None:
+def _coherences(model: GibbsModel, x: np.ndarray) -> np.ndarray:
+    """The current of X in the thermal eigenbasis, -2i R o (Q^dag X Q), of a
+    (d, d) operator or a (..., d, d) stack; needs a full-rank state."""
     if not model.full_rank:
         raise FullRankViolation(
             f"information current needs a full-rank thermal state; smallest "
             f"population {model.probabilities.min():.3e} <= rank floor "
             f"{model.rank_floor:.1e}"
         )
+    p, q = model.probabilities, model.basis
+    ratio = (p[None, :] - p[:, None]) / (p[:, None] + p[None, :])  # zero diagonal
+    return -2j * ratio * stack_mul(stack_mul(q.conj().T, x), q)
 
 
 def information_current(model: GibbsModel, v_heisenberg: np.ndarray) -> np.ndarray:
@@ -72,11 +73,8 @@ def information_current(model: GibbsModel, v_heisenberg: np.ndarray) -> np.ndarr
     lives entirely in the coherence sector.  Linear in V_H, and applied
     elementwise to a (..., d, d) stack.
     """
-    _require_full_rank(model)
     q = model.basis
-    vt = stack_mul(stack_mul(q.conj().T, v_heisenberg), q)
-    jt = -2j * _current_ratio(model) * vt
-    return stack_mul(stack_mul(q, jt), q.conj().T)
+    return stack_mul(stack_mul(q, _coherences(model, v_heisenberg)), q.conj().T)
 
 
 @dataclass(frozen=True)
@@ -100,40 +98,33 @@ def build_current_trace(trace: EvolutionTrace) -> CurrentTrace:
                         weights=trace.weights)
 
 
-def _eigenbasis_currents(model: GibbsModel, currents: np.ndarray) -> np.ndarray:
-    """The currents rotated into the thermal eigenbasis, Q^dag J_V Q."""
-    q = model.basis
-    return np.einsum("ji,kjl,lm->kim", q.conj(), currents, q)
-
-
-def kernel_matrix(model: GibbsModel, currents: np.ndarray) -> np.ndarray:
-    """Full complex kernel K(t_a, t_b) = Tr[pi0 J_V(t_a) J_V(t_b)] of an
-    (n, d, d) current stack (O(n^2 d^2) memory).  K(t_b, t_a) =
-    conj K(t_a, t_b), and the diagonal is real and nonnegative."""
-    jt = _eigenbasis_currents(model, currents)
+def kernel_matrix(model: GibbsModel, v_heisenberg: np.ndarray) -> np.ndarray:
+    """Full complex kernel K(t_a, t_b) = Tr[pi0 J_V(t_a) J_V(t_b)] of the
+    currents of an (n, d, d) stack of Heisenberg operators (O(n^2 d^2)
+    memory).  K(t_b, t_a) = conj K(t_a, t_b), and the diagonal is real and
+    nonnegative."""
+    jt = _coherences(model, v_heisenberg)
     return np.einsum("i,aij,bji->ab", model.probabilities, jt, jt)
 
 
-def increment_via_kernel(ct: CurrentTrace) -> tuple[float, float]:
-    """Fisher increment by the double trapezoid of w(s) w(u) K_S(s, u),
-    returned with the antisymmetric part's residual.
+def increment_via_kernel(trace: EvolutionTrace) -> tuple[float, float]:
+    """Fisher increment by the double trapezoid of w(s) w(u) K_S(s, u) over
+    the trace's grid, returned with the antisymmetric part's residual.
 
     The symmetrized kernel K_S = Re K is used; the antisymmetric part drops
     out of the symmetric double sum, and its residual contribution is
     returned as a diagnostic.  Evaluated in row chunks so large grids never
     materialize the full n^2 kernel.
     """
-    p = ct.model.probabilities
-    jt = _eigenbasis_currents(ct.model, ct.currents)
-    cw = ct.grid.dt * ct.weights  # times the composite-trapezoid node coefficients
+    p = trace.model.probabilities
+    jt = _coherences(trace.model, trace.heisenberg_v)
+    cw = trace.grid.dt * trace.weights  # times the composite-trapezoid node coefficients
     cw[[0, -1]] *= 0.5
     total = 0.0
     asym = 0.0
-    n = jt.shape[0]
-    for a0 in range(0, n, _KERNEL_CHUNK):
-        a1 = min(a0 + _KERNEL_CHUNK, n)
-        k_chunk = np.einsum("i,aij,bji->ab", p, jt[a0:a1], jt)
-        row = cw[a0:a1]
+    for a0 in range(0, len(jt), _KERNEL_CHUNK):
+        k_chunk = np.einsum("i,aij,bji->ab", p, jt[a0:a0 + _KERNEL_CHUNK], jt)
+        row = cw[a0:a0 + _KERNEL_CHUNK]
         total += float(row @ k_chunk.real @ cw)
         asym += float(row @ k_chunk.imag @ cw)
     return total, abs(asym)
@@ -154,10 +145,8 @@ class QfiResult:
     nodes; from ``qfi_driven`` every field is a float at one node.
     ``f_total = f_eq + i_t`` exactly by construction; ``f_spectral`` is the
     independent spectral evaluation on the evolved state and
-    ``rel_disagreement`` their relative mismatch.  ``crb_sigma`` is the
-    Cramer-Rao standard-deviation bound 1/sqrt(n * F) for the configured
-    number of measurements (inf where F <= 0).  ``mixed_term_residual`` is
-    |Tr[pi0 L_eq dL]|, which vanishes analytically.  Run constants (step
+    ``rel_disagreement`` their relative mismatch.  ``mixed_term_residual``
+    is |Tr[pi0 L_eq dL]|, which vanishes analytically.  Run constants (step
     count, dt, unitarity drift) live on the ``EvolutionTrace``.
     """
 
@@ -167,42 +156,41 @@ class QfiResult:
     f_total: np.ndarray
     f_spectral: np.ndarray
     rel_disagreement: np.ndarray
-    crb_sigma: np.ndarray
     mixed_term_residual: np.ndarray
 
 
 def increment_at(trace: EvolutionTrace,
                  nodes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """I_t = Tr[pi0 dL_t^2] at the given node indices, returned with the
-    accumulated currents dL_t (the information current of M(t_k))."""
-    dl = information_current(trace.model, trace.M[nodes])
-    return np.real(np.einsum("ij,kjl,kli->k", trace.model.state, dl, dl)), dl
+    """I_t = sum_i p_i sum_j |dL~_ij|^2 at the given node indices, returned
+    with the accumulated currents dL~ = _coherences(M(t_k)) in the thermal
+    eigenbasis.  A sum of squares, so never negative; reduced row by row, so
+    a node's value does not depend on the other nodes asked for."""
+    dlt = _coherences(trace.model, trace.M[nodes])
+    return ((dlt.real**2 + dlt.imag**2).sum(2) * trace.model.probabilities).sum(1), dlt
 
 
-def _decompose(trace: EvolutionTrace, nodes: np.ndarray,
-               n_measurements: int) -> QfiResult:
+def _decompose(trace: EvolutionTrace, nodes: np.ndarray) -> QfiResult:
     """Decomposition and spectral cross-check at the given node indices.
 
-    dL(t_k) is the information current of M(t_k) (the map is linear), and
-    the spectral route reads the same M through A = -i M.
+    dL(t_k) is the information current of M(t_k) (the map is linear); the
+    mixed term reads it in the lab frame, where it does not vanish
+    identically, and the spectral route reads the same M through A = -i M.
     """
-    model = trace.model
+    model, q = trace.model, trace.model.basis
     pi0 = model.state
-    i_t, dl = increment_at(trace, nodes)
-    mixed = np.abs(np.einsum("ij,jl,kli->k", pi0, equilibrium_sld(model), dl))
-
-    u = trace.propagators[nodes]
+    u = trace.propagators[nodes]  # the spectral route first, while no current is held
     rho = stack_mul(stack_mul(u, pi0), u.conj().swapaxes(1, 2))
     f_spectral = spectral_qfi_batch(rho, drho_dbeta_analytic(trace, nodes))
+
+    i_t, dlt = increment_at(trace, nodes)
+    dl = stack_mul(stack_mul(q, dlt), q.conj().T)
+    mixed = np.abs(np.einsum("ij,jl,kli->k", pi0, equilibrium_sld(model), dl))
 
     f_eq = np.full(len(nodes), equilibrium_qfi(model))
     f_total = f_eq + i_t
     rel = np.abs(f_total - f_spectral) / np.maximum(f_spectral, REL_DISAGREEMENT_FLOOR)
-    crb = np.full(len(nodes), np.inf)
-    informative = f_total > 0.0
-    crb[informative] = 1.0 / np.sqrt(n_measurements * f_total[informative])
     return QfiResult(t=trace.grid.nodes[nodes], f_eq=f_eq, i_t=i_t, f_total=f_total,
-                     f_spectral=f_spectral, rel_disagreement=rel, crb_sigma=crb,
+                     f_spectral=f_spectral, rel_disagreement=rel,
                      mixed_term_residual=mixed)
 
 
@@ -216,20 +204,18 @@ def check_dual_path(rel: float, where: str) -> None:
             "route's cutoff cannot be resolved)")
 
 
-def qfi_time_series(trace: EvolutionTrace, *,
-                    n_measurements: int = 1) -> QfiResult:
+def qfi_time_series(trace: EvolutionTrace) -> QfiResult:
     """Full decomposition and spectral cross-check at every grid node, as
     float64 columns of length ``n_nodes``."""
-    return _decompose(trace, np.arange(trace.grid.n_nodes), n_measurements)
+    return _decompose(trace, np.arange(trace.grid.n_nodes))
 
 
-def qfi_driven(trace: EvolutionTrace, at: int | None = None, *,
-               n_measurements: int = 1) -> QfiResult:
+def qfi_driven(trace: EvolutionTrace, at: int | None = None) -> QfiResult:
     """Decomposed QFI at a single node (default: the final one), as floats."""
     n = trace.grid.n_steps
     if at is None:
         at = n
     if not 0 <= at <= n:
         raise ValueError(f"node index {at} outside grid with {n} steps")
-    column = _decompose(trace, np.array([at]), n_measurements)
+    column = _decompose(trace, np.array([at]))
     return QfiResult(*(float(getattr(column, f.name)[0]) for f in fields(QfiResult)))

@@ -73,9 +73,14 @@ def _float_table(path, manifest_hash: str, header: Sequence[str], table) -> None
                  (row * len(b) % tuple(b.ravel().tolist()) for b in blocks))
 
 
-def write_simulation_csv(path, results: QfiResult, manifest_hash: str) -> None:
+def write_simulation_csv(path, results: QfiResult, manifest_hash: str, *,
+                         n_measurements: int) -> None:
+    """The time series and crb_sigma = 1/sqrt(n F_total), inf where F_total <= 0."""
+    crb = np.full(len(results.f_total), np.inf)
+    informative = results.f_total > 0.0
+    crb[informative] = 1.0 / np.sqrt(n_measurements * results.f_total[informative])
     columns = (results.t, results.f_eq, results.i_t, results.f_total,
-               results.f_spectral, results.rel_disagreement, results.crb_sigma)
+               results.f_spectral, results.rel_disagreement, crb)
     _float_table(path, manifest_hash, SIMULATION_COLUMNS, np.column_stack(columns))
 
 

@@ -138,7 +138,7 @@ def run_checks(run: LoadedRun | None = None, *, seed: int = 20260810) -> list[Ch
     # the kernel double sum against the written I_t + antisymmetric residual
     short_grid = default_grid(min(grid.t_end, 2.0 * math.pi), model.spread, omega_d)
     short = propagate(model, v, drive, short_grid, drift_tol=drift_tol)
-    i_kernel, asym = engine.increment_via_kernel(engine.build_current_trace(short))
+    i_kernel, asym = engine.increment_via_kernel(short)
     i_t = engine.qfi_driven(short).i_t
     rel = abs(i_kernel - i_t) / max(abs(i_t), 1e-30)
     measured = max(rel if i_t > 1e-25 else abs(i_kernel - i_t), asym)
@@ -192,8 +192,7 @@ def run_checks(run: LoadedRun | None = None, *, seed: int = 20260810) -> list[Ch
     weak_drive = replace(qubit_drive, lambda0=1e-4)
     wgrid = default_grid(4.0, 1.0, 1.0)
     wtrace = propagate(qubit_model, REFERENCE.v, weak_drive, wgrid)
-    km = engine.kernel_matrix(qubit_model, engine.information_current(
-        qubit_model, wtrace.heisenberg_v[::16]))
+    km = engine.kernel_matrix(qubit_model, wtrace.heisenberg_v[::16])
     nodes = wgrid.nodes[::16]
     worst = 0.0
     for a_i, s in enumerate(nodes):

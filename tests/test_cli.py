@@ -191,6 +191,25 @@ def test_config_errors_carry_line_numbers(tmp_path):
     assert "lambda0" in str(err.value)
 
 
+@pytest.mark.parametrize("old, new, line, key", [
+    ("output:\n", "grid: {t_end: 1.0}\noutput:\n", 13, "grid"),
+    ("  lambda0: 0.1\n", "  lambda0: 0.1\n  lambda0: 0.7\n", 9, "drive.lambda0"),
+    ("beta0: 10.0,", "beta0: 10.0, beta0: 9.0,", 9, "drive.envelope.beta0"),
+    ("  lambda0: 0.1\n", "  <<: {lambda0: 0.3}\n  lambda0: 0.1\n", None, None),
+    ("  envelope: {kind: gaussian, beta0: 10.0, s_beta: 3.0}\n"
+     "  temporal: {kind: cosine, omega_d: 1.0, phi: 0.0}\n",
+     "  envelope: &c {<<: {kind: gaussian}, kind: constant}\n  temporal: *c\n", None, None),
+], ids=["top-level", "nested", "flow-mapping", "merge-overridden", "merge-overridden-aliased"])
+def test_duplicate_key_is_a_config_error(tmp_path, capsys, old, new, line, key):
+    cfg = write(tmp_path, "dup.yaml", BASE_CONFIG.replace(old, new))
+    if key is None:  # a key a merge brings in and the mapping writes again loads
+        assert load_run_config(str(cfg)).drive.lambda0 == 0.1
+        return
+    assert main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
+    assert f"dup.yaml:{line}: duplicate key '{key}'" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
 def test_config_guard_violation_is_validation_error(tmp_path):
     cfg = write(tmp_path, "bad.yaml", BASE_CONFIG.replace("beta_star: 5.0",
                                                           "beta_star: 80.0"))

@@ -1,5 +1,8 @@
 """The table writers: every value is written as f"{x:.17g}", in row order."""
 
+import math
+from dataclasses import fields
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -30,6 +33,13 @@ def expected_lines(rows):
     return [",".join(f"{x:.17g}" for x in row) for row in rows]
 
 
+def simulation_rows(table, n_measurements):
+    """The CSV rows of a QfiResult table: its first six columns, then
+    crb_sigma = 1/sqrt(n F_total), inf where F_total <= 0 (or NaN)."""
+    return [row[:6] + [1.0 / math.sqrt(n_measurements * row[3]) if row[3] > 0 else math.inf]
+            for row in table.tolist()]
+
+
 def body(path):
     lines = path.read_text(encoding="utf-8").split("\n")
     assert lines[0] == "# manifest_hash=h" and lines[-1] == ""
@@ -37,13 +47,23 @@ def body(path):
 
 
 @settings(max_examples=60)
-@given(tables(len(SIMULATION_COLUMNS) + 1))
+@given(tables(len(fields(QfiResult))))
 def test_simulation_csv_formats_each_value_17g(tmp_path_factory, table):
     path = tmp_path_factory.mktemp("sim") / "sim.csv"
-    write_simulation_csv(path, QfiResult(*table.T), "h")
+    write_simulation_csv(path, QfiResult(*table.T), "h", n_measurements=1)
     header, lines = body(path)
     assert header == ",".join(SIMULATION_COLUMNS)
-    assert lines == expected_lines(table[:, :len(SIMULATION_COLUMNS)].tolist())
+    assert lines == expected_lines(simulation_rows(table, 1))
+
+
+def test_simulation_csv_crb_column(tmp_path):
+    # crb_sigma = 1/sqrt(n F_total) for n measurements; inf where F_total <= 0
+    f_total = np.array([0.37, 2.5e3, 1e-300, 0.0, -0.0, -1.2, np.nan])
+    table = np.zeros((len(f_total), len(fields(QfiResult))))
+    table[:, 3] = f_total
+    write_simulation_csv(tmp_path / "sim.csv", QfiResult(*table.T), "h", n_measurements=25)
+    crb = [line.split(",")[6] for line in body(tmp_path / "sim.csv")[1]]
+    assert crb == [f"{x:.17g}" for x in 1.0 / np.sqrt(25 * f_total[:3])] + ["inf"] * 4
 
 
 @settings(max_examples=30)
@@ -84,11 +104,11 @@ def test_constant_column_is_written_as_each_value_17g(tmp_path, constant):
     # F_eq is constant; I_t mixes 0.0 and -0.0, which compare equal but are not
     # one value; the rows span three format blocks
     rows = 2 * reporting._CHUNK_ROWS + 3
-    table = np.linspace(-1.0, 1.0, rows * 8).reshape(rows, 8)
+    table = np.linspace(-1.0, 1.0, rows * 7).reshape(rows, 7)
     table[:, 1] = constant
     table[:, 2] = np.where(np.arange(rows) % 2, -0.0, 0.0)
-    write_simulation_csv(tmp_path / "sim.csv", QfiResult(*table.T), "h")
-    assert body(tmp_path / "sim.csv")[1] == expected_lines(table[:, :7].tolist())
+    write_simulation_csv(tmp_path / "sim.csv", QfiResult(*table.T), "h", n_measurements=3)
+    assert body(tmp_path / "sim.csv")[1] == expected_lines(simulation_rows(table, 3))
 
 
 def test_kernel_csv_spanning_format_blocks_is_written_17g(tmp_path):

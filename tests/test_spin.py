@@ -83,8 +83,8 @@ def test_weak_field_kernel_values():
 
 def test_weak_field_kernel_matches_engine_at_vanishing_field(qubit_model):
     grid = TimeGrid(4.0, default_n_steps(4.0, 1.0, 1.0))
-    ct = build_current_trace(propagate(qubit_model, SIGMA_X, drive(lambda0=1e-4), grid))
-    km = kernel_matrix(ct.model, ct.currents).real
+    trace = propagate(qubit_model, SIGMA_X, drive(lambda0=1e-4), grid)
+    km = kernel_matrix(qubit_model, trace.heisenberg_v).real
     m = magnetization(1.0, 5.0)
     nodes = grid.nodes
     idx = np.arange(0, grid.n_nodes, 20)
@@ -99,8 +99,8 @@ def test_kernel_first_order_correction_bound(qubit_model):
     # |K_S_numeric - 4 m^2 cos(Omega(s-u))| <= 10 lambda0 on a 50x50 grid
     for lambda0 in (1e-3, 3e-4):
         grid = TimeGrid(2 * TWO_PI, 49)
-        ct = build_current_trace(propagate(qubit_model, SIGMA_X, drive(lambda0=lambda0), grid))
-        km = kernel_matrix(ct.model, ct.currents).real
+        trace = propagate(qubit_model, SIGMA_X, drive(lambda0=lambda0), grid)
+        km = kernel_matrix(qubit_model, trace.heisenberg_v).real
         m = magnetization(1.0, 5.0)
         nodes = grid.nodes
         expected = 4 * m**2 * np.cos(nodes[:, None] - nodes[None, :])

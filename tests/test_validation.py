@@ -2,6 +2,7 @@ import json
 
 from drivetherm import engine
 from drivetherm.cli import main
+from drivetherm.operators import stack_mul
 from drivetherm.validation import run_checks, summarize
 
 GUARDED_CONFIG = """\
@@ -49,16 +50,17 @@ def test_summarize_mentions_failures():
     assert f"{len(checks)}/{len(checks)} checks passed" in text
 
 
-def anticommutator_ratio(model):
-    """The current's ratio with the sign of the commutator flipped: an
-    injected sign error that makes the current an anticommutator."""
-    p = model.probabilities
-    return (p[None, :] + p[:, None]) / (p[:, None] + p[None, :])
+def anticommutator_coherences(model, x):
+    """The eigenbasis current with the sign of the commutator flipped, ratio
+    (p_j + p_i)/(p_i + p_j) = 1: an injected sign error that makes the
+    current an anticommutator."""
+    q = model.basis
+    return -2j * stack_mul(stack_mul(q.conj().T, x), q)
 
 
 def test_injected_current_sign_error_fails_mixed_term(monkeypatch):
     # with an anticommutator in the current the mixed term no longer vanishes
-    monkeypatch.setattr(engine, "_current_ratio", anticommutator_ratio)
+    monkeypatch.setattr(engine, "_coherences", anticommutator_coherences)
     checks = {c.name: c for c in run_checks()}
     assert not checks["mixed-term-vanishing"].passed
 
@@ -72,7 +74,7 @@ def test_cli_validate_passes(tmp_path):
 
 
 def test_cli_validate_fails_under_mutation(tmp_path, monkeypatch, capsys):
-    monkeypatch.setattr(engine, "_current_ratio", anticommutator_ratio)
+    monkeypatch.setattr(engine, "_coherences", anticommutator_coherences)
     report = tmp_path / "report.json"
     assert main(["validate", "--report", str(report)]) == 1
     err = capsys.readouterr().err
