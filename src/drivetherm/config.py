@@ -62,12 +62,16 @@ def _load_yaml_with_lines(path: str):
     def walk(nd, prefix):
         if isinstance(nd, yaml.MappingNode):
             written = set()
-            for key_node, _ in () if id(nd) in flattened else nd.value:  # as written
+            for key_node, value_node in () if id(nd) in flattened else nd.value:  # as written
                 dotted = f"{prefix}.{key_node.value}" if prefix else str(key_node.value)
                 if dotted in written:
                     raise ConfigValidationError(f"duplicate key {dotted!r}", path=path,
                                                 line=key_node.start_mark.line + 1)
                 written.add(dotted)
+                if key_node.tag == "tag:yaml.org,2002:merge":  # flattening hides a source's keys
+                    many = isinstance(value_node, yaml.SequenceNode)  # <<: [*a, *b]
+                    for source in value_node.value if many else [value_node]:
+                        walk(source, prefix)
             loader.flatten_mapping(nd)  # merge keys (<<) first: a written key keeps its line
             flattened.add(id(nd))
             for key_node, value_node in nd.value:
@@ -134,17 +138,11 @@ class _Section:
     """A mapping view that raises line-anchored errors on bad access."""
 
     def __init__(self, data, lines, path, prefix=""):
-        if data is None:
-            data = {}
+        data = {} if data is None else data
         if not isinstance(data, dict):
-            raise ConfigValidationError(
-                f"section '{prefix or '<root>'}' must be a mapping",
-                path=path, line=lines.get(prefix),
-            )
-        self.data = data
-        self.lines = lines
-        self.path = path
-        self.prefix = prefix
+            raise ConfigValidationError(f"section '{prefix or '<root>'}' must be a mapping",
+                                        path=path, line=lines.get(prefix))
+        self.data, self.lines, self.path, self.prefix = data, lines, path, prefix
         allowed, of_kind = _KEYS[prefix], ""
         if isinstance(allowed, dict):  # an unknown kind fails its tag's own check
             tag = next(iter(allowed.values()))[0]

@@ -88,7 +88,7 @@ class CurrentTrace:
 
 
 def build_current_trace(trace: EvolutionTrace) -> CurrentTrace:
-    """Currents at every node plus the trace's weights they enter with.
+    """Currents at every held node plus the trace's weights they enter with.
 
     Weights vanish identically for temperature-insensitive envelopes; the
     currents may still be nonzero but then carry no Fisher information.
@@ -108,8 +108,8 @@ def kernel_matrix(model: GibbsModel, v_heisenberg: np.ndarray) -> np.ndarray:
 
 
 def increment_via_kernel(trace: EvolutionTrace) -> tuple[float, float]:
-    """Fisher increment by the double trapezoid of w(s) w(u) K_S(s, u) over
-    the trace's grid, returned with the antisymmetric part's residual.
+    """Fisher increment by the double trapezoid of w(s) w(u) K_S(s, u) over the
+    grid of a trace held from node 0, returned with the antisymmetric residual.
 
     The symmetrized kernel K_S = Re K is used; the antisymmetric part drops
     out of the symmetric double sum, and its residual contribution is
@@ -161,16 +161,16 @@ class QfiResult:
 
 def increment_at(trace: EvolutionTrace,
                  nodes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """I_t = sum_i p_i sum_j |dL~_ij|^2 at the given node indices, returned
+    """I_t = sum_i p_i sum_j |dL~_ij|^2 at the given held node indices, returned
     with the accumulated currents dL~ = _coherences(M(t_k)) in the thermal
     eigenbasis.  A sum of squares, so never negative; reduced row by row, so
     a node's value does not depend on the other nodes asked for."""
-    dlt = _coherences(trace.model, trace.M[nodes])
+    dlt = _coherences(trace.model, trace.M[nodes - trace.first])
     return ((dlt.real**2 + dlt.imag**2).sum(2) * trace.model.probabilities).sum(1), dlt
 
 
 def _decompose(trace: EvolutionTrace, nodes: np.ndarray) -> QfiResult:
-    """Decomposition and spectral cross-check at the given node indices.
+    """Decomposition and spectral cross-check at the given held node indices.
 
     dL(t_k) is the information current of M(t_k) (the map is linear); the
     mixed term reads it in the lab frame, where it does not vanish
@@ -178,7 +178,7 @@ def _decompose(trace: EvolutionTrace, nodes: np.ndarray) -> QfiResult:
     """
     model, q = trace.model, trace.model.basis
     pi0 = model.state
-    u = trace.propagators[nodes]  # the spectral route first, while no current is held
+    u = trace.propagators[nodes - trace.first]  # spectral route first, while no current is held
     rho = stack_mul(stack_mul(u, pi0), u.conj().swapaxes(1, 2))
     f_spectral = spectral_qfi_batch(rho, drho_dbeta_analytic(trace, nodes))
 
@@ -205,17 +205,17 @@ def check_dual_path(rel: float, where: str) -> None:
 
 
 def qfi_time_series(trace: EvolutionTrace) -> QfiResult:
-    """Full decomposition and spectral cross-check at every grid node, as
-    float64 columns of length ``n_nodes``."""
-    return _decompose(trace, np.arange(trace.grid.n_nodes))
+    """Full decomposition and spectral cross-check at every held node, as
+    float64 columns of length ``n_nodes - first``."""
+    return _decompose(trace, np.arange(trace.first, trace.grid.n_nodes))
 
 
 def qfi_driven(trace: EvolutionTrace, at: int | None = None) -> QfiResult:
-    """Decomposed QFI at a single node (default: the final one), as floats."""
+    """Decomposed QFI at a single held node (default: the final one), as floats."""
     n = trace.grid.n_steps
     if at is None:
         at = n
-    if not 0 <= at <= n:
-        raise ValueError(f"node index {at} outside grid with {n} steps")
+    if not trace.first <= at <= n:
+        raise ValueError(f"node index {at} outside held nodes {trace.first}..{n}")
     column = _decompose(trace, np.array([at]))
     return QfiResult(*(float(getattr(column, f.name)[0]) for f in fields(QfiResult)))

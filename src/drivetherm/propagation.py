@@ -11,12 +11,14 @@ norm, ||A0||_1 + max|lambda| ||A1||_1.
 The steps are unitary to round-off; the trace returns as an exact phase,
 so an offset in H0 forces no squarings, and steps that would need more than
 16 squarings (error ~ 2^s round-offs) are too coarse.
-The chain U_k = S_{k-1} ... S_1 S_0 is a blocked running product over blocks
-of about sqrt(n) steps; it equals the sequential product up to round-off.
+A trace holds the nodes from a first one on (0 by default).  The steps
+before it are reduced pairwise to the one pair (U, M) there; from it the
+chain U_k = S_{k-1} ... S_0 is a blocked running product over blocks of
+about sqrt(n) steps; both equal the sequential product up to round-off.
 Heisenberg operators V_H(t) = U^dag V U and the weighted integral
 M(t) = int_0^t dlambda/dbeta(s) V_H(s) ds are accumulated once, here, and
 cached on the resulting trace together with the weights w = dlambda/dbeta
-at the nodes.  M is the one accumulated state of a run:
+at the held nodes.  M is the one accumulated state of a run:
 the beta-generator is A = -i M, and the accumulated information current dL
 of the engine is a fixed linear map of M.
 """
@@ -89,12 +91,13 @@ def default_grid(t_end: float, *frequencies: float) -> TimeGrid:
 
 @dataclass(frozen=True)
 class EvolutionTrace:
-    """Propagators, Heisenberg perturbation and their weighted integral.
+    """Propagators, Heisenberg perturbation and their weighted integral at
+    the held nodes k = first .. n, in rows k - first.
 
-    ``propagators[k]`` is U(t_k); ``heisenberg_v[k] = U(t_k)^dag V U(t_k)``
-    shares the spectrum of V and stays Hermitian for all k.  ``weights[k]``
-    is w = dlambda/dbeta at t_k, and ``M[k]`` the Hermitian cumulative
-    trapezoid of w * V_H up to t_k.
+    ``propagators`` holds U(t_k); ``heisenberg_v`` holds U(t_k)^dag V U(t_k),
+    which shares the spectrum of V and stays Hermitian.  ``weights`` holds
+    w = dlambda/dbeta at t_k, and ``M`` the Hermitian trapezoid of w * V_H
+    from 0 to t_k.
     """
 
     grid: TimeGrid
@@ -104,11 +107,17 @@ class EvolutionTrace:
     heisenberg_v: np.ndarray
     M: np.ndarray
     unitarity_drift: float
+    first: int = 0
 
 
 def propagate(model: GibbsModel, v, drive: DriveProfile, grid: TimeGrid,
-              *, drift_tol: float = DRIFT_TOL) -> EvolutionTrace:
-    """Integrate the propagator chain; cache Heisenberg operators and M.
+              *, first: int = 0, drift_tol: float = DRIFT_TOL) -> EvolutionTrace:
+    """Integrate the propagator chain; cache Heisenberg operators and M at
+    the held nodes ``first .. n``, the steps before ``first`` reduced pairwise.
+
+    The unitarity drift is the largest defect over the held nodes, the
+    product at ``first`` among them.  The defect grows along the chain, so
+    this is the same guard at the same ``drift_tol`` for every ``first``.
 
     Raises
     ------
@@ -124,6 +133,8 @@ def propagate(model: GibbsModel, v, drive: DriveProfile, grid: TimeGrid,
         raise ValueError(f"dimension mismatch: V {v.shape} vs H0 {model.h0.shape}")
     d = model.dim
     n = grid.n_steps
+    if not 0 <= first <= n:
+        raise ValueError(f"first node {first} outside grid with {n} steps")
     identity = np.eye(d, dtype=complex)
 
     propagators = np.eye(d, dtype=complex)[None]
@@ -136,8 +147,18 @@ def propagate(model: GibbsModel, v, drive: DriveProfile, grid: TimeGrid,
         c0, cv = np.trace(model.h0).real / d, np.trace(v).real / d
         a0 = (-1j * dt) * (model.h0 - c0 * identity)
         a1 = (-1j * dt) * (v - cv * identity)
-        propagators = _chain(_step_exponentials(a0, a1, lam_mid))
-        propagators[1:] *= np.exp((-1j * dt) * np.cumsum(c0 + cv * lam_mid))[:, None, None]
+        steps = _step_exponentials(a0, a1, lam_mid)
+        start = None
+        if first:  # leaf k: (S_k, c_k w_k V), trapezoid weight c_k = dt, dt/2 at node 0
+            leaves = np.empty_like(steps[:first])
+            with np.errstate(all="ignore"):
+                np.multiply((dt * w[:first])[:, None, None], v, out=leaves)
+                leaves[0] *= 0.5
+                start, m_first = _reduce(steps[:first], leaves)
+        propagators = _chain(steps[first:], start)
+        # node k > 0 carries the trace as the phase exp(-i dt sum_{j<k} tr H_j / d)
+        phase = np.exp((-1j * dt) * np.cumsum(c0 + cv * lam_mid)[max(first - 1, 0):])
+        propagators[0 if first else 1:] *= phase[:, None, None]
 
     adjoints = propagators.conj().swapaxes(1, 2)
     defects = np.linalg.norm(stack_mul(adjoints, propagators) - identity, axis=(1, 2))
@@ -146,27 +167,20 @@ def propagate(model: GibbsModel, v, drive: DriveProfile, grid: TimeGrid,
         raise DriveThermError(f"unitarity drift is {drift}: the drive or V is not finite")
     if drift > drift_tol:
         suggested = max(2 * n, 1)
-        raise StepSizeTooCoarse(
-            f"unitarity drift {drift:.3e} exceeds {drift_tol:.1e}; "
-            f"retry with n_steps >= {suggested}",
-            suggested_n_steps=suggested,
-        )
+        raise StepSizeTooCoarse(f"unitarity drift {drift:.3e} exceeds {drift_tol:.1e}; "
+                                f"retry with n_steps >= {suggested}", suggested_n_steps=suggested)
 
     heisenberg_v = np.ascontiguousarray(stack_mul(adjoints, stack_mul(v, propagators)))
     propagators = np.ascontiguousarray(propagators)
+    w = w[first:]
     m = cumulative_trapezoid(w[:, None, None] * heisenberg_v, grid.dt)
+    if first:  # the reduced nodes, and node first's half weight up to it
+        m += m_first + (0.5 * grid.dt * w[0]) * heisenberg_v[0]
     if not np.isfinite(m).all():
         raise DriveThermError("the weighted integral M is not finite: "
                               "check the drive's dlambda/dbeta")
-    return EvolutionTrace(
-        grid=grid,
-        model=model,
-        weights=w,
-        propagators=propagators,
-        heisenberg_v=heisenberg_v,
-        M=m,
-        unitarity_drift=drift,
-    )
+    return EvolutionTrace(grid=grid, model=model, weights=w, propagators=propagators,
+                          heisenberg_v=heisenberg_v, M=m, unitarity_drift=drift, first=first)
 
 
 def _step_exponentials(a0: np.ndarray, a1: np.ndarray, lam: np.ndarray) -> np.ndarray:
@@ -220,8 +234,25 @@ def _step_exponentials(a0: np.ndarray, a1: np.ndarray, lam: np.ndarray) -> np.nd
     return out
 
 
-def _chain(steps: np.ndarray) -> np.ndarray:
-    """U_0 = I and the running products U_k = S_{k-1} ... S_0 of (n, d, d) steps.
+def _reduce(u: np.ndarray, m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The pair (U, M) of a run of (U_k, M_k) leaves, M in the frame of the
+    run's start, reduced pairwise in batched levels: segment a then b give
+    U = U_b U_a and M = M_a + U_a^dag M_b U_a; an odd leaf goes up unpaired."""
+    while len(u) > 1:
+        h = len(u) // 2
+        ua = u[0:2 * h:2]
+        # the next level keeps the leaves' memory layout (see _step_exponentials)
+        pu, pm = np.empty_like(u[:len(u) - h]), np.empty_like(m[:len(u) - h])
+        pu[:h] = stack_mul(u[1::2], ua)
+        pm[:h] = m[0:2 * h:2] + stack_mul(ua.conj().swapaxes(1, 2), stack_mul(m[1::2], ua))
+        pu[h:], pm[h:] = u[2 * h:], m[2 * h:]
+        u, m = pu, pm
+    return u[0], m[0]
+
+
+def _chain(steps: np.ndarray, start: np.ndarray | None = None) -> np.ndarray:
+    """U_0 = start (default I) and the running products U_k = S_{k-1} ... S_0 U_0
+    of (n, d, d) steps.
 
     The steps are padded with identities into nb ~ sqrt(n) blocks of
     b ~ sqrt(n) steps.  The in-block prefixes of all blocks are formed
@@ -229,11 +260,13 @@ def _chain(steps: np.ndarray) -> np.ndarray:
     product of the block before it (nb - 1 batched products).
     """
     n, d, _ = steps.shape
-    b = math.isqrt(n - 1) + 1
+    b = math.isqrt(max(n - 1, 0)) + 1
     nb = -(-n // b)
     padded = np.empty_like(steps, shape=(1 + nb * b, d, d))
     padded[0] = padded[n + 1:] = np.eye(d)
     padded[1:n + 1] = steps
+    if start is not None:  # U_0 = start; the first step, if any, carries it
+        padded[0], padded[1:n + 1][:1] = start, stack_mul(steps[:1], start)
     blocks = padded[1:].reshape(nb, b, d, d)
     for j in range(1, b):
         blocks[:, j] = stack_mul(blocks[:, j], blocks[:, j - 1])
@@ -251,18 +284,19 @@ def cumulative_trapezoid(values: np.ndarray, dt: float) -> np.ndarray:
 
 
 def beta_generator(trace: EvolutionTrace) -> np.ndarray:
-    """The generator A(t_k) = U^dag dU/dbeta = -i M(t_k), anti-Hermitian
-    stack; A(0) = 0."""
+    """The generator A(t_k) = U^dag dU/dbeta = -i M(t_k) at the held nodes,
+    anti-Hermitian stack; A(0) = 0."""
     return -1j * trace.M
 
 
 def drho_dbeta_analytic(trace: EvolutionTrace, k) -> np.ndarray:
     """Analytic beta-derivative of rho(t_k): U (dpi + [A, pi0]) U^dag.
 
-    ``k`` is one node index, giving a (d, d) matrix, or an array of them,
-    giving a stack.  Traceless Hermitian; reduces to the rotated equilibrium
-    derivative when the drive is temperature-insensitive (A = 0).
+    ``k`` is one held node index, giving a (d, d) matrix, or an array of
+    them, giving a stack.  Traceless Hermitian; reduces to the rotated
+    equilibrium derivative when the drive is temperature-insensitive (A = 0).
     """
+    k = np.asarray(k) - trace.first
     a_k = -1j * trace.M[k]
     pi0 = trace.model.state
     inner = dpi_dbeta(trace.model) + (stack_mul(a_k, pi0) - stack_mul(pi0, a_k))

@@ -2,10 +2,11 @@
 
 Scan points are independent pure evaluations, run in axis order.  Every
 scan point and every optimizer step is one call of ``_evaluate``: one
-propagation on the default grid and the decomposition at one node.  Scans
-and the optimizer take the Gibbs model of H0 at beta*; only a temperature
-scan builds one per point, at that point's beta under the model's rank
-floor.  A scan point or optimizer step whose dual-path mismatch exceeds
+propagation on the default grid that holds only the nodes it reads, and
+the decomposition at one node.  Scans and the optimizer take the Gibbs
+model of H0 at beta*; only a temperature scan builds one per point, at
+that point's beta under the model's rank floor.  A scan point or
+optimizer step whose dual-path mismatch exceeds
 ``engine.DUAL_PATH_TOL`` raises :class:`DriveThermError`.
 """
 
@@ -106,11 +107,14 @@ def _best_node(trace: EvolutionTrace, window: tuple) -> int:
 
 def _evaluate(model: GibbsModel, v: np.ndarray, drive: DriveProfile, t_end: float,
               where: str, *, window: tuple | None = None, drift_tol: float) -> QfiResult:
-    """One propagation on the default grid, decomposed at one node: the
-    final one, or the best node inside ``window``.  A dual-path mismatch
-    there raises :class:`DriveThermError` naming ``where``."""
-    trace = propagate(model, v, drive, default_grid(t_end, model.spread, drive.omega_d),
-                      drift_tol=drift_tol)
+    """One propagation on the default grid, held from the first node read and
+    decomposed at one node: the final one, or the best node inside
+    ``window``.  A dual-path mismatch there raises :class:`DriveThermError`
+    naming ``where``."""
+    grid = default_grid(t_end, model.spread, drive.omega_d)
+    # t_end is the window's end, so the window holds grid nodes from this one on
+    first = grid.n_steps if window is None else int(np.searchsorted(grid.nodes, window[0]))
+    trace = propagate(model, v, drive, grid, first=first, drift_tol=drift_tol)
     at = None if window is None else _best_node(trace, window)
     row = qfi_driven(trace, at)
     check_dual_path(row.rel_disagreement, where)
@@ -202,19 +206,12 @@ def optimize_drive(model: GibbsModel, v, t_eval: float,
     if not isinstance(base_drive.temporal, CosineModulation):
         raise ValueError("optimize_drive tunes a cosine temporal modulation")
 
-    def current(params):
-        return DriveProfile(
-            lambda0=params["lambda0"],
-            envelope=GaussianEnvelope(beta0=params["beta0"], s_beta=params["s_beta"]),
-            temporal=CosineModulation(omega_d=params["omega_d"], phi=base_drive.temporal.phi),
-        )
+    def current(p):
+        return DriveProfile(p["lambda0"], GaussianEnvelope(p["beta0"], p["s_beta"]),
+                            CosineModulation(p["omega_d"], base_drive.temporal.phi))
 
-    params = {
-        "omega_d": base_drive.temporal.omega_d,
-        "beta0": base_drive.envelope.beta0,
-        "s_beta": base_drive.envelope.s_beta,
-        "lambda0": base_drive.lambda0,
-    }
+    params = {"omega_d": base_drive.temporal.omega_d, "beta0": base_drive.envelope.beta0,
+              "s_beta": base_drive.envelope.s_beta, "lambda0": base_drive.lambda0}
     for name, (lo, hi) in bounds.items():
         if hi < lo:
             raise ValueError(f"empty bounds for {name!r}: ({lo}, {hi})")
@@ -223,19 +220,17 @@ def optimize_drive(model: GibbsModel, v, t_eval: float,
     seeds = []
     if seed_resonance and "omega_d" in bounds:
         lam_cap = bounds.get("lambda0", (params["lambda0"], params["lambda0"]))[1]
-        if lam_cap > WEAK_FIELD_CAP * model.spread:
-            raise ValueError(
-                f"analytic resonance seeding needs a weak field: lambda0 <= "
-                f"{WEAK_FIELD_CAP} * spectral spread ({WEAK_FIELD_CAP * model.spread:.3g})"
-            )
+        cap = WEAK_FIELD_CAP * model.spread
+        if lam_cap > cap:
+            raise ValueError(f"analytic resonance seeding needs a weak field: lambda0 <= "
+                             f"{WEAK_FIELD_CAP} * spectral spread ({cap:.3g})")
         energies = model.energies
         gaps = {round(float(b - a), 12) for i, a in enumerate(energies)
                 for b in energies[i + 1:] if b - a > 0}
         lo, hi = bounds["omega_d"]
         seeds = sorted(g for g in gaps if lo <= g <= hi)
 
-    trail = []
-    cache = {}
+    trail, cache = [], {}
 
     def objective(p):
         key = tuple(p[name] for name in _PARAM_ORDER)

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 import os
@@ -195,11 +196,15 @@ def test_config_errors_carry_line_numbers(tmp_path):
     ("output:\n", "grid: {t_end: 1.0}\noutput:\n", 13, "grid"),
     ("  lambda0: 0.1\n", "  lambda0: 0.1\n  lambda0: 0.7\n", 9, "drive.lambda0"),
     ("beta0: 10.0,", "beta0: 10.0, beta0: 9.0,", 9, "drive.envelope.beta0"),
+    ("  lambda0: 0.1\n", "  <<: {lambda0: 0.3,\n       lambda0: 0.4}\n", 9, "drive.lambda0"),
+    ("  lambda0: 0.1\n", "  <<: [{beta: 1}, {lambda0: 0.3,\n           lambda0: 0.4}]\n", 9,
+     "drive.lambda0"),
     ("  lambda0: 0.1\n", "  <<: {lambda0: 0.3}\n  lambda0: 0.1\n", None, None),
     ("  envelope: {kind: gaussian, beta0: 10.0, s_beta: 3.0}\n"
      "  temporal: {kind: cosine, omega_d: 1.0, phi: 0.0}\n",
      "  envelope: &c {<<: {kind: gaussian}, kind: constant}\n  temporal: *c\n", None, None),
-], ids=["top-level", "nested", "flow-mapping", "merge-overridden", "merge-overridden-aliased"])
+], ids=["top-level", "nested", "flow-mapping", "inline-merge-source", "merge-source-list",
+        "merge-overridden", "merge-overridden-aliased"])
 def test_duplicate_key_is_a_config_error(tmp_path, capsys, old, new, line, key):
     cfg = write(tmp_path, "dup.yaml", BASE_CONFIG.replace(old, new))
     if key is None:  # a key a merge brings in and the mapping writes again loads
@@ -484,6 +489,20 @@ def test_non_finite_drive_fails_in_one_line(tmp_path, capsys):
     assert main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 1
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("numerical failure:"), err
+
+
+def test_non_finite_input_at_a_scan_point_fails_in_one_line(tmp_path, capsys, monkeypatch):
+    # a scan point holds only the node it reads; M and the steps are still checked
+    cfg = write(tmp_path, "scan.yaml", SCAN_CONFIG.replace("s_beta: 3.0", "s_beta: 1.0e-300"))
+    assert main(["scan", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 1
+    run_scan = cli.run_scan
+    nan_v = np.array([[0.0, np.nan], [np.nan, 0.0]])
+    monkeypatch.setattr(cli, "run_scan", lambda spec: run_scan(dataclasses.replace(spec, v=nan_v)))
+    cfg = write(tmp_path, "scan2.yaml", SCAN_CONFIG)
+    assert main(["scan", "--config", str(cfg), "--out", str(tmp_path / "o2")]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 2 and all(e.startswith("numerical failure:") for e in err), err
+    assert "M is not finite" in err[0] and "not finite" in err[1]
 
 
 @pytest.mark.parametrize("out", ["afile", "afile/sub"], ids=["file", "inside-file"])

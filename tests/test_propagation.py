@@ -2,6 +2,8 @@ import dataclasses
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from drivetherm.cli import main
 from drivetherm.drive import (ConstantEnvelope, ConstantModulation,
@@ -388,3 +390,43 @@ def test_drho_dbeta_analytic_matches_matmul(rng, d):
         assert np.abs(got - expected).max() <= 1e-14 * np.abs(expected).max()
         assert np.abs(drho_dbeta_analytic(tr, 17) - expected[17]).max() \
             <= 1e-14 * np.abs(expected).max()
+
+
+@given(d=st.integers(2, 6), n=st.sampled_from([0, 1, 2, 3, 37, 64]),
+       seed=st.integers(0, 2**32 - 1))
+def test_first_node_route_matches_full_trace(d, n, seed):
+    # the steps before `first` reduced pairwise as (U, M) pairs against the
+    # chained trace from node 0, at every node both hold
+    rng = np.random.default_rng(seed)
+    model = make_gibbs(random_hermitian(rng, d), 0.8)
+    v = random_hermitian(rng, d)
+    drive = DriveProfile(0.3, GaussianEnvelope(1.5, 1.0), CosineModulation(1.1, 0.3))
+    grid = TimeGrid(2.0 if n else 0.0, n)
+    full = propagate(model, v, drive, grid)
+    columns = ("f_eq", "i_t", "f_total", "f_spectral")
+    full_rows = qfi_time_series(full)
+    for first in sorted({0, min(1, n), n // 2, n}):
+        trace = propagate(model, v, drive, grid, first=first)
+        assert trace.first == first and len(trace.M) == len(trace.propagators) == n + 1 - first
+        assert np.abs(trace.M - full.M[first:]).max() <= 1e-12 * np.abs(full.M).max()
+        for u, ref in zip(trace.propagators, full.propagators[first:]):
+            phase = np.trace(ref.conj().T @ u) / d
+            assert abs(abs(phase) - 1.0) <= 1e-12
+            assert np.abs(u - phase * ref).max() <= 1e-12
+        rows = qfi_time_series(trace)
+        assert np.array_equal(rows.t, full_rows.t[first:])
+        for name in columns:
+            got, ref = getattr(rows, name), getattr(full_rows, name)
+            assert np.abs(got - ref[first:]).max() <= 1e-12 * np.abs(ref).max(), name
+        if n == 0:  # a value_at_t point at t = 0
+            assert np.array_equal(trace.propagators[0], np.eye(d)) and not trace.M.any()
+
+
+def test_first_node_bounds(qubit_model, resonant_drive):
+    grid = TimeGrid(1.0, 4)
+    for first in (-1, 5):
+        with pytest.raises(ValueError, match="first node"):
+            propagate(qubit_model, SIGMA_X, resonant_drive, grid, first=first)
+    trace = propagate(qubit_model, SIGMA_X, resonant_drive, grid, first=3)
+    with pytest.raises(ValueError, match="outside held nodes 3..4"):
+        qfi_driven(trace, 2)

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -5,9 +7,9 @@ from drivetherm import engine, scans
 from drivetherm.drive import (ConstantEnvelope, CosineModulation, DriveProfile,
                               GaussianEnvelope)
 from drivetherm.engine import qfi_time_series
-from drivetherm.exceptions import DriveThermError, FullRankViolation
+from drivetherm.exceptions import DriveThermError, FullRankViolation, StepSizeTooCoarse
 from drivetherm.operators import SIGMA_X, SIGMA_Z
-from drivetherm.propagation import EvolutionTrace, TimeGrid
+from drivetherm.propagation import EvolutionTrace, TimeGrid, default_grid, propagate
 from drivetherm.scans import (OptimizeResult, ReduceSpec, ScanSpec, _best_node,
                               optimize_drive, run_scan)
 from drivetherm.thermal import make_gibbs
@@ -180,14 +182,15 @@ def probe_window_spec():
 @pytest.mark.parametrize("make_spec", [qubit_window_spec, probe_window_spec],
                          ids=["qubit", "d6"])
 def test_max_over_t_decomposes_one_node(monkeypatch, make_spec):
+    # each row against an independent first = 0 propagation of the same point
     spec = make_spec()
-    traces, nodes, stack_sizes = [], [], []
+    calls, nodes, stack_sizes = [], [], []
     propagate, qfi_driven = scans.propagate, scans.qfi_driven
     spectral = engine.spectral_qfi_batch
 
     def counted_propagate(*args, **kwargs):
-        traces.append(propagate(*args, **kwargs))
-        return traces[-1]
+        calls.append((args, kwargs, propagate(*args, **kwargs)))
+        return calls[-1][-1]
 
     def recorded_qfi_driven(trace, at=None, **kwargs):
         nodes.append(at)
@@ -203,17 +206,37 @@ def test_max_over_t_decomposes_one_node(monkeypatch, make_spec):
     points = run_scan(spec).points
     monkeypatch.undo()
 
-    assert len(traces) == len(spec.values)          # one propagation per point
+    assert len(calls) == len(spec.values)           # one propagation per point
     assert stack_sizes == [1] * len(spec.values)    # spectral route at one node
     t0, t1 = spec.reduce.window
-    for point, trace, node in zip(points, traces, nodes):
-        series = qfi_time_series(trace)
+    for point, (args, kwargs, trace), node in zip(points, calls, nodes):
+        series = qfi_time_series(scans.propagate(*args, drift_tol=kwargs["drift_tol"]))
         inside = np.flatnonzero((series.t >= t0) & (series.t <= t1))
         k = int(inside[np.argmax(series.f_total[inside])])
         assert node == k
-        assert (point.f_eq, point.i_t, point.f_total) == (
-            series.f_eq[k], series.i_t[k], series.f_total[k])
-        assert abs(point.f_spectral - series.f_spectral[k]) <= 1e-12 * series.f_spectral[k]
+        assert trace.first == inside[0] > 0         # held from the window's first node
+        assert len(trace.M) == len(trace.propagators) == trace.grid.n_nodes - inside[0]
+        for name in ("f_eq", "i_t", "f_total", "f_spectral"):
+            ref = getattr(series, name)[k]
+            assert abs(getattr(point, name) - ref) <= 1e-12 * ref, name
+
+
+def test_value_at_t_point_keeps_the_drift_guard():
+    # the point holds one node: its drift is the defect of the one reduced product
+    spec = freq_spec((1.0,), t_eval=TWO_PI)
+    grid = default_grid(TWO_PI, spec.model.spread, 1.0)
+    defect = propagate(spec.model, spec.v, spec.drive, grid, first=grid.n_steps).unitarity_drift
+    assert defect > 0.0
+    assert run_scan(replace(spec, drift_tol=defect)).points[0].f_total > 0.0
+    with pytest.raises(StepSizeTooCoarse, match="unitarity drift"):
+        run_scan(replace(spec, drift_tol=0.5 * defect))
+
+
+def test_non_finite_v_at_a_scan_point_is_a_drive_therm_error():
+    v = SIGMA_X.copy()
+    v[0, 1] = v[1, 0] = np.nan
+    with pytest.raises(DriveThermError, match="not finite"):
+        run_scan(replace(freq_spec((1.0,), t_eval=TWO_PI), v=v))
 
 
 # ------------------------------------------------------------- optimizer
