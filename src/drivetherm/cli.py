@@ -139,7 +139,10 @@ def cmd_scan(run, out_dir: Path, manifest_hash: str):
     name = run.config["output"]["csv"]
     csv_path = out_dir / name
     write_scan_csv(csv_path, result.axis, result.points, manifest_hash)
-    diagnostics = {"points": len(result.points), "argmax": result.argmax}
+    diagnostics = {"points": len(result.points), "argmax": result.argmax,
+                   "max_unitarity_drift": result.max_unitarity_drift,
+                   "max_rel_disagreement": result.max_rel_disagreement,
+                   "n_steps": list(result.n_steps)}
     return (diagnostics, {name: csv_path},
             f"scan: {len(result.points)} points -> {csv_path} "
             f"(argmax {result.axis} = {result.argmax:g})")

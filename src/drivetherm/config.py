@@ -37,9 +37,13 @@ from .thermal import RANK_FLOOR, GibbsModel, equilibrium_qfi, make_gibbs
 # --------------------------------------------------------------------------
 
 
-class _Loader(yaml.SafeLoader):
-    """SafeLoader that also resolves YAML 1.2 floats, which YAML 1.1 reads as
-    strings: an exponent without a dot (1e-1) or without a sign (1.0e5)."""
+if not yaml.__with_libyaml__:
+    raise ImportError("drivetherm.config needs PyYAML built with libyaml (yaml.CSafeLoader)")
+
+
+class _Loader(yaml.CSafeLoader):
+    """libyaml's SafeLoader that also resolves YAML 1.2 floats, which YAML 1.1
+    reads as strings: an exponent without a dot (1e-1) or without a sign (1.0e5)."""
 
 
 _Loader.add_implicit_resolver(
@@ -93,9 +97,9 @@ def _load_yaml_with_lines(path: str):
         mark = getattr(exc, "problem_mark", None)
         if mark is not None:
             line, problem = mark.line + 1, exc.problem
-        else:  # a ReaderError (control character) has a text position, not a mark
+        else:  # a ReaderError (control character) has a UTF-8 byte offset, not a mark
             position = getattr(exc, "position", None)
-            line = None if position is None else text.count("\n", 0, position) + 1
+            line = None if position is None else text.encode("utf-8").count(b"\n", 0, position) + 1
             problem = str(exc).splitlines()[0]
         raise ConfigValidationError(f"not valid YAML: {problem}", path=path, line=line) from exc
     return data, lines
@@ -249,6 +253,15 @@ def _dense(sec: _Section, key: str, dim: int | None, model: dict) -> np.ndarray:
     return rows.view(complex)[..., 0]
 
 
+def _hermitian(sec: _Section, key: str, a: np.ndarray) -> np.ndarray:
+    """``hermitize(a)`` reported at ``key``, which rejects an overflowing ``a``."""
+    with np.errstate(over="ignore"):
+        if not (np.isfinite(a + a.conj().T).all() and np.isfinite(np.linalg.norm(a))):
+            raise sec.error(f"'{sec._dotted(key)}' is too large: its Hermitian part or "
+                            "Frobenius norm is not finite", key)
+    return _built(sec, key, hermitize, a)
+
+
 def _points(sec: _Section, record: dict) -> np.ndarray:
     """The (x, value) columns of the table at ``points``; the pairs go into ``record``."""
     points = sec.floats("points", "a list of >= 2 finite [x, value] pairs",
@@ -284,9 +297,9 @@ def load_run_config(path: str) -> LoadedRun:
         energies = model_sec.floats("energies", "a list of >= 2 finite numbers",
                                     lambda s: len(s) == 1 and s[0] >= 2)
         model["energies"] = energies.tolist()
-        h0 = _built(model_sec, "energies", hermitize, np.diag(energies))
+        h0 = _hermitian(model_sec, "energies", np.diag(energies))
     else:
-        h0 = _built(model_sec, "h0", hermitize, _dense(model_sec, "h0", None, model))
+        h0 = _hermitian(model_sec, "h0", _dense(model_sec, "h0", None, model))
 
     v_raw = model_sec.data.get("v")
     if isinstance(v_raw, str):
@@ -299,7 +312,7 @@ def load_run_config(path: str) -> LoadedRun:
         model["v"] = v_raw
         v = PAULI[v_raw].copy()
     else:
-        v = hermitize(_dense(model_sec, "v", len(h0), model))
+        v = _hermitian(model_sec, "v", _dense(model_sec, "v", len(h0), model))
 
     beta_star = model["beta_star"] = model_sec.value("beta_star", required=True, minimum=0.0)
 

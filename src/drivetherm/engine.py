@@ -25,9 +25,9 @@ and ``increment_series`` (Tr[pi0 dL_t^2] of the running trapezoid of the
 per-node lab-frame currents) are the reference route the tests compare
 against; perfbench resolves them by name.
 
-Results are columnar: ``qfi_time_series`` returns one ``QfiResult`` whose
-fields are float64 arrays over the grid nodes, and ``qfi_driven`` returns
-the same record with float fields at one node.
+``_decompose`` reads (k, d, d) rows of U and M under one Gibbs model, such
+as a scan's kept rows.  ``qfi_time_series`` returns its ``QfiResult`` of
+float64 columns over a trace's held nodes, ``qfi_driven`` floats at one.
 """
 
 from dataclasses import dataclass, fields
@@ -38,7 +38,7 @@ from .bures import spectral_qfi_batch
 from .exceptions import DriveThermError, FullRankViolation
 from .operators import stack_mul
 from .propagation import (EvolutionTrace, TimeGrid, cumulative_trapezoid,
-                          drho_dbeta_analytic)
+                          drho_dbeta_rows)
 from .thermal import GibbsModel, equilibrium_qfi, equilibrium_sld
 
 #: Floor in the relative-disagreement denominator (avoids 0/0 at t=0, no drive).
@@ -159,39 +159,38 @@ class QfiResult:
     mixed_term_residual: np.ndarray
 
 
-def increment_at(trace: EvolutionTrace,
-                 nodes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """I_t = sum_i p_i sum_j |dL~_ij|^2 at the given held node indices, returned
-    with the accumulated currents dL~ = _coherences(M(t_k)) in the thermal
-    eigenbasis.  A sum of squares, so never negative; reduced row by row, so
-    a node's value does not depend on the other nodes asked for."""
-    dlt = _coherences(trace.model, trace.M[nodes - trace.first])
-    return ((dlt.real**2 + dlt.imag**2).sum(2) * trace.model.probabilities).sum(1), dlt
+def increment_at(model: GibbsModel, m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """I_t = sum_i p_i sum_j |dL~_ij|^2 of a (k, d, d) stack of weighted
+    integrals M(t), returned with the accumulated currents dL~ = _coherences(M)
+    in the thermal eigenbasis.  A sum of squares, so never negative; reduced
+    row by row, so a row's value does not depend on the other rows."""
+    dlt = _coherences(model, m)
+    return ((dlt.real**2 + dlt.imag**2).sum(2) * model.probabilities).sum(1), dlt
 
 
-def _decompose(trace: EvolutionTrace, nodes: np.ndarray) -> QfiResult:
-    """Decomposition and spectral cross-check at the given held node indices.
+def _decompose(model: GibbsModel, u: np.ndarray, m: np.ndarray, t: np.ndarray) -> QfiResult:
+    """Decomposition and spectral cross-check of (k, d, d) rows U(t) and M(t)
+    taken under one Gibbs ``model``, at the k times ``t``.
 
-    dL(t_k) is the information current of M(t_k) (the map is linear); the
-    mixed term reads it in the lab frame, where it does not vanish
-    identically, and the spectral route reads the same M through A = -i M.
+    dL(t) is the information current of M(t) (the map is linear); the mixed
+    term reads it in the lab frame, where it does not vanish identically, and
+    the spectral route reads the same M through A = -i M.  Each row is
+    reduced on its own, so a row's values do not depend on the other rows.
     """
-    model, q = trace.model, trace.model.basis
-    pi0 = model.state
-    u = trace.propagators[nodes - trace.first]  # spectral route first, while no current is held
+    q, pi0 = model.basis, model.state
+    # spectral route first, while no current is held
     rho = stack_mul(stack_mul(u, pi0), u.conj().swapaxes(1, 2))
-    f_spectral = spectral_qfi_batch(rho, drho_dbeta_analytic(trace, nodes))
+    f_spectral = spectral_qfi_batch(rho, drho_dbeta_rows(model, u, m))
 
-    i_t, dlt = increment_at(trace, nodes)
+    i_t, dlt = increment_at(model, m)
     dl = stack_mul(stack_mul(q, dlt), q.conj().T)
     mixed = np.abs(np.einsum("ij,jl,kli->k", pi0, equilibrium_sld(model), dl))
 
-    f_eq = np.full(len(nodes), equilibrium_qfi(model))
+    f_eq = np.full(len(t), equilibrium_qfi(model))
     f_total = f_eq + i_t
     rel = np.abs(f_total - f_spectral) / np.maximum(f_spectral, REL_DISAGREEMENT_FLOOR)
-    return QfiResult(t=trace.grid.nodes[nodes], f_eq=f_eq, i_t=i_t, f_total=f_total,
-                     f_spectral=f_spectral, rel_disagreement=rel,
-                     mixed_term_residual=mixed)
+    return QfiResult(t=t, f_eq=f_eq, i_t=i_t, f_total=f_total, f_spectral=f_spectral,
+                     rel_disagreement=rel, mixed_term_residual=mixed)
 
 
 def check_dual_path(rel: float, where: str) -> None:
@@ -207,7 +206,7 @@ def check_dual_path(rel: float, where: str) -> None:
 def qfi_time_series(trace: EvolutionTrace) -> QfiResult:
     """Full decomposition and spectral cross-check at every held node, as
     float64 columns of length ``n_nodes - first``."""
-    return _decompose(trace, np.arange(trace.first, trace.grid.n_nodes))
+    return _decompose(trace.model, trace.propagators, trace.M, trace.grid.nodes[trace.first:])
 
 
 def qfi_driven(trace: EvolutionTrace, at: int | None = None) -> QfiResult:
@@ -217,5 +216,6 @@ def qfi_driven(trace: EvolutionTrace, at: int | None = None) -> QfiResult:
         at = n
     if not trace.first <= at <= n:
         raise ValueError(f"node index {at} outside held nodes {trace.first}..{n}")
-    column = _decompose(trace, np.array([at]))
+    k = [at - trace.first]
+    column = _decompose(trace.model, trace.propagators[k], trace.M[k], trace.grid.nodes[[at]])
     return QfiResult(*(float(getattr(column, f.name)[0]) for f in fields(QfiResult)))

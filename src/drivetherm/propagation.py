@@ -221,8 +221,9 @@ def _step_exponentials(a0: np.ndarray, a1: np.ndarray, lam: np.ndarray) -> np.nd
         c[:i + 1] += p
     powers = np.empty((n, m + 1))
     powers[:, 0] = 1.0
-    powers[:, 1:] = (lam / scale)[:, None]
-    np.cumprod(powers[:, 1:], axis=1, out=powers[:, 1:])
+    powers[:, 1] = lam / scale
+    for j in range(2, m + 1):  # column by column: cumprod along the short axis is slower
+        np.multiply(powers[:, j - 1], powers[:, 1], out=powers[:, j])
     # the complex C_j read as float pairs: one real (n, m+1) x (m+1, 2 d^2) product
     out = (powers @ c.reshape(m + 1, d * d).view(float)).view(complex).reshape(n, d, d)
     if d <= UNROLL_MAX_DIM:  # step axis innermost, as stack_mul and _chain want
@@ -297,8 +298,12 @@ def drho_dbeta_analytic(trace: EvolutionTrace, k) -> np.ndarray:
     equilibrium derivative when the drive is temperature-insensitive (A = 0).
     """
     k = np.asarray(k) - trace.first
-    a_k = -1j * trace.M[k]
-    pi0 = trace.model.state
-    inner = dpi_dbeta(trace.model) + (stack_mul(a_k, pi0) - stack_mul(pi0, a_k))
-    u = trace.propagators[k]
+    return drho_dbeta_rows(trace.model, trace.propagators[k], trace.M[k])
+
+
+def drho_dbeta_rows(model: GibbsModel, u: np.ndarray, m: np.ndarray) -> np.ndarray:
+    """U (dpi + [A, pi0]) U^dag, A = -i M, of (d, d) or (k, d, d) rows U and M."""
+    a_k = -1j * m
+    pi0 = model.state
+    inner = dpi_dbeta(model) + (stack_mul(a_k, pi0) - stack_mul(pi0, a_k))
     return stack_mul(stack_mul(u, inner), u.conj().swapaxes(-1, -2))

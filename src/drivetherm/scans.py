@@ -1,23 +1,25 @@
 """Parameter sweeps and drive optimization.
 
 Scan points are independent pure evaluations, run in axis order.  Every
-scan point and every optimizer step is one call of ``_evaluate``: one
-propagation on the default grid that holds only the nodes it reads, and
-the decomposition at one node.  Scans and the optimizer take the Gibbs
-model of H0 at beta*; only a temperature scan builds one per point, at
-that point's beta under the model's rank floor.  A scan point or
-optimizer step whose dual-path mismatch exceeds
-``engine.DUAL_PATH_TOL`` raises :class:`DriveThermError`.
+scan point and every optimizer step is one ``_record``: one propagation on
+the default grid that holds only the nodes it reads, kept as (U, M) at the
+node read.  One ``engine._decompose`` then takes each run of records that
+share a Gibbs model: the model of H0 at beta*, except in a temperature
+scan, which builds one per point at its beta under the model's rank floor.
+A point whose dual-path mismatch exceeds ``engine.DUAL_PATH_TOL`` raises
+:class:`DriveThermError`.
 """
 
 import math
-from dataclasses import dataclass, replace
-from typing import Mapping
+from dataclasses import dataclass, fields, replace
+from itertools import groupby
+from typing import Mapping, NamedTuple
 
 import numpy as np
 
 from .drive import CosineModulation, DriveProfile, GaussianEnvelope
-from .engine import QfiResult, check_dual_path, increment_at, qfi_driven
+from .engine import QfiResult, _decompose, check_dual_path, increment_at
+from .exceptions import DriveThermError
 from .operators import hermitize
 from .propagation import DRIFT_TOL, EvolutionTrace, default_grid, propagate
 from .thermal import GibbsModel, equilibrium_qfi, make_gibbs
@@ -87,11 +89,28 @@ class ScanPoint:
 
 @dataclass(frozen=True)
 class ScanResult:
-    """Scan rows in axis order plus the argmax of F_total (ties -> smallest)."""
+    """Scan rows in axis order, the argmax of F_total (ties -> smallest), the
+    worst unitarity drift and dual-path mismatch, and the (min, max) steps."""
 
     axis: str
     points: tuple
     argmax: float
+    max_unitarity_drift: float
+    max_rel_disagreement: float
+    n_steps: tuple
+
+
+class _Record(NamedTuple):
+    """What a point keeps of its propagation, so that no trace outlives it:
+    U and M at the node read, as (d, d) copies, and that node's grid data."""
+
+    model: GibbsModel
+    u: np.ndarray
+    m: np.ndarray
+    node: int
+    t: float
+    n_steps: int
+    unitarity_drift: float
 
 
 def _best_node(trace: EvolutionTrace, window: tuple) -> int:
@@ -101,27 +120,38 @@ def _best_node(trace: EvolutionTrace, window: tuple) -> int:
     inside = np.flatnonzero((nodes >= t0) & (nodes <= t1))
     if inside.size == 0:
         raise ValueError(f"no grid nodes inside the reduction window [{t0}, {t1}]")
-    f_total = equilibrium_qfi(trace.model) + increment_at(trace, inside)[0]
-    return int(inside[np.argmax(f_total)])
+    i_t = increment_at(trace.model, trace.M[inside - trace.first])[0]
+    return int(inside[np.argmax(equilibrium_qfi(trace.model) + i_t)])
 
 
-def _evaluate(model: GibbsModel, v: np.ndarray, drive: DriveProfile, t_end: float,
-              where: str, *, window: tuple | None = None, drift_tol: float) -> QfiResult:
-    """One propagation on the default grid, held from the first node read and
-    decomposed at one node: the final one, or the best node inside
-    ``window``.  A dual-path mismatch there raises :class:`DriveThermError`
-    naming ``where``."""
+def _record(model: GibbsModel, v: np.ndarray, drive: DriveProfile, t_end: float,
+            *, window: tuple | None = None, drift_tol: float) -> _Record:
+    """One propagation on the default grid, held from the first node read,
+    recorded at one node: the final one, or the best node inside ``window``."""
     grid = default_grid(t_end, model.spread, drive.omega_d)
     # t_end is the window's end, so the window holds grid nodes from this one on
     first = grid.n_steps if window is None else int(np.searchsorted(grid.nodes, window[0]))
     trace = propagate(model, v, drive, grid, first=first, drift_tol=drift_tol)
-    at = None if window is None else _best_node(trace, window)
-    row = qfi_driven(trace, at)
-    check_dual_path(row.rel_disagreement, where)
-    return row
+    at = grid.n_steps if window is None else _best_node(trace, window)
+    return _Record(model, trace.propagators[at - first].copy(), trace.M[at - first].copy(),
+                   at, float(grid.nodes[at]), grid.n_steps, trace.unitarity_drift)
 
 
-def _evaluate_point(spec: ScanSpec, value: float) -> ScanPoint:
+def _decompose_records(records: list, wheres: list) -> QfiResult:
+    """The records' columns, one ``_decompose`` per run of records that share
+    a Gibbs model; the first mismatch over ``DUAL_PATH_TOL`` raises at its
+    entry of ``wheres``."""
+    groups = [list(run) for _, run in groupby(records, key=lambda r: id(r.model))]
+    columns = [_decompose(g[0].model, np.array([r.u for r in g]), np.array([r.m for r in g]),
+                          np.array([r.t for r in g])) for g in groups]
+    rows = QfiResult(*(np.concatenate([getattr(c, f.name) for c in columns])
+                       for f in fields(QfiResult)))
+    for rel, where in zip(rows.rel_disagreement, wheres):
+        check_dual_path(rel, where)
+    return rows
+
+
+def _record_point(spec: ScanSpec, value: float) -> _Record:
     model = spec.model
     drive = spec.drive
     if spec.axis == "frequency":
@@ -136,17 +166,30 @@ def _evaluate_point(spec: ScanSpec, value: float) -> ScanPoint:
     else:
         window = spec.reduce.window
         t_eval = window[1]
-    row = _evaluate(model, spec.v, drive, t_eval, f"{spec.axis} scan point {value:g}",
-                    window=window, drift_tol=spec.drift_tol)
-    return ScanPoint(value, row.f_eq, row.i_t, row.f_total, row.f_spectral)
+    return _record(model, spec.v, drive, t_eval, window=window, drift_tol=spec.drift_tol)
 
 
 def run_scan(spec: ScanSpec) -> ScanResult:
-    """Evaluate every grid point in axis order."""
-    points = tuple(_evaluate_point(spec, x) for x in spec.values)
-    totals = np.array([p.f_total for p in points])
-    argmax = points[int(np.argmax(totals))].axis_value  # first max -> smallest axis value
-    return ScanResult(axis=spec.axis, points=points, argmax=argmax)
+    """Record every grid point in axis order, then decompose the records.  A
+    point that fails to propagate raises once the points before it have
+    passed their checks: the first failure in axis order is the one raised."""
+    records, failure = [], None
+    for x in spec.values:
+        try:
+            records.append(_record_point(spec, x))
+        except (DriveThermError, np.linalg.LinAlgError) as exc:
+            failure = exc
+            break
+    rows = records and _decompose_records(records, [f"{spec.axis} scan point {x:g}"
+                                                    for x in spec.values])
+    if failure is not None:
+        raise failure
+    points = tuple(map(ScanPoint, spec.values, rows.f_eq.tolist(), rows.i_t.tolist(),
+                       rows.f_total.tolist(), rows.f_spectral.tolist()))
+    steps = [r.n_steps for r in records]
+    return ScanResult(spec.axis, points, spec.values[int(np.argmax(rows.f_total))],  # first max
+                      max(r.unitarity_drift for r in records),
+                      float(rows.rel_disagreement.max()), (min(steps), max(steps)))
 
 
 # --------------------------------------------------------------------------
@@ -238,7 +281,8 @@ def optimize_drive(model: GibbsModel, v, t_eval: float,
             if len(trail) >= max_evals:
                 raise _BudgetExhausted
             where = "optimizer point " + ", ".join(f"{k}={p[k]:g}" for k in _PARAM_ORDER)
-            f_total = _evaluate(model, v, current(p), t_eval, where, drift_tol=DRIFT_TOL).f_total
+            record = _record(model, v, current(p), t_eval, drift_tol=DRIFT_TOL)
+            f_total = float(_decompose_records([record], [where]).f_total[0])
             cache[key] = f_total
             trail.append((dict(p), f_total))
         return cache[key]

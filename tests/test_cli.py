@@ -161,6 +161,22 @@ def test_scan_end_to_end(tmp_path):
     assert [r[0] for r in rows] == [0.5, 1.0, 2.0]
     assert manifest["diagnostics"]["argmax"] == 1.0
     assert manifest_hash == manifest["content_hash"]
+    # the worst of each point's record, against independent one-node propagations
+    spec = load_run_config(str(cfg)).scan
+    traces = []
+    for omega_d in spec.values:
+        drive_at = dataclasses.replace(spec.drive, temporal=drive.CosineModulation(omega_d, 0.0))
+        grid = propagation.default_grid(spec.reduce.t, spec.model.spread, omega_d)
+        traces.append(propagation.propagate(spec.model, spec.v, drive_at, grid,
+                                            first=grid.n_steps))
+    steps = [t.grid.n_steps for t in traces]
+    assert steps == [200, 200, 400]
+    assert manifest["diagnostics"] == {
+        "points": 3, "argmax": 1.0,
+        "max_unitarity_drift": max(t.unitarity_drift for t in traces),
+        "max_rel_disagreement": max(engine.qfi_driven(t).rel_disagreement for t in traces),
+        "n_steps": [min(steps), max(steps)]}
+    assert 0.0 < manifest["diagnostics"]["max_unitarity_drift"] <= propagation.DRIFT_TOL
 
 
 def test_scan_parallelism_deterministic(tmp_path):
@@ -550,11 +566,13 @@ def test_control_character_in_config_is_a_configuration_error(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("text, line, problem", [
-    ("model: [\n", 2, "expected the node content"),
+    ("model: [\n", 2, "expected node content"),
     (BASE_CONFIG.replace("  omega: 1.0", "   omega: 1.0"), 4, "mapping values"),
     (BASE_CONFIG.replace("  beta_star: 5.0", "  beta_star: 5.0 \x07"), 6,
      "unacceptable character #x0007"),
-], ids=["unclosed-flow", "indentation", "control-character"])
+    # libyaml reports a byte offset; counted as characters it would read line 3
+    ("# \u00e9 \u00e9 \u00e9\nmodel:\x07\n", 2, "unacceptable character #x0007"),
+], ids=["unclosed-flow", "indentation", "control-character", "control-character-after-utf8"])
 def test_yaml_syntax_error_is_one_anchored_line(tmp_path, capsys, text, line, problem):
     cfg = write(tmp_path, "syntax.yaml", text)
     assert main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
@@ -562,6 +580,29 @@ def test_yaml_syntax_error_is_one_anchored_line(tmp_path, capsys, text, line, pr
     assert len(err) == 1, err
     assert err[0].startswith(f"configuration error: {cfg}:{line}: not valid YAML: "), err
     assert problem in err[0] and not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("key, model", [
+    ("v", "  kind: dense\n  h0: [[[0.5, 0], [0, 0]], [[0, 0], [-0.5, 0]]]\n"
+          "  v: [[[0, 0], [1.0e308, 0]], [[1.0e308, 0], [0, 0]]]\n"),
+    ("h0", "  kind: dense\n  h0: [[[1.0e308, 0], [0, 0]], [[0, 0], [-1.0e308, 0]]]\n"
+           "  v: [[[0, 0], [1, 0]], [[1, 0], [0, 0]]]\n"),
+    ("energies", "  kind: diagonal\n  energies: [1.0e308, -1.0e308]\n"
+                 "  v: [[[0, 0], [1, 0]], [[1, 0], [0, 0]]]\n"),
+], ids=["v", "h0", "energies"])
+@pytest.mark.parametrize("command, base", [("simulate", BASE_CONFIG), ("scan", SCAN_CONFIG)],
+                         ids=["simulate", "scan"])
+def test_huge_finite_operator_is_one_config_error(tmp_path, capsys, command, base, key, model):
+    # finite entries whose Hermitian part and Frobenius norm overflow
+    text = base.replace("  kind: qubit\n  omega: 1.0\n  v: sigma_x\n", model)
+    line = text.splitlines().index(next(x for x in text.splitlines()
+                                         if x.startswith(f"  {key}:"))) + 1
+    cfg = write(tmp_path, "huge.yaml", text)
+    assert main([command, "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert err == [f"configuration error: {cfg}:{line}: 'model.{key}' is too large: its "
+                   "Hermitian part or Frobenius norm is not finite"], err
+    assert not (tmp_path / "o").exists()
 
 
 @pytest.mark.parametrize("extra, line", [

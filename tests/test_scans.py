@@ -2,11 +2,13 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from drivetherm import engine, scans
 from drivetherm.drive import (ConstantEnvelope, CosineModulation, DriveProfile,
                               GaussianEnvelope)
-from drivetherm.engine import qfi_time_series
+from drivetherm.engine import qfi_driven, qfi_time_series
 from drivetherm.exceptions import DriveThermError, FullRankViolation, StepSizeTooCoarse
 from drivetherm.operators import SIGMA_X, SIGMA_Z
 from drivetherm.propagation import EvolutionTrace, TimeGrid, default_grid, propagate
@@ -184,41 +186,92 @@ def probe_window_spec():
 def test_max_over_t_decomposes_one_node(monkeypatch, make_spec):
     # each row against an independent first = 0 propagation of the same point
     spec = make_spec()
-    calls, nodes, stack_sizes = [], [], []
-    propagate, qfi_driven = scans.propagate, scans.qfi_driven
+    calls, groups, stack_sizes = [], [], []
+    propagate, decompose = scans.propagate, scans._decompose
     spectral = engine.spectral_qfi_batch
 
     def counted_propagate(*args, **kwargs):
         calls.append((args, kwargs, propagate(*args, **kwargs)))
         return calls[-1][-1]
 
-    def recorded_qfi_driven(trace, at=None, **kwargs):
-        nodes.append(at)
-        return qfi_driven(trace, at, **kwargs)
+    def recorded_decompose(model, u, m, t):
+        groups.append((u, m, t))
+        return decompose(model, u, m, t)
 
     def counted_spectral(rho, drho):
         stack_sizes.append(len(rho))
         return spectral(rho, drho)
 
     monkeypatch.setattr(scans, "propagate", counted_propagate)
-    monkeypatch.setattr(scans, "qfi_driven", recorded_qfi_driven)
+    monkeypatch.setattr(scans, "_decompose", recorded_decompose)
     monkeypatch.setattr(engine, "spectral_qfi_batch", counted_spectral)
     points = run_scan(spec).points
     monkeypatch.undo()
 
     assert len(calls) == len(spec.values)           # one propagation per point
-    assert stack_sizes == [1] * len(spec.values)    # spectral route at one node
+    # one spectral call per Gibbs model: the frequency scan shares one, the
+    # temperature scan builds one per point; one row per point
+    models = 1 if spec.axis == "frequency" else len(spec.values)
+    assert stack_sizes == [len(spec.values) // models] * models == [len(g[0]) for g in groups]
+    rows = zip(*(np.concatenate(column) for column in zip(*groups)))
     t0, t1 = spec.reduce.window
-    for point, (args, kwargs, trace), node in zip(points, calls, nodes):
-        series = qfi_time_series(scans.propagate(*args, drift_tol=kwargs["drift_tol"]))
+    for point, (args, kwargs, trace), (u, m, t) in zip(points, calls, rows):
+        full = scans.propagate(*args, drift_tol=kwargs["drift_tol"])
+        series = qfi_time_series(full)
         inside = np.flatnonzero((series.t >= t0) & (series.t <= t1))
         k = int(inside[np.argmax(series.f_total[inside])])
-        assert node == k
+        assert t == series.t[k]                     # the best node is picked
         assert trace.first == inside[0] > 0         # held from the window's first node
         assert len(trace.M) == len(trace.propagators) == trace.grid.n_nodes - inside[0]
+        assert np.abs(m - full.M[k]).max() <= 1e-12 * np.abs(full.M).max()
+        phase = np.trace(full.propagators[k].conj().T @ u) / len(u)
+        assert abs(abs(phase) - 1.0) <= 1e-12
+        assert np.abs(u - phase * full.propagators[k]).max() <= 1e-12
         for name in ("f_eq", "i_t", "f_total", "f_spectral"):
             ref = getattr(series, name)[k]
             assert abs(getattr(point, name) - ref) <= 1e-12 * ref, name
+
+
+@settings(max_examples=40)
+@given(d=st.integers(2, 6), axis=st.sampled_from(["frequency", "time"]),
+       seed=st.integers(0, 2**32 - 1))
+def test_grouped_rows_equal_per_point_qfi_driven(d, axis, seed):
+    # one decomposition over the scan's stacked rows, bit for bit the per-point one
+    rng = np.random.default_rng(seed)
+    model = make_gibbs(random_hermitian(rng, d), 0.8)
+    v = random_hermitian(rng, d)
+    values = (0.5, 0.9, 1.7) if axis == "frequency" else (0.0, 0.7, 1.5)
+    spec = ScanSpec(axis=axis, values=values, model=model, v=v,
+                    drive=base_drive(lambda0=0.3, beta0=1.5, s_beta=1.0, omega_d=1.1),
+                    reduce=ReduceSpec(mode="value_at_t", t=1.5))
+    for x, point in zip(values, run_scan(spec).points):
+        drive, t_end = spec.drive, x
+        if axis == "frequency":
+            drive, t_end = replace(drive, temporal=CosineModulation(x, 0.0)), 1.5
+        grid = default_grid(t_end, model.spread, drive.omega_d)
+        row = qfi_driven(propagate(model, v, drive, grid, first=grid.n_steps))
+        assert (point.f_eq, point.i_t, point.f_total, point.f_spectral) \
+            == (row.f_eq, row.i_t, row.f_total, row.f_spectral)
+
+
+@pytest.mark.parametrize("fail_at", [0.5, 2.0])
+def test_scan_reports_its_first_failing_point(monkeypatch, fail_at):
+    # a propagation failure at one point, and a dual-path failure at every point
+    spec = freq_spec((0.5, 1.0, 2.0), t_eval=TWO_PI)
+    propagate = scans.propagate
+
+    def failing_propagate(model, v, drive, grid, **kwargs):
+        if drive.omega_d == fail_at:
+            raise StepSizeTooCoarse("injected propagation failure")
+        return propagate(model, v, drive, grid, **kwargs)
+
+    monkeypatch.setattr(scans, "propagate", failing_propagate)
+    with pytest.raises(StepSizeTooCoarse, match="injected"):
+        run_scan(spec)                              # the points before it pass
+    monkeypatch.setattr(engine, "DUAL_PATH_TOL", -1.0)
+    expected = "injected" if fail_at == 0.5 else "dual-path mismatch .* at frequency scan point 0.5 "
+    with pytest.raises(DriveThermError, match=expected):
+        run_scan(spec)
 
 
 def test_value_at_t_point_keeps_the_drift_guard():
@@ -277,14 +330,12 @@ def test_optimizer_places_envelope_center_one_width_away():
         coarse_points=25,
     )
     dense_vals = np.linspace(5.0, 11.0, 121)
-    from drivetherm.scans import _evaluate_point
     best_dense = max(
         dense_vals,
-        key=lambda b0: _evaluate_point(
+        key=lambda b0: run_scan(
             ScanSpec(axis="temperature", values=(5.0,), model=qubit(), v=SIGMA_X,
                      drive=base_drive(lambda0=0.01, beta0=float(b0), s_beta=s_beta),
-                     reduce=ReduceSpec(mode="value_at_t", t=2 * TWO_PI)),
-            5.0).f_total,
+                     reduce=ReduceSpec(mode="value_at_t", t=2 * TWO_PI))).points[0].f_total,
     )
     assert abs(result.params["beta0"] - best_dense) <= 0.1
     assert abs(abs(result.params["beta0"] - 5.0) - s_beta) <= 0.45
