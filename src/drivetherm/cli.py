@@ -7,6 +7,7 @@ loader built (:class:`config.LoadedRun`).
 """
 
 import argparse
+import ctypes
 import json
 import logging
 import shutil
@@ -33,6 +34,23 @@ EXIT_CONFIG = 2
 
 #: Kernel visualization output is decimated to at most this many grid nodes.
 KERNEL_MAX_NODES = 241
+
+#: glibc ``mallopt`` parameters and the values ``main`` sets: blocks below
+#: 16 MB come from the heap, and the heap is trimmed only past 4 MB free.
+_MALLOPT = ((-3, 16 << 20), (-1, 4 << 20))  # M_MMAP_THRESHOLD, M_TRIM_THRESHOLD
+
+
+def _keep_heap() -> None:
+    """Keep freed numpy temporaries on the heap for the next ones, instead of
+    returning them to the system and faulting them in again (a scan point
+    frees and re-allocates its stacks).  A no-op without glibc's mallopt."""
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (OSError, TypeError, AttributeError):
+        return
+    mallopt.argtypes, mallopt.restype = (ctypes.c_int, ctypes.c_int), ctypes.c_int
+    for param, value in _MALLOPT:
+        mallopt(param, value)
 
 
 def _add_common(parser):
@@ -188,6 +206,7 @@ def cmd_validate(run, report: str | None) -> int:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    _keep_heap()
     logging.basicConfig(
         level=logging.DEBUG if getattr(args, "verbose", False) else logging.WARNING,
         format="%(levelname)s %(name)s: %(message)s",

@@ -444,8 +444,13 @@ def load_run_config(path: str) -> LoadedRun:
         scan = {"axis": axis, "values": values, "reduce": reduce}
 
     # ---- estimation / output --------------------------------------------
-    # a scan writes no Cramer-Rao column and no kernel; its record keeps the defaults
+    # a scan reads no step count, and writes no Cramer-Rao column and no
+    # kernel; its record keeps the defaults
     est_sec, out_sec = root.section("estimation"), root.section("output")
+    if scan is not None and "n_steps" in grid_sec.data:
+        raise grid_sec.error("a scan config takes no 'grid.n_steps': each scan point "
+                             "propagates on the default rule at its own evaluation time "
+                             "and omega_d", "n_steps")
     for sec, key in ((est_sec, "n_measurements"), (out_sec, "kernel")):
         if scan is not None and key in sec.data:
             raise sec.error(f"a scan config takes no '{sec._dotted(key)}': 'scan' writes "

@@ -15,6 +15,13 @@ A trace holds the nodes from a first one on (0 by default).  The steps
 before it are reduced pairwise to the one pair (U, M) there; from it the
 chain U_k = S_{k-1} ... S_0 is a blocked running product over blocks of
 about sqrt(n) steps; both equal the sequential product up to round-off.
+A propagation read at its last node alone also runs in two halves, so that
+many of them finish together: ``reduce_to_node`` stops the pairwise
+reduction at ``residual_pairs(d)`` pairs (a fixed byte budget) and keeps
+them with the node's trace phase and half weight, and ``finish_nodes``
+completes a list of such residuals as batched (P, d, d) operations, bit for
+bit the U, M and drift of ``propagate(..., first=n)``.  Both routes form
+their steps and leaves in ``_steps``.
 Heisenberg operators V_H(t) = U^dag V U and the weighted integral
 M(t) = int_0^t dlambda/dbeta(s) V_H(s) ds are accumulated once, here, and
 cached on the resulting trace together with the weights w = dlambda/dbeta
@@ -25,6 +32,7 @@ of the engine is a fixed linear map of M.
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -129,46 +137,27 @@ def propagate(model: GibbsModel, v, drive: DriveProfile, grid: TimeGrid,
         exceeds ``drift_tol``; it carries a suggested finer ``n_steps``.
     """
     v = hermitize(v)
-    if v.shape != model.h0.shape:
-        raise ValueError(f"dimension mismatch: V {v.shape} vs H0 {model.h0.shape}")
-    d = model.dim
     n = grid.n_steps
     if not 0 <= first <= n:
         raise ValueError(f"first node {first} outside grid with {n} steps")
-    identity = np.eye(d, dtype=complex)
+    identity = np.eye(model.dim, dtype=complex)
 
-    propagators = np.eye(d, dtype=complex)[None]
-    # a non-finite drive value is reported once, by the finiteness checks below
-    with np.errstate(all="ignore"):
-        w = dlambda_dbeta(drive, grid.nodes, model.beta)
-        lam_mid = lambda_at(drive, grid.nodes[:-1] + 0.5 * grid.dt, model.beta)
+    w, steps, leaves, phase = _steps(model, v, drive, grid, first)
+    propagators = identity[None]
     if n > 0:
-        dt = grid.dt
-        c0, cv = np.trace(model.h0).real / d, np.trace(v).real / d
-        a0 = (-1j * dt) * (model.h0 - c0 * identity)
-        a1 = (-1j * dt) * (v - cv * identity)
-        steps = _step_exponentials(a0, a1, lam_mid)
         start = None
-        if first:  # leaf k: (S_k, c_k w_k V), trapezoid weight c_k = dt, dt/2 at node 0
-            leaves = np.empty_like(steps[:first])
+        if first:
             with np.errstate(all="ignore"):
-                np.multiply((dt * w[:first])[:, None, None], v, out=leaves)
-                leaves[0] *= 0.5
-                start, m_first = _reduce(steps[:first], leaves)
+                start, m_first = (x[0] for x in _reduce(steps[:first], leaves))
         propagators = _chain(steps[first:], start)
-        # node k > 0 carries the trace as the phase exp(-i dt sum_{j<k} tr H_j / d)
-        phase = np.exp((-1j * dt) * np.cumsum(c0 + cv * lam_mid)[max(first - 1, 0):])
         propagators[0 if first else 1:] *= phase[:, None, None]
 
     adjoints = propagators.conj().swapaxes(1, 2)
     defects = np.linalg.norm(stack_mul(adjoints, propagators) - identity, axis=(1, 2))
     drift = float(defects.max())
-    if not math.isfinite(drift):
-        raise DriveThermError(f"unitarity drift is {drift}: the drive or V is not finite")
-    if drift > drift_tol:
-        suggested = max(2 * n, 1)
-        raise StepSizeTooCoarse(f"unitarity drift {drift:.3e} exceeds {drift_tol:.1e}; "
-                                f"retry with n_steps >= {suggested}", suggested_n_steps=suggested)
+    failure = _drift_failure(drift, n, drift_tol)
+    if failure is not None:
+        raise failure
 
     heisenberg_v = np.ascontiguousarray(stack_mul(adjoints, stack_mul(v, propagators)))
     propagators = np.ascontiguousarray(propagators)
@@ -177,10 +166,142 @@ def propagate(model: GibbsModel, v, drive: DriveProfile, grid: TimeGrid,
     if first:  # the reduced nodes, and node first's half weight up to it
         m += m_first + (0.5 * grid.dt * w[0]) * heisenberg_v[0]
     if not np.isfinite(m).all():
-        raise DriveThermError("the weighted integral M is not finite: "
-                              "check the drive's dlambda/dbeta")
+        raise DriveThermError(_M_NOT_FINITE)
     return EvolutionTrace(grid=grid, model=model, weights=w, propagators=propagators,
                           heisenberg_v=heisenberg_v, M=m, unitarity_drift=drift, first=first)
+
+
+_M_NOT_FINITE = "the weighted integral M is not finite: check the drive's dlambda/dbeta"
+
+
+def _drift_failure(drift: float, n: int, drift_tol: float) -> DriveThermError | None:
+    """The error of a non-finite unitarity drift, or of one above ``drift_tol``
+    on n steps; None if the drift passes."""
+    if not math.isfinite(drift):
+        return DriveThermError(f"unitarity drift is {drift}: the drive or V is not finite")
+    if drift > drift_tol:
+        suggested = max(2 * n, 1)
+        return StepSizeTooCoarse(f"unitarity drift {drift:.3e} exceeds {drift_tol:.1e}; "
+                                 f"retry with n_steps >= {suggested}", suggested_n_steps=suggested)
+    return None
+
+
+def _steps(model: GibbsModel, v: np.ndarray, drive: DriveProfile, grid: TimeGrid, first: int):
+    """The one step and drive path of a propagation of Hermitian ``v``: the
+    weights w at every node, the (n, d, d) step exponentials S_k, the leaves
+    (S_k, c_k w_k V) of the steps before node ``first`` (trapezoid weight
+    c_k = dt, dt/2 at node 0), and the trace phases of the nodes from
+    ``max(first, 1)`` on, exp(-i dt sum_{j<k} tr H_j / d).  The last three
+    are None on a grid without steps."""
+    if v.shape != model.h0.shape:
+        raise ValueError(f"dimension mismatch: V {v.shape} vs H0 {model.h0.shape}")
+    n = grid.n_steps
+    # a non-finite drive value is reported once, by the finiteness checks
+    with np.errstate(all="ignore"):
+        w = dlambda_dbeta(drive, grid.nodes, model.beta)
+        lam_mid = lambda_at(drive, grid.nodes[:-1] + 0.5 * grid.dt, model.beta)
+    if n == 0:
+        return w, None, None, None
+    d, dt = model.dim, grid.dt
+    identity = np.eye(d, dtype=complex)
+    c0, cv = np.trace(model.h0).real / d, np.trace(v).real / d
+    a0 = (-1j * dt) * (model.h0 - c0 * identity)
+    a1 = (-1j * dt) * (v - cv * identity)
+    steps = _step_exponentials(a0, a1, lam_mid)
+    leaves = np.empty_like(steps[:first])
+    with np.errstate(all="ignore"):
+        np.multiply((dt * w[:first])[:, None, None], v, out=leaves)
+        leaves[:1] *= 0.5
+    phase = np.exp((-1j * dt) * np.cumsum(c0 + cv * lam_mid)[max(first - 1, 0):])
+    return w, steps, leaves, phase
+
+
+#: Bytes of (U, M) pairs a one-node propagation leaves to its batched finish:
+#: 64 pairs at d = 2, 7 at d = 6, one from d = 16 on.
+RESIDUAL_BYTES = 8192
+
+#: Largest batch of padded residuals, in bytes of (U, M) pairs, finished together.
+FINISH_BYTES = 1 << 20
+
+
+def residual_pairs(d: int) -> int:
+    """Pairs R a one-node propagation of a d-level probe leaves unreduced."""
+    return max(1, RESIDUAL_BYTES // (2 * 16 * d * d))
+
+
+class NodeResidual(NamedTuple):
+    """A propagation to one node, left for a batched finish: the pairwise
+    (U, M) reduction of its steps stopped at ``residual_pairs(d)`` pairs or
+    fewer, the trace phase at the node, the node's half weight (dt/2) w_n,
+    and the step count.  Zero steps leave the one pair (I, 0)."""
+
+    u: np.ndarray
+    m: np.ndarray
+    phase: complex
+    half_weight: float
+    n_steps: int
+
+
+def reduce_to_node(model: GibbsModel, v: np.ndarray, drive: DriveProfile,
+                   grid: TimeGrid) -> NodeResidual:
+    """The record half of ``propagate(..., first=grid.n_steps)`` for Hermitian
+    ``v``; ``finish_nodes`` completes it.  Raises what the steps raise."""
+    n = grid.n_steps
+    w, steps, leaves, phase = _steps(model, v, drive, grid, n)
+    if n == 0:
+        d = model.dim
+        return NodeResidual(np.eye(d, dtype=complex)[None], np.zeros((1, d, d), complex),
+                            1.0, 0.0, 0)
+    with np.errstate(all="ignore"):
+        u, m = _reduce(steps, leaves, residual_pairs(model.dim))
+    return NodeResidual(u, m, phase[0], 0.5 * grid.dt * w[n], n)
+
+
+def finish_nodes(v: np.ndarray, residuals: list, drift_tol: float = DRIFT_TOL):
+    """U and M at the node of each residual, and its unitarity drift, for
+    Hermitian ``v``: bit for bit what ``propagate(..., first=n)`` holds there.
+
+    The residuals are padded at their end with (I, 0) pairs, which leave the
+    pairing tree and every product as they are, and finished in batches of
+    at most ``FINISH_BYTES``.  Returns (u, m, drift) stacks up to the first
+    residual that fails a guard of ``propagate``, and that failure (None if
+    none fails), so that a caller can report it in order.
+    """
+    d = len(v)
+    identity = np.eye(d, dtype=complex)
+    size = max(1, FINISH_BYTES // (2 * 16 * d * d * residual_pairs(d)))
+    us, ms, drifts, failure = [], [], [], None
+    for start in range(0, len(residuals), size):
+        batch = residuals[start:start + size]
+        p, r = len(batch), max(len(x.u) for x in batch)
+        # memory order (d, d, r, p): each level's products run over the points innermost
+        u = np.empty((d, d, r, p), dtype=complex).transpose(3, 2, 0, 1)
+        m = np.zeros_like(u)
+        u[:] = identity
+        for i, x in enumerate(batch):
+            u[i, :len(x.u)], m[i, :len(x.m)] = x.u, x.m
+        with np.errstate(all="ignore"):
+            u, m = (x[:, 0] for x in _reduce(u, m))
+        u = np.ascontiguousarray(u)  # the defect norm sums each point in propagate's order
+        u *= np.array([x.phase for x in batch])[:, None, None]
+        adjoints = u.conj().swapaxes(1, 2)
+        defects = np.linalg.norm(stack_mul(adjoints, u) - identity, axis=(1, 2))
+        heisenberg_v = stack_mul(adjoints, stack_mul(v, u))
+        # M = 0 + (M_reduced + (dt/2) w_n V_H), as propagate forms it; a zero-step node keeps 0
+        held = np.array([x.n_steps > 0 for x in batch])
+        half = np.array([x.half_weight for x in batch])[held, None, None]
+        node_m = np.zeros_like(m)
+        node_m[held] += m[held] + half * heisenberg_v[held]
+        bad = ~(defects <= drift_tol) | ~np.isfinite(node_m).all(axis=(1, 2))
+        k = int(bad.argmax()) if bad.any() else p
+        us.append(u[:k])
+        ms.append(node_m[:k])
+        drifts.append(defects[:k])
+        if k < p:
+            failure = (_drift_failure(float(defects[k]), batch[k].n_steps, drift_tol)
+                       or DriveThermError(_M_NOT_FINITE))
+            break
+    return np.concatenate(us), np.concatenate(ms), np.concatenate(drifts), failure
 
 
 def _step_exponentials(a0: np.ndarray, a1: np.ndarray, lam: np.ndarray) -> np.ndarray:
@@ -235,20 +356,23 @@ def _step_exponentials(a0: np.ndarray, a1: np.ndarray, lam: np.ndarray) -> np.nd
     return out
 
 
-def _reduce(u: np.ndarray, m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The pair (U, M) of a run of (U_k, M_k) leaves, M in the frame of the
-    run's start, reduced pairwise in batched levels: segment a then b give
-    U = U_b U_a and M = M_a + U_a^dag M_b U_a; an odd leaf goes up unpaired."""
-    while len(u) > 1:
-        h = len(u) // 2
-        ua = u[0:2 * h:2]
+def _reduce(u: np.ndarray, m: np.ndarray, keep: int = 1) -> tuple[np.ndarray, np.ndarray]:
+    """Runs of (U_k, M_k) leaves along axis -3, M in the frame of the run's
+    start, reduced pairwise in batched levels until at most ``keep`` pairs
+    remain: segment a then b give U = U_b U_a and M = M_a + U_a^dag M_b U_a;
+    an odd leaf goes up unpaired.  Leading axes are independent runs."""
+    while u.shape[-3] > keep:
+        n = u.shape[-3]
+        h = n // 2
+        ua = u[..., 0:2 * h:2, :, :]
         # the next level keeps the leaves' memory layout (see _step_exponentials)
-        pu, pm = np.empty_like(u[:len(u) - h]), np.empty_like(m[:len(u) - h])
-        pu[:h] = stack_mul(u[1::2], ua)
-        pm[:h] = m[0:2 * h:2] + stack_mul(ua.conj().swapaxes(1, 2), stack_mul(m[1::2], ua))
-        pu[h:], pm[h:] = u[2 * h:], m[2 * h:]
+        pu, pm = np.empty_like(u[..., :n - h, :, :]), np.empty_like(m[..., :n - h, :, :])
+        pu[..., :h, :, :] = stack_mul(u[..., 1::2, :, :], ua)
+        pm[..., :h, :, :] = m[..., 0:2 * h:2, :, :] + stack_mul(
+            ua.conj().swapaxes(-1, -2), stack_mul(m[..., 1::2, :, :], ua))
+        pu[..., h:, :, :], pm[..., h:, :, :] = u[..., 2 * h:, :, :], m[..., 2 * h:, :, :]
         u, m = pu, pm
-    return u[0], m[0]
+    return u, m
 
 
 def _chain(steps: np.ndarray, start: np.ndarray | None = None) -> np.ndarray:
@@ -302,8 +426,12 @@ def drho_dbeta_analytic(trace: EvolutionTrace, k) -> np.ndarray:
 
 
 def drho_dbeta_rows(model: GibbsModel, u: np.ndarray, m: np.ndarray) -> np.ndarray:
-    """U (dpi + [A, pi0]) U^dag, A = -i M, of (d, d) or (k, d, d) rows U and M."""
-    a_k = -1j * m
-    pi0 = model.state
-    inner = dpi_dbeta(model) + (stack_mul(a_k, pi0) - stack_mul(pi0, a_k))
-    return stack_mul(stack_mul(u, inner), u.conj().swapaxes(-1, -2))
+    """U (dpi + [A, pi0]) U^dag, A = -i M, of (d, d) or (k, d, d) rows U and M;
+    in place where it can, so that no more than four row stacks are live."""
+    a = -1j * m
+    inner = stack_mul(a, model.state)
+    inner -= stack_mul(model.state, a)
+    del a
+    inner += dpi_dbeta(model)
+    inner = stack_mul(u, inner)
+    return stack_mul(inner, u.conj().swapaxes(-1, -2))

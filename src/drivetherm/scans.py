@@ -3,7 +3,11 @@
 Scan points are independent pure evaluations, run in axis order.  Every
 scan point and every optimizer step is one ``_record``: one propagation on
 the default grid that holds only the nodes it reads, kept as (U, M) at the
-node read.  One ``engine._decompose`` then takes each run of records that
+node read.  A point read at one node (``value_at_t``, a time scan, an
+optimizer step) keeps the residual of its pairwise reduction, and
+``_finished`` completes the residuals of all points together
+(``propagation.finish_nodes``); a ``max_over_t`` point propagates through
+its window.  One ``engine._decompose`` then takes each run of records that
 share a Gibbs model: the model of H0 at beta*, except in a temperature
 scan, which builds one per point at its beta under the model's rank floor.
 A point whose dual-path mismatch exceeds ``engine.DUAL_PATH_TOL`` raises
@@ -21,7 +25,8 @@ from .drive import CosineModulation, DriveProfile, GaussianEnvelope
 from .engine import QfiResult, _decompose, check_dual_path, increment_at
 from .exceptions import DriveThermError
 from .operators import hermitize
-from .propagation import DRIFT_TOL, EvolutionTrace, default_grid, propagate
+from .propagation import (DRIFT_TOL, EvolutionTrace, NodeResidual, default_grid,
+                          finish_nodes, propagate, reduce_to_node)
 from .thermal import GibbsModel, equilibrium_qfi, make_gibbs
 
 AXES = ("frequency", "temperature", "time")
@@ -102,15 +107,18 @@ class ScanResult:
 
 class _Record(NamedTuple):
     """What a point keeps of its propagation, so that no trace outlives it:
-    U and M at the node read, as (d, d) copies, and that node's grid data."""
+    U and M at the node read, as (d, d) copies, and that node's grid data.
+    A one-node point keeps its ``residual`` instead of U, M and the drift
+    until ``_finished`` completes it."""
 
     model: GibbsModel
-    u: np.ndarray
-    m: np.ndarray
+    u: np.ndarray | None
+    m: np.ndarray | None
     node: int
     t: float
     n_steps: int
-    unitarity_drift: float
+    unitarity_drift: float | None
+    residual: NodeResidual | None = None
 
 
 def _best_node(trace: EvolutionTrace, window: tuple) -> int:
@@ -125,16 +133,33 @@ def _best_node(trace: EvolutionTrace, window: tuple) -> int:
 
 
 def _record(model: GibbsModel, v: np.ndarray, drive: DriveProfile, t_end: float,
-            *, window: tuple | None = None, drift_tol: float) -> _Record:
+            *, window: tuple | None = None, drift_tol: float = DRIFT_TOL) -> _Record:
     """One propagation on the default grid, held from the first node read,
-    recorded at one node: the final one, or the best node inside ``window``."""
+    recorded at one node: the final one, left as a residual for
+    ``_finished`` (which applies its drift guard), or the best node inside
+    ``window``."""
     grid = default_grid(t_end, model.spread, drive.omega_d)
+    if window is None:
+        n = grid.n_steps
+        return _Record(model, None, None, n, float(grid.nodes[n]), n, None,
+                       reduce_to_node(model, v, drive, grid))
     # t_end is the window's end, so the window holds grid nodes from this one on
-    first = grid.n_steps if window is None else int(np.searchsorted(grid.nodes, window[0]))
+    first = int(np.searchsorted(grid.nodes, window[0]))
     trace = propagate(model, v, drive, grid, first=first, drift_tol=drift_tol)
-    at = grid.n_steps if window is None else _best_node(trace, window)
+    at = _best_node(trace, window)
     return _Record(model, trace.propagators[at - first].copy(), trace.M[at - first].copy(),
                    at, float(grid.nodes[at]), grid.n_steps, trace.unitarity_drift)
+
+
+def _finished(records: list, v: np.ndarray, drift_tol: float) -> tuple[list, Exception | None]:
+    """The records with their residuals finished together, up to the first
+    that fails a guard of ``propagate``, and that failure (or None).  A scan's
+    points are all one-node points or all windowed ones."""
+    if not records or records[0].residual is None:
+        return records, None
+    u, m, drift, failure = finish_nodes(v, [r.residual for r in records], drift_tol)
+    return [r._replace(u=u[k], m=m[k], unitarity_drift=float(drift[k]), residual=None)
+            for k, r in enumerate(records[:len(drift)])], failure
 
 
 def _decompose_records(records: list, wheres: list) -> QfiResult:
@@ -170,9 +195,11 @@ def _record_point(spec: ScanSpec, value: float) -> _Record:
 
 
 def run_scan(spec: ScanSpec) -> ScanResult:
-    """Record every grid point in axis order, then decompose the records.  A
-    point that fails to propagate raises once the points before it have
-    passed their checks: the first failure in axis order is the one raised."""
+    """Record every grid point in axis order, finish the one-node records
+    together, then decompose the records.  A point that fails to propagate,
+    as it is recorded or as it is finished, raises once the points before it
+    have passed their checks: the first failure in axis order is the one
+    raised."""
     records, failure = [], None
     for x in spec.values:
         try:
@@ -180,6 +207,8 @@ def run_scan(spec: ScanSpec) -> ScanResult:
         except (DriveThermError, np.linalg.LinAlgError) as exc:
             failure = exc
             break
+    records, finish_failure = _finished(records, spec.v, spec.drift_tol)
+    failure = finish_failure or failure
     rows = records and _decompose_records(records, [f"{spec.axis} scan point {x:g}"
                                                     for x in spec.values])
     if failure is not None:
@@ -281,8 +310,11 @@ def optimize_drive(model: GibbsModel, v, t_eval: float,
             if len(trail) >= max_evals:
                 raise _BudgetExhausted
             where = "optimizer point " + ", ".join(f"{k}={p[k]:g}" for k in _PARAM_ORDER)
-            record = _record(model, v, current(p), t_eval, drift_tol=DRIFT_TOL)
-            f_total = float(_decompose_records([record], [where]).f_total[0])
+            records, failure = _finished([_record(model, v, current(p), t_eval)], v,
+                                         DRIFT_TOL)
+            if failure is not None:
+                raise failure
+            f_total = float(_decompose_records(records, [where]).f_total[0])
             cache[key] = f_total
             trail.append((dict(p), f_total))
         return cache[key]

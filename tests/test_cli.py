@@ -2,6 +2,7 @@ import dataclasses
 import json
 import math
 import os
+import platform
 import subprocess
 import sys
 from pathlib import Path
@@ -622,6 +623,23 @@ def test_scan_config_rejects_simulate_only_keys(tmp_path, capsys, extra, line):
     assert main(["simulate", "--config", str(cfg), "--out", str(out)]) == 0
 
 
+def test_scan_config_rejects_grid_n_steps(tmp_path, capsys):
+    # every scan point propagates on the default rule at its own time and omega_d
+    grid = "t_end: 6.283185307179586\n"
+    text = SCAN_CONFIG.replace(grid, grid + "  n_steps: 2000\n")
+    cfg = write(tmp_path, "scan.yaml", text)
+    out = tmp_path / "out"
+    assert main(["scan", "--config", str(cfg), "--out", str(out)]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert err == [f"configuration error: {cfg}:12: a scan config takes no 'grid.n_steps': "
+                   "each scan point propagates on the default rule at its own evaluation "
+                   "time and omega_d"], err
+    assert not out.exists()
+    # validate loads the same config, and fails on it alike
+    assert main(["validate", "--config", str(cfg)]) == 2
+    assert capsys.readouterr().err.splitlines() == err
+
+
 @pytest.mark.parametrize("old, new, line", [
     ("manifest: run.json", "manifest: run.csv", 15),
     ("manifest: run.json", "manifest: run.json\n  kernel: run.csv", 16),
@@ -723,6 +741,56 @@ def test_cli_loads_no_scipy(tmp_path):
                           text=True, timeout=300, check=False)
     assert done.returncode == 0, done.stderr
     assert done.stdout.splitlines()[-1] == "0 []"
+
+
+#: Minor page faults per point of a 20-point scan through one fresh ``main``.
+#: Measured on x86-64 Linux with glibc 2.36: about 18 with the allocator
+#: policy of ``main``, about 130 to 200 without it (glibc's default trims the
+#: heap and maps the points' stacks anew).
+SCAN_FAULTS_PER_POINT = 50
+
+
+@pytest.mark.skipif(platform.libc_ver()[0] != "glibc",
+                    reason="glibc's mallopt and Linux minor-fault counts")
+def test_scan_keeps_its_heap(tmp_path):
+    # 20 omega_d values read at t = 20 pi, as in the resonance recipe
+    text = SCAN_CONFIG.replace("6.283185307179586", "62.83185307179586")
+    text = text.replace("values: [0.5, 1.0, 2.0]", "values: {start: 0.5, stop: 2.0, num: 20}")
+    cfg = write(tmp_path, "scan20.yaml", text)
+    script = (
+        "import resource, sys\n"
+        "from drivetherm.cli import main\n"
+        "before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt\n"
+        f"code = main(['scan', '--config', {str(cfg)!r}, '--out', {str(tmp_path / 'o')!r}])\n"
+        "print(code, resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"), OPENBLAS_NUM_THREADS="1")
+    done = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                          text=True, timeout=300, check=False)
+    assert done.returncode == 0, done.stderr
+    code, faults = map(int, done.stdout.split()[-2:])
+    assert code == 0 and faults <= 20 * SCAN_FAULTS_PER_POINT, faults
+
+
+def test_only_main_sets_the_allocator(tmp_path):
+    # importing the package sets nothing; main sets both thresholds once
+    script = (
+        "import ctypes, types\n"
+        "calls = []\n"
+        "def mallopt(param, value):\n"
+        "    calls.append((param, value))\n"
+        "    return 1\n"
+        "ctypes.CDLL = lambda name, *args, **kwargs: types.SimpleNamespace(mallopt=mallopt)\n"
+        "import drivetherm, drivetherm.cli\n"
+        "print(calls)\n"
+        f"drivetherm.cli.main(['validate', '--config', {str(tmp_path / 'none.yaml')!r}])\n"
+        "print(calls)\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    done = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                          text=True, timeout=300, check=False)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.splitlines() == ["[]", str([(-3, 16 << 20), (-1, 4 << 20)])]
 
 
 def test_unknown_tolerance_key_rejected(tmp_path):
@@ -1043,7 +1111,6 @@ drive:
     phi: 0.0
 grid:
   t_end: 6.0
-  n_steps: 60
 scan:
   axis: frequency
   values: [0.5, 1.0]
@@ -1060,17 +1127,18 @@ scan:
     ("    kind: cosine\n    omega_d: 1.0\n    phi: 0.0\n",
      "    kind: tabulated\n    points: [[0.0, 1.0], [9.0, 0.5], [7.0, 0.0]]\n",
      14, "strictly increasing"),
-    ("t_end: 6.0", "t_end: 0.0", 17, "t_end == 0 requires n_steps == 0"),
+    # the grid's own rules come before a scan's rejection of grid.n_steps
+    ("t_end: 6.0", "t_end: 0.0\n  n_steps: 60", 17, "t_end == 0 requires n_steps == 0"),
     ("t_end: 6.0", "t_end: -1.0", 17, "t_end must be >= 0"),
-    ("n_steps: 60", "n_steps: -5", 17, "n_steps must be >= 0"),
+    ("t_end: 6.0", "t_end: 6.0\n  n_steps: -5", 17, "n_steps must be >= 0"),
     ("    kind: cosine\n    omega_d: 1.0\n    phi: 0.0\n", "    kind: constant\n",
-     19, "cosine"),
-    ("values: [0.5, 1.0]", "values: [1.0, 0.5]", 21, "strictly increasing"),
+     18, "cosine"),
+    ("values: [0.5, 1.0]", "values: [1.0, 0.5]", 20, "strictly increasing"),
     ("values: [0.5, 1.0]", "values:\n    start: 1.0\n    stop: 0.5\n    num: 3",
-     21, "strictly increasing"),
+     20, "strictly increasing"),
     ("mode: value_at_t\n    t: 6.0", "mode: max_over_t\n    window: [3.0, 1.0]",
-     24, "t1 > t0 >= 0"),
-    ("    t: 6.0", "    t: -1.0", 24, "t >= 0"),
+     23, "t1 > t0 >= 0"),
+    ("    t: 6.0", "    t: -1.0", 23, "t >= 0"),
     ("s_beta: 3.0", "s_beta: 0.0", 11, "s_beta must be > 0"),
     ("omega_d: 1.0", "omega_d: -1.0", 14, "omega_d must be >= 0"),
 ], ids=["envelope-abscissa", "temporal-abscissa", "t_end-iff-n_steps", "t_end-sign",

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from drivetherm import propagation
 from drivetherm.cli import main
 from drivetherm.drive import (ConstantEnvelope, ConstantModulation,
                               CosineModulation, DriveProfile, GaussianEnvelope,
@@ -14,7 +15,8 @@ from drivetherm.exceptions import DriveThermError, StepSizeTooCoarse
 from drivetherm.operators import SIGMA_X, SIGMA_Y, SIGMA_Z, UNROLL_MAX_DIM, stack_mul
 from drivetherm.propagation import (TimeGrid, _step_exponentials,
                                     beta_generator, default_n_steps,
-                                    drho_dbeta_analytic, propagate)
+                                    drho_dbeta_analytic, finish_nodes, propagate,
+                                    reduce_to_node, residual_pairs)
 from drivetherm.thermal import dpi_dbeta, make_gibbs
 
 from conftest import random_hermitian, step_axis_innermost
@@ -430,3 +432,38 @@ def test_first_node_bounds(qubit_model, resonant_drive):
     trace = propagate(qubit_model, SIGMA_X, resonant_drive, grid, first=3)
     with pytest.raises(ValueError, match="outside held nodes 3..4"):
         qfi_driven(trace, 2)
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 6, 16])
+def test_finished_nodes_equal_one_node_propagation(monkeypatch, rng, d):
+    # one batch of zero, odd and even step counts, whose residuals have
+    # different lengths and are padded to the longest: U, M and the drift bit
+    # for bit those of propagate(..., first=n); then in batches of one point
+    model = make_gibbs(random_hermitian(rng, d), 0.8)
+    v = random_hermitian(rng, d)
+    drive = DriveProfile(0.3, GaussianEnvelope(1.5, 1.0), CosineModulation(1.1, 0.3))
+    r = residual_pairs(d)
+    grids = [TimeGrid(0.0, 0), TimeGrid(0.3, 1), TimeGrid(0.5, 2), TimeGrid(0.9, 3 * r + 1),
+             TimeGrid(1.2, 4 * r), TimeGrid(1.7, 301)]
+    residuals = [reduce_to_node(model, v, drive, g) for g in grids]
+    lengths = [len(x.u) for x in residuals]
+    assert max(lengths) <= r and (len(set(lengths)) >= 3 or r == 1)
+    traces = [propagate(model, v, drive, g, first=g.n_steps) for g in grids]
+    for budget in (propagation.FINISH_BYTES, 1):
+        monkeypatch.setattr(propagation, "FINISH_BYTES", budget)
+        u, m, drift, failure = finish_nodes(v, residuals)
+        assert failure is None and len(u) == len(m) == len(drift) == len(grids)
+        for k, trace in enumerate(traces):
+            assert u[k].tobytes() == trace.propagators[0].tobytes(), k
+            assert m[k].tobytes() == trace.M[0].tobytes(), k
+            assert drift[k] == trace.unitarity_drift, k
+        # a guard fails at point 3: the points before it come back, with its error
+        bad = residuals[3]._replace(u=residuals[3].u.copy())
+        bad.u[0] *= 2.0
+        u, m, drift, failure = finish_nodes(v, residuals[:3] + [bad] + residuals[4:])
+        assert len(u) == len(m) == len(drift) == 3
+        assert isinstance(failure, StepSizeTooCoarse)
+        assert failure.suggested_n_steps == 2 * grids[3].n_steps
+        bad = residuals[4]._replace(half_weight=np.nan)
+        u, _, _, failure = finish_nodes(v, residuals[:4] + [bad])
+        assert len(u) == 4 and str(failure).startswith("the weighted integral M is not finite")

@@ -233,45 +233,83 @@ def test_max_over_t_decomposes_one_node(monkeypatch, make_spec):
 
 
 @settings(max_examples=40)
-@given(d=st.integers(2, 6), axis=st.sampled_from(["frequency", "time"]),
+@given(d=st.integers(2, 6), axis=st.sampled_from(["frequency", "temperature", "time"]),
        seed=st.integers(0, 2**32 - 1))
 def test_grouped_rows_equal_per_point_qfi_driven(d, axis, seed):
-    # one decomposition over the scan's stacked rows, bit for bit the per-point one
+    # the batched finish and one decomposition per Gibbs model over the scan's
+    # stacked rows, bit for bit the per-point one-node propagation
     rng = np.random.default_rng(seed)
     model = make_gibbs(random_hermitian(rng, d), 0.8)
     v = random_hermitian(rng, d)
-    values = (0.5, 0.9, 1.7) if axis == "frequency" else (0.0, 0.7, 1.5)
+    values = {"frequency": (0.5, 0.9, 1.7), "temperature": (0.5, 0.9, 1.7),
+              "time": (0.0, 0.7, 1.5)}[axis]
     spec = ScanSpec(axis=axis, values=values, model=model, v=v,
                     drive=base_drive(lambda0=0.3, beta0=1.5, s_beta=1.0, omega_d=1.1),
                     reduce=ReduceSpec(mode="value_at_t", t=1.5))
     for x, point in zip(values, run_scan(spec).points):
-        drive, t_end = spec.drive, x
+        at, drive, t_end = model, spec.drive, 1.5
         if axis == "frequency":
-            drive, t_end = replace(drive, temporal=CosineModulation(x, 0.0)), 1.5
+            drive = replace(drive, temporal=CosineModulation(x, 0.0))
+        elif axis == "temperature":
+            at = make_gibbs(model.h0, x, rank_floor=model.rank_floor)
+        else:
+            t_end = x
         grid = default_grid(t_end, model.spread, drive.omega_d)
-        row = qfi_driven(propagate(model, v, drive, grid, first=grid.n_steps))
+        row = qfi_driven(propagate(at, v, drive, grid, first=grid.n_steps))
         assert (point.f_eq, point.i_t, point.f_total, point.f_spectral) \
             == (row.f_eq, row.i_t, row.f_total, row.f_spectral)
 
 
 @pytest.mark.parametrize("fail_at", [0.5, 2.0])
 def test_scan_reports_its_first_failing_point(monkeypatch, fail_at):
-    # a propagation failure at one point, and a dual-path failure at every point
+    # a failure at one point as it is recorded (its steps) and as it is
+    # finished (the drift guard), and a dual-path failure at every point
     spec = freq_spec((0.5, 1.0, 2.0), t_eval=TWO_PI)
-    propagate = scans.propagate
+    reduce_to_node = scans.reduce_to_node
 
-    def failing_propagate(model, v, drive, grid, **kwargs):
+    def failing_record(model, v, drive, grid):
         if drive.omega_d == fail_at:
             raise StepSizeTooCoarse("injected propagation failure")
-        return propagate(model, v, drive, grid, **kwargs)
+        return reduce_to_node(model, v, drive, grid)
 
-    monkeypatch.setattr(scans, "propagate", failing_propagate)
-    with pytest.raises(StepSizeTooCoarse, match="injected"):
-        run_scan(spec)                              # the points before it pass
-    monkeypatch.setattr(engine, "DUAL_PATH_TOL", -1.0)
-    expected = "injected" if fail_at == 0.5 else "dual-path mismatch .* at frequency scan point 0.5 "
-    with pytest.raises(DriveThermError, match=expected):
-        run_scan(spec)
+    def failing_finish(model, v, drive, grid):
+        residual = reduce_to_node(model, v, drive, grid)
+        if drive.omega_d == fail_at:  # U grows by 2, so its defect is 3 sqrt(2)
+            residual.u[0] *= 2.0
+        return residual
+
+    steps = default_grid(TWO_PI, spec.model.spread, fail_at).n_steps
+    for failing, message in ((failing_record, "injected"),
+                             (failing_finish, "unitarity drift 4.243e\\+00 exceeds")):
+        monkeypatch.setattr(scans, "reduce_to_node", failing)
+        with pytest.raises(StepSizeTooCoarse, match=message) as raised:
+            run_scan(spec)                          # the points before it pass
+        if failing is failing_finish:
+            assert raised.value.suggested_n_steps == 2 * steps
+        with monkeypatch.context() as every_point_fails:
+            every_point_fails.setattr(engine, "DUAL_PATH_TOL", -1.0)
+            expected = message if fail_at == 0.5 else \
+                "dual-path mismatch .* at frequency scan point 0.5 "
+            with pytest.raises(DriveThermError, match=expected):
+                run_scan(spec)
+
+
+def test_finish_failure_precedes_a_later_record_failure(monkeypatch):
+    # point 1.0 fails its drift guard as it is finished, after point 2.0
+    # failed as it was recorded: the first in axis order is raised
+    reduce_to_node = scans.reduce_to_node
+
+    def failing(model, v, drive, grid):
+        if drive.omega_d == 2.0:
+            raise StepSizeTooCoarse("injected propagation failure")
+        residual = reduce_to_node(model, v, drive, grid)
+        if drive.omega_d == 1.0:
+            residual.u[0] *= 2.0
+        return residual
+
+    monkeypatch.setattr(scans, "reduce_to_node", failing)
+    with pytest.raises(StepSizeTooCoarse, match="unitarity drift"):
+        run_scan(freq_spec((0.5, 1.0, 2.0), t_eval=TWO_PI))
 
 
 def test_value_at_t_point_keeps_the_drift_guard():
