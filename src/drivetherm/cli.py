@@ -24,7 +24,6 @@ from .propagation import propagate
 from .reporting import (build_manifest, config_content_hash, write_kernel_csv,
                         write_manifest, write_scan_csv, write_simulation_csv)
 from .scans import run_scan
-from .validation import run_checks, summarize
 
 log = logging.getLogger("drivetherm")
 
@@ -188,6 +187,8 @@ def _run_recorded(command, run, out: str) -> int:
 
 
 def cmd_validate(run, report: str | None) -> int:
+    from .validation import run_checks, summarize  # only this command loads the suite
+
     checks = run_checks(run)
     print(summarize(checks))
     if report:

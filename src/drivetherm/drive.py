@@ -3,11 +3,12 @@
 The temperature envelope G and temporal modulation f are small tagged
 classes; tabulated variants interpolate with a C^1 monotone cubic
 (PCHIP), raise outside their abscissa range, and take G' as the exact
-derivative of that cubic.  All profiles are immutable after construction.
+derivative of that cubic.  All profiles are immutable NamedTuples; the
+ones with rules check them in ``__new__``, which ``_replace`` also runs.
 """
 
 import math
-from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -61,8 +62,11 @@ class _MonotoneCubic:
         return c1 + s * (2.0 * c2 + 3.0 * s * c3)
 
 
-@dataclass(frozen=True)
-class GaussianEnvelope:
+def _frozen(self, name, *value):
+    raise AttributeError(f"{type(self).__name__} is immutable: cannot set or delete {name!r}")
+
+
+class GaussianEnvelope(NamedTuple("GaussianEnvelope", [("beta0", float), ("s_beta", float)])):
     """G(beta) = exp(-(beta-beta0)^2 / (2 s_beta^2)), maximal (=1) at beta0.
 
     The exponent is formed from the ratio (beta-beta0)/s_beta before
@@ -70,12 +74,13 @@ class GaussianEnvelope:
     increments scale as G'^2, so silent overflow would zero the physics.
     """
 
-    beta0: float
-    s_beta: float
+    __slots__ = ()
+    _make = classmethod(lambda cls, it: cls(*it))  # so that _replace checks too
 
-    def __post_init__(self):
-        if not self.s_beta > 0.0:
-            raise ValueError(f"s_beta must be > 0, got {self.s_beta}")
+    def __new__(cls, beta0, s_beta):
+        if not s_beta > 0.0:
+            raise ValueError(f"s_beta must be > 0, got {s_beta}")
+        return super().__new__(cls, beta0, s_beta)
 
     def value(self, beta):
         z = (np.asarray(beta, dtype=float) - self.beta0) / self.s_beta
@@ -86,9 +91,11 @@ class GaussianEnvelope:
         return -((beta - self.beta0) / self.s_beta**2) * self.value(beta)
 
 
-@dataclass(frozen=True)
-class ConstantEnvelope:
+class ConstantEnvelope(NamedTuple):
     """Temperature-insensitive drive: G = 1, G' = 0 (the no-go case)."""
+
+    def __bool__(self):  # a profile, not an empty tuple
+        return True
 
     def value(self, beta):
         return np.ones_like(np.asarray(beta, dtype=float))
@@ -97,19 +104,18 @@ class ConstantEnvelope:
         return np.zeros_like(np.asarray(beta, dtype=float))
 
 
-@dataclass(frozen=True)
-class TabulatedEnvelope:
-    """User-supplied G(beta) samples, PCHIP-interpolated; G' is exact."""
+class TabulatedEnvelope(NamedTuple("TabulatedEnvelope", [("betas", tuple), ("values", tuple)])):
+    """User-supplied G(beta) samples, PCHIP-interpolated; G' is exact.  The
+    interpolant is kept beside the fields and is as immutable as they are."""
 
-    betas: tuple
-    values: tuple
-    _interp: _MonotoneCubic = field(init=False, repr=False, compare=False)
+    _make = classmethod(lambda cls, it: cls(*it))
+    __setattr__ = __delattr__ = _frozen
 
-    def __post_init__(self):
-        interp = _MonotoneCubic(self.betas, self.values, "envelope", "beta")
-        object.__setattr__(self, "betas", tuple(interp.x))
-        object.__setattr__(self, "values", tuple(interp.y))
-        object.__setattr__(self, "_interp", interp)
+    def __new__(cls, betas, values):
+        interp = _MonotoneCubic(betas, values, "envelope", "beta")
+        self = super().__new__(cls, tuple(interp.x), tuple(interp.y))
+        self.__dict__["_interp"] = interp
+        return self
 
     def value(self, beta):
         return self._interp(beta)
@@ -118,49 +124,48 @@ class TabulatedEnvelope:
         return self._interp.derivative(beta)
 
 
-@dataclass(frozen=True)
-class CosineModulation:
+class CosineModulation(NamedTuple("CosineModulation", [("omega_d", float), ("phi", float)])):
     """f(t) = cos(omega_d * t + phi)."""
 
-    omega_d: float
-    phi: float = 0.0
+    __slots__ = ()
+    _make = classmethod(lambda cls, it: cls(*it))
 
-    def __post_init__(self):
-        if self.omega_d < 0.0:
-            raise ValueError(f"omega_d must be >= 0, got {self.omega_d}")
+    def __new__(cls, omega_d, phi=0.0):
+        if omega_d < 0.0:
+            raise ValueError(f"omega_d must be >= 0, got {omega_d}")
+        return super().__new__(cls, omega_d, phi)
 
     def value(self, t):
         return np.cos(self.omega_d * np.asarray(t, dtype=float) + self.phi)
 
 
-@dataclass(frozen=True)
-class ConstantModulation:
+class ConstantModulation(NamedTuple):
     """f(t) = 1 (constant-in-time control)."""
+
+    def __bool__(self):
+        return True
 
     def value(self, t):
         return np.ones_like(np.asarray(t, dtype=float))
 
 
-@dataclass(frozen=True)
-class TabulatedModulation:
+class TabulatedModulation(NamedTuple("TabulatedModulation", [("times", tuple), ("values", tuple)])):
     """User-supplied f(t) samples, PCHIP-interpolated; no extrapolation."""
 
-    times: tuple
-    values: tuple
-    _interp: _MonotoneCubic = field(init=False, repr=False, compare=False)
+    _make = classmethod(lambda cls, it: cls(*it))
+    __setattr__ = __delattr__ = _frozen
 
-    def __post_init__(self):
-        interp = _MonotoneCubic(self.times, self.values, "modulation", "t")
-        object.__setattr__(self, "times", tuple(interp.x))
-        object.__setattr__(self, "values", tuple(interp.y))
-        object.__setattr__(self, "_interp", interp)
+    def __new__(cls, times, values):
+        interp = _MonotoneCubic(times, values, "modulation", "t")
+        self = super().__new__(cls, tuple(interp.x), tuple(interp.y))
+        self.__dict__["_interp"] = interp
+        return self
 
     def value(self, t):
         return self._interp(t)
 
 
-@dataclass(frozen=True)
-class DriveProfile:
+class DriveProfile(NamedTuple):
     """lambda(t, beta) = lambda0 * envelope(beta) * temporal(t)."""
 
     lambda0: float

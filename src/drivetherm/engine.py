@@ -30,7 +30,7 @@ as a scan's kept rows.  ``qfi_time_series`` returns its ``QfiResult`` of
 float64 columns over a trace's held nodes, ``qfi_driven`` floats at one.
 """
 
-from dataclasses import dataclass, fields
+from typing import NamedTuple
 
 import numpy as np
 
@@ -77,8 +77,7 @@ def information_current(model: GibbsModel, v_heisenberg: np.ndarray) -> np.ndarr
     return stack_mul(stack_mul(q, _coherences(model, v_heisenberg)), q.conj().T)
 
 
-@dataclass(frozen=True)
-class CurrentTrace:
+class CurrentTrace(NamedTuple):
     """Information currents and drive-sensitivity weights on a time grid."""
 
     grid: TimeGrid
@@ -137,8 +136,7 @@ def increment_series(ct: CurrentTrace) -> np.ndarray:
     return np.real(np.einsum("ij,kjl,kli->k", ct.model.state, dl, dl))
 
 
-@dataclass(frozen=True)
-class QfiResult:
+class QfiResult(NamedTuple):
     """Sensitivity of the driven probe, one column per quantity.
 
     From ``qfi_time_series`` every field is a float64 array over the grid
@@ -218,4 +216,4 @@ def qfi_driven(trace: EvolutionTrace, at: int | None = None) -> QfiResult:
         raise ValueError(f"node index {at} outside held nodes {trace.first}..{n}")
     k = [at - trace.first]
     column = _decompose(trace.model, trace.propagators[k], trace.M[k], trace.grid.nodes[[at]])
-    return QfiResult(*(float(getattr(column, f.name)[0]) for f in fields(QfiResult)))
+    return QfiResult._make(float(c[0]) for c in column)

@@ -31,7 +31,6 @@ of the engine is a fixed linear map of M.
 """
 
 import math
-from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -53,24 +52,24 @@ _TAYLOR_THETA = [(2.0 ** -53 * math.factorial(m + 2)) ** (1 / (m + 2)) for m in 
 _MAX_SQUARINGS = 16
 
 
-@dataclass(frozen=True)
-class TimeGrid:
+class TimeGrid(NamedTuple("TimeGrid", [("t_end", float), ("n_steps", int)])):
     """Uniform grid t_k = k * t_end / n_steps, with t_0 = 0.
 
     ``t_end == 0`` (with ``n_steps == 0``) is the degenerate single-node
     grid used for instantaneous evaluation.
     """
 
-    t_end: float
-    n_steps: int
+    __slots__ = ()
+    _make = classmethod(lambda cls, it: cls(*it))  # so that _replace checks too
 
-    def __post_init__(self):
-        if self.t_end < 0.0:
-            raise ValueError(f"t_end must be >= 0, got {self.t_end}")
-        if self.n_steps < 0:
-            raise ValueError(f"n_steps must be >= 0, got {self.n_steps}")
-        if (self.t_end == 0.0) != (self.n_steps == 0):
+    def __new__(cls, t_end, n_steps):
+        if t_end < 0.0:
+            raise ValueError(f"t_end must be >= 0, got {t_end}")
+        if n_steps < 0:
+            raise ValueError(f"n_steps must be >= 0, got {n_steps}")
+        if (t_end == 0.0) != (n_steps == 0):
             raise ValueError("t_end == 0 requires n_steps == 0 and vice versa")
+        return super().__new__(cls, t_end, n_steps)
 
     @property
     def dt(self) -> float:
@@ -97,8 +96,7 @@ def default_grid(t_end: float, *frequencies: float) -> TimeGrid:
     return TimeGrid(t_end, default_n_steps(t_end, *frequencies))
 
 
-@dataclass(frozen=True)
-class EvolutionTrace:
+class EvolutionTrace(NamedTuple):
     """Propagators, Heisenberg perturbation and their weighted integral at
     the held nodes k = first .. n, in rows k - first.
 

@@ -15,7 +15,6 @@ A point whose dual-path mismatch exceeds ``engine.DUAL_PATH_TOL`` raises
 """
 
 import math
-from dataclasses import dataclass, fields, replace
 from itertools import groupby
 from typing import Mapping, NamedTuple
 
@@ -33,8 +32,8 @@ AXES = ("frequency", "temperature", "time")
 REDUCE_MODES = ("value_at_t", "max_over_t")
 
 
-@dataclass(frozen=True)
-class ReduceSpec:
+class ReduceSpec(NamedTuple("ReduceSpec", [("mode", str), ("t", float | None),
+                                          ("window", tuple | None)])):
     """How a time series collapses to one scan row.
 
     ``value_at_t`` reads the QFI at a fixed evolution time (the default);
@@ -42,49 +41,45 @@ class ReduceSpec:
     because "maximum QFI at a fixed time" admits either reading.
     """
 
-    mode: str = "value_at_t"
-    t: float | None = None
-    window: tuple | None = None
+    __slots__ = ()
+    _make = classmethod(lambda cls, it: cls(*it))  # so that _replace checks too
 
-    def __post_init__(self):
-        if self.mode not in REDUCE_MODES:
-            raise ValueError(f"reduce mode must be one of {REDUCE_MODES}, got {self.mode!r}")
-        if self.mode == "value_at_t" and (self.t is None or self.t < 0.0):
-            raise ValueError(f"value_at_t reduction needs a time t >= 0, got {self.t}")
-        if self.mode == "max_over_t":
-            if self.window is None or len(self.window) != 2 or not self.window[1] > self.window[0] >= 0:
+    def __new__(cls, mode="value_at_t", t=None, window=None):
+        if mode not in REDUCE_MODES:
+            raise ValueError(f"reduce mode must be one of {REDUCE_MODES}, got {mode!r}")
+        if mode == "value_at_t" and (t is None or t < 0.0):
+            raise ValueError(f"value_at_t reduction needs a time t >= 0, got {t}")
+        if mode == "max_over_t":
+            if window is None or len(window) != 2 or not window[1] > window[0] >= 0:
                 raise ValueError("max_over_t reduction needs a window (t0, t1) with t1 > t0 >= 0")
+        return super().__new__(cls, mode, t, window)
 
 
-@dataclass(frozen=True)
-class ScanSpec:
+class ScanSpec(NamedTuple("ScanSpec", [("axis", str), ("values", tuple), ("model", GibbsModel),
+                                      ("v", np.ndarray), ("drive", DriveProfile),
+                                      ("reduce", ReduceSpec), ("drift_tol", float)])):
     """One sweep axis over an otherwise fixed model/drive configuration;
-    ``model`` is the Gibbs model of H0 at beta*."""
+    ``model`` is the Gibbs model of H0 at beta*.  ``values`` is kept as a
+    tuple of floats and ``v`` hermitized."""
 
-    axis: str
-    values: tuple
-    model: GibbsModel
-    v: np.ndarray
-    drive: DriveProfile
-    reduce: ReduceSpec
-    drift_tol: float = DRIFT_TOL
+    __slots__ = ()
+    _make = classmethod(lambda cls, it: cls(*it))
 
-    def __post_init__(self):
-        if self.axis not in AXES:
-            raise ValueError(f"axis must be one of {AXES}, got {self.axis!r}")
-        values = tuple(float(x) for x in self.values)
+    def __new__(cls, axis, values, model, v, drive, reduce, drift_tol=DRIFT_TOL):
+        if axis not in AXES:
+            raise ValueError(f"axis must be one of {AXES}, got {axis!r}")
+        values = tuple(float(x) for x in values)
         if len(values) == 0:
             raise ValueError("scan grid must be nonempty")
         if not all(b > a for a, b in zip(values, values[1:])):
             raise ValueError("scan grid must be strictly increasing")
-        object.__setattr__(self, "values", values)
-        object.__setattr__(self, "v", hermitize(self.v))
-        if self.axis == "frequency" and not isinstance(self.drive.temporal, CosineModulation):
+        v = hermitize(v)
+        if axis == "frequency" and not isinstance(drive.temporal, CosineModulation):
             raise ValueError("frequency scans need a cosine temporal modulation")
+        return super().__new__(cls, axis, values, model, v, drive, reduce, drift_tol)
 
 
-@dataclass(frozen=True)
-class ScanPoint:
+class ScanPoint(NamedTuple):
     axis_value: float
     f_eq: float
     i_t: float
@@ -92,8 +87,7 @@ class ScanPoint:
     f_spectral: float
 
 
-@dataclass(frozen=True)
-class ScanResult:
+class ScanResult(NamedTuple):
     """Scan rows in axis order, the argmax of F_total (ties -> smallest), the
     worst unitarity drift and dual-path mismatch, and the (min, max) steps."""
 
@@ -169,8 +163,7 @@ def _decompose_records(records: list, wheres: list) -> QfiResult:
     groups = [list(run) for _, run in groupby(records, key=lambda r: id(r.model))]
     columns = [_decompose(g[0].model, np.array([r.u for r in g]), np.array([r.m for r in g]),
                           np.array([r.t for r in g])) for g in groups]
-    rows = QfiResult(*(np.concatenate([getattr(c, f.name) for c in columns])
-                       for f in fields(QfiResult)))
+    rows = QfiResult._make(map(np.concatenate, zip(*columns)))
     for rel, where in zip(rows.rel_disagreement, wheres):
         check_dual_path(rel, where)
     return rows
@@ -180,7 +173,7 @@ def _record_point(spec: ScanSpec, value: float) -> _Record:
     model = spec.model
     drive = spec.drive
     if spec.axis == "frequency":
-        drive = replace(drive, temporal=replace(drive.temporal, omega_d=value))
+        drive = drive._replace(temporal=drive.temporal._replace(omega_d=value))
     elif spec.axis == "temperature":
         model = make_gibbs(model.h0, value, rank_floor=model.rank_floor)
     window = None
@@ -232,8 +225,7 @@ _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 WEAK_FIELD_CAP = 0.2
 
 
-@dataclass(frozen=True)
-class OptimizeResult:
+class OptimizeResult(NamedTuple):
     params: dict
     value: float
     trail: tuple            # ((params dict, value), ...) in evaluation order

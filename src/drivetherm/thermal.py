@@ -9,7 +9,7 @@ Units: hbar = k_B = 1; energies in units of the probe gap, inverse
 temperature beta in inverse energy units.
 """
 
-from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -20,8 +20,7 @@ from .operators import hermitize
 RANK_FLOOR = 1e-18
 
 
-@dataclass(frozen=True)
-class GibbsModel:
+class GibbsModel(NamedTuple):
     """Thermal state e^(-beta*H0)/Z0 together with its spectral data.
 
     ``energies`` ascend and ``basis`` columns are the matching eigenvectors
@@ -36,7 +35,7 @@ class GibbsModel:
     probabilities: np.ndarray
     state: np.ndarray
     log_z: float
-    rank_floor: float = field(default=RANK_FLOOR)
+    rank_floor: float = RANK_FLOOR
 
     @property
     def dim(self) -> int:

@@ -7,7 +7,6 @@ loaded user config (:class:`config.LoadedRun`).
 """
 
 import math
-from dataclasses import dataclass, replace
 from typing import NamedTuple
 
 import numpy as np
@@ -25,8 +24,7 @@ from .spin import (detuned_increment, magnetization, qubit_equilibrium_qfi,
 from .thermal import GibbsModel, equilibrium_qfi, make_gibbs
 
 
-@dataclass(frozen=True)
-class CheckResult:
+class CheckResult(NamedTuple):
     name: str
     passed: bool
     measured: float
@@ -149,7 +147,7 @@ def run_checks(run: LoadedRun | None = None, *, seed: int = 20260810) -> list[Ch
     check("increment-nonnegative", measured, -1e-10, at_least=True)
 
     # --- no-go: temperature-insensitive envelope ---------------------------
-    nogo_drive = replace(drive, envelope=ConstantEnvelope())
+    nogo_drive = drive._replace(envelope=ConstantEnvelope())
     nogo = engine.qfi_time_series(propagate(model, v, nogo_drive, grid, drift_tol=drift_tol))
     worst = float(max(np.abs(nogo.f_spectral - nogo.f_eq).max(), np.abs(nogo.i_t).max()))
     check("no-go-constant-envelope", worst, 1e-9)
@@ -189,7 +187,7 @@ def run_checks(run: LoadedRun | None = None, *, seed: int = 20260810) -> list[Ch
     check("short-time-quadratic-law", abs(i_short / t_short**2 - coef) / coef, 1e-3)
 
     # weak-field kernel, at every 16th node
-    weak_drive = replace(qubit_drive, lambda0=1e-4)
+    weak_drive = qubit_drive._replace(lambda0=1e-4)
     wgrid = default_grid(4.0, 1.0, 1.0)
     wtrace = propagate(qubit_model, REFERENCE.v, weak_drive, wgrid)
     km = engine.kernel_matrix(qubit_model, wtrace.heisenberg_v[::16])
@@ -204,14 +202,14 @@ def run_checks(run: LoadedRun | None = None, *, seed: int = 20260810) -> list[Ch
     lam0 = 0.01
     rgrid = TimeGrid(100.0, default_n_steps(100.0, 1.0, 1.0))
     i_res = engine.qfi_time_series(propagate(qubit_model, REFERENCE.v,
-                                             replace(qubit_drive, lambda0=lam0), rgrid)).i_t
+                                             qubit_drive._replace(lambda0=lam0), rgrid)).i_t
     exact = np.array([resonant_increment(1.0, m, lam0, gprime, t).exact
                       for t in rgrid.nodes[1:]])
     check("resonant-long-time-law", float(np.abs(i_res[1:] / exact - 1.0).max()), 0.02)
 
     # detuned drive (omega_d = 2): I_t stays on the bounded weak-field law
     dgrid = default_grid(20.0 * math.pi, 1.0, 2.0)
-    detuned = replace(qubit_drive, lambda0=lam0, temporal=CosineModulation(omega_d=2.0, phi=0.0))
+    detuned = qubit_drive._replace(lambda0=lam0, temporal=CosineModulation(omega_d=2.0, phi=0.0))
     i_det = engine.qfi_time_series(propagate(qubit_model, REFERENCE.v, detuned, dgrid)).i_t
     law = detuned_increment(1.0, 2.0, m, lam0, gprime, dgrid.nodes)
     check("detuned-bounded-law", float(np.abs(i_det - law).max() / law.max()), 0.02)

@@ -1,4 +1,3 @@
-import dataclasses
 import json
 import math
 import os
@@ -166,7 +165,7 @@ def test_scan_end_to_end(tmp_path):
     spec = load_run_config(str(cfg)).scan
     traces = []
     for omega_d in spec.values:
-        drive_at = dataclasses.replace(spec.drive, temporal=drive.CosineModulation(omega_d, 0.0))
+        drive_at = spec.drive._replace(temporal=drive.CosineModulation(omega_d, 0.0))
         grid = propagation.default_grid(spec.reduce.t, spec.model.spread, omega_d)
         traces.append(propagation.propagate(spec.model, spec.v, drive_at, grid,
                                             first=grid.n_steps))
@@ -480,17 +479,17 @@ drive:
 
 @pytest.mark.parametrize("error", [DriveThermError, np.linalg.LinAlgError],
                          ids=["DriveThermError", "LinAlgError"])
-@pytest.mark.parametrize("command, target, text", [
-    ("simulate", "propagate", BASE_CONFIG),
-    ("scan", "run_scan", SCAN_CONFIG),
-    ("validate", "run_checks", BASE_CONFIG),
+@pytest.mark.parametrize("command, owner, target, text", [
+    ("simulate", cli, "propagate", BASE_CONFIG),
+    ("scan", cli, "run_scan", SCAN_CONFIG),
+    ("validate", validation, "run_checks", BASE_CONFIG),
 ], ids=["simulate", "scan", "validate"])
-def test_numerical_failure_exits_cleanly(tmp_path, capsys, monkeypatch, command, target,
-                                         text, error):
+def test_numerical_failure_exits_cleanly(tmp_path, capsys, monkeypatch, command, owner,
+                                         target, text, error):
     def fail(*args, **kwargs):
         raise error("injected failure")
 
-    monkeypatch.setattr(cli, target, fail)
+    monkeypatch.setattr(owner, target, fail)
     cfg = write(tmp_path, "run.yaml", text)
     argv = [command, "--config", str(cfg)]
     if command != "validate":
@@ -514,7 +513,7 @@ def test_non_finite_input_at_a_scan_point_fails_in_one_line(tmp_path, capsys, mo
     assert main(["scan", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 1
     run_scan = cli.run_scan
     nan_v = np.array([[0.0, np.nan], [np.nan, 0.0]])
-    monkeypatch.setattr(cli, "run_scan", lambda spec: run_scan(dataclasses.replace(spec, v=nan_v)))
+    monkeypatch.setattr(cli, "run_scan", lambda spec: run_scan(spec._replace(v=nan_v)))
     cfg = write(tmp_path, "scan2.yaml", SCAN_CONFIG)
     assert main(["scan", "--config", str(cfg), "--out", str(tmp_path / "o2")]) == 1
     err = capsys.readouterr().err.splitlines()
@@ -547,7 +546,7 @@ def test_out_naming_a_file_is_a_configuration_error(tmp_path, capsys, command, t
         "report-directory", "report-below-file"])
 def test_unusable_path_is_one_line_configuration_error(tmp_path, capsys, monkeypatch, argv):
     monkeypatch.chdir(tmp_path)
-    monkeypatch.setattr(cli, "run_checks", lambda run: pytest.fail("checks ran"))
+    monkeypatch.setattr(validation, "run_checks", lambda run: pytest.fail("checks ran"))
     (tmp_path / "adir").mkdir()
     write(tmp_path, "afile", "keep\n")
     (tmp_path / "latin1.yaml").write_bytes(BASE_CONFIG.replace("# minimal", "# d\xe9j\xe0")
@@ -727,14 +726,20 @@ def test_time_scan_rejects_reduce(tmp_path, capsys):
     assert [r[0] for r in rows] == [0.5, 1.0, 2.0]
 
 
-def test_cli_loads_no_scipy(tmp_path):
-    # scipy is a test-only dependency: a fresh CLI run must not import it
+@pytest.mark.parametrize("command", ["simulate", "scan"])
+def test_cli_loads_only_what_it_runs(tmp_path, command):
+    # scipy is a test-only dependency, dataclasses a start-up cost the records
+    # avoid, and the validation suite belongs to 'validate': a fresh
+    # 'simulate' or 'scan' run imports none of them
+    config = (ROOT / "configs" / "fig2a.yaml" if command == "simulate"
+              else write(tmp_path, "scan.yaml", SCAN_CONFIG))
     script = (
         "import sys\n"
         "from drivetherm.cli import main\n"
-        f"code = main(['simulate', '--config', {str(ROOT / 'configs' / 'fig2a.yaml')!r},"
-        f" '--out', {str(tmp_path)!r}])\n"
-        "print(code, sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
+        f"code = main([{command!r}, '--config', {str(config)!r},"
+        f" '--out', {str(tmp_path / 'out')!r}])\n"
+        "print(code, sorted(m for m in sys.modules if m.startswith('scipy')\n"
+        "                   or m in ('dataclasses', 'drivetherm.validation')))\n"
     )
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
     done = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,

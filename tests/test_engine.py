@@ -1,5 +1,3 @@
-from dataclasses import fields
-
 import numpy as np
 import pytest
 
@@ -289,12 +287,12 @@ def test_increment_is_exactly_nonnegative_for_commuting_perturbation(d):
 def test_time_series_columns_are_float64_arrays(qubit_model, resonant_drive):
     grid = TimeGrid(TWO_PI, 120)
     series = qfi_time_series(propagate(qubit_model, SIGMA_X, resonant_drive, grid))
-    for field in fields(series):
-        column = getattr(series, field.name)
-        assert isinstance(column, np.ndarray), field.name
-        assert column.dtype == np.float64 and column.shape == (grid.n_nodes,), field.name
+    for name in series._fields:
+        column = getattr(series, name)
+        assert isinstance(column, np.ndarray), name
+        assert column.dtype == np.float64 and column.shape == (grid.n_nodes,), name
     single = qfi_driven(propagate(qubit_model, SIGMA_X, resonant_drive, grid))
-    assert all(type(getattr(single, f.name)) is float for f in fields(single))
+    assert all(type(getattr(single, name)) is float for name in single._fields)
 
 
 @pytest.mark.parametrize("d", range(1, 7))

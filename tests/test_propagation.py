@@ -1,5 +1,3 @@
-import dataclasses
-
 import numpy as np
 import pytest
 from hypothesis import given
@@ -385,8 +383,8 @@ def test_drho_dbeta_analytic_matches_matmul(rng, d):
     a, u, pi0 = -1j * trace.M, trace.propagators, model.state
     expected = u @ (dpi_dbeta(model) + a @ pi0 - pi0 @ a) @ u.conj().swapaxes(1, 2)
     nodes = np.arange(trace.grid.n_nodes)
-    innermost = dataclasses.replace(trace, M=step_axis_innermost(trace.M),
-                                    propagators=step_axis_innermost(u))
+    innermost = trace._replace(M=step_axis_innermost(trace.M),
+                               propagators=step_axis_innermost(u))
     for tr in (trace, innermost):
         got = drho_dbeta_analytic(tr, nodes)
         assert np.abs(got - expected).max() <= 1e-14 * np.abs(expected).max()

@@ -1,7 +1,6 @@
 """The table writers: every value is written as f"{x:.17g}", in row order."""
 
 import math
-from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -47,7 +46,7 @@ def body(path):
 
 
 @settings(max_examples=60)
-@given(tables(len(fields(QfiResult))))
+@given(tables(len(QfiResult._fields)))
 def test_simulation_csv_formats_each_value_17g(tmp_path_factory, table):
     path = tmp_path_factory.mktemp("sim") / "sim.csv"
     write_simulation_csv(path, QfiResult(*table.T), "h", n_measurements=1)
@@ -59,7 +58,7 @@ def test_simulation_csv_formats_each_value_17g(tmp_path_factory, table):
 def test_simulation_csv_crb_column(tmp_path):
     # crb_sigma = 1/sqrt(n F_total) for n measurements; inf where F_total <= 0
     f_total = np.array([0.37, 2.5e3, 1e-300, 0.0, -0.0, -1.2, np.nan])
-    table = np.zeros((len(f_total), len(fields(QfiResult))))
+    table = np.zeros((len(f_total), len(QfiResult._fields)))
     table[:, 3] = f_total
     write_simulation_csv(tmp_path / "sim.csv", QfiResult(*table.T), "h", n_measurements=25)
     crb = [line.split(",")[6] for line in body(tmp_path / "sim.csv")[1]]

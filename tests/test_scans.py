@@ -1,5 +1,3 @@
-from dataclasses import replace
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -249,7 +247,7 @@ def test_grouped_rows_equal_per_point_qfi_driven(d, axis, seed):
     for x, point in zip(values, run_scan(spec).points):
         at, drive, t_end = model, spec.drive, 1.5
         if axis == "frequency":
-            drive = replace(drive, temporal=CosineModulation(x, 0.0))
+            drive = drive._replace(temporal=CosineModulation(x, 0.0))
         elif axis == "temperature":
             at = make_gibbs(model.h0, x, rank_floor=model.rank_floor)
         else:
@@ -318,16 +316,16 @@ def test_value_at_t_point_keeps_the_drift_guard():
     grid = default_grid(TWO_PI, spec.model.spread, 1.0)
     defect = propagate(spec.model, spec.v, spec.drive, grid, first=grid.n_steps).unitarity_drift
     assert defect > 0.0
-    assert run_scan(replace(spec, drift_tol=defect)).points[0].f_total > 0.0
+    assert run_scan(spec._replace(drift_tol=defect)).points[0].f_total > 0.0
     with pytest.raises(StepSizeTooCoarse, match="unitarity drift"):
-        run_scan(replace(spec, drift_tol=0.5 * defect))
+        run_scan(spec._replace(drift_tol=0.5 * defect))
 
 
 def test_non_finite_v_at_a_scan_point_is_a_drive_therm_error():
     v = SIGMA_X.copy()
     v[0, 1] = v[1, 0] = np.nan
     with pytest.raises(DriveThermError, match="not finite"):
-        run_scan(replace(freq_spec((1.0,), t_eval=TWO_PI), v=v))
+        run_scan(freq_spec((1.0,), t_eval=TWO_PI)._replace(v=v))
 
 
 # ------------------------------------------------------------- optimizer
