@@ -21,7 +21,9 @@ reduction at ``residual_pairs(d)`` pairs (a fixed byte budget) and keeps
 them with the node's trace phase and half weight, and ``finish_nodes``
 completes a list of such residuals as batched (P, d, d) operations, bit for
 bit the U, M and drift of ``propagate(..., first=n)``.  Both routes form
-their steps and leaves in ``_steps``.
+their steps and leaves in ``_steps`` and run one node step, ``_node_step``
+(unitarity defect and V_H), on their nodes; a grid without steps is an
+ordinary grid of empty step stacks.
 Heisenberg operators V_H(t) = U^dag V U and the weighted integral
 M(t) = int_0^t dlambda/dbeta(s) V_H(s) ds are accumulated once, here, and
 cached on the resulting trace together with the weights w = dlambda/dbeta
@@ -138,26 +140,21 @@ def propagate(model: GibbsModel, v, drive: DriveProfile, grid: TimeGrid,
     n = grid.n_steps
     if not 0 <= first <= n:
         raise ValueError(f"first node {first} outside grid with {n} steps")
-    identity = np.eye(model.dim, dtype=complex)
 
     w, steps, leaves, phase = _steps(model, v, drive, grid, first)
-    propagators = identity[None]
-    if n > 0:
-        start = None
-        if first:
-            with np.errstate(all="ignore"):
-                start, m_first = (x[0] for x in _reduce(steps[:first], leaves))
-        propagators = _chain(steps[first:], start)
-        propagators[0 if first else 1:] *= phase[:, None, None]
+    start = None
+    if first:
+        with np.errstate(all="ignore"):
+            start, m_first = (x[0] for x in _reduce(steps[:first], leaves))
+    propagators = _chain(steps[first:], start)
+    propagators *= phase[:, None, None]
 
-    adjoints = propagators.conj().swapaxes(1, 2)
-    defects = np.linalg.norm(stack_mul(adjoints, propagators) - identity, axis=(1, 2))
+    defects, heisenberg_v = _node_step(v, propagators)
     drift = float(defects.max())
     failure = _drift_failure(drift, n, drift_tol)
     if failure is not None:
         raise failure
 
-    heisenberg_v = np.ascontiguousarray(stack_mul(adjoints, stack_mul(v, propagators)))
     propagators = np.ascontiguousarray(propagators)
     w = w[first:]
     m = cumulative_trapezoid(w[:, None, None] * heisenberg_v, grid.dt)
@@ -170,6 +167,15 @@ def propagate(model: GibbsModel, v, drive: DriveProfile, grid: TimeGrid,
 
 
 _M_NOT_FINITE = "the weighted integral M is not finite: check the drive's dlambda/dbeta"
+
+
+def _node_step(v: np.ndarray, u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The unitarity defects ||U^dag U - I||_F and the Heisenberg operators
+    U^dag V U, C-contiguous, of a (k, d, d) stack of propagators U, for
+    Hermitian ``v``."""
+    adjoints = u.conj().swapaxes(1, 2)
+    defects = np.linalg.norm(stack_mul(adjoints, u) - np.eye(len(v), dtype=complex), axis=(1, 2))
+    return defects, np.ascontiguousarray(stack_mul(adjoints, stack_mul(v, u)))
 
 
 def _drift_failure(drift: float, n: int, drift_tol: float) -> DriveThermError | None:
@@ -188,29 +194,26 @@ def _steps(model: GibbsModel, v: np.ndarray, drive: DriveProfile, grid: TimeGrid
     """The one step and drive path of a propagation of Hermitian ``v``: the
     weights w at every node, the (n, d, d) step exponentials S_k, the leaves
     (S_k, c_k w_k V) of the steps before node ``first`` (trapezoid weight
-    c_k = dt, dt/2 at node 0), and the trace phases of the nodes from
-    ``max(first, 1)`` on, exp(-i dt sum_{j<k} tr H_j / d).  The last three
-    are None on a grid without steps."""
+    c_k = dt, dt/2 at node 0), and the trace phases of the nodes
+    ``first .. n``, exp(-i dt sum_{j<k} tr H_j / d), exactly exp(0) at node 0.
+    A grid without steps has empty stacks."""
     if v.shape != model.h0.shape:
         raise ValueError(f"dimension mismatch: V {v.shape} vs H0 {model.h0.shape}")
-    n = grid.n_steps
-    # a non-finite drive value is reported once, by the finiteness checks
-    with np.errstate(all="ignore"):
-        w = dlambda_dbeta(drive, grid.nodes, model.beta)
-        lam_mid = lambda_at(drive, grid.nodes[:-1] + 0.5 * grid.dt, model.beta)
-    if n == 0:
-        return w, None, None, None
     d, dt = model.dim, grid.dt
     identity = np.eye(d, dtype=complex)
-    c0, cv = np.trace(model.h0).real / d, np.trace(v).real / d
-    a0 = (-1j * dt) * (model.h0 - c0 * identity)
-    a1 = (-1j * dt) * (v - cv * identity)
+    # a non-finite drive value or entry of V is reported once, by the finiteness checks
+    with np.errstate(all="ignore"):
+        w = dlambda_dbeta(drive, grid.nodes, model.beta)
+        lam_mid = lambda_at(drive, grid.nodes[:-1] + 0.5 * dt, model.beta)
+        c0, cv = np.trace(model.h0).real / d, np.trace(v).real / d
+        a0 = (-1j * dt) * (model.h0 - c0 * identity)
+        a1 = (-1j * dt) * (v - cv * identity)
     steps = _step_exponentials(a0, a1, lam_mid)
     leaves = np.empty_like(steps[:first])
     with np.errstate(all="ignore"):
         np.multiply((dt * w[:first])[:, None, None], v, out=leaves)
         leaves[:1] *= 0.5
-    phase = np.exp((-1j * dt) * np.cumsum(c0 + cv * lam_mid)[max(first - 1, 0):])
+    phase = np.exp((-1j * dt) * np.append(0.0, np.cumsum(c0 + cv * lam_mid))[first:])
     return w, steps, leaves, phase
 
 
@@ -231,7 +234,7 @@ class NodeResidual(NamedTuple):
     """A propagation to one node, left for a batched finish: the pairwise
     (U, M) reduction of its steps stopped at ``residual_pairs(d)`` pairs or
     fewer, the trace phase at the node, the node's half weight (dt/2) w_n,
-    and the step count.  Zero steps leave the one pair (I, 0)."""
+    and the step count.  Zero steps leave no pair and a half weight of 0."""
 
     u: np.ndarray
     m: np.ndarray
@@ -246,54 +249,46 @@ def reduce_to_node(model: GibbsModel, v: np.ndarray, drive: DriveProfile,
     ``v``; ``finish_nodes`` completes it.  Raises what the steps raise."""
     n = grid.n_steps
     w, steps, leaves, phase = _steps(model, v, drive, grid, n)
-    if n == 0:
-        d = model.dim
-        return NodeResidual(np.eye(d, dtype=complex)[None], np.zeros((1, d, d), complex),
-                            1.0, 0.0, 0)
     with np.errstate(all="ignore"):
         u, m = _reduce(steps, leaves, residual_pairs(model.dim))
-    return NodeResidual(u, m, phase[0], 0.5 * grid.dt * w[n], n)
+    # a node without steps adds nothing to M, as in propagate, whatever w is there
+    return NodeResidual(u, m, phase[0], 0.5 * grid.dt * w[n] if n else 0.0, n)
 
 
 def finish_nodes(v: np.ndarray, residuals: list, drift_tol: float = DRIFT_TOL):
     """U and M at the node of each residual, and its unitarity drift, for
     Hermitian ``v``: bit for bit what ``propagate(..., first=n)`` holds there.
 
-    The residuals are padded at their end with (I, 0) pairs, which leave the
-    pairing tree and every product as they are, and finished in batches of
-    at most ``FINISH_BYTES``.  Returns (u, m, drift) stacks up to the first
-    residual that fails a guard of ``propagate``, and that failure (None if
-    none fails), so that a caller can report it in order.
+    The residuals are padded at their end, to one pair at least, with (I, 0)
+    pairs, which leave the pairing tree and every product as they are, and
+    finished in batches of at most ``FINISH_BYTES``.  Returns (u, m, drift)
+    stacks up to the first residual that fails a guard of ``propagate``, and
+    that failure (None if none fails), so that a caller can report it in order.
     """
     d = len(v)
-    identity = np.eye(d, dtype=complex)
     size = max(1, FINISH_BYTES // (2 * 16 * d * d * residual_pairs(d)))
     us, ms, drifts, failure = [], [], [], None
     for start in range(0, len(residuals), size):
         batch = residuals[start:start + size]
-        p, r = len(batch), max(len(x.u) for x in batch)
+        p, r = len(batch), max(1, *(len(x.u) for x in batch))
         # memory order (d, d, r, p): each level's products run over the points innermost
         u = np.empty((d, d, r, p), dtype=complex).transpose(3, 2, 0, 1)
         m = np.zeros_like(u)
-        u[:] = identity
+        u[:] = np.eye(d)
         for i, x in enumerate(batch):
             u[i, :len(x.u)], m[i, :len(x.m)] = x.u, x.m
         with np.errstate(all="ignore"):
             u, m = (x[:, 0] for x in _reduce(u, m))
         u = np.ascontiguousarray(u)  # the defect norm sums each point in propagate's order
         u *= np.array([x.phase for x in batch])[:, None, None]
-        adjoints = u.conj().swapaxes(1, 2)
-        defects = np.linalg.norm(stack_mul(adjoints, u) - identity, axis=(1, 2))
-        heisenberg_v = stack_mul(adjoints, stack_mul(v, u))
-        # M = 0 + (M_reduced + (dt/2) w_n V_H), as propagate forms it; a zero-step node keeps 0
-        held = np.array([x.n_steps > 0 for x in batch])
-        half = np.array([x.half_weight for x in batch])[held, None, None]
-        node_m = np.zeros_like(m)
-        node_m[held] += m[held] + half * heisenberg_v[held]
-        bad = ~(defects <= drift_tol) | ~np.isfinite(node_m).all(axis=(1, 2))
+        defects, heisenberg_v = _node_step(v, u)
+        # M = 0 + (M_reduced + (dt/2) w_n V_H), as propagate forms it: 0 + -0 is +0
+        half = np.array([x.half_weight for x in batch])[:, None, None]
+        m = 0.0 + (m + half * heisenberg_v)
+        bad = ~(defects <= drift_tol) | ~np.isfinite(m).all(axis=(1, 2))
         k = int(bad.argmax()) if bad.any() else p
         us.append(u[:k])
-        ms.append(node_m[:k])
+        ms.append(m[:k])
         drifts.append(defects[:k])
         if k < p:
             failure = (_drift_failure(float(defects[k]), batch[k].n_steps, drift_tol)
@@ -318,7 +313,7 @@ def _step_exponentials(a0: np.ndarray, a1: np.ndarray, lam: np.ndarray) -> np.nd
     squared s times.  I is added after the product, so that the small terms
     are summed at their own scale and meet the 1 in one rounding."""
     d, n = len(a0), len(lam)
-    scale = float(np.abs(lam).max())
+    scale = float(np.abs(lam).max(initial=0.0))
     norm = float(np.abs(a0).sum(axis=0).max()) + scale * float(np.abs(a1).sum(axis=0).max())
     if not math.isfinite(norm):
         raise DriveThermError(f"unitarity drift is nan: step norm {norm}; drive or V not finite")
@@ -401,8 +396,7 @@ def _chain(steps: np.ndarray, start: np.ndarray | None = None) -> np.ndarray:
 def cumulative_trapezoid(values: np.ndarray, dt: float) -> np.ndarray:
     """Running composite trapezoid of a node stack: out[k] = int_0^{t_k}."""
     out = np.zeros_like(values)
-    if len(values) > 1:
-        np.cumsum(0.5 * dt * (values[:-1] + values[1:]), axis=0, out=out[1:])
+    np.cumsum(0.5 * dt * (values[:-1] + values[1:]), axis=0, out=out[1:])
     return out
 
 

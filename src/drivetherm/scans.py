@@ -4,14 +4,14 @@ Scan points are independent pure evaluations, run in axis order.  Every
 scan point and every optimizer step is one ``_record``: one propagation on
 the default grid that holds only the nodes it reads, kept as (U, M) at the
 node read.  A point read at one node (``value_at_t``, a time scan, an
-optimizer step) keeps the residual of its pairwise reduction, and
-``_finished`` completes the residuals of all points together
-(``propagation.finish_nodes``); a ``max_over_t`` point propagates through
-its window.  One ``engine._decompose`` then takes each run of records that
-share a Gibbs model: the model of H0 at beta*, except in a temperature
-scan, which builds one per point at its beta under the model's rank floor.
-A point whose dual-path mismatch exceeds ``engine.DUAL_PATH_TOL`` raises
-:class:`DriveThermError`.
+optimizer step) keeps the residual of its pairwise reduction; a
+``max_over_t`` point propagates through its window.  One tail, ``_rows``,
+serves both the scan and the optimizer: it completes the residuals of all
+points together (``propagation.finish_nodes``), then one
+``engine._decompose`` takes each run of records that share a Gibbs model:
+the model of H0 at beta*, except in a temperature scan, which builds one per
+point at its beta under the model's rank floor.  A point whose dual-path
+mismatch exceeds ``engine.DUAL_PATH_TOL`` raises :class:`DriveThermError`.
 """
 
 import math
@@ -47,11 +47,12 @@ class ReduceSpec(NamedTuple("ReduceSpec", [("mode", str), ("t", float | None),
     def __new__(cls, mode="value_at_t", t=None, window=None):
         if mode not in REDUCE_MODES:
             raise ValueError(f"reduce mode must be one of {REDUCE_MODES}, got {mode!r}")
-        if mode == "value_at_t" and (t is None or t < 0.0):
-            raise ValueError(f"value_at_t reduction needs a time t >= 0, got {t}")
+        if mode == "value_at_t" and (t is None or not math.inf > t >= 0.0):
+            raise ValueError(f"value_at_t reduction needs a finite time t >= 0, got {t}")
         if mode == "max_over_t":
-            if window is None or len(window) != 2 or not window[1] > window[0] >= 0:
-                raise ValueError("max_over_t reduction needs a window (t0, t1) with t1 > t0 >= 0")
+            if window is None or len(window) != 2 or not math.inf > window[1] > window[0] >= 0:
+                raise ValueError("max_over_t reduction needs a window (t0, t1) with finite "
+                                 "t1 > t0 >= 0")
         return super().__new__(cls, mode, t, window)
 
 
@@ -71,6 +72,8 @@ class ScanSpec(NamedTuple("ScanSpec", [("axis", str), ("values", tuple), ("model
         values = tuple(float(x) for x in values)
         if len(values) == 0:
             raise ValueError("scan grid must be nonempty")
+        if not all(map(math.isfinite, values)):
+            raise ValueError(f"scan grid must be finite, got {values}")
         if not all(b > a for a, b in zip(values, values[1:])):
             raise ValueError("scan grid must be strictly increasing")
         v = hermitize(v)
@@ -101,14 +104,13 @@ class ScanResult(NamedTuple):
 
 class _Record(NamedTuple):
     """What a point keeps of its propagation, so that no trace outlives it:
-    U and M at the node read, as (d, d) copies, and that node's grid data.
-    A one-node point keeps its ``residual`` instead of U, M and the drift
-    until ``_finished`` completes it."""
+    U and M at the node read, as (d, d) copies, that node's time, the step
+    count and the drift.  A one-node point keeps its ``residual`` instead of
+    U, M and the drift until ``_rows`` finishes it."""
 
     model: GibbsModel
     u: np.ndarray | None
     m: np.ndarray | None
-    node: int
     t: float
     n_steps: int
     unitarity_drift: float | None
@@ -129,44 +131,46 @@ def _best_node(trace: EvolutionTrace, window: tuple) -> int:
 def _record(model: GibbsModel, v: np.ndarray, drive: DriveProfile, t_end: float,
             *, window: tuple | None = None, drift_tol: float = DRIFT_TOL) -> _Record:
     """One propagation on the default grid, held from the first node read,
-    recorded at one node: the final one, left as a residual for
-    ``_finished`` (which applies its drift guard), or the best node inside
-    ``window``."""
+    recorded at one node: the final one, left as a residual for ``_rows``
+    (which applies its drift guard), or the best node inside ``window``."""
     grid = default_grid(t_end, model.spread, drive.omega_d)
     if window is None:
         n = grid.n_steps
-        return _Record(model, None, None, n, float(grid.nodes[n]), n, None,
+        return _Record(model, None, None, float(grid.nodes[n]), n, None,
                        reduce_to_node(model, v, drive, grid))
     # t_end is the window's end, so the window holds grid nodes from this one on
     first = int(np.searchsorted(grid.nodes, window[0]))
     trace = propagate(model, v, drive, grid, first=first, drift_tol=drift_tol)
     at = _best_node(trace, window)
     return _Record(model, trace.propagators[at - first].copy(), trace.M[at - first].copy(),
-                   at, float(grid.nodes[at]), grid.n_steps, trace.unitarity_drift)
+                   float(grid.nodes[at]), grid.n_steps, trace.unitarity_drift)
 
 
-def _finished(records: list, v: np.ndarray, drift_tol: float) -> tuple[list, Exception | None]:
-    """The records with their residuals finished together, up to the first
-    that fails a guard of ``propagate``, and that failure (or None).  A scan's
-    points are all one-node points or all windowed ones."""
-    if not records or records[0].residual is None:
-        return records, None
-    u, m, drift, failure = finish_nodes(v, [r.residual for r in records], drift_tol)
-    return [r._replace(u=u[k], m=m[k], unitarity_drift=float(drift[k]), residual=None)
-            for k, r in enumerate(records[:len(drift)])], failure
-
-
-def _decompose_records(records: list, wheres: list) -> QfiResult:
-    """The records' columns, one ``_decompose`` per run of records that share
-    a Gibbs model; the first mismatch over ``DUAL_PATH_TOL`` raises at its
-    entry of ``wheres``."""
+def _rows(records: list, failure: Exception | None, v: np.ndarray, drift_tol: float,
+          wheres: list) -> tuple[list, QfiResult]:
+    """The records with their residuals finished together (a scan's points
+    are all one-node points or all windowed ones), and their rows, one
+    ``_decompose`` per run of records that share a Gibbs model.  Raises the
+    first failure in axis order: a dual-path mismatch over ``DUAL_PATH_TOL``
+    at its entry of ``wheres``, a guard of ``propagate`` that a residual
+    fails as it is finished, or ``failure``, that of the point after the
+    last record (or None)."""
+    if records and records[0].residual is not None:
+        u, m, drift, finish_failure = finish_nodes(v, [r.residual for r in records], drift_tol)
+        records = [r._replace(u=u[k], m=m[k], unitarity_drift=float(drift[k]), residual=None)
+                   for k, r in enumerate(records[:len(drift)])]
+        failure = finish_failure or failure
+    if not records:
+        raise failure
     groups = [list(run) for _, run in groupby(records, key=lambda r: id(r.model))]
     columns = [_decompose(g[0].model, np.array([r.u for r in g]), np.array([r.m for r in g]),
                           np.array([r.t for r in g])) for g in groups]
     rows = QfiResult._make(map(np.concatenate, zip(*columns)))
     for rel, where in zip(rows.rel_disagreement, wheres):
         check_dual_path(rel, where)
-    return rows
+    if failure is not None:
+        raise failure
+    return records, rows
 
 
 def _record_point(spec: ScanSpec, value: float) -> _Record:
@@ -200,12 +204,8 @@ def run_scan(spec: ScanSpec) -> ScanResult:
         except (DriveThermError, np.linalg.LinAlgError) as exc:
             failure = exc
             break
-    records, finish_failure = _finished(records, spec.v, spec.drift_tol)
-    failure = finish_failure or failure
-    rows = records and _decompose_records(records, [f"{spec.axis} scan point {x:g}"
-                                                    for x in spec.values])
-    if failure is not None:
-        raise failure
+    records, rows = _rows(records, failure, spec.v, spec.drift_tol,
+                          [f"{spec.axis} scan point {x:g}" for x in spec.values])
     points = tuple(map(ScanPoint, spec.values, rows.f_eq.tolist(), rows.i_t.tolist(),
                        rows.f_total.tolist(), rows.f_spectral.tolist()))
     steps = [r.n_steps for r in records]
@@ -258,6 +258,8 @@ def optimize_drive(model: GibbsModel, v, t_eval: float,
     ``engine.DUAL_PATH_TOL`` raises :class:`DriveThermError`.
     """
     v = hermitize(v)
+    if not math.isfinite(t_eval):
+        raise ValueError(f"t_eval must be finite, got {t_eval}")
     if not bounds:
         raise ValueError("bounds must name at least one parameter")
     if max_evals <= 0:
@@ -302,11 +304,8 @@ def optimize_drive(model: GibbsModel, v, t_eval: float,
             if len(trail) >= max_evals:
                 raise _BudgetExhausted
             where = "optimizer point " + ", ".join(f"{k}={p[k]:g}" for k in _PARAM_ORDER)
-            records, failure = _finished([_record(model, v, current(p), t_eval)], v,
-                                         DRIFT_TOL)
-            if failure is not None:
-                raise failure
-            f_total = float(_decompose_records(records, [where]).f_total[0])
+            _, rows = _rows([_record(model, v, current(p), t_eval)], None, v, DRIFT_TOL, [where])
+            f_total = float(rows.f_total[0])
             cache[key] = f_total
             trail.append((dict(p), f_total))
         return cache[key]

@@ -74,6 +74,21 @@ def test_reduce_spec_validation():
         ReduceSpec(mode="nonsense", t=1.0)
 
 
+@pytest.mark.parametrize("build, message", [
+    (lambda: ScanSpec("time", (np.inf,), qubit(), SIGMA_X, base_drive(),
+                      ReduceSpec("value_at_t", 1.0)), "scan grid must be finite"),
+    (lambda: freq_spec((1.0, np.inf)), "scan grid must be finite"),
+    (lambda: ReduceSpec("max_over_t", window=(1.0, np.inf)), "window .* with finite"),
+    (lambda: ReduceSpec("value_at_t", np.nan), "needs a finite time"),
+    (lambda: optimize_drive(qubit(), SIGMA_X, np.inf, {"omega_d": (0.5, 1.5)},
+                            base_drive=base_drive()), "t_eval must be finite"),
+], ids=["time-inf", "frequency-inf", "window-end-inf", "t-nan", "t_eval-inf"])
+def test_non_finite_times_and_values_are_rejected_up_front(monkeypatch, build, message):
+    monkeypatch.setattr(scans, "_record", None)  # rejected before any point runs
+    with pytest.raises(ValueError, match=message):
+        build()
+
+
 def test_frequency_scan_resonance_argmax():
     result = run_scan(freq_spec((0.5, 1.0, 2.0)))
     assert result.argmax == 1.0
@@ -321,11 +336,25 @@ def test_value_at_t_point_keeps_the_drift_guard():
         run_scan(spec._replace(drift_tol=0.5 * defect))
 
 
+def test_zero_time_point_keeps_m_zero_where_dlambda_dbeta_is_not_finite():
+    # dlambda/dbeta overflows to inf: a t = 0 point holds no step, so its M
+    # stays 0 as in propagate, and a later point still fails its own steps
+    drive = DriveProfile(1e308, GaussianEnvelope(5.1, 0.1), CosineModulation(1.0))
+    spec = ScanSpec("time", (0.0,), qubit(), SIGMA_X, drive, ReduceSpec("value_at_t", 1.0))
+    point = run_scan(spec).points[0]
+    assert point.i_t == 0.0 and point.f_total == point.f_eq
+    with pytest.raises(StepSizeTooCoarse, match="squarings"):
+        run_scan(spec._replace(values=(0.0, 1.0)))
+
+
 def test_non_finite_v_at_a_scan_point_is_a_drive_therm_error():
+    # also at t = 0, where the point takes no step
     v = SIGMA_X.copy()
     v[0, 1] = v[1, 0] = np.nan
-    with pytest.raises(DriveThermError, match="not finite"):
-        run_scan(freq_spec((1.0,), t_eval=TWO_PI)._replace(v=v))
+    spec = freq_spec((1.0,), t_eval=TWO_PI)._replace(v=v)
+    for spec in (spec, spec._replace(axis="time", values=(0.0,))):
+        with pytest.raises(DriveThermError, match="not finite"):
+            run_scan(spec)
 
 
 # ------------------------------------------------------------- optimizer

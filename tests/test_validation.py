@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 from drivetherm import engine
 from drivetherm.cli import main
@@ -92,11 +93,17 @@ def test_cli_validate_surfaces_guard_violation(tmp_path, capsys):
     assert "guarded.yaml:5:" in err and "rank floor" in err
 
 
-def test_cli_validate_with_explicit_config(tmp_path):
+def test_cli_validate_with_explicit_config(tmp_path, capsys):
+    # a written config and every shipped one pass all checks
     cfg = tmp_path / "ok.yaml"
     cfg.write_text(GUARDED_CONFIG.replace("beta_star: 80.0", "beta_star: 4.0"),
                    encoding="utf-8")
-    assert main(["validate", "--config", str(cfg)]) == 0
+    shipped = sorted((Path(__file__).parents[1] / "configs").glob("*.yaml"))
+    assert len(shipped) >= 5
+    for path in [cfg, *shipped]:
+        assert main(["validate", "--config", str(path)]) == 0, path.name
+        assert f"{len(CHECK_NAMES)}/{len(CHECK_NAMES)} checks passed" \
+            in capsys.readouterr().out, path.name
 
 
 def test_cli_validate_rejects_unparseable_config(tmp_path):
