@@ -10,7 +10,7 @@ Bures metric; its inverse is evaluated spectrally, (J^-1 X)_ij =
 import numpy as np
 
 from .exceptions import FullRankViolation
-from .operators import stack_mul
+from .operators import UNROLL_MAX_DIM, stack_mul
 from .thermal import RANK_FLOOR
 
 #: Relative threshold on l_i + l_j below which spectral-QFI terms are dropped.
@@ -56,6 +56,8 @@ def spectral_qfi_batch(sigmas: np.ndarray, dsigmas: np.ndarray) -> np.ndarray:
     near-singular ones.
     """
     lam, q = np.linalg.eigh(sigmas)
+    if q.shape[-1] <= UNROLL_MAX_DIM:  # stack axis innermost, as stack_mul wants
+        q = np.moveaxis(np.ascontiguousarray(np.moveaxis(q, 0, -1)), -1, 0)
     dt = stack_mul(stack_mul(q.conj().swapaxes(1, 2), dsigmas), q)
     denom = lam[:, :, None] + lam[:, None, :]
     cutoff = SPECTRAL_QFI_CUTOFF * 2.0 * lam[:, -1][:, None, None]

@@ -50,6 +50,10 @@ DUAL_PATH_TOL = 1e-6
 #: Row-chunk size for the blocked kernel double sum.
 _KERNEL_CHUNK = 256
 
+#: Rows per ``_decompose`` call in ``qfi_time_series``; a block's stacks stay
+#: in cache between its products.
+_DECOMPOSE_ROWS = 4096
+
 
 def _coherences(model: GibbsModel, x: np.ndarray) -> np.ndarray:
     """The current of X in the thermal eigenbasis, -2i R o (Q^dag X Q), of a
@@ -203,8 +207,14 @@ def check_dual_path(rel: float, where: str) -> None:
 
 def qfi_time_series(trace: EvolutionTrace) -> QfiResult:
     """Full decomposition and spectral cross-check at every held node, as
-    float64 columns of length ``n_nodes - first``."""
-    return _decompose(trace.model, trace.propagators, trace.M, trace.grid.nodes[trace.first:])
+    float64 columns of length ``n_nodes - first``.  The rows are decomposed
+    in blocks of ``_DECOMPOSE_ROWS``; each row is reduced on its own, so the
+    blocks change no value."""
+    t = trace.grid.nodes[trace.first:]
+    blocks = [_decompose(trace.model, trace.propagators[k:k + _DECOMPOSE_ROWS],
+                         trace.M[k:k + _DECOMPOSE_ROWS], t[k:k + _DECOMPOSE_ROWS])
+              for k in range(0, len(t), _DECOMPOSE_ROWS)]
+    return QfiResult._make(np.concatenate(c) for c in zip(*blocks))
 
 
 def qfi_driven(trace: EvolutionTrace, at: int | None = None) -> QfiResult:

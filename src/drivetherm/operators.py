@@ -53,10 +53,18 @@ def stack_mul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Matrix product of (..., d, d) stacks; either may be a single (d, d).
     Batched ``@`` pays per matrix, so for d <= UNROLL_MAX_DIM it sums d
     broadcast outer products instead (fastest with the stack axis innermost
-    in memory)."""
+    in memory).  A stack times a fixed (d, d) returns in the stack's memory
+    layout, which broadcasting alone would not keep."""
     d = a.shape[-1]
     if d > UNROLL_MAX_DIM:
         return a @ b
+    if b.ndim == 2 < a.ndim:
+        out = np.empty_like(a, dtype=np.result_type(a, b))
+        term = np.empty_like(out)
+        np.multiply(a[..., :, :1], b[:1], out=out)
+        for j in range(1, d):
+            out += np.multiply(a[..., :, j:j + 1], b[j:j + 1], out=term)
+        return out
     out = a[..., :, :1] * b[..., :1, :]
     for j in range(1, d):
         out += a[..., :, j:j + 1] * b[..., j:j + 1, :]

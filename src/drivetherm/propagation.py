@@ -105,7 +105,8 @@ class EvolutionTrace(NamedTuple):
     ``propagators`` holds U(t_k); ``heisenberg_v`` holds U(t_k)^dag V U(t_k),
     which shares the spectrum of V and stays Hermitian.  ``weights`` holds
     w = dlambda/dbeta at t_k, and ``M`` the Hermitian trapezoid of w * V_H
-    from 0 to t_k.
+    from 0 to t_k.  For d <= UNROLL_MAX_DIM the three stacks keep the chain's
+    layout, the row axis innermost in memory, which ``stack_mul`` wants.
     """
 
     grid: TimeGrid
@@ -155,11 +156,11 @@ def propagate(model: GibbsModel, v, drive: DriveProfile, grid: TimeGrid,
     if failure is not None:
         raise failure
 
-    propagators = np.ascontiguousarray(propagators)
     w = w[first:]
-    m = cumulative_trapezoid(w[:, None, None] * heisenberg_v, grid.dt)
-    if first:  # the reduced nodes, and node first's half weight up to it
-        m += m_first + (0.5 * grid.dt * w[0]) * heisenberg_v[0]
+    with np.errstate(all="ignore"):  # a non-finite weight is reported once, below
+        m = cumulative_trapezoid(w[:, None, None] * heisenberg_v, grid.dt)
+        if first:  # the reduced nodes, and node first's half weight up to it
+            m += m_first + (0.5 * grid.dt * w[0]) * heisenberg_v[0]
     if not np.isfinite(m).all():
         raise DriveThermError(_M_NOT_FINITE)
     return EvolutionTrace(grid=grid, model=model, weights=w, propagators=propagators,
@@ -171,11 +172,11 @@ _M_NOT_FINITE = "the weighted integral M is not finite: check the drive's dlambd
 
 def _node_step(v: np.ndarray, u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The unitarity defects ||U^dag U - I||_F and the Heisenberg operators
-    U^dag V U, C-contiguous, of a (k, d, d) stack of propagators U, for
-    Hermitian ``v``."""
+    U^dag V U, in the memory layout of U, of a (k, d, d) stack of propagators
+    U, for Hermitian ``v``."""
     adjoints = u.conj().swapaxes(1, 2)
     defects = np.linalg.norm(stack_mul(adjoints, u) - np.eye(len(v), dtype=complex), axis=(1, 2))
-    return defects, np.ascontiguousarray(stack_mul(adjoints, stack_mul(v, u)))
+    return defects, stack_mul(adjoints, stack_mul(v, u))
 
 
 def _drift_failure(drift: float, n: int, drift_tol: float) -> DriveThermError | None:

@@ -728,24 +728,36 @@ def test_time_scan_rejects_reduce(tmp_path, capsys):
 
 @pytest.mark.parametrize("command", ["simulate", "scan"])
 def test_cli_loads_only_what_it_runs(tmp_path, command):
-    # scipy is a test-only dependency, dataclasses a start-up cost the records
-    # avoid, and the validation suite belongs to 'validate': a fresh
-    # 'simulate' or 'scan' run imports none of them
-    config = (ROOT / "configs" / "fig2a.yaml" if command == "simulate"
-              else write(tmp_path, "scan.yaml", SCAN_CONFIG))
+    # scipy is a test-only dependency, dataclasses and numpy.ma start-up costs
+    # the records and the kernel node selection avoid, and the validation
+    # suite belongs to 'validate': a fresh 'simulate' (with a kernel CSV) or
+    # 'scan' run imports none of them
+    fig2a = (ROOT / "configs" / "fig2a.yaml").read_text(encoding="utf-8")
+    config = (write(tmp_path, "fig2a.yaml", fig2a + "  kernel: kernel.csv\n")
+              if command == "simulate" else write(tmp_path, "scan.yaml", SCAN_CONFIG))
     script = (
         "import sys\n"
         "from drivetherm.cli import main\n"
         f"code = main([{command!r}, '--config', {str(config)!r},"
         f" '--out', {str(tmp_path / 'out')!r}])\n"
         "print(code, sorted(m for m in sys.modules if m.startswith('scipy')\n"
-        "                   or m in ('dataclasses', 'drivetherm.validation')))\n"
+        "                   or m in ('dataclasses', 'drivetherm.validation', 'numpy.ma')))\n"
     )
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
     done = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
                           text=True, timeout=300, check=False)
     assert done.returncode == 0, done.stderr
     assert done.stdout.splitlines()[-1] == "0 []"
+    assert command == "scan" or (tmp_path / "out" / "kernel.csv").is_file()
+
+
+def test_kernel_nodes_are_distinct_without_unique():
+    # the rounded spread of k <= n + 1 nodes is what np.unique left of it
+    for n in [*range(2001), 65_535, 199_999, 200_000, 10**7 + 3]:
+        k = min(n + 1, cli.KERNEL_MAX_NODES)
+        expected = np.unique(np.rint(np.linspace(0, n, k)).astype(int))
+        got = cli._kernel_nodes(n)
+        assert got.dtype == expected.dtype and got.tobytes() == expected.tobytes(), n
 
 
 #: Minor page faults per point of a 20-point scan through one fresh ``main``.

@@ -1,10 +1,10 @@
 import numpy as np
 import pytest
 
-from drivetherm import FullRankViolation
+from drivetherm import FullRankViolation, engine
 from drivetherm.drive import (ConstantEnvelope, CosineModulation, DriveProfile,
                               GaussianEnvelope, dlambda_dbeta)
-from drivetherm.engine import (build_current_trace,
+from drivetherm.engine import (_decompose, build_current_trace,
                                increment_series, increment_via_kernel,
                                information_current, kernel_matrix, qfi_driven,
                                qfi_time_series)
@@ -14,7 +14,7 @@ from drivetherm.propagation import (TimeGrid, cumulative_trapezoid,
                                     default_n_steps, propagate)
 from drivetherm.thermal import equilibrium_sld, make_gibbs
 
-from conftest import random_hermitian, step_axis_innermost
+from conftest import random_hermitian, random_unitary, step_axis_innermost
 
 TWO_PI = 2 * np.pi
 
@@ -319,3 +319,32 @@ def test_kernel_matches_lab_frame_trace(rng, d):
     expected = np.einsum("ij,ajk,bki->ab", model.state, j, j)
     got = kernel_matrix(model, v_h)
     assert np.abs(got - expected).max() <= 1e-12 * np.abs(expected).max()
+
+
+def assert_same_bytes(a, b):
+    for name in a._fields:
+        assert getattr(a, name).tobytes() == getattr(b, name).tobytes(), name
+
+
+@pytest.mark.parametrize("d", [2, 3, 6])
+def test_decomposition_does_not_depend_on_layout(rng, d):
+    # each row is reduced on its own, in an order that the memory layout of
+    # the rows does not change
+    model = make_gibbs(random_hermitian(rng, d), 0.7)
+    u = np.stack([random_unitary(rng, d) for _ in range(33)])
+    m = np.stack([random_hermitian(rng, d, scale=0.3) for _ in range(33)])
+    t = np.linspace(0.0, 1.0, 33)
+    assert_same_bytes(_decompose(model, u, m, t),
+                      _decompose(model, step_axis_innermost(u), step_axis_innermost(m), t))
+
+
+@pytest.mark.parametrize("d", [2, 3])
+def test_blocked_time_series_equals_one_decomposition(d):
+    # more than two blocks of rows, the last one partial
+    rng = np.random.default_rng(7100 + d)
+    drive = DriveProfile(0.15, GaussianEnvelope(2.0, 1.5), CosineModulation(1.1, 0.4))
+    grid = TimeGrid(6.0, 2 * engine._DECOMPOSE_ROWS + 5)
+    trace = propagate(make_gibbs(random_hermitian(rng, d), 0.8), random_hermitian(rng, d),
+                      drive, grid)
+    assert_same_bytes(qfi_time_series(trace),
+                      _decompose(trace.model, trace.propagators, trace.M, grid.nodes))

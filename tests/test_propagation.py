@@ -55,6 +55,16 @@ def test_zero_time_propagation(qubit_model, resonant_drive):
     assert np.allclose(trace.heisenberg_v[0], SIGMA_X, atol=0)
 
 
+def test_overflowing_weight_on_a_zero_step_grid_leaves_m_zero(qubit_model):
+    # dlambda/dbeta overflows to inf where V_H has zero entries: the weighted
+    # product is formed without a warning (pytest makes warnings errors), and
+    # a node without steps adds nothing to M
+    drive = DriveProfile(1e308, GaussianEnvelope(5.1, 0.1), CosineModulation(1.0))
+    trace = propagate(qubit_model, SIGMA_X, drive, TimeGrid(0.0, 0))
+    assert np.isinf(trace.weights).all()
+    assert (trace.M == 0.0).all()
+
+
 def test_free_evolution_interaction_picture(qubit_model):
     # lambda0 = 0: V_H(t) = cos(Omega t) sigma_x - sin(Omega t) sigma_y
     drive = resonant_drive(lambda0=0.0)
@@ -205,6 +215,21 @@ def test_stack_mul_matches_matmul(rng, d):
                  (step_axis_innermost, b), (single, step_axis_innermost)):
         expected = x @ y
         assert np.abs(stack_mul(x, y) - expected).max() <= 1e-14 * np.abs(expected).max()
+
+
+@pytest.mark.parametrize("d", range(2, UNROLL_MAX_DIM + 1))
+def test_fixed_right_stack_mul_keeps_the_stack_layout(rng, d):
+    # the bytes of the broadcast sum of outer products, in the stack's layout
+    right = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
+    c_order = rng.normal(size=(7, d, d)) + 1j * rng.normal(size=(7, d, d))
+    for stack in (c_order, step_axis_innermost(c_order), step_axis_innermost(c_order.real)):
+        expected = stack[..., :, :1] * right[:1, :]
+        for j in range(1, d):
+            expected += stack[..., :, j:j + 1] * right[j:j + 1, :]
+        got = stack_mul(stack, right)
+        assert got.dtype == complex
+        assert np.argsort(got.strides).tolist() == np.argsort(stack.strides).tolist()
+        assert got.tobytes() == expected.tobytes()
 
 
 def test_energy_offset_leaves_f_total_unchanged(rng):
