@@ -275,11 +275,12 @@ def load_run_config(path: str) -> LoadedRun:
 
     Raises :class:`ConfigValidationError` with ``file:line`` anchors on any
     inconsistency (unknown keys, dimensions, malformed scan grids), including
-    those the drive, grid and scan constructors reject.  The Gibbs model at
-    ``beta_star``, and at the last value of a temperature scan, must pass the
-    full-rank rule of :func:`thermal.make_gibbs` under
-    ``tolerances.rank_floor``; since the smallest population falls with beta,
-    that covers every scan point.
+    those the drive, grid and scan constructors reject; a rule of
+    :class:`scans.ScanSpec` on the scan's values reports at ``scan.values``.
+    The Gibbs model at ``beta_star`` must pass the full-rank rule of
+    :func:`thermal.make_gibbs` under ``tolerances.rank_floor``, and
+    ``ScanSpec`` applies it to the last value of a temperature scan; since the
+    smallest population falls with beta, that covers every scan point.
     """
     data, lines = _load_yaml_with_lines(path)
     root = _Section(data, lines, path)
@@ -427,18 +428,6 @@ def load_run_config(path: str) -> LoadedRun:
         scan_spec = _built(scan_sec, "values", ScanSpec, axis, values, gibbs, v, profile,
                            reduce_spec, drift_tol=tolerances["step_drift"])
 
-        if values[0] < 0.0:
-            noun = {"temperature": "inverse temperatures",
-                    "frequency": "driving frequencies", "time": "times"}[axis]
-            raise scan_sec.error(f"{noun} must be >= 0", "values")
-        if axis == "temperature":
-            _built(scan_sec, "values", make_gibbs, h0, values[-1],
-                   rank_floor=tolerances["rank_floor"])
-        if axis == "temperature" and env_kind == "tabulated" and (
-                values[0] < env.betas[0] or values[-1] > env.betas[-1]):
-            raise scan_sec.error(
-                "temperature grid leaves the tabulated envelope range "
-                f"[{env.betas[0]}, {env.betas[-1]}]", "values")
         if axis == "time":
             within_temporal_table(scan_sec, "values", "scan time", values[-1])
         scan = {"axis": axis, "values": values, "reduce": reduce}

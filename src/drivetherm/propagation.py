@@ -413,8 +413,12 @@ def drho_dbeta_analytic(trace: EvolutionTrace, k) -> np.ndarray:
     ``k`` is one held node index, giving a (d, d) matrix, or an array of
     them, giving a stack.  Traceless Hermitian; reduces to the rotated
     equilibrium derivative when the drive is temperature-insensitive (A = 0).
+    A node outside ``first .. n`` raises ``ValueError``.
     """
-    k = np.asarray(k) - trace.first
+    k, n = np.asarray(k), trace.grid.n_steps
+    if not np.all((trace.first <= k) & (k <= n)):
+        raise ValueError(f"node index {k.tolist()} outside held nodes {trace.first}..{n}")
+    k = k - trace.first
     return drho_dbeta_rows(trace.model, trace.propagators[k], trace.M[k])
 
 

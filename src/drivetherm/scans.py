@@ -20,7 +20,7 @@ from typing import Mapping, NamedTuple
 
 import numpy as np
 
-from .drive import CosineModulation, DriveProfile, GaussianEnvelope
+from .drive import CosineModulation, DriveProfile, GaussianEnvelope, TabulatedEnvelope
 from .engine import QfiResult, _decompose, check_dual_path, increment_at
 from .exceptions import DriveThermError
 from .operators import hermitize
@@ -61,7 +61,10 @@ class ScanSpec(NamedTuple("ScanSpec", [("axis", str), ("values", tuple), ("model
                                       ("reduce", ReduceSpec), ("drift_tol", float)])):
     """One sweep axis over an otherwise fixed model/drive configuration;
     ``model`` is the Gibbs model of H0 at beta*.  ``values`` is kept as a
-    tuple of floats and ``v`` hermitized."""
+    tuple of floats and ``v`` hermitized.  Every rule on the values is checked
+    here, before any point runs: finite, >= 0 and strictly increasing, and on
+    a temperature axis a last beta whose Gibbs model passes ``model``'s rank
+    floor (:class:`FullRankViolation`) and a grid inside a tabulated envelope."""
 
     __slots__ = ()
     _make = classmethod(lambda cls, it: cls(*it))
@@ -79,6 +82,17 @@ class ScanSpec(NamedTuple("ScanSpec", [("axis", str), ("values", tuple), ("model
         v = hermitize(v)
         if axis == "frequency" and not isinstance(drive.temporal, CosineModulation):
             raise ValueError("frequency scans need a cosine temporal modulation")
+        if values[0] < 0.0:
+            noun = {"temperature": "inverse temperatures",
+                    "frequency": "driving frequencies", "time": "times"}[axis]
+            raise ValueError(f"{noun} must be >= 0")
+        if axis == "temperature":  # the smallest population falls with beta
+            make_gibbs(model.h0, values[-1], rank_floor=model.rank_floor)
+        env = drive.envelope
+        if axis == "temperature" and isinstance(env, TabulatedEnvelope) and (
+                values[0] < env.betas[0] or values[-1] > env.betas[-1]):
+            raise ValueError("temperature grid leaves the tabulated envelope range "
+                             f"[{env.betas[0]}, {env.betas[-1]}]")
         return super().__new__(cls, axis, values, model, v, drive, reduce, drift_tol)
 
 
@@ -117,15 +131,11 @@ class _Record(NamedTuple):
     residual: NodeResidual | None = None
 
 
-def _best_node(trace: EvolutionTrace, window: tuple) -> int:
-    """Node of the largest F_eq + I_t inside the window (ties -> earliest)."""
-    t0, t1 = window
-    nodes = trace.grid.nodes
-    inside = np.flatnonzero((nodes >= t0) & (nodes <= t1))
-    if inside.size == 0:
-        raise ValueError(f"no grid nodes inside the reduction window [{t0}, {t1}]")
-    i_t = increment_at(trace.model, trace.M[inside - trace.first])[0]
-    return int(inside[np.argmax(equilibrium_qfi(trace.model) + i_t)])
+def _best_node(trace: EvolutionTrace) -> int:
+    """Held node of the largest F_eq + I_t (ties -> earliest); ``_record``
+    holds exactly the window's nodes."""
+    i_t = increment_at(trace.model, trace.M)[0]
+    return trace.first + int(np.argmax(equilibrium_qfi(trace.model) + i_t))
 
 
 def _record(model: GibbsModel, v: np.ndarray, drive: DriveProfile, t_end: float,
@@ -138,10 +148,10 @@ def _record(model: GibbsModel, v: np.ndarray, drive: DriveProfile, t_end: float,
         n = grid.n_steps
         return _Record(model, None, None, float(grid.nodes[n]), n, None,
                        reduce_to_node(model, v, drive, grid))
-    # t_end is the window's end, so the window holds grid nodes from this one on
+    # t_end is the window's end, so the held nodes first..n are the window's
     first = int(np.searchsorted(grid.nodes, window[0]))
     trace = propagate(model, v, drive, grid, first=first, drift_tol=drift_tol)
-    at = _best_node(trace, window)
+    at = _best_node(trace)
     return _Record(model, trace.propagators[at - first].copy(), trace.M[at - first].copy(),
                    float(grid.nodes[at]), grid.n_steps, trace.unitarity_drift)
 
@@ -279,6 +289,8 @@ def optimize_drive(model: GibbsModel, v, t_eval: float,
     params = {"omega_d": base_drive.temporal.omega_d, "beta0": base_drive.envelope.beta0,
               "s_beta": base_drive.envelope.s_beta, "lambda0": base_drive.lambda0}
     for name, (lo, hi) in bounds.items():
+        if not (math.isfinite(lo) and math.isfinite(hi)):
+            raise ValueError(f"bounds for {name!r} must be finite, got ({lo}, {hi})")
         if hi < lo:
             raise ValueError(f"empty bounds for {name!r}: ({lo}, {hi})")
         params[name] = min(max(params[name], lo), hi)

@@ -726,20 +726,22 @@ def test_time_scan_rejects_reduce(tmp_path, capsys):
     assert [r[0] for r in rows] == [0.5, 1.0, 2.0]
 
 
-@pytest.mark.parametrize("command", ["simulate", "scan"])
+@pytest.mark.parametrize("command", ["simulate", "scan", "validate"])
 def test_cli_loads_only_what_it_runs(tmp_path, command):
     # scipy is a test-only dependency, dataclasses and numpy.ma start-up costs
     # the records and the kernel node selection avoid, and the validation
     # suite belongs to 'validate': a fresh 'simulate' (with a kernel CSV) or
-    # 'scan' run imports none of them
-    fig2a = (ROOT / "configs" / "fig2a.yaml").read_text(encoding="utf-8")
-    config = (write(tmp_path, "fig2a.yaml", fig2a + "  kernel: kernel.csv\n")
-              if command == "simulate" else write(tmp_path, "scan.yaml", SCAN_CONFIG))
+    # 'scan' run imports none of them, and 'validate' only the suite
+    args = [command]
+    if command != "validate":
+        fig2a = (ROOT / "configs" / "fig2a.yaml").read_text(encoding="utf-8")
+        config = (write(tmp_path, "fig2a.yaml", fig2a + "  kernel: kernel.csv\n")
+                  if command == "simulate" else write(tmp_path, "scan.yaml", SCAN_CONFIG))
+        args += ["--config", str(config), "--out", str(tmp_path / "out")]
     script = (
         "import sys\n"
         "from drivetherm.cli import main\n"
-        f"code = main([{command!r}, '--config', {str(config)!r},"
-        f" '--out', {str(tmp_path / 'out')!r}])\n"
+        f"code = main({args!r})\n"
         "print(code, sorted(m for m in sys.modules if m.startswith('scipy')\n"
         "                   or m in ('dataclasses', 'drivetherm.validation', 'numpy.ma')))\n"
     )
@@ -747,8 +749,9 @@ def test_cli_loads_only_what_it_runs(tmp_path, command):
     done = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
                           text=True, timeout=300, check=False)
     assert done.returncode == 0, done.stderr
-    assert done.stdout.splitlines()[-1] == "0 []"
-    assert command == "scan" or (tmp_path / "out" / "kernel.csv").is_file()
+    loaded = "['drivetherm.validation']" if command == "validate" else "[]"
+    assert done.stdout.splitlines()[-1] == f"0 {loaded}"
+    assert command != "simulate" or (tmp_path / "out" / "kernel.csv").is_file()
 
 
 def test_kernel_nodes_are_distinct_without_unique():
@@ -1158,12 +1161,23 @@ scan:
     ("    t: 6.0", "    t: -1.0", 23, "t >= 0"),
     ("s_beta: 3.0", "s_beta: 0.0", 11, "s_beta must be > 0"),
     ("omega_d: 1.0", "omega_d: -1.0", 14, "omega_d must be >= 0"),
+    ("values: [0.5, 1.0]", "values: [-0.5, 1.0]", 20, "driving frequencies must be >= 0"),
+    # a tabulated envelope on beta in [0, 8] (one line shorter) and a
+    # temperature grid that ends past it
+    (("    kind: gaussian\n    beta0: 10.0\n    s_beta: 3.0\n", "axis: frequency",
+      "values: [0.5, 1.0]"),
+     ("    kind: tabulated\n    points: [[0.0, 0.2], [8.0, 1.0]]\n", "axis: temperature",
+      "values: [0.5, 9.0]"), 19, "temperature grid leaves the tabulated envelope range"),
 ], ids=["envelope-abscissa", "temporal-abscissa", "t_end-iff-n_steps", "t_end-sign",
         "n_steps-sign", "frequency-needs-cosine", "values-increasing",
-        "values-stop-le-start", "max_over_t-window", "reduce-t-sign", "s_beta", "omega_d"])
+        "values-stop-le-start", "max_over_t-window", "reduce-t-sign", "s_beta", "omega_d",
+        "values-sign", "temperature-past-tabulated-envelope"])
 def test_constructor_rules_fail_at_load_time(tmp_path, capsys, old, new, line, message):
     # each rule lives in its domain constructor; the loader anchors its error
-    text = BLOCK_SCAN_CONFIG.replace(old, new)
+    text = BLOCK_SCAN_CONFIG
+    for o, n in zip(old, new) if isinstance(old, tuple) else [(old, new)]:
+        assert o in text
+        text = text.replace(o, n)
     assert text != BLOCK_SCAN_CONFIG
     cfg = write(tmp_path, "rule.yaml", text)
     assert main(["scan", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2

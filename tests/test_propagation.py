@@ -455,6 +455,10 @@ def test_first_node_bounds(qubit_model, resonant_drive):
     trace = propagate(qubit_model, SIGMA_X, resonant_drive, grid, first=3)
     with pytest.raises(ValueError, match="outside held nodes 3..4"):
         qfi_driven(trace, 2)
+    for k in (2, [2, 3], 5, [3, 5]):
+        with pytest.raises(ValueError, match="outside held nodes 3..4"):
+            drho_dbeta_analytic(trace, k)
+    assert drho_dbeta_analytic(trace, [3, 4]).shape == (2, 2, 2)
 
 
 @pytest.mark.parametrize("d", [1, 2, 3, 6, 16])

@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 
 from drivetherm import engine, scans
 from drivetherm.drive import (ConstantEnvelope, CosineModulation, DriveProfile,
-                              GaussianEnvelope)
+                              GaussianEnvelope, TabulatedEnvelope)
 from drivetherm.engine import qfi_driven, qfi_time_series
 from drivetherm.exceptions import DriveThermError, FullRankViolation, StepSizeTooCoarse
 from drivetherm.operators import SIGMA_X, SIGMA_Z
@@ -63,6 +63,27 @@ def test_spec_validation():
         ScanSpec(axis="frequency", values=(1.0,), model=qubit(), v=SIGMA_X,
                  drive=DriveProfile(0.1, GaussianEnvelope(5, 3), ConstantEnvelope()),
                  reduce=ReduceSpec(mode="value_at_t", t=1.0))
+    # the rules on a scan's values hold through _replace too, before any point runs
+    tabulated = DriveProfile(0.1, TabulatedEnvelope((1.0, 8.0), (0.2, 1.0)),
+                             CosineModulation(1.0, 0.0))
+    time_spec = ScanSpec("time", (0.5, 1.0), qubit(), SIGMA_X, base_drive(),
+                         ReduceSpec("value_at_t", 1.0))
+    cases = [(freq_spec((0.5, 1.0)), (-0.5, 1.0), ValueError, "driving frequencies must be >= 0"),
+             (temp_spec((0.5, 1.0), base_drive()), (-0.5, 1.0), ValueError,
+              "inverse temperatures must be >= 0"),
+             (time_spec, (-0.5, 1.0), ValueError, "^times must be >= 0"),
+             # beta* = 5 passes a floor of 1e-3, the last beta of 10 does not
+             (temp_spec((1.0, 5.0), base_drive())._replace(model=qubit(rank_floor=1e-3)),
+              (1.0, 10.0), FullRankViolation, "rank floor"),
+             (temp_spec((2.0, 8.0), tabulated), (2.0, 9.0), ValueError,
+              r"leaves the tabulated envelope range \[1.0, 8.0\]"),
+             (temp_spec((2.0, 8.0), tabulated), (0.5, 2.0), ValueError,
+              "leaves the tabulated envelope range")]
+    for spec, values, error, message in cases:
+        with pytest.raises(error, match=message):
+            spec._replace(values=values)
+        with pytest.raises(error, match=message):
+            ScanSpec(spec.axis, values, *spec[2:])
 
 
 def test_reduce_spec_validation():
@@ -82,7 +103,14 @@ def test_reduce_spec_validation():
     (lambda: ReduceSpec("value_at_t", np.nan), "needs a finite time"),
     (lambda: optimize_drive(qubit(), SIGMA_X, np.inf, {"omega_d": (0.5, 1.5)},
                             base_drive=base_drive()), "t_eval must be finite"),
-], ids=["time-inf", "frequency-inf", "window-end-inf", "t-nan", "t_eval-inf"])
+    (lambda: optimize_drive(qubit(), SIGMA_X, 1.0, {"omega_d": (0.5, np.inf)},
+                            base_drive=base_drive()), "bounds for 'omega_d' must be finite"),
+    (lambda: optimize_drive(qubit(), SIGMA_X, 1.0, {"beta0": (-np.inf, 2.0)},
+                            base_drive=base_drive()), "bounds for 'beta0' must be finite"),
+    (lambda: optimize_drive(qubit(), SIGMA_X, 1.0, {"omega_d": (np.nan, 2.0)},
+                            base_drive=base_drive()), "bounds for 'omega_d' must be finite"),
+], ids=["time-inf", "frequency-inf", "window-end-inf", "t-nan", "t_eval-inf",
+        "bound-hi-inf", "bound-lo-minus-inf", "bound-lo-nan"])
 def test_non_finite_times_and_values_are_rejected_up_front(monkeypatch, build, message):
     monkeypatch.setattr(scans, "_record", None)  # rejected before any point runs
     with pytest.raises(ValueError, match=message):
@@ -166,17 +194,21 @@ def test_max_over_t_reduction():
 
 
 def test_max_over_t_window_ties_pick_earliest_node():
-    # M[k] = c_k sigma_x on a thermal qubit gives I_t proportional to c_k^2
-    c = np.sqrt([9.0, 1, 3, 3, 2, 3, 0, 0, 9])
-    identity = np.broadcast_to(np.eye(2, dtype=complex), (9, 2, 2))
-    trace = EvolutionTrace(grid=TimeGrid(4.0, 8), model=qubit(),
-                           weights=np.ones(9), propagators=identity,
-                           heisenberg_v=np.broadcast_to(SIGMA_X, (9, 2, 2)),
-                           M=c[:, None, None] * SIGMA_X, unitarity_drift=0.0)
-    assert _best_node(trace, (0.25, 3.5)) == 2      # nodes 0 and 8 lie outside
-    assert _best_node(trace, (0.0, 0.0)) == 0       # closed window ends
-    with pytest.raises(ValueError, match="no grid nodes"):
-        _best_node(trace, (0.1, 0.4))
+    # M[k] = c_k sigma_x on a thermal qubit gives I_t proportional to c_k^2;
+    # a trace held from node `first` on a grid of step 0.5 is what _record
+    # holds for a window from just below 0.5 * first to the grid's end
+    def held_from(first, c):
+        rows = len(c)
+        return EvolutionTrace(grid=TimeGrid(0.5 * (first + rows - 1), first + rows - 1),
+                              model=qubit(), weights=np.ones(rows),
+                              propagators=np.broadcast_to(np.eye(2, dtype=complex), (rows, 2, 2)),
+                              heisenberg_v=np.broadcast_to(SIGMA_X, (rows, 2, 2)),
+                              M=np.sqrt(c)[:, None, None] * SIGMA_X, unitarity_drift=0.0,
+                              first=first)
+
+    assert _best_node(held_from(1, [1.0, 3, 3, 2, 3, 0, 0])) == 2
+    assert _best_node(held_from(3, [5.0, 1, 5])) == 3      # a tie at the first held node
+    assert _best_node(held_from(4, [2.0])) == 4             # one held node
 
 
 def qubit_window_spec():
