@@ -30,10 +30,6 @@ from .propagation import (EvolutionTrace, TimeGrid, beta_generator,
                           propagate)
 from .scans import (OptimizeResult, ReduceSpec, ScanPoint, ScanResult,
                     ScanSpec, optimize_drive, run_scan)
-from .spin import (detuned_amplitude, detuned_increment, magnetization,
-                   qubit_equilibrium_qfi, resonant_amplitude,
-                   resonant_increment, short_time_coefficient,
-                   weak_field_kernel)
 from .thermal import (GibbsModel, dpi_dbeta, equilibrium_qfi,
                       equilibrium_sld, make_gibbs)
 
@@ -68,3 +64,20 @@ __all__ = [
     "DriveThermError", "FullRankViolation", "StepSizeTooCoarse",
     "ExtrapolationError", "ConfigValidationError",
 ]
+
+#: The closed-form spin-1/2 laws, which only ``validate`` and the tests read:
+#: ``drivetherm.spin`` loads on their first use (PEP 562).
+_SPIN = ("magnetization", "qubit_equilibrium_qfi", "weak_field_kernel",
+         "short_time_coefficient", "detuned_amplitude", "detuned_increment",
+         "resonant_amplitude", "resonant_increment")
+
+
+def __getattr__(name):
+    if name in _SPIN:
+        from . import spin
+        return getattr(spin, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def __dir__():
+    return sorted(set(globals()) | set(_SPIN))

@@ -25,7 +25,7 @@ import yaml
 from .drive import (ConstantEnvelope, ConstantModulation, CosineModulation,
                     DriveProfile, GaussianEnvelope, TabulatedEnvelope,
                     TabulatedModulation, sample_envelope_center)
-from .exceptions import ConfigValidationError, FullRankViolation
+from .exceptions import ConfigValidationError, ExtrapolationError, FullRankViolation
 from .operators import PAULI, SIGMA_Z, hermitize
 from .propagation import DRIFT_TOL, TimeGrid, default_n_steps
 from .scans import AXES, REDUCE_MODES, ReduceSpec, ScanSpec
@@ -211,11 +211,11 @@ class _Section:
 
 
 def _built(sec: _Section, key, build, *args, **kwargs):
-    """``build(*args, **kwargs)``, reporting a constructor's ValueError or
-    FullRankViolation at ``key``'s line."""
+    """``build(*args, **kwargs)``, reporting a constructor's ValueError,
+    FullRankViolation or ExtrapolationError at ``key``'s line."""
     try:
         return build(*args, **kwargs)
-    except (ValueError, FullRankViolation) as exc:
+    except (ValueError, FullRankViolation, ExtrapolationError) as exc:
         raise sec.error(str(exc), key) from exc
 
 
@@ -427,9 +427,6 @@ def load_run_config(path: str) -> LoadedRun:
                                      window=tuple(window))
         scan_spec = _built(scan_sec, "values", ScanSpec, axis, values, gibbs, v, profile,
                            reduce_spec, drift_tol=tolerances["step_drift"])
-
-        if axis == "time":
-            within_temporal_table(scan_sec, "values", "scan time", values[-1])
         scan = {"axis": axis, "values": values, "reduce": reduce}
 
     # ---- estimation / output --------------------------------------------

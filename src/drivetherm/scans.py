@@ -15,14 +15,15 @@ mismatch exceeds ``engine.DUAL_PATH_TOL`` raises :class:`DriveThermError`.
 """
 
 import math
-from itertools import groupby
+from itertools import groupby, product
 from typing import Mapping, NamedTuple
 
 import numpy as np
 
-from .drive import CosineModulation, DriveProfile, GaussianEnvelope, TabulatedEnvelope
+from .drive import (CosineModulation, DriveProfile, GaussianEnvelope, TabulatedEnvelope,
+                    TabulatedModulation)
 from .engine import QfiResult, _decompose, check_dual_path, increment_at
-from .exceptions import DriveThermError
+from .exceptions import DriveThermError, ExtrapolationError
 from .operators import hermitize
 from .propagation import (DRIFT_TOL, EvolutionTrace, NodeResidual, default_grid,
                           finish_nodes, propagate, reduce_to_node)
@@ -64,7 +65,9 @@ class ScanSpec(NamedTuple("ScanSpec", [("axis", str), ("values", tuple), ("model
     tuple of floats and ``v`` hermitized.  Every rule on the values is checked
     here, before any point runs: finite, >= 0 and strictly increasing, and on
     a temperature axis a last beta whose Gibbs model passes ``model``'s rank
-    floor (:class:`FullRankViolation`) and a grid inside a tabulated envelope."""
+    floor (:class:`FullRankViolation`) and a grid inside a tabulated envelope,
+    and every time a point reads inside a tabulated temporal table
+    (:class:`ExtrapolationError`)."""
 
     __slots__ = ()
     _make = classmethod(lambda cls, it: cls(*it))
@@ -93,6 +96,13 @@ class ScanSpec(NamedTuple("ScanSpec", [("axis", str), ("values", tuple), ("model
                 values[0] < env.betas[0] or values[-1] > env.betas[-1]):
             raise ValueError("temperature grid leaves the tabulated envelope range "
                              f"[{env.betas[0]}, {env.betas[-1]}]")
+        if isinstance(drive.temporal, TabulatedModulation):
+            name, t = (("scan time", values[-1]) if axis == "time" else
+                       ("scan.reduce.t", reduce.t) if reduce.mode == "value_at_t" else
+                       ("scan.reduce.window end", reduce.window[1]))
+            if t > drive.temporal.times[-1]:
+                raise ExtrapolationError(f"{name}={t} exceeds the tabulated temporal range "
+                                         f"(max t = {drive.temporal.times[-1]})")
         return super().__new__(cls, axis, values, model, v, drive, reduce, drift_tol)
 
 
@@ -294,6 +304,8 @@ def optimize_drive(model: GibbsModel, v, t_eval: float,
         if hi < lo:
             raise ValueError(f"empty bounds for {name!r}: ({lo}, {hi})")
         params[name] = min(max(params[name], lo), hi)
+    for corner in product(*[[(name, lo), (name, hi)] for name, (lo, hi) in bounds.items()]):
+        current({**params, **dict(corner)})  # the drive's rules hold on the whole box
 
     seeds = []
     if seed_resonance and "omega_d" in bounds:

@@ -730,8 +730,9 @@ def test_time_scan_rejects_reduce(tmp_path, capsys):
 def test_cli_loads_only_what_it_runs(tmp_path, command):
     # scipy is a test-only dependency, dataclasses and numpy.ma start-up costs
     # the records and the kernel node selection avoid, and the validation
-    # suite belongs to 'validate': a fresh 'simulate' (with a kernel CSV) or
-    # 'scan' run imports none of them, and 'validate' only the suite
+    # suite and the closed-form spin laws it reads belong to 'validate': a
+    # fresh 'simulate' (with a kernel CSV) or 'scan' run imports none of them,
+    # and 'validate' only the suite and the spin laws
     args = [command]
     if command != "validate":
         fig2a = (ROOT / "configs" / "fig2a.yaml").read_text(encoding="utf-8")
@@ -743,13 +744,15 @@ def test_cli_loads_only_what_it_runs(tmp_path, command):
         "from drivetherm.cli import main\n"
         f"code = main({args!r})\n"
         "print(code, sorted(m for m in sys.modules if m.startswith('scipy')\n"
-        "                   or m in ('dataclasses', 'drivetherm.validation', 'numpy.ma')))\n"
+        "                   or m in ('dataclasses', 'drivetherm.spin',\n"
+        "                            'drivetherm.validation', 'numpy.ma')))\n"
     )
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
     done = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
                           text=True, timeout=300, check=False)
     assert done.returncode == 0, done.stderr
-    loaded = "['drivetherm.validation']" if command == "validate" else "[]"
+    loaded = ("['drivetherm.spin', 'drivetherm.validation']" if command == "validate"
+              else "[]")
     assert done.stdout.splitlines()[-1] == f"0 {loaded}"
     assert command != "simulate" or (tmp_path / "out" / "kernel.csv").is_file()
 

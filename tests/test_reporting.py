@@ -1,6 +1,7 @@
 """The table writers: every value is written as f"{x:.17g}", in row order."""
 
 import math
+from decimal import Decimal
 
 import numpy as np
 import pytest
@@ -113,7 +114,7 @@ def test_constant_column_is_written_as_each_value_17g(tmp_path, constant):
 def test_kernel_csv_spanning_format_blocks_is_written_17g(tmp_path):
     # 70 times: blocks of 29, 29 and 12 whole s rows
     n = 70
-    assert reporting._CHUNK_ROWS // n == 29
+    assert reporting._CHUNK_ROWS // n == 14
     times = np.linspace(0.0, 3.0, n)
     kernel = np.sin(np.add.outer(times, 1.1 * times)) / 3.0
     times[1:1 + len(SPECIAL)] = SPECIAL
@@ -122,3 +123,73 @@ def test_kernel_csv_spanning_format_blocks_is_written_17g(tmp_path):
     t, k = times.tolist(), kernel.tolist()
     rows = [(t[a], t[b], k[a][b]) for a in range(n) for b in range(n)]
     assert body(tmp_path / "kernel.csv") == ("s,u,K_S", expected_lines(rows))
+
+
+# ---------------------------------------------------------------------------
+# The numpy formatter's hard cases: every value still reads as f"{x:.17g}"
+# ---------------------------------------------------------------------------
+
+
+def written(directory, values):
+    """``values`` as the scan CSV writes them, one text per value."""
+    values = np.asarray(values, dtype=float)
+    table = np.resize(values, (-(-len(values) // 5), 5))
+    write_scan_csv(directory / "scan.csv", "time", [ScanPoint(*row) for row in table.tolist()],
+                   "h")
+    return ",".join(body(directory / "scan.csv")[1]).split(",")[:len(values)]
+
+
+def exact_ties():
+    """Doubles m / 2^k, m odd, whose exact decimal value m 5^k 10^-k has 18
+    significant digits, the last a 5: ties at the 17th digit, which round half
+    to even.  Only k <= 25 (5^26 > 10^18) with m < 2^53 has them."""
+    ties = []
+    for k in range(2, 26):
+        first = -(-10**17 // 5**k) | 1  # the first odd m with m 5^k >= 10^17
+        ties += [m / 2**k for m in range(first, first + 6, 2) if m * 5**k < 10**18]
+    return ties
+
+
+def test_exact_ties_round_half_to_even(tmp_path):
+    ties = exact_ties()
+    assert 2.0**-25 in ties and len(ties) >= 20
+    for x in ties:
+        digits = Decimal(x).as_tuple().digits
+        assert len(digits) == 18 and digits[-1] == 5, x
+    values = ties + [-x for x in ties]
+    assert written(tmp_path, values) == [f"{x:.17g}" for x in values]
+    assert f"{2.0**-25:.17g}" == "2.9802322387695312e-08"  # ...3125: the 2 is even
+
+
+def test_powers_of_ten_and_their_neighbours(tmp_path):
+    powers = np.array([float(f"1e{e}") for e in range(-30, 17)])
+    values = np.concatenate([powers, np.nextafter(powers, 0.0), np.nextafter(powers, np.inf)])
+    values = np.concatenate([values, -values])
+    assert written(tmp_path, values) == [f"{x:.17g}" for x in values.tolist()]
+
+
+@settings(max_examples=60)
+@given(st.lists(st.integers(0, 2**64 - 1), min_size=1, max_size=40))
+def test_raw_bit_patterns(tmp_path_factory, bits):
+    values = np.array(bits, dtype=np.uint64).view(np.float64)
+    assert (written(tmp_path_factory.mktemp("bits"), values)
+            == [f"{x:.17g}" for x in values.tolist()])
+
+
+def test_python_fallback_alone_writes_the_same_bytes(tmp_path, monkeypatch):
+    # with the margin above 1/2 every value takes Python's '%.17g', as where
+    # longdouble is a double; the kernel's last block is partial
+    n = 90
+    assert n % (reporting._CHUNK_ROWS // n)
+    rng = np.random.default_rng(5)
+    times = np.linspace(0.0, 7.0, n)
+    kernel = rng.standard_normal((n, n)) * 10.0 ** rng.integers(-40, 20, (n, n))
+    kernel.flat[:len(SPECIAL)] = SPECIAL
+    write_kernel_csv(tmp_path / "numpy.csv", times, kernel, "h")
+    monkeypatch.setattr(reporting, "_MARGIN", 1.0)
+    write_kernel_csv(tmp_path / "python.csv", times, kernel, "h")
+    fast = (tmp_path / "numpy.csv").read_bytes()
+    assert fast == (tmp_path / "python.csv").read_bytes()
+    t, k = times.tolist(), kernel.tolist()
+    rows = [(t[a], t[b], k[a][b]) for a in range(n) for b in range(n)]
+    assert body(tmp_path / "numpy.csv") == ("s,u,K_S", expected_lines(rows))

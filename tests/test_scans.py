@@ -5,9 +5,10 @@ from hypothesis import strategies as st
 
 from drivetherm import engine, scans
 from drivetherm.drive import (ConstantEnvelope, CosineModulation, DriveProfile,
-                              GaussianEnvelope, TabulatedEnvelope)
+                              GaussianEnvelope, TabulatedEnvelope, TabulatedModulation)
 from drivetherm.engine import qfi_driven, qfi_time_series
-from drivetherm.exceptions import DriveThermError, FullRankViolation, StepSizeTooCoarse
+from drivetherm.exceptions import (DriveThermError, ExtrapolationError, FullRankViolation,
+                                   StepSizeTooCoarse)
 from drivetherm.operators import SIGMA_X, SIGMA_Z
 from drivetherm.propagation import EvolutionTrace, TimeGrid, default_grid, propagate
 from drivetherm.scans import (OptimizeResult, ReduceSpec, ScanSpec, _best_node,
@@ -84,6 +85,37 @@ def test_spec_validation():
             spec._replace(values=values)
         with pytest.raises(error, match=message):
             ScanSpec(spec.axis, values, *spec[2:])
+
+
+@pytest.fixture
+def records(monkeypatch):
+    """The arguments of every ``scans._record`` call, which still runs."""
+    calls, record = [], scans._record
+    monkeypatch.setattr(scans, "_record", lambda *a, **k: calls.append(a) or record(*a, **k))
+    return calls
+
+
+def test_times_past_a_tabulated_temporal_table_are_rejected_up_front(records):
+    # the table ends at t = 5: a time scan's last value, reduce.t and the
+    # window end each past it fail as the spec is built, before any point runs
+    drive = DriveProfile(0.1, GaussianEnvelope(5.0, 3.0),
+                         TabulatedModulation((0.0, 2.0, 5.0), (1.0, 0.5, 0.2)))
+    time_spec = ScanSpec("time", (1.0, 3.0, 5.0), qubit(), SIGMA_X, drive,
+                         ReduceSpec("value_at_t", 1.0))
+    cases = [(time_spec, {"values": (1.0, 3.0, 10.0)}, "scan time=10.0"),
+             (temp_spec((1.0, 2.0), drive, t_eval=5.0), {"reduce": ReduceSpec("value_at_t", 6.0)},
+              "scan.reduce.t=6.0"),
+             (temp_spec((1.0, 2.0), drive, t_eval=5.0),
+              {"reduce": ReduceSpec("max_over_t", window=(1.0, 6.0))},
+              "scan.reduce.window end=6.0")]
+    for spec, change, name in cases:
+        message = f"^{name} exceeds the tabulated temporal range \\(max t = 5.0\\)$"
+        with pytest.raises(ExtrapolationError, match=message):
+            run_scan(spec._replace(**change))
+        with pytest.raises(ExtrapolationError, match=message):
+            run_scan(ScanSpec(*spec._replace(**change)))
+    assert records == []
+    assert len(run_scan(time_spec).points) == 3 and len(records) == 3  # up to t = 5 runs
 
 
 def test_reduce_spec_validation():
@@ -460,6 +492,17 @@ def test_optimizer_honours_rank_floor():
                             coarse_points=5, passes=1, golden_iters=4)
     assert 0.5 <= result.params["omega_d"] <= 1.5
     assert np.isfinite(result.value) and result.value > 0.0
+
+
+@pytest.mark.parametrize("bounds, message", [
+    ({"s_beta": (-1.0, 2.0)}, "s_beta must be > 0, got -1.0"),
+    ({"omega_d": (-0.5, 1.5), "beta0": (1.0, 9.0)}, "omega_d must be >= 0, got -0.5"),
+], ids=["s_beta", "omega_d"])
+def test_optimizer_checks_its_whole_bounds_box_first(records, bounds, message):
+    # the start point lies inside the drive's rules; a corner of the box does not
+    with pytest.raises(ValueError, match=message):
+        optimize_drive(qubit(), SIGMA_X, 1.0, bounds, base_drive=base_drive())
+    assert records == []
 
 
 def test_optimizer_rejects_unresolved_point():
