@@ -13,7 +13,6 @@ times in its inverse, beta likewise.
 
 __version__ = "0.1.0"
 
-from .bures import jordan_apply, jordan_inverse_apply
 from .drive import (ConstantEnvelope, ConstantModulation, CosineModulation,
                     DriveProfile, GaussianEnvelope, TabulatedEnvelope,
                     TabulatedModulation, dlambda_dbeta, lambda_at)
@@ -40,8 +39,6 @@ __all__ = [
     # thermal
     "GibbsModel", "dpi_dbeta", "equilibrium_qfi", "equilibrium_sld",
     "make_gibbs",
-    # bures
-    "jordan_apply", "jordan_inverse_apply",
     # drive
     "DriveProfile", "GaussianEnvelope", "ConstantEnvelope",
     "TabulatedEnvelope", "CosineModulation", "ConstantModulation",

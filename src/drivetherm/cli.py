@@ -31,9 +31,6 @@ EXIT_OK = 0
 EXIT_NUMERICAL = 1
 EXIT_CONFIG = 2
 
-#: Kernel visualization output is decimated to at most this many grid nodes.
-KERNEL_MAX_NODES = 241
-
 #: glibc ``mallopt`` parameters and the values ``main`` sets: blocks below
 #: 16 MB come from the heap, and the heap is trimmed only past 4 MB free.
 _MALLOPT = ((-3, 16 << 20), (-1, 4 << 20))  # M_MMAP_THRESHOLD, M_TRIM_THRESHOLD
@@ -112,15 +109,6 @@ def _load_config(args):
     return run
 
 
-def _kernel_nodes(n_steps: int) -> np.ndarray:
-    """Both ends and evenly spread nodes between, at most KERNEL_MAX_NODES:
-    the kernel of those nodes only, since all n of them would raise peak
-    memory.  They are at least one step apart, so the rounded nodes are
-    distinct and increasing (``np.unique`` would import numpy.ma, ~12 ms)."""
-    k = min(n_steps + 1, KERNEL_MAX_NODES)
-    return np.rint(np.linspace(0, n_steps, k)).astype(int)
-
-
 def cmd_simulate(run, out_dir: Path, manifest_hash: str):
     """Write the time series (and kernel) CSVs; return the manifest's
     diagnostics and data files, and the summary line."""
@@ -132,7 +120,7 @@ def cmd_simulate(run, out_dir: Path, manifest_hash: str):
     engine.check_dual_path(results.rel_disagreement[worst], f"t={results.t[worst]:g}")
     kernel_payload = None
     if output["kernel"] is not None:
-        nodes = _kernel_nodes(grid.n_steps)
+        nodes = engine.kernel_nodes(grid.n_steps)
         kernel_payload = (grid.nodes[nodes], engine.kernel_matrix(model, trace.heisenberg_v[nodes]).real)
 
     csv_path = out_dir / output["csv"]

@@ -3,8 +3,9 @@
 The temperature envelope G and temporal modulation f are small tagged
 classes; tabulated variants interpolate with a C^1 monotone cubic
 (PCHIP), raise outside their abscissa range, and take G' as the exact
-derivative of that cubic.  All profiles are immutable NamedTuples; the
-ones with rules check them in ``__new__``, which ``_replace`` also runs.
+derivative of that cubic.  All profiles are immutable NamedTuples that
+equal only records of their own kind; the ones with rules check them in
+``__new__``, which ``_replace`` also runs.
 """
 
 import math
@@ -66,6 +67,16 @@ def _frozen(self, name, *value):
     raise AttributeError(f"{type(self).__name__} is immutable: cannot set or delete {name!r}")
 
 
+def _eq(self, other):
+    """Records of different kinds differ even with equal fields (plain tuples
+    would compare a cosine modulation equal to a Gaussian envelope)."""
+    return type(self) is type(other) and tuple.__eq__(self, other)
+
+
+def _ne(self, other):
+    return not _eq(self, other)
+
+
 class GaussianEnvelope(NamedTuple("GaussianEnvelope", [("beta0", float), ("s_beta", float)])):
     """G(beta) = exp(-(beta-beta0)^2 / (2 s_beta^2)), maximal (=1) at beta0.
 
@@ -76,6 +87,7 @@ class GaussianEnvelope(NamedTuple("GaussianEnvelope", [("beta0", float), ("s_bet
 
     __slots__ = ()
     _make = classmethod(lambda cls, it: cls(*it))  # so that _replace checks too
+    __eq__, __ne__, __hash__ = _eq, _ne, tuple.__hash__
 
     def __new__(cls, beta0, s_beta):
         if not s_beta > 0.0:
@@ -94,6 +106,8 @@ class GaussianEnvelope(NamedTuple("GaussianEnvelope", [("beta0", float), ("s_bet
 class ConstantEnvelope(NamedTuple):
     """Temperature-insensitive drive: G = 1, G' = 0 (the no-go case)."""
 
+    __eq__, __ne__, __hash__ = _eq, _ne, tuple.__hash__
+
     def __bool__(self):  # a profile, not an empty tuple
         return True
 
@@ -110,6 +124,7 @@ class TabulatedEnvelope(NamedTuple("TabulatedEnvelope", [("betas", tuple), ("val
 
     _make = classmethod(lambda cls, it: cls(*it))
     __setattr__ = __delattr__ = _frozen
+    __eq__, __ne__, __hash__ = _eq, _ne, tuple.__hash__
 
     def __new__(cls, betas, values):
         interp = _MonotoneCubic(betas, values, "envelope", "beta")
@@ -129,6 +144,7 @@ class CosineModulation(NamedTuple("CosineModulation", [("omega_d", float), ("phi
 
     __slots__ = ()
     _make = classmethod(lambda cls, it: cls(*it))
+    __eq__, __ne__, __hash__ = _eq, _ne, tuple.__hash__
 
     def __new__(cls, omega_d, phi=0.0):
         if omega_d < 0.0:
@@ -142,6 +158,8 @@ class CosineModulation(NamedTuple("CosineModulation", [("omega_d", float), ("phi
 class ConstantModulation(NamedTuple):
     """f(t) = 1 (constant-in-time control)."""
 
+    __eq__, __ne__, __hash__ = _eq, _ne, tuple.__hash__
+
     def __bool__(self):
         return True
 
@@ -154,6 +172,7 @@ class TabulatedModulation(NamedTuple("TabulatedModulation", [("times", tuple), (
 
     _make = classmethod(lambda cls, it: cls(*it))
     __setattr__ = __delattr__ = _frozen
+    __eq__, __ne__, __hash__ = _eq, _ne, tuple.__hash__
 
     def __new__(cls, times, values):
         interp = _MonotoneCubic(times, values, "modulation", "t")
@@ -171,6 +190,7 @@ class DriveProfile(NamedTuple):
     lambda0: float
     envelope: object
     temporal: object
+    __eq__, __ne__, __hash__ = _eq, _ne, tuple.__hash__
 
     @property
     def omega_d(self) -> float:

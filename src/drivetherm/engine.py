@@ -18,12 +18,13 @@ linear in V_H, so the accumulated current is that map of the weighted
 integral M_t = int_0^t w V_H kept by ``propagate``, and there
 I_t = sum_i p_i sum_j |dL~_ij|^2 is a sum of squares.  Both sides of the
 cross-check read the one M.  The kernel route reads the same trace:
-``kernel_matrix`` takes Heisenberg operators, such as those at a subset of
-the nodes, and ``increment_via_kernel`` the O(n^2) double sum of the
-kernel with the same quadrature.  ``CurrentTrace``, ``build_current_trace``
-and ``increment_series`` (Tr[pi0 dL_t^2] of the running trapezoid of the
-per-node lab-frame currents) are the reference route the tests compare
-against; perfbench resolves them by name.
+``kernel_matrix`` takes Heisenberg operators, such as those at the
+``kernel_nodes`` that ``simulate`` writes and ``validate`` checks, and
+``increment_via_kernel`` the O(n^2) double sum with the same quadrature.
+``CurrentTrace``, ``build_current_trace`` and ``increment_series``
+(Tr[pi0 dL_t^2] of the running trapezoid of the per-node lab-frame
+currents) are the reference route the tests compare against; perfbench
+resolves them by name.
 
 ``_decompose`` reads (k, d, d) rows of U and M under one Gibbs model, such
 as a scan's kept rows.  ``qfi_time_series`` returns its ``QfiResult`` of
@@ -49,6 +50,9 @@ DUAL_PATH_TOL = 1e-6
 
 #: Row-chunk size for the blocked kernel double sum.
 _KERNEL_CHUNK = 256
+
+#: Kernel visualization output is decimated to at most this many grid nodes.
+KERNEL_MAX_NODES = 241
 
 #: Rows per ``_decompose`` call in ``qfi_time_series``; a block's stacks stay
 #: in cache between its products.
@@ -110,9 +114,19 @@ def kernel_matrix(model: GibbsModel, v_heisenberg: np.ndarray) -> np.ndarray:
     return np.einsum("i,aij,bji->ab", model.probabilities, jt, jt)
 
 
-def increment_via_kernel(trace: EvolutionTrace) -> tuple[float, float]:
+def kernel_nodes(n_steps: int) -> np.ndarray:
+    """Both ends and evenly spread nodes between, at most KERNEL_MAX_NODES: the
+    nodes whose kernel ``simulate`` writes and ``validate`` checks (all n would
+    raise peak memory).  At least one step apart, so distinct and increasing
+    once rounded (``np.unique`` would import numpy.ma, ~12 ms)."""
+    k = min(n_steps + 1, KERNEL_MAX_NODES)
+    return np.rint(np.linspace(0, n_steps, k)).astype(int)
+
+
+def increment_via_kernel(trace: EvolutionTrace) -> tuple[float, float, float]:
     """Fisher increment by the double trapezoid of w(s) w(u) K_S(s, u) over the
-    grid of a trace held from node 0, returned with the antisymmetric residual.
+    grid of a trace held from node 0, returned with the antisymmetric residual
+    and the sum of the absolute terms of the double sum, its round-off scale.
 
     The symmetrized kernel K_S = Re K is used; the antisymmetric part drops
     out of the symmetric double sum, and its residual contribution is
@@ -125,12 +139,14 @@ def increment_via_kernel(trace: EvolutionTrace) -> tuple[float, float]:
     cw[[0, -1]] *= 0.5
     total = 0.0
     asym = 0.0
+    scale = 0.0
     for a0 in range(0, len(jt), _KERNEL_CHUNK):
         k_chunk = np.einsum("i,aij,bji->ab", p, jt[a0:a0 + _KERNEL_CHUNK], jt)
         row = cw[a0:a0 + _KERNEL_CHUNK]
         total += float(row @ k_chunk.real @ cw)
         asym += float(row @ k_chunk.imag @ cw)
-    return total, abs(asym)
+        scale += float(np.abs(row) @ np.abs(k_chunk.real) @ np.abs(cw))
+    return total, abs(asym), scale
 
 
 def increment_series(ct: CurrentTrace) -> np.ndarray:

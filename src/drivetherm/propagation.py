@@ -39,7 +39,7 @@ import numpy as np
 
 from .drive import DriveProfile, dlambda_dbeta, lambda_at
 from .exceptions import DriveThermError, StepSizeTooCoarse
-from .operators import UNROLL_MAX_DIM, hermitize, stack_mul
+from .operators import hermitize, stack_innermost, stack_mul
 from .thermal import GibbsModel, dpi_dbeta
 
 #: Steps per fastest period at default resolution.
@@ -341,8 +341,7 @@ def _step_exponentials(a0: np.ndarray, a1: np.ndarray, lam: np.ndarray) -> np.nd
         np.multiply(powers[:, j - 1], powers[:, 1], out=powers[:, j])
     # the complex C_j read as float pairs: one real (n, m+1) x (m+1, 2 d^2) product
     out = (powers @ c.reshape(m + 1, d * d).view(float)).view(complex).reshape(n, d, d)
-    if d <= UNROLL_MAX_DIM:  # step axis innermost, as stack_mul and _chain want
-        out = np.moveaxis(np.ascontiguousarray(np.moveaxis(out, 0, -1)), -1, 0)
+    out = stack_innermost(out)  # as stack_mul and _chain want
     for i in range(d):
         out[:, i, i] += 1.0
     for _ in range(s):

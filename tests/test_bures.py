@@ -1,127 +1,24 @@
 import numpy as np
 import pytest
 
-from drivetherm import FullRankViolation
-from drivetherm.bures import (SPECTRAL_QFI_CUTOFF, jordan_apply,
-                              jordan_inverse_apply, spectral_qfi_batch)
+from drivetherm.bures import SPECTRAL_QFI_CUTOFF, spectral_qfi_batch
 from drivetherm.operators import SIGMA_X, SIGMA_Z
-from drivetherm.thermal import dpi_dbeta, equilibrium_qfi, make_gibbs
+from drivetherm.thermal import dpi_dbeta, equilibrium_qfi, equilibrium_sld, make_gibbs
 
 from conftest import (random_full_rank_state, random_hermitian, random_unitary,
                       spectral_qfi, step_axis_innermost)
-from oracles import expm_hermitian_generator
-
-
-def test_jordan_apply_identity_state(rng):
-    x = random_hermitian(rng, 2)
-    assert np.allclose(jordan_apply(np.eye(2) / 2, x), x / 2, atol=1e-15)
-
-
-def test_jordan_apply_offdiagonal_qubit():
-    # anticommutator with a diagonal unit-trace state averages the two
-    # populations: {pi0, sigma_x}/2 = sigma_x/2
-    pi0 = make_gibbs(0.5 * SIGMA_Z, 2.0).state
-    assert np.allclose(jordan_apply(pi0, SIGMA_X), SIGMA_X / 2, atol=1e-15)
-
-
-def test_jordan_apply_direct_arithmetic(rng):
-    sigma = random_full_rank_state(rng, 4)
-    x = random_hermitian(rng, 4)
-    assert np.allclose(jordan_apply(sigma, x), 0.5 * (sigma @ x + x @ sigma), atol=0)
-
-
-def test_jordan_inverse_identity_state(rng):
-    for d in (2, 3, 5):
-        x = random_hermitian(rng, d)
-        assert np.allclose(jordan_inverse_apply(np.eye(d) / d, x), d * x, atol=1e-12)
-
-
-def test_jordan_inverse_offdiagonal_factor_two():
-    # purely off-diagonal argument in the state eigenbasis: J^-1 X = 2X
-    pi0 = make_gibbs(0.5 * SIGMA_Z, 2.0).state
-    for x in (SIGMA_X, np.array([[0, 1j], [-1j, 0]], dtype=complex)):
-        assert np.allclose(jordan_inverse_apply(pi0, x), 2 * x, atol=1e-13)
-
-
-def test_jordan_inverse_solves_lyapunov(rng):
-    sigma = random_full_rank_state(rng, 3)
-    x = random_hermitian(rng, 3)
-    y = jordan_inverse_apply(sigma, x)
-    assert np.linalg.norm(0.5 * (sigma @ y + y @ sigma) - x) < 1e-11
-
-
-def test_jordan_round_trip_many(rng):
-    for d in (2, 3, 4, 8):
-        for _ in range(125):
-            sigma = random_full_rank_state(rng, d)
-            x = random_hermitian(rng, d)
-            back = jordan_apply(sigma, jordan_inverse_apply(sigma, x))
-            assert np.linalg.norm(back - x) <= 1e-10 * np.linalg.norm(x)
-
-
-def test_jordan_inverse_rejects_rank_deficient():
-    sigma = np.diag([1.0, 0.0]).astype(complex)
-    with pytest.raises(FullRankViolation):
-        jordan_inverse_apply(sigma, SIGMA_X)
-
-
-def test_jordan_inverse_integral_representation(rng):
-    # oracle: J^-1 X = 2 * integral_0^inf e^(-s sigma) X e^(-s sigma) ds,
-    # evaluated by composite Simpson over [0, 40/lambda_min]
-    sigma = 0.7 * random_full_rank_state(rng, 3) + 0.3 * np.eye(3) / 3
-    sigma /= np.trace(sigma).real
-    x = random_hermitian(rng, 3)
-    lam, q = np.linalg.eigh(sigma)
-    xt = q.conj().T @ x @ q
-    s_max = 40.0 / lam[0]
-    ss = np.linspace(0.0, s_max, 40001)
-    decay = np.exp(-np.multiply.outer(ss, lam[:, None] + lam[None, :]))
-    from scipy.integrate import simpson
-    integral = simpson(2.0 * decay * xt[None, :, :], x=ss, axis=0)
-    oracle = q @ integral @ q.conj().T
-    spectral = jordan_inverse_apply(sigma, x)
-    assert np.linalg.norm(spectral - oracle) <= 1e-6 * np.linalg.norm(spectral)
-
-
-def test_unitary_covariance(rng):
-    sigma = random_full_rank_state(rng, 4)
-    x = random_hermitian(rng, 4)
-    u = random_unitary(rng, 4)
-    rotated = jordan_inverse_apply(u @ sigma @ u.conj().T, u @ x @ u.conj().T)
-    expected = u @ jordan_inverse_apply(sigma, x) @ u.conj().T
-    assert np.linalg.norm(rotated - expected) < 1e-10 * np.linalg.norm(expected)
-    rotated_fwd = jordan_apply(u @ sigma @ u.conj().T, u @ x @ u.conj().T)
-    expected_fwd = u @ jordan_apply(sigma, x) @ u.conj().T
-    assert np.linalg.norm(rotated_fwd - expected_fwd) < 1e-12
 
 
 def test_sld_gibbs_family(rng):
-    g = make_gibbs(random_hermitian(rng, 3), 1.1)
-    expected = -(g.h0 - np.trace(g.h0 @ g.state).real * np.eye(3))
-    l_op = jordan_inverse_apply(g.state, dpi_dbeta(g))
-    assert np.linalg.norm(l_op - expected) < 1e-11
-    assert abs(np.trace(g.state @ l_op)) < 1e-10
-
-
-def test_sld_zero_tangent(rng):
-    sigma = random_full_rank_state(rng, 3)
-    assert np.allclose(jordan_inverse_apply(sigma, np.zeros((3, 3))), 0.0, atol=0)
-
-
-def test_sld_satisfies_lyapunov_for_rotated_family(rng):
-    # family sigma(beta) = U(beta) D U(beta)^dag; tangent by central difference
-    d_mat = np.diag([0.5, 0.3, 0.2]).astype(complex)
-    g = random_hermitian(rng, 3)
-    h = 1e-6
-
-    def family(beta):
-        u = expm_hermitian_generator(g, beta)
-        return u @ d_mat @ u.conj().T
-
-    dsigma = (family(h) - family(-h)) / (2 * h)
-    sigma = family(0.0)
-    l_op = jordan_inverse_apply(sigma, dsigma)
-    assert np.linalg.norm(0.5 * (sigma @ l_op + l_op @ sigma) - dsigma) < 1e-8
+    # the production SLD -(H0 - <H0>) solves {pi0, L}/2 = dpi0/dbeta, with
+    # Tr[pi0 L] = 0 and Tr[pi0 L^2] = F_eq, for random Gibbs models
+    for d in range(2, 7):
+        g = make_gibbs(random_hermitian(rng, d), 1.1)
+        l_op = equilibrium_sld(g)
+        assert np.linalg.norm(0.5 * (g.state @ l_op + l_op @ g.state) - dpi_dbeta(g)) < 1e-11
+        assert abs(np.trace(g.state @ l_op)) < 1e-10
+        f_eq = equilibrium_qfi(g)
+        assert abs(np.trace(g.state @ l_op @ l_op).real - f_eq) <= 1e-12 * max(1.0, f_eq)
 
 
 def test_spectral_qfi_zero_tangent(rng):

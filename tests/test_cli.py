@@ -326,7 +326,7 @@ def test_kernel_output_honours_its_node_cap(tmp_path):
     assert main(["simulate", "--config", str(cfg), "--out", str(out)]) == 0
     _, _, rows = read_csv(out / "kern.csv")
     times = {r[0] for r in rows}
-    assert 1 < len(times) <= cli.KERNEL_MAX_NODES
+    assert 1 < len(times) <= engine.KERNEL_MAX_NODES
     assert len(rows) == len(times) ** 2
     assert rows[0][0] == 0.0 and rows[-1][0] == 6.283185307179586  # both ends of the grid
 
@@ -760,9 +760,9 @@ def test_cli_loads_only_what_it_runs(tmp_path, command):
 def test_kernel_nodes_are_distinct_without_unique():
     # the rounded spread of k <= n + 1 nodes is what np.unique left of it
     for n in [*range(2001), 65_535, 199_999, 200_000, 10**7 + 3]:
-        k = min(n + 1, cli.KERNEL_MAX_NODES)
+        k = min(n + 1, engine.KERNEL_MAX_NODES)
         expected = np.unique(np.rint(np.linspace(0, n, k)).astype(int))
-        got = cli._kernel_nodes(n)
+        got = engine.kernel_nodes(n)
         assert got.dtype == expected.dtype and got.tobytes() == expected.tobytes(), n
 
 

@@ -158,3 +158,28 @@ def test_sample_envelope_center_window_and_determinism():
     assert 3.0 <= val <= 7.0  # half width 1/sqrt(0.25) = 2
     low = sample_envelope_center(0.5, 0.25, seed=11)
     assert 0.0 <= low <= 2.5  # window clipped at beta = 0
+
+
+def test_records_of_different_kinds_differ():
+    # as plain tuples all of these compared equal
+    assert CosineModulation(1.0, 2.0) != GaussianEnvelope(1.0, 2.0)
+    assert not CosineModulation(1.0, 2.0) == GaussianEnvelope(1.0, 2.0)
+    assert ConstantEnvelope() != ConstantModulation()
+    assert ConstantEnvelope() != ()
+    assert TabulatedEnvelope((0.0, 1.0), (1.0, 2.0)) != TabulatedModulation((0.0, 1.0), (1.0, 2.0))
+    assert (DriveProfile(0.1, GaussianEnvelope(5.0, 3.0), ConstantEnvelope())
+            != DriveProfile(0.1, CosineModulation(5.0, 3.0), ConstantModulation()))
+    assert len({GaussianEnvelope(1.0, 2.0), CosineModulation(1.0, 2.0)}) == 2
+
+
+def test_records_of_one_kind_compare_and_hash_by_value():
+    for a, b in ((GaussianEnvelope(1.0, 2.0), GaussianEnvelope(1.0, 2.0)),
+                 (ConstantEnvelope(), ConstantEnvelope()),
+                 (ConstantModulation(), ConstantModulation()),
+                 (CosineModulation(1.0), CosineModulation(1.0, 0.0)),
+                 (TabulatedEnvelope([0, 1], [1, 2]), TabulatedEnvelope((0.0, 1.0), (1.0, 2.0))),
+                 (TabulatedModulation([0, 1], [1, 2]), TabulatedModulation((0.0, 1.0), (1.0, 2.0))),
+                 (gaussian_profile(), gaussian_profile()._replace())):
+        assert a == b and not a != b and hash(a) == hash(b) and len({a, b}) == 1
+    assert gaussian_profile() != gaussian_profile(phi=0.5)
+    assert GaussianEnvelope(1.0, 2.0) != GaussianEnvelope(1.0, 3.0)

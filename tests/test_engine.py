@@ -131,26 +131,28 @@ def test_weak_field_current_convention(qubit_model):
 def test_single_node_trace(qubit_model, resonant_drive):
     trace = propagate(qubit_model, SIGMA_X, resonant_drive, TimeGrid(0.0, 0))
     assert increment_series(build_current_trace(trace))[-1] == 0.0
-    assert increment_via_kernel(trace)[0] == 0.0
+    assert increment_via_kernel(trace) == (0.0, 0.0, 0.0)
 
 
 def test_increment_paths_agree(qubit_model, resonant_drive, rng):
     grid = TimeGrid(2 * TWO_PI, default_n_steps(2 * TWO_PI, 1.0, 1.0))
     trace = propagate(qubit_model, SIGMA_X, resonant_drive, grid)
-    i_kernel, asym = increment_via_kernel(trace)
+    i_kernel, asym, scale = increment_via_kernel(trace)
     i_delta = increment_series(build_current_trace(trace))[-1]
     assert abs(i_kernel - i_delta) <= 1e-10 * i_delta
     assert asym <= 1e-10
+    assert i_kernel <= scale  # the sum of the absolute terms bounds the sum
     # generic model too
     h0 = random_hermitian(rng, 3)
     model = make_gibbs(h0, 1.2)
     grid = TimeGrid(4.0, default_n_steps(4.0, float(np.ptp(np.linalg.eigvalsh(h0))), 1.3))
     drive = DriveProfile(0.08, GaussianEnvelope(2.0, 1.5), CosineModulation(1.3, 0.7))
     trace = propagate(model, random_hermitian(rng, 3), drive, grid)
-    i_kernel, asym = increment_via_kernel(trace)
+    i_kernel, asym, scale = increment_via_kernel(trace)
     i_delta = increment_series(build_current_trace(trace))[-1]
     assert abs(i_kernel - i_delta) <= 1e-10 * max(i_delta, 1e-30)
     assert asym <= 1e-10
+    assert i_kernel <= scale
 
 
 def test_increment_zero_for_zero_weights(qubit_model):

@@ -10,7 +10,8 @@ from drivetherm.drive import (ConstantEnvelope, ConstantModulation,
                               lambda_at)
 from drivetherm.engine import qfi_driven, qfi_time_series
 from drivetherm.exceptions import DriveThermError, StepSizeTooCoarse
-from drivetherm.operators import SIGMA_X, SIGMA_Y, SIGMA_Z, UNROLL_MAX_DIM, stack_mul
+from drivetherm.operators import (SIGMA_X, SIGMA_Y, SIGMA_Z, UNROLL_MAX_DIM, stack_innermost,
+                                  stack_mul)
 from drivetherm.propagation import (TimeGrid, _step_exponentials,
                                     beta_generator, default_n_steps,
                                     drho_dbeta_analytic, finish_nodes, propagate,
@@ -230,6 +231,17 @@ def test_fixed_right_stack_mul_keeps_the_stack_layout(rng, d):
         assert got.dtype == complex
         assert np.argsort(got.strides).tolist() == np.argsort(stack.strides).tolist()
         assert got.tobytes() == expected.tobytes()
+
+
+@pytest.mark.parametrize("d", range(1, UNROLL_MAX_DIM + 3))
+def test_stack_innermost_keeps_values_and_lays_small_stacks_step_innermost(rng, d):
+    a = rng.normal(size=(5, d, d)) + 1j * rng.normal(size=(5, d, d))
+    got = stack_innermost(a)
+    assert np.array_equal(got, a)
+    if d <= UNROLL_MAX_DIM:
+        assert got.strides[0] == got.itemsize
+    else:
+        assert got is a
 
 
 def test_energy_offset_leaves_f_total_unchanged(rng):

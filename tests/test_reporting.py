@@ -112,7 +112,7 @@ def test_constant_column_is_written_as_each_value_17g(tmp_path, constant):
 
 
 def test_kernel_csv_spanning_format_blocks_is_written_17g(tmp_path):
-    # 70 times: blocks of 29, 29 and 12 whole s rows
+    # 70 times: five blocks of 14 whole s rows
     n = 70
     assert reporting._CHUNK_ROWS // n == 14
     times = np.linspace(0.0, 3.0, n)

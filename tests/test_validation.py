@@ -3,6 +3,7 @@ from pathlib import Path
 
 from drivetherm import engine
 from drivetherm.cli import main
+from drivetherm.config import load_run_config
 from drivetherm.operators import stack_mul
 from drivetherm.validation import run_checks, summarize
 
@@ -22,7 +23,7 @@ grid: {t_end: 6.283185307179586}
 
 CHECK_NAMES = [
     "equilibrium-baseline-closed-form",
-    "jordan-inverse-round-trip",
+    "kernel-positive-semidefinite",
     "current-thermal-overlap",
     "unitarity-and-spectrum-preservation",
     "dual-path-agreement",
@@ -64,6 +65,32 @@ def test_injected_current_sign_error_fails_mixed_term(monkeypatch):
     monkeypatch.setattr(engine, "_coherences", anticommutator_coherences)
     checks = {c.name: c for c in run_checks()}
     assert not checks["mixed-term-vanishing"].passed
+
+
+def test_negated_kernel_fails_psd_check(monkeypatch):
+    kernel_matrix = engine.kernel_matrix
+    monkeypatch.setattr(engine, "kernel_matrix", lambda model, vh: -kernel_matrix(model, vh))
+    checks = {c.name: c for c in run_checks()}
+    assert not checks["kernel-positive-semidefinite"].passed
+    assert checks["kernel-positive-semidefinite"].measured <= -0.99
+
+
+def test_commuting_perturbation_gives_zero_kernel_and_passes(tmp_path):
+    # V = sigma_z commutes with H0: every current and the kernel are zero
+    cfg = tmp_path / "commuting.yaml"
+    cfg.write_text(GUARDED_CONFIG.replace("beta_star: 80.0", "beta_star: 4.0")
+                   .replace("v: sigma_x", "v: sigma_z"), encoding="utf-8")
+    checks = {c.name: c for c in run_checks(load_run_config(cfg))}
+    assert checks["kernel-positive-semidefinite"].passed
+    assert checks["kernel-positive-semidefinite"].measured == 0.0
+    assert checks["kernel-vs-accumulated-increment"].measured == 0.0
+
+
+def test_kernel_increment_check_is_scaled_by_its_terms():
+    # fig2c's I_t is small: divided by I_t the round-off read 2.8e-11
+    fig2c = Path(__file__).parents[1] / "configs" / "fig2c.yaml"
+    checks = {c.name: c for c in run_checks(load_run_config(fig2c))}
+    assert checks["kernel-vs-accumulated-increment"].measured <= 1e-14
 
 
 def test_cli_validate_passes(tmp_path):
