@@ -27,7 +27,7 @@ from .drive import (ConstantEnvelope, ConstantModulation, CosineModulation,
                     TabulatedModulation, sample_envelope_center)
 from .exceptions import ConfigValidationError, ExtrapolationError, FullRankViolation
 from .operators import PAULI, SIGMA_Z, hermitize
-from .propagation import DRIFT_TOL, TimeGrid, default_n_steps
+from .propagation import DRIFT_TOL, TimeGrid, check_n_steps, default_n_steps
 from .scans import AXES, REDUCE_MODES, ReduceSpec, ScanSpec
 from .thermal import RANK_FLOOR, GibbsModel, equilibrium_qfi, make_gibbs
 
@@ -385,6 +385,9 @@ def load_run_config(path: str) -> LoadedRun:
         n_steps = default_n_steps(t_end, gibbs.spread, profile.omega_d)
         resolved["auto_n_steps"] = n_steps
     time_grid = _built(grid_sec, "t_end", TimeGrid, t_end, n_steps)
+    # validate runs this grid on a scan config too; ScanSpec caps the points' grids
+    _built(grid_sec, "t_end" if "auto_n_steps" in resolved else "n_steps", check_n_steps,
+           n_steps, gibbs.dim)
     within_temporal_table(grid_sec, "t_end", "grid.t_end", t_end)
     grid = {"t_end": t_end, "n_steps": n_steps}
 

@@ -1,11 +1,13 @@
 """Control law lambda(t, beta) = lambda0 * G(beta) * f(t).
 
 The temperature envelope G and temporal modulation f are small tagged
-classes; tabulated variants interpolate with a C^1 monotone cubic
-(PCHIP), raise outside their abscissa range, and take G' as the exact
-derivative of that cubic.  All profiles are immutable NamedTuples that
-equal only records of their own kind; the ones with rules check them in
-``__new__``, which ``_replace`` also runs.
+classes; the two tabulated variants share one body, which interpolates
+with a C^1 monotone cubic (PCHIP), raises outside the abscissa range, and
+gives G' as the exact derivative of that cubic.  ``_Checked`` states the
+policy of every input record once (these profiles, ``DriveProfile``, and
+``TimeGrid``, ``ReduceSpec`` and ``ScanSpec``): immutable NamedTuples that
+equal only records of their own kind, whose rules, checked in ``__new__``,
+``_replace`` also runs.
 """
 
 import math
@@ -63,31 +65,41 @@ class _MonotoneCubic:
         return c1 + s * (2.0 * c2 + 3.0 * s * c3)
 
 
-def _frozen(self, name, *value):
-    raise AttributeError(f"{type(self).__name__} is immutable: cannot set or delete {name!r}")
+class _Checked(tuple):
+    """The policy of the package's input records, stated once.  A record
+    derives from this base and then from its ``NamedTuple``, and may check
+    its rules in ``__new__``, which ``_replace`` also runs.  It equals only a
+    record of its own kind with equal fields (plain tuples would compare a
+    cosine modulation equal to a Gaussian envelope, or a grid to a pair),
+    hashes as its tuple, takes no new attribute, and is true even without
+    fields."""
+
+    _make = classmethod(lambda cls, it: cls(*it))  # so that _replace checks too
+    __hash__ = tuple.__hash__
+
+    def __eq__(self, other):
+        return type(self) is type(other) and tuple.__eq__(self, other)
+
+    def __ne__(self, other):
+        return not self == other
+
+    def __setattr__(self, name, *value):
+        raise AttributeError(f"{type(self).__name__} is immutable: cannot set or delete {name!r}")
+
+    __delattr__ = __setattr__
+
+    def __bool__(self):  # a record, not an empty tuple
+        return True
 
 
-def _eq(self, other):
-    """Records of different kinds differ even with equal fields (plain tuples
-    would compare a cosine modulation equal to a Gaussian envelope)."""
-    return type(self) is type(other) and tuple.__eq__(self, other)
-
-
-def _ne(self, other):
-    return not _eq(self, other)
-
-
-class GaussianEnvelope(NamedTuple("GaussianEnvelope", [("beta0", float), ("s_beta", float)])):
+class GaussianEnvelope(_Checked, NamedTuple("GaussianEnvelope", [("beta0", float),
+                                                                 ("s_beta", float)])):
     """G(beta) = exp(-(beta-beta0)^2 / (2 s_beta^2)), maximal (=1) at beta0.
 
     The exponent is formed from the ratio (beta-beta0)/s_beta before
     squaring so extreme arguments underflow to zero instead of overflowing;
     increments scale as G'^2, so silent overflow would zero the physics.
     """
-
-    __slots__ = ()
-    _make = classmethod(lambda cls, it: cls(*it))  # so that _replace checks too
-    __eq__, __ne__, __hash__ = _eq, _ne, tuple.__hash__
 
     def __new__(cls, beta0, s_beta):
         if not s_beta > 0.0:
@@ -103,13 +115,8 @@ class GaussianEnvelope(NamedTuple("GaussianEnvelope", [("beta0", float), ("s_bet
         return -((beta - self.beta0) / self.s_beta**2) * self.value(beta)
 
 
-class ConstantEnvelope(NamedTuple):
+class ConstantEnvelope(_Checked, NamedTuple("ConstantEnvelope", [])):
     """Temperature-insensitive drive: G = 1, G' = 0 (the no-go case)."""
-
-    __eq__, __ne__, __hash__ = _eq, _ne, tuple.__hash__
-
-    def __bool__(self):  # a profile, not an empty tuple
-        return True
 
     def value(self, beta):
         return np.ones_like(np.asarray(beta, dtype=float))
@@ -118,33 +125,35 @@ class ConstantEnvelope(NamedTuple):
         return np.zeros_like(np.asarray(beta, dtype=float))
 
 
-class TabulatedEnvelope(NamedTuple("TabulatedEnvelope", [("betas", tuple), ("values", tuple)])):
-    """User-supplied G(beta) samples, PCHIP-interpolated; G' is exact.  The
-    interpolant is kept beside the fields and is as immutable as they are."""
+class _Tabulated(_Checked):
+    """User-supplied samples of a profile (``_names``: its kind and variable),
+    PCHIP-interpolated, with no extrapolation.  The interpolant is kept
+    beside the fields and is as immutable as they are."""
 
-    _make = classmethod(lambda cls, it: cls(*it))
-    __setattr__ = __delattr__ = _frozen
-    __eq__, __ne__, __hash__ = _eq, _ne, tuple.__hash__
-
-    def __new__(cls, betas, values):
-        interp = _MonotoneCubic(betas, values, "envelope", "beta")
+    def __new__(cls, *args, **kwargs):
+        x, y = super().__new__(cls, *args, **kwargs)  # the namedtuple parses the arguments
+        interp = _MonotoneCubic(x, y, *cls._names)
         self = super().__new__(cls, tuple(interp.x), tuple(interp.y))
         self.__dict__["_interp"] = interp
         return self
 
-    def value(self, beta):
-        return self._interp(beta)
+    def value(self, at):
+        return self._interp(at)
+
+
+class TabulatedEnvelope(_Tabulated, NamedTuple("TabulatedEnvelope", [("betas", tuple),
+                                                                     ("values", tuple)])):
+    """User-supplied G(beta) samples; G' is the exact derivative of the cubic."""
+
+    _names = ("envelope", "beta")
 
     def derivative(self, beta):
         return self._interp.derivative(beta)
 
 
-class CosineModulation(NamedTuple("CosineModulation", [("omega_d", float), ("phi", float)])):
+class CosineModulation(_Checked, NamedTuple("CosineModulation", [("omega_d", float),
+                                                                 ("phi", float)])):
     """f(t) = cos(omega_d * t + phi)."""
-
-    __slots__ = ()
-    _make = classmethod(lambda cls, it: cls(*it))
-    __eq__, __ne__, __hash__ = _eq, _ne, tuple.__hash__
 
     def __new__(cls, omega_d, phi=0.0):
         if omega_d < 0.0:
@@ -155,42 +164,23 @@ class CosineModulation(NamedTuple("CosineModulation", [("omega_d", float), ("phi
         return np.cos(self.omega_d * np.asarray(t, dtype=float) + self.phi)
 
 
-class ConstantModulation(NamedTuple):
+class ConstantModulation(_Checked, NamedTuple("ConstantModulation", [])):
     """f(t) = 1 (constant-in-time control)."""
-
-    __eq__, __ne__, __hash__ = _eq, _ne, tuple.__hash__
-
-    def __bool__(self):
-        return True
 
     def value(self, t):
         return np.ones_like(np.asarray(t, dtype=float))
 
 
-class TabulatedModulation(NamedTuple("TabulatedModulation", [("times", tuple), ("values", tuple)])):
-    """User-supplied f(t) samples, PCHIP-interpolated; no extrapolation."""
+class TabulatedModulation(_Tabulated, NamedTuple("TabulatedModulation", [("times", tuple),
+                                                                         ("values", tuple)])):
+    """User-supplied f(t) samples."""
 
-    _make = classmethod(lambda cls, it: cls(*it))
-    __setattr__ = __delattr__ = _frozen
-    __eq__, __ne__, __hash__ = _eq, _ne, tuple.__hash__
-
-    def __new__(cls, times, values):
-        interp = _MonotoneCubic(times, values, "modulation", "t")
-        self = super().__new__(cls, tuple(interp.x), tuple(interp.y))
-        self.__dict__["_interp"] = interp
-        return self
-
-    def value(self, t):
-        return self._interp(t)
+    _names = ("modulation", "t")
 
 
-class DriveProfile(NamedTuple):
+class DriveProfile(_Checked, NamedTuple("DriveProfile", [("lambda0", float), ("envelope", object),
+                                                         ("temporal", object)])):
     """lambda(t, beta) = lambda0 * envelope(beta) * temporal(t)."""
-
-    lambda0: float
-    envelope: object
-    temporal: object
-    __eq__, __ne__, __hash__ = _eq, _ne, tuple.__hash__
 
     @property
     def omega_d(self) -> float:

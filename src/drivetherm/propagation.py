@@ -37,7 +37,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .drive import DriveProfile, dlambda_dbeta, lambda_at
+from .drive import DriveProfile, _Checked, dlambda_dbeta, lambda_at
 from .exceptions import DriveThermError, StepSizeTooCoarse
 from .operators import hermitize, stack_innermost, stack_mul
 from .thermal import GibbsModel, dpi_dbeta
@@ -48,21 +48,24 @@ STEPS_PER_PERIOD = 200
 #: Unitarity drift (Frobenius defect of U^dag U) treated as a step-size failure.
 DRIFT_TOL = 1e-8
 
+#: Bytes the (n, d, d) complex stacks of one run may take, counted as 8 stacks
+#: of n + 1 nodes (``propagate`` holds about 6.5 at its peak, and ``simulate``
+#: with its time series about 8).  As ``operators.MAX_DIM`` bounds d, this
+#: bounds the steps: n d^2 < 2^25, so at most 8,388,607 steps at d = 2.
+MAX_STACK_BYTES = 1 << 32
+
 #: Largest ||A||_1 whose first term dropped from the degree-m Taylor series of
 #: exp(A) is <= 2^-53, m = 1 .. 12; past the last, scale by 2^-s and square.
 _TAYLOR_THETA = [(2.0 ** -53 * math.factorial(m + 2)) ** (1 / (m + 2)) for m in range(12)]
 _MAX_SQUARINGS = 16
 
 
-class TimeGrid(NamedTuple("TimeGrid", [("t_end", float), ("n_steps", int)])):
+class TimeGrid(_Checked, NamedTuple("TimeGrid", [("t_end", float), ("n_steps", int)])):
     """Uniform grid t_k = k * t_end / n_steps, with t_0 = 0.
 
     ``t_end == 0`` (with ``n_steps == 0``) is the degenerate single-node
     grid used for instantaneous evaluation.
     """
-
-    __slots__ = ()
-    _make = classmethod(lambda cls, it: cls(*it))  # so that _replace checks too
 
     def __new__(cls, t_end, n_steps):
         if t_end < 0.0:
@@ -87,11 +90,26 @@ class TimeGrid(NamedTuple("TimeGrid", [("t_end", float), ("n_steps", int)])):
 
 
 def default_n_steps(t_end: float, *frequencies: float) -> int:
-    """Default resolution: >= STEPS_PER_PERIOD steps per fastest period."""
+    """Default resolution: >= STEPS_PER_PERIOD steps per fastest period.  A
+    count past 2^63 saturates there, for ``check_n_steps`` to reject."""
     if t_end == 0.0:
         return 0
     fastest = max([abs(f) for f in frequencies] + [1e-30])
-    return max(1, math.ceil(STEPS_PER_PERIOD * t_end * fastest / (2.0 * math.pi)))
+    return max(1, math.ceil(min(STEPS_PER_PERIOD * t_end * fastest / (2.0 * math.pi), 2.0**63)))
+
+
+def max_n_steps(d: int) -> int:
+    """The most steps a propagation of a d-level probe may take: its stacks
+    fit ``MAX_STACK_BYTES``."""
+    return MAX_STACK_BYTES // (8 * 16 * d * d) - 1
+
+
+def check_n_steps(n_steps: int, d: int) -> None:
+    """Raise ValueError, before anything is allocated, for a grid of more
+    steps than ``max_n_steps(d)``."""
+    if n_steps > max_n_steps(d):
+        raise ValueError(f"a grid of {n_steps:.3g} steps exceeds the cap of {max_n_steps(d):,} "
+                         f"steps at d = {d} (propagation.MAX_STACK_BYTES)")
 
 
 def default_grid(t_end: float, *frequencies: float) -> TimeGrid:
@@ -152,7 +170,7 @@ def propagate(model: GibbsModel, v, drive: DriveProfile, grid: TimeGrid,
 
     defects, heisenberg_v = _node_step(v, propagators)
     drift = float(defects.max())
-    failure = _drift_failure(drift, n, drift_tol)
+    failure = _drift_failure(drift, n, model.dim, drift_tol)
     if failure is not None:
         raise failure
 
@@ -179,16 +197,25 @@ def _node_step(v: np.ndarray, u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return defects, stack_mul(adjoints, stack_mul(v, u))
 
 
-def _drift_failure(drift: float, n: int, drift_tol: float) -> DriveThermError | None:
+def _drift_failure(drift: float, n: int, d: int, drift_tol: float) -> DriveThermError | None:
     """The error of a non-finite unitarity drift, or of one above ``drift_tol``
-    on n steps; None if the drift passes."""
+    on n steps of a d-level probe; None if the drift passes."""
     if not math.isfinite(drift):
         return DriveThermError(f"unitarity drift is {drift}: the drive or V is not finite")
     if drift > drift_tol:
-        suggested = max(2 * n, 1)
-        return StepSizeTooCoarse(f"unitarity drift {drift:.3e} exceeds {drift_tol:.1e}; "
-                                 f"retry with n_steps >= {suggested}", suggested_n_steps=suggested)
+        return _too_coarse(f"unitarity drift {drift:.3e} exceeds {drift_tol:.1e}",
+                           max(2 * n, 1), d)
     return None
+
+
+def _too_coarse(reason: str, suggested: int, d: int) -> StepSizeTooCoarse:
+    """The error of a grid too coarse for ``reason``: retry with ``suggested``
+    steps, or, past ``max_n_steps(d)``, no grid within the cap resolves the drive."""
+    if suggested > max_n_steps(d):
+        return StepSizeTooCoarse(f"{reason}; no grid within the cap of {max_n_steps(d):,} "
+                                 f"steps at d = {d} resolves the drive")
+    return StepSizeTooCoarse(f"{reason}; retry with n_steps >= {suggested}",
+                             suggested_n_steps=suggested)
 
 
 def _steps(model: GibbsModel, v: np.ndarray, drive: DriveProfile, grid: TimeGrid, first: int):
@@ -201,6 +228,7 @@ def _steps(model: GibbsModel, v: np.ndarray, drive: DriveProfile, grid: TimeGrid
     if v.shape != model.h0.shape:
         raise ValueError(f"dimension mismatch: V {v.shape} vs H0 {model.h0.shape}")
     d, dt = model.dim, grid.dt
+    check_n_steps(grid.n_steps, d)
     identity = np.eye(d, dtype=complex)
     # a non-finite drive value or entry of V is reported once, by the finiteness checks
     with np.errstate(all="ignore"):
@@ -292,7 +320,7 @@ def finish_nodes(v: np.ndarray, residuals: list, drift_tol: float = DRIFT_TOL):
         ms.append(m[:k])
         drifts.append(defects[:k])
         if k < p:
-            failure = (_drift_failure(float(defects[k]), batch[k].n_steps, drift_tol)
+            failure = (_drift_failure(float(defects[k]), batch[k].n_steps, d, drift_tol)
                        or DriveThermError(_M_NOT_FINITE))
             break
     return np.concatenate(us), np.concatenate(ms), np.concatenate(drifts), failure
@@ -321,9 +349,8 @@ def _step_exponentials(a0: np.ndarray, a1: np.ndarray, lam: np.ndarray) -> np.nd
     m = next((k for k, theta in enumerate(_TAYLOR_THETA, 1) if theta >= norm), 12)
     s = max(0, math.ceil(math.log2(norm / _TAYLOR_THETA[-1]))) if m == 12 else 0
     if s > _MAX_SQUARINGS:
-        suggested = n * 2 ** (s - _MAX_SQUARINGS)
-        raise StepSizeTooCoarse(f"step norm {norm:.3e} needs {s} > {_MAX_SQUARINGS} squarings; "
-                                f"retry with n_steps >= {suggested}", suggested_n_steps=suggested)
+        raise _too_coarse(f"step norm {norm:.3e} needs {s} > {_MAX_SQUARINGS} squarings",
+                          n * 2 ** (s - _MAX_SQUARINGS), d)
     scale = scale or 1.0
     b0, b1 = a0 * 0.5 ** s, a1 * (scale * 0.5 ** s)
     p = np.eye(d, dtype=complex)[None]

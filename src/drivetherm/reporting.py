@@ -28,8 +28,8 @@ from . import __version__
 from .engine import QfiResult
 from .scans import ScanPoint
 
-#: Rows per block of a float table, and kernel lines per block, about: a
-#: simulation block's ~6,000 values keep ``_fields``' working set (~0.4 kB a
+#: Rows per block of a float table: a simulation block's ~6,000 values, as
+#: many as a kernel block formats, keep ``_fields``' working set (~0.4 kB a
 #: value) in a few MB of cache.
 _CHUNK_ROWS = 1024
 
@@ -193,12 +193,12 @@ def write_scan_csv(path, axis: str, points: Sequence[ScanPoint],
 def write_kernel_csv(path, times, kernel_sym, manifest_hash: str) -> None:
     """Symmetrized kernel K_S(t_a, t_b) as (s, u, K_S) triples, row-major:
     s is the outer loop and u the inner.  Each time is formatted once; a
-    block of whole s rows, about _CHUNK_ROWS lines, formats its kernel values
-    together."""
+    block of whole s rows, about as many values as a simulation block,
+    formats its kernel values together."""
     times = np.asarray(times, dtype=float).ravel()
     stamps = _fields(times)
     kernel = np.asarray(kernel_sym, dtype=float).reshape(len(times), len(times))
-    step = max(1, _CHUNK_ROWS // max(1, len(times)))
+    step = max(1, len(SIMULATION_COLUMNS) * _CHUNK_ROWS // max(1, len(times)))
 
     def blocks():
         for i in range(0, len(times), step):

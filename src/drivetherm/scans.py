@@ -21,29 +21,27 @@ from typing import Mapping, NamedTuple
 import numpy as np
 
 from .drive import (CosineModulation, DriveProfile, GaussianEnvelope, TabulatedEnvelope,
-                    TabulatedModulation)
+                    TabulatedModulation, _Checked)
 from .engine import QfiResult, _decompose, check_dual_path, increment_at
 from .exceptions import DriveThermError, ExtrapolationError
 from .operators import hermitize
-from .propagation import (DRIFT_TOL, EvolutionTrace, NodeResidual, default_grid,
-                          finish_nodes, propagate, reduce_to_node)
+from .propagation import (DRIFT_TOL, EvolutionTrace, NodeResidual, check_n_steps,
+                          default_grid, default_n_steps, finish_nodes, propagate,
+                          reduce_to_node)
 from .thermal import GibbsModel, equilibrium_qfi, make_gibbs
 
 AXES = ("frequency", "temperature", "time")
 REDUCE_MODES = ("value_at_t", "max_over_t")
 
 
-class ReduceSpec(NamedTuple("ReduceSpec", [("mode", str), ("t", float | None),
-                                          ("window", tuple | None)])):
+class ReduceSpec(_Checked, NamedTuple("ReduceSpec", [("mode", str), ("t", float | None),
+                                                    ("window", tuple | None)])):
     """How a time series collapses to one scan row.
 
     ``value_at_t`` reads the QFI at a fixed evolution time (the default);
     ``max_over_t`` takes the best node inside a window.  Both are exposed
     because "maximum QFI at a fixed time" admits either reading.
     """
-
-    __slots__ = ()
-    _make = classmethod(lambda cls, it: cls(*it))  # so that _replace checks too
 
     def __new__(cls, mode="value_at_t", t=None, window=None):
         if mode not in REDUCE_MODES:
@@ -57,20 +55,18 @@ class ReduceSpec(NamedTuple("ReduceSpec", [("mode", str), ("t", float | None),
         return super().__new__(cls, mode, t, window)
 
 
-class ScanSpec(NamedTuple("ScanSpec", [("axis", str), ("values", tuple), ("model", GibbsModel),
-                                      ("v", np.ndarray), ("drive", DriveProfile),
-                                      ("reduce", ReduceSpec), ("drift_tol", float)])):
+class ScanSpec(_Checked, NamedTuple("ScanSpec", [
+        ("axis", str), ("values", tuple), ("model", GibbsModel), ("v", np.ndarray),
+        ("drive", DriveProfile), ("reduce", ReduceSpec), ("drift_tol", float)])):
     """One sweep axis over an otherwise fixed model/drive configuration;
     ``model`` is the Gibbs model of H0 at beta*.  ``values`` is kept as a
     tuple of floats and ``v`` hermitized.  Every rule on the values is checked
     here, before any point runs: finite, >= 0 and strictly increasing, and on
     a temperature axis a last beta whose Gibbs model passes ``model``'s rank
     floor (:class:`FullRankViolation`) and a grid inside a tabulated envelope,
-    and every time a point reads inside a tabulated temporal table
-    (:class:`ExtrapolationError`)."""
-
-    __slots__ = ()
-    _make = classmethod(lambda cls, it: cls(*it))
+    every time a point reads inside a tabulated temporal table
+    (:class:`ExtrapolationError`), and the largest point grid under the grid
+    cap (``propagation.check_n_steps``)."""
 
     def __new__(cls, axis, values, model, v, drive, reduce, drift_tol=DRIFT_TOL):
         if axis not in AXES:
@@ -96,13 +92,15 @@ class ScanSpec(NamedTuple("ScanSpec", [("axis", str), ("values", tuple), ("model
                 values[0] < env.betas[0] or values[-1] > env.betas[-1]):
             raise ValueError("temperature grid leaves the tabulated envelope range "
                              f"[{env.betas[0]}, {env.betas[-1]}]")
-        if isinstance(drive.temporal, TabulatedModulation):
-            name, t = (("scan time", values[-1]) if axis == "time" else
-                       ("scan.reduce.t", reduce.t) if reduce.mode == "value_at_t" else
-                       ("scan.reduce.window end", reduce.window[1]))
-            if t > drive.temporal.times[-1]:
-                raise ExtrapolationError(f"{name}={t} exceeds the tabulated temporal range "
-                                         f"(max t = {drive.temporal.times[-1]})")
+        name, t = (("scan time", values[-1]) if axis == "time" else  # the last time read
+                   ("scan.reduce.t", reduce.t) if reduce.mode == "value_at_t" else
+                   ("scan.reduce.window end", reduce.window[1]))
+        if isinstance(drive.temporal, TabulatedModulation) and t > drive.temporal.times[-1]:
+            raise ExtrapolationError(f"{name}={t} exceeds the tabulated temporal range "
+                                     f"(max t = {drive.temporal.times[-1]})")
+        # the largest point grid: the last time read, at the last frequency of a frequency scan
+        omega_d = values[-1] if axis == "frequency" else drive.omega_d
+        check_n_steps(default_n_steps(t, model.spread, omega_d), model.dim)
         return super().__new__(cls, axis, values, model, v, drive, reduce, drift_tol)
 
 

@@ -2,6 +2,7 @@
 exports, and its records are immutable and check their rules on `_replace`."""
 
 import ast
+import importlib
 from pathlib import Path
 
 import numpy as np
@@ -12,6 +13,7 @@ from drivetherm import (ConstantEnvelope, ConstantModulation, CosineModulation, 
                         GaussianEnvelope, ReduceSpec, SIGMA_X, SIGMA_Z, ScanSpec,
                         TabulatedEnvelope, TabulatedModulation, TimeGrid, build_current_trace,
                         make_gibbs, optimize_drive, propagate, qfi_time_series, run_scan)
+from drivetherm.drive import _Checked
 from drivetherm.operators import HermiticityWarning
 from drivetherm.validation import CheckResult
 
@@ -82,6 +84,27 @@ def test_public_records_are_immutable():
                 setattr(record, name, None)
     # the field-less profiles are objects, not empty tuples, to a truth test
     assert ConstantEnvelope() and ConstantModulation()
+
+
+def test_checked_records_share_one_policy():
+    # every record that checks its rules in __new__ takes the one record
+    # policy (drive._Checked), and no class restates a part of that policy
+    policy = {"_make", "__eq__", "__ne__", "__hash__", "__setattr__", "__delattr__", "__bool__"}
+    checked = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        module = importlib.import_module(f"drivetherm.{path.stem}".removesuffix(".__init__"))
+        for node in ast.parse(path.read_text(encoding="utf-8")).body:
+            if not isinstance(node, ast.ClassDef):
+                continue
+            cls = getattr(module, node.name)
+            defined = {stmt.name for stmt in node.body if isinstance(stmt, ast.FunctionDef)}
+            defined |= {target.id for stmt in node.body if isinstance(stmt, ast.Assign)
+                        for target in stmt.targets if isinstance(target, ast.Name)}
+            if issubclass(cls, tuple) and "__new__" in defined:
+                assert issubclass(cls, _Checked), cls
+                checked.append(node.name)
+            assert cls is _Checked or not defined & policy, (cls, defined & policy)
+    assert {"TimeGrid", "ReduceSpec", "ScanSpec", "GaussianEnvelope", "_Tabulated"} <= set(checked)
 
 
 def _checked_records():

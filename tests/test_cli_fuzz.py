@@ -2,8 +2,8 @@
 
 Whatever the value, ``main`` returns 0, 1 or 2, lets no exception escape,
 prints exactly one line to stderr when it fails, and writes only inside
-``--out``.  Huge numbers stay out of the pool: no memory budget bounds the
-grid yet, so they would allocate it.
+``--out``.  Huge numbers stay out of the pool, so that no fuzzed grid comes
+near the memory cap; the grids past it are explicit cases below.
 """
 
 import contextlib
@@ -13,14 +13,16 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
+import pytest
 import yaml
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from drivetherm.cli import main
-from drivetherm.config import _KEYS
+from drivetherm.config import _KEYS, _load_yaml_with_lines
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
@@ -106,6 +108,44 @@ def test_mutated_config_fails_cleanly_inside_out(tmp_path_factory, mutation):
         assert err.endswith("\n") and err.count("\n") == 1, err
     written = [p for p in root.rglob("*") if p.is_file() and p != cfg]
     assert all((work / "out") in p.parents for p in written), written
+
+
+#: (config, command, key set, value, key the error is reported at): grids
+#: past propagation.MAX_STACK_BYTES, set directly or through the auto rule.
+HUGE_GRIDS = [
+    ("fig2b.yaml", "simulate", "grid.n_steps", 10**12, "grid.n_steps"),
+    ("fig2b.yaml", "simulate", "grid.t_end", 1.0e9, "grid.t_end"),
+    ("fig2b.yaml", "validate", "grid.t_end", 1.0e9, "grid.t_end"),
+    ("fig2b.yaml", "simulate", "drive.temporal.omega_d", 1.0e12, "grid.t_end"),
+    # 200 steps per period of 1e308 overflows to inf, which saturates
+    ("fig2a.yaml", "simulate", "drive.temporal.omega_d", 1.0e308, "grid.t_end"),
+    ("fig3.yaml", "scan", "scan.reduce.t", 1.0e9, "scan.values"),
+    ("fig3.yaml", "scan", "grid.t_end", 1.0e9, "grid.t_end"),
+]
+
+
+@pytest.mark.parametrize("name, command, path, value, reported", HUGE_GRIDS)
+def test_grid_past_the_cap_is_a_config_error(tmp_path, capsys, name, command, path, value,
+                                             reported):
+    cfg = tmp_path / "run.yaml"
+    cfg.write_text(yaml.safe_dump(mutated(BASES[name], path, value)), encoding="utf-8")
+    argv = [command, "--config", str(cfg)]
+    if command != "validate":
+        argv += ["--out", str(tmp_path / "out")]
+    tracemalloc.start()
+    try:
+        code = main(argv)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 2
+    err = capsys.readouterr().err
+    line = _load_yaml_with_lines(str(cfg))[1][reported]
+    assert err.startswith(f"configuration error: {cfg}:{line}: a grid of ")
+    assert err.count("\n") == 1
+    assert "exceeds the cap of 8,388,607 steps at d = 2" in err
+    assert peak < 16 << 20  # no stack was allocated: one qubit stack at the cap is 512 MiB
+    assert not (tmp_path / "out").exists()
 
 
 FAILING_GIVEN = """\

@@ -7,6 +7,10 @@ from drivetherm.drive import (ConstantEnvelope, ConstantModulation,
                               GaussianEnvelope, TabulatedEnvelope,
                               TabulatedModulation, dlambda_dbeta, lambda_at,
                               sample_envelope_center)
+from drivetherm.operators import SIGMA_X, SIGMA_Z
+from drivetherm.propagation import TimeGrid
+from drivetherm.scans import ReduceSpec, ScanSpec
+from drivetherm.thermal import make_gibbs
 
 
 def gaussian_profile(lambda0=0.1, beta0=5.0, s_beta=3.0, omega_d=1.0, phi=0.0):
@@ -170,6 +174,14 @@ def test_records_of_different_kinds_differ():
     assert (DriveProfile(0.1, GaussianEnvelope(5.0, 3.0), ConstantEnvelope())
             != DriveProfile(0.1, CosineModulation(5.0, 3.0), ConstantModulation()))
     assert len({GaussianEnvelope(1.0, 2.0), CosineModulation(1.0, 2.0)}) == 2
+    # the grid and the scan records are no plain tuples either
+    assert TimeGrid(1.0, 2) != (1.0, 2) and not TimeGrid(1.0, 2) == (1.0, 2)
+    assert ReduceSpec("value_at_t", 1.0) != ("value_at_t", 1.0, None)
+    assert len({TimeGrid(1.0, 2), (1.0, 2)}) == 2
+    assert len({ReduceSpec("value_at_t", 1.0), ("value_at_t", 1.0, None)}) == 2
+    spec = ScanSpec("frequency", (0.5, 1.0), make_gibbs(0.5 * SIGMA_Z, 5.0), SIGMA_X,
+                    gaussian_profile(), ReduceSpec("value_at_t", 1.0))
+    assert spec != tuple(spec) and not spec == tuple(spec)
 
 
 def test_records_of_one_kind_compare_and_hash_by_value():
@@ -179,7 +191,16 @@ def test_records_of_one_kind_compare_and_hash_by_value():
                  (CosineModulation(1.0), CosineModulation(1.0, 0.0)),
                  (TabulatedEnvelope([0, 1], [1, 2]), TabulatedEnvelope((0.0, 1.0), (1.0, 2.0))),
                  (TabulatedModulation([0, 1], [1, 2]), TabulatedModulation((0.0, 1.0), (1.0, 2.0))),
-                 (gaussian_profile(), gaussian_profile()._replace())):
+                 (gaussian_profile(), gaussian_profile()._replace()),
+                 (TimeGrid(1.0, 2), TimeGrid(t_end=1.0, n_steps=2)),
+                 (ReduceSpec("value_at_t", 1.0), ReduceSpec(t=1.0)),
+                 (ReduceSpec("max_over_t", window=(0.0, 1.0)),
+                  ReduceSpec("max_over_t", None, (0.0, 1.0)))):
         assert a == b and not a != b and hash(a) == hash(b) and len({a, b}) == 1
+    # a scan record holds arrays, so it equals only a record with the same ones
+    spec = ScanSpec("frequency", (0.5, 1.0), make_gibbs(0.5 * SIGMA_Z, 5.0), SIGMA_X,
+                    gaussian_profile(), ReduceSpec("value_at_t", 1.0))
+    assert spec == spec and not spec != spec
+    assert spec == tuple.__new__(ScanSpec, spec)
     assert gaussian_profile() != gaussian_profile(phi=0.5)
     assert GaussianEnvelope(1.0, 2.0) != GaussianEnvelope(1.0, 3.0)

@@ -268,6 +268,34 @@ def test_squaring_bound_suggests_a_grid_that_runs():
     assert np.abs(trace.propagators[-1] - expected).max() <= 1e-9
 
 
+def test_grids_past_the_cap_are_rejected_before_any_stack():
+    # 8 stacks of n + 1 nodes fit MAX_STACK_BYTES: 2^25 / d^2 - 1 steps
+    assert propagation.max_n_steps(2) == 8_388_607 and propagation.max_n_steps(32) == 32_767
+    model, drive = make_gibbs(0.5 * SIGMA_Z, 5.0), resonant_drive()
+    for n in (8_388_608, 10**12):
+        with pytest.raises(ValueError, match="exceeds the cap of 8,388,607 steps at d = 2"):
+            propagate(model, SIGMA_X, drive, TimeGrid(1.0, n))
+        with pytest.raises(ValueError, match="exceeds the cap"):
+            reduce_to_node(model, SIGMA_X, drive, TimeGrid(1.0, n))
+    # an auto grid past 2^63 steps saturates there instead of overflowing
+    assert default_n_steps(1.0e300, 1.0e300) == 2**63
+
+
+def test_too_coarse_suggests_no_grid_past_the_cap():
+    cap = propagation.max_n_steps(2)
+    inside = propagation._drift_failure(1.0, cap // 2, 2, 1e-8)
+    assert inside.suggested_n_steps == 2 * (cap // 2) <= cap
+    assert str(inside).endswith(f"retry with n_steps >= {2 * (cap // 2)}")
+    past = propagation._drift_failure(1.0, cap // 2 + 1, 2, 1e-8)
+    assert past.suggested_n_steps is None
+    assert str(past).endswith("no grid within the cap of 8,388,607 steps at d = 2 resolves "
+                              "the drive")
+    model = make_gibbs(0.5 * SIGMA_Z, 5.0)
+    with pytest.raises(StepSizeTooCoarse, match="squarings; no grid within the cap") as err:
+        propagate(model, SIGMA_X, resonant_drive(lambda0=1.0e150), TimeGrid(TWO_PI, 10))
+    assert err.value.suggested_n_steps is None
+
+
 def test_cli_rejects_a_drive_too_strong_for_the_grid(tmp_path, capsys):
     cfg = tmp_path / "strong.yaml"
     cfg.write_text(
@@ -278,7 +306,10 @@ def test_cli_rejects_a_drive_too_strong_for_the_grid(tmp_path, capsys):
         "  temporal: {kind: cosine, omega_d: 1.0, phi: 0.0}\n"
         "grid: {t_end: 6.283185307179586}\n", encoding="utf-8")
     assert main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 1
-    assert "retry with n_steps" in capsys.readouterr().err
+    # the grid it would need is past the cap, so it suggests none
+    err = capsys.readouterr().err
+    assert "no grid within the cap of 8,388,607 steps at d = 2 resolves the drive" in err
+    assert "retry" not in err
 
 
 def richardson_reference(model, v, drive, t_end, n_fine):

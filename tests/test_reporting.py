@@ -112,9 +112,9 @@ def test_constant_column_is_written_as_each_value_17g(tmp_path, constant):
 
 
 def test_kernel_csv_spanning_format_blocks_is_written_17g(tmp_path):
-    # 70 times: five blocks of 14 whole s rows
-    n = 70
-    assert reporting._CHUNK_ROWS // n == 14
+    # 150 times: four blocks of 47 whole s rows, the last of 9
+    n = 150
+    assert len(SIMULATION_COLUMNS) * reporting._CHUNK_ROWS // n == 47
     times = np.linspace(0.0, 3.0, n)
     kernel = np.sin(np.add.outer(times, 1.1 * times)) / 3.0
     times[1:1 + len(SPECIAL)] = SPECIAL
@@ -180,7 +180,7 @@ def test_python_fallback_alone_writes_the_same_bytes(tmp_path, monkeypatch):
     # with the margin above 1/2 every value takes Python's '%.17g', as where
     # longdouble is a double; the kernel's last block is partial
     n = 90
-    assert n % (reporting._CHUNK_ROWS // n)
+    assert n % (len(SIMULATION_COLUMNS) * reporting._CHUNK_ROWS // n)
     rng = np.random.default_rng(5)
     times = np.linspace(0.0, 7.0, n)
     kernel = rng.standard_normal((n, n)) * 10.0 ** rng.integers(-40, 20, (n, n))

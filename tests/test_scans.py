@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -116,6 +118,25 @@ def test_times_past_a_tabulated_temporal_table_are_rejected_up_front(records):
             run_scan(ScanSpec(*spec._replace(**change)))
     assert records == []
     assert len(run_scan(time_spec).points) == 3 and len(records) == 3  # up to t = 5 runs
+
+
+def test_point_grids_past_the_cap_are_rejected_up_front(records):
+    # the largest point grid reads the last time at the last frequency: at
+    # t = 12 pi that is 1200 steps per unit of omega_d, and the qubit cap is
+    # 8,388,607 steps
+    assert freq_spec((1.0, 6990.0)).values[-1] == 6990.0  # 8,388,000 steps
+    window = ReduceSpec("max_over_t", window=(1.0, 1.0e9))
+    cases = [(lambda: freq_spec((1.0, 6991.0)), "8.39e+06"),
+             (lambda: freq_spec((1.0, 1.0e300)), "9.22e+18"),  # saturated
+             (lambda: temp_spec((1.0, 2.0), base_drive(), t_eval=1.0e9), "3.18e+10"),
+             (lambda: temp_spec((1.0, 2.0), base_drive())._replace(reduce=window), "3.18e+10"),
+             (lambda: ScanSpec("time", (1.0, 1.0e9), qubit(), SIGMA_X, base_drive(),
+                               ReduceSpec("value_at_t", 1.0)), "3.18e+10")]
+    for build, steps in cases:
+        with pytest.raises(ValueError, match="^" + re.escape(
+                f"a grid of {steps} steps exceeds the cap of 8,388,607 steps at d = 2 ")):
+            build()
+    assert records == []
 
 
 def test_reduce_spec_validation():
