@@ -124,7 +124,7 @@ def _csv_bytes(cells: np.ndarray) -> bytes:
     """The rows of (rows, columns, _WIDTH) fields, joined by ',' and '\\n'."""
     cells[:, :-1, -1] = ord(",")
     cells[:, -1, -1] = ord("\n")
-    return cells[cells != 0].tobytes()
+    return cells.tobytes().translate(None, b"\0")
 
 
 def _canonical_json(payload) -> str:

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from drivetherm.bures import SPECTRAL_QFI_CUTOFF, spectral_qfi_batch
+from drivetherm.bures import SPECTRAL_QFI_CUTOFF, _qubit_eigh, spectral_qfi_batch
 from drivetherm.operators import SIGMA_X, SIGMA_Z
 from drivetherm.thermal import dpi_dbeta, equilibrium_qfi, equilibrium_sld, make_gibbs
 
@@ -88,7 +88,8 @@ def test_data_processing_monotonicity(rng):
 
 @pytest.mark.parametrize("d", range(1, 7))
 def test_spectral_qfi_batch_rotation_matches_matmul(rng, d):
-    # q^dag dsigma q runs through operators.stack_mul; batched @ is the reference
+    # q^dag dsigma q runs through operators.stack_mul, and d = 2 takes its
+    # eigensystem from _qubit_eigh; eigh and batched @ are the reference
     sigmas = np.stack([random_full_rank_state(rng, d) for _ in range(9)])
     dsigmas = np.stack([random_hermitian(rng, d) for _ in range(9)])
     lam, q = np.linalg.eigh(sigmas)
@@ -101,3 +102,60 @@ def test_spectral_qfi_batch_rotation_matches_matmul(rng, d):
                                       step_axis_innermost(dsigmas))):
         got = spectral_qfi_batch(s, ds)
         assert np.abs(got - expected).max() <= 1e-14 * np.abs(expected).max()
+
+
+def _near_pure_states(rng, k, p_min):
+    u = np.stack([random_unitary(rng, 2) for _ in range(k)])
+    return u @ np.diag([1.0 - p_min, p_min]) @ u.conj().swapaxes(1, 2)
+
+
+QUBIT_STACKS = {
+    "full-rank": lambda rng: np.stack([random_full_rank_state(rng, 2) for _ in range(200)]),
+    "diagonal": lambda rng: np.array([np.diag([0.7, 0.3]), np.diag([0.3, 0.7])]),
+    "flat": lambda rng: np.array([0.5 * np.eye(2), np.zeros((2, 2))]),
+    "near-pure": lambda rng: _near_pure_states(rng, 200, 1e-12),
+    "indefinite": lambda rng: np.stack([random_hermitian(rng, 2) for _ in range(200)]),
+}
+
+
+@pytest.mark.parametrize("kind", QUBIT_STACKS)
+def test_qubit_eigh_matches_eigh(rng, kind):
+    # the closed form against LAPACK: ascending eigenvalues, a unitary basis
+    # that rebuilds sigma, and eigh's eigenvectors up to phase where split
+    sigmas = QUBIT_STACKS[kind](rng).astype(complex)
+    lam, q = _qubit_eigh(sigmas)
+    lam_ref, q_ref = np.linalg.eigh(sigmas)
+    scale = np.abs(lam_ref).max(axis=1)
+    assert np.all(lam[:, 0] <= lam[:, 1])
+    assert np.all(np.abs(lam - lam_ref).max(axis=1) <= 2e-15 * scale)
+    assert np.abs(q.conj().swapaxes(1, 2) @ q - np.eye(2)).max() <= 1e-15
+    rebuilt = (q * lam[:, None, :]) @ q.conj().swapaxes(1, 2)
+    assert np.all(np.linalg.norm(rebuilt - sigmas, 2, axis=(1, 2)) <= 1e-15 * scale)
+    split = lam_ref[:, 1] - lam_ref[:, 0] > 1e-6 * scale
+    overlap = np.abs(np.einsum("kij,kij->kj", q_ref.conj(), q))[split]
+    assert np.abs(overlap - 1.0).max(initial=0.0) <= 1e-12
+
+
+def test_qubit_eigh_special_cases():
+    # diagonal sigma (h > 0, then h < 0) keeps the standard basis, up to
+    # sign, in eigh's ascending order
+    lam, q = _qubit_eigh(np.array([np.diag([0.7, 0.3]), np.diag([0.3, 0.7])], complex))
+    assert np.array_equal(lam, [[0.3, 0.7], [0.3, 0.7]])
+    assert np.array_equal(q, [[[0, 1], [-1, 0]], [[1, 0], [0, 1]]])
+    # a multiple of the identity gets the identity basis
+    lam, q = _qubit_eigh(np.array([0.5 * np.eye(2), np.zeros((2, 2))], complex))
+    assert np.array_equal(lam, [[0.5, 0.5], [0.0, 0.0]])
+    assert np.array_equal(q, [np.eye(2), np.eye(2)])
+
+
+def test_qubit_stacks_skip_lapack(rng, monkeypatch):
+    # d = 2 never reaches np.linalg.eigh; every other d still does
+    def refuse(a, *args, **kwargs):
+        raise AssertionError(f"np.linalg.eigh called on shape {a.shape}")
+
+    monkeypatch.setattr(np.linalg, "eigh", refuse)
+    qubit = np.stack([random_full_rank_state(rng, 2) for _ in range(5)])
+    assert np.all(spectral_qfi_batch(qubit, np.stack([SIGMA_X] * 5)) > 0.0)
+    qutrit = np.stack([random_full_rank_state(rng, 3) for _ in range(5)])
+    with pytest.raises(AssertionError, match="shape"):
+        spectral_qfi_batch(qutrit, np.stack([random_hermitian(rng, 3)] * 5))
