@@ -95,11 +95,13 @@ class CurrentTrace(NamedTuple):
 
 
 def build_current_trace(trace: EvolutionTrace) -> CurrentTrace:
-    """Currents at every held node plus the trace's weights they enter with.
+    """Currents at every node of a trace held from node 0, with their weights.
 
     Weights vanish identically for temperature-insensitive envelopes; the
     currents may still be nonzero but then carry no Fisher information.
     """
+    if trace.first:
+        raise ValueError(f"trace held from node {trace.first}, not from node 0")
     return CurrentTrace(grid=trace.grid, model=trace.model,
                         currents=information_current(trace.model, trace.heisenberg_v),
                         weights=trace.weights)
@@ -133,6 +135,8 @@ def increment_via_kernel(trace: EvolutionTrace) -> tuple[float, float, float]:
     returned as a diagnostic.  Evaluated in row chunks so large grids never
     materialize the full n^2 kernel.
     """
+    if trace.first:
+        raise ValueError(f"trace held from node {trace.first}, not from node 0")
     p = trace.model.probabilities
     jt = _coherences(trace.model, trace.heisenberg_v)
     cw = trace.grid.dt * trace.weights  # times the composite-trapezoid node coefficients

@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from drivetherm.bures import SPECTRAL_QFI_CUTOFF, _qubit_eigh, spectral_qfi_batch
+from drivetherm import bures
+from drivetherm.bures import SPECTRAL_QFI_CUTOFF, spectral_qfi_batch
 from drivetherm.operators import SIGMA_X, SIGMA_Z
 from drivetherm.thermal import dpi_dbeta, equilibrium_qfi, equilibrium_sld, make_gibbs
 
@@ -86,76 +87,104 @@ def test_data_processing_monotonicity(rng):
         assert f_out <= f_in + 1e-9
 
 
-@pytest.mark.parametrize("d", range(1, 7))
-def test_spectral_qfi_batch_rotation_matches_matmul(rng, d):
-    # q^dag dsigma q runs through operators.stack_mul, and d = 2 takes its
-    # eigensystem from _qubit_eigh; eigh and batched @ are the reference
-    sigmas = np.stack([random_full_rank_state(rng, d) for _ in range(9)])
-    dsigmas = np.stack([random_hermitian(rng, d) for _ in range(9)])
+def eigh_reference(sigmas, dsigmas):
+    """spectral_qfi_batch through np.linalg.eigh and batched @, with the
+    first-order rounding scale of each row: |dsigma|^2 max|l| / min(l_i+l_j)^2
+    over the kept pairs (0 where none is kept)."""
     lam, q = np.linalg.eigh(sigmas)
     dt = q.conj().swapaxes(1, 2) @ dsigmas @ q
     denom = lam[:, :, None] + lam[:, None, :]
     mask = denom > SPECTRAL_QFI_CUTOFF * 2.0 * lam[:, -1][:, None, None]
     expected = np.where(mask, 2.0 * np.abs(dt) ** 2 / np.where(mask, denom, 1.0),
                         0.0).sum(axis=(1, 2))
-    for s, ds in ((sigmas, dsigmas), (step_axis_innermost(sigmas),
-                                      step_axis_innermost(dsigmas))):
+    kept = np.where(mask, denom, np.inf).min(axis=(1, 2))
+    scale = (np.abs(dsigmas) ** 2).sum(axis=(1, 2)) * np.abs(lam).max(axis=1) / kept**2
+    return expected, scale
+
+
+def both_layouts(sigmas, dsigmas):
+    return ((sigmas, dsigmas), (step_axis_innermost(sigmas), step_axis_innermost(dsigmas)))
+
+
+@pytest.mark.parametrize("d", range(1, 7))
+def test_spectral_qfi_batch_rotation_matches_matmul(rng, d):
+    # q^dag dsigma q runs through operators.stack_mul, and d = 2 takes
+    # _qubit_qfi's closed form; eigh and batched @ are the reference
+    sigmas = np.stack([random_full_rank_state(rng, d) for _ in range(9)])
+    dsigmas = np.stack([random_hermitian(rng, d) for _ in range(9)])
+    expected, _ = eigh_reference(sigmas, dsigmas)
+    for s, ds in both_layouts(sigmas, dsigmas):
         got = spectral_qfi_batch(s, ds)
         assert np.abs(got - expected).max() <= 1e-14 * np.abs(expected).max()
 
 
-def _near_pure_states(rng, k, p_min):
-    u = np.stack([random_unitary(rng, 2) for _ in range(k)])
-    return u @ np.diag([1.0 - p_min, p_min]) @ u.conj().swapaxes(1, 2)
+def rotated(u, x):
+    return u @ x @ u.conj().swapaxes(1, 2)
 
 
 QUBIT_STACKS = {
     "full-rank": lambda rng: np.stack([random_full_rank_state(rng, 2) for _ in range(200)]),
     "diagonal": lambda rng: np.array([np.diag([0.7, 0.3]), np.diag([0.3, 0.7])]),
     "flat": lambda rng: np.array([0.5 * np.eye(2), np.zeros((2, 2))]),
-    "near-pure": lambda rng: _near_pure_states(rng, 200, 1e-12),
     "indefinite": lambda rng: np.stack([random_hermitian(rng, 2) for _ in range(200)]),
 }
 
 
 @pytest.mark.parametrize("kind", QUBIT_STACKS)
-def test_qubit_eigh_matches_eigh(rng, kind):
-    # the closed form against LAPACK: ascending eigenvalues, a unitary basis
-    # that rebuilds sigma, and eigh's eigenvectors up to phase where split
+def test_qubit_qfi_matches_eigh(rng, kind):
+    # the closed form against LAPACK row by row, within the reference's own
+    # rounding: an indefinite sigma with l_0 + l_1 near 0 divides by a sum
+    # that eigh forms with cancellation
     sigmas = QUBIT_STACKS[kind](rng).astype(complex)
-    lam, q = _qubit_eigh(sigmas)
-    lam_ref, q_ref = np.linalg.eigh(sigmas)
-    scale = np.abs(lam_ref).max(axis=1)
-    assert np.all(lam[:, 0] <= lam[:, 1])
-    assert np.all(np.abs(lam - lam_ref).max(axis=1) <= 2e-15 * scale)
-    assert np.abs(q.conj().swapaxes(1, 2) @ q - np.eye(2)).max() <= 1e-15
-    rebuilt = (q * lam[:, None, :]) @ q.conj().swapaxes(1, 2)
-    assert np.all(np.linalg.norm(rebuilt - sigmas, 2, axis=(1, 2)) <= 1e-15 * scale)
-    split = lam_ref[:, 1] - lam_ref[:, 0] > 1e-6 * scale
-    overlap = np.abs(np.einsum("kij,kij->kj", q_ref.conj(), q))[split]
-    assert np.abs(overlap - 1.0).max(initial=0.0) <= 1e-12
+    dsigmas = np.stack([random_hermitian(rng, 2) for _ in sigmas])
+    expected, scale = eigh_reference(sigmas, dsigmas)
+    for s, ds in both_layouts(sigmas, dsigmas):
+        assert np.all(np.abs(spectral_qfi_batch(s, ds) - expected) <= 1e-14 * scale)
 
 
-def test_qubit_eigh_special_cases():
-    # diagonal sigma (h > 0, then h < 0) keeps the standard basis, up to
-    # sign, in eigh's ascending order
-    lam, q = _qubit_eigh(np.array([np.diag([0.7, 0.3]), np.diag([0.3, 0.7])], complex))
-    assert np.array_equal(lam, [[0.3, 0.7], [0.3, 0.7]])
-    assert np.array_equal(q, [[[0, 1], [-1, 0]], [[1, 0], [0, 1]]])
-    # a multiple of the identity gets the identity basis
-    lam, q = _qubit_eigh(np.array([0.5 * np.eye(2), np.zeros((2, 2))], complex))
-    assert np.array_equal(lam, [[0.5, 0.5], [0.0, 0.0]])
-    assert np.array_equal(q, [np.eye(2), np.eye(2)])
+@pytest.mark.parametrize("p", [1e-3, 1e-8, 1e-12, 1e-13, 1e-15, 1e-16])
+def test_qubit_qfi_known_eigenbasis(rng, p):
+    # sigma = U diag(1-p, p) U^dag and a thermal-like tangent U D U^dag: D
+    # traceless, its diagonal of size p and O(1) coherences.  The oracle
+    # sum 2|D_ij|^2/(p_i+p_j) keeps the p term only above the cutoff
+    k = 200
+    u = np.stack([random_unitary(rng, 2) for _ in range(k)])
+    lam = np.array([1.0 - p, p])
+    d = np.zeros((k, 2, 2), dtype=complex)
+    d[:, 1, 1] = p * rng.normal(size=k)
+    d[:, 0, 0] = -d[:, 1, 1]
+    d[:, 1, 0] = rng.normal(size=k) + 1j * rng.normal(size=k)
+    d[:, 0, 1] = d[:, 1, 0].conj()
+    denom = lam[:, None] + lam[None, :]
+    mask = denom > SPECTRAL_QFI_CUTOFF * 2.0 * lam.max()
+    assert mask[1, 1] == (p > SPECTRAL_QFI_CUTOFF)
+    oracle = np.where(mask, 2.0 * np.abs(d) ** 2 / denom, 0.0).sum(axis=(1, 2))
+    sigmas = rotated(u, np.diag(lam))
+    got = spectral_qfi_batch(sigmas, rotated(u, d))
+    assert np.all(np.abs(got - oracle) <= 1e-13 * oracle)
+    # a tangent along the p eigenvector has the p term alone: 1/p where kept,
+    # to the ~1e-16/p relative error that rounding sigma leaves in p, and 0
+    # where cut
+    along_p = p * spectral_qfi_batch(sigmas, rotated(u, np.diag([0.0, 1.0])))
+    assert np.all(np.abs(along_p - mask[1, 1]) <= min(0.1, 1e-14 / p))
 
 
 def test_qubit_stacks_skip_lapack(rng, monkeypatch):
-    # d = 2 never reaches np.linalg.eigh; every other d still does
-    def refuse(a, *args, **kwargs):
-        raise AssertionError(f"np.linalg.eigh called on shape {a.shape}")
+    # d = 2 reaches neither np.linalg.eigh nor the stack_mul rotation; every
+    # other d still calls both
+    calls = []
 
-    monkeypatch.setattr(np.linalg, "eigh", refuse)
+    def spy(name, f):
+        def counted(*args, **kwargs):
+            calls.append(name)
+            return f(*args, **kwargs)
+        return counted
+
+    monkeypatch.setattr(np.linalg, "eigh", spy("eigh", np.linalg.eigh))
+    monkeypatch.setattr(bures, "stack_mul", spy("stack_mul", bures.stack_mul))
     qubit = np.stack([random_full_rank_state(rng, 2) for _ in range(5)])
     assert np.all(spectral_qfi_batch(qubit, np.stack([SIGMA_X] * 5)) > 0.0)
+    assert calls == []
     qutrit = np.stack([random_full_rank_state(rng, 3) for _ in range(5)])
-    with pytest.raises(AssertionError, match="shape"):
-        spectral_qfi_batch(qutrit, np.stack([random_hermitian(rng, 3)] * 5))
+    spectral_qfi_batch(qutrit, np.stack([random_hermitian(rng, 3)] * 5))
+    assert {"eigh", "stack_mul"} <= set(calls)

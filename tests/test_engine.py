@@ -128,6 +128,16 @@ def test_weak_field_current_convention(qubit_model):
         assert abs(k_same - k_flip) < 1e-12
 
 
+def test_current_routes_refuse_a_partial_trace(qubit_model, resonant_drive):
+    # from a trace held from node n/2 both routes would integrate the
+    # currents from t_end/2 on (I_t 0.0074 in place of 0.0295 here)
+    grid = TimeGrid(2 * TWO_PI, default_n_steps(2 * TWO_PI, 1.0, 1.0))
+    half = propagate(qubit_model, SIGMA_X, resonant_drive, grid, first=grid.n_steps // 2)
+    for route in (build_current_trace, increment_via_kernel):
+        with pytest.raises(ValueError, match=f"held from node {grid.n_steps // 2}"):
+            route(half)
+
+
 def test_single_node_trace(qubit_model, resonant_drive):
     trace = propagate(qubit_model, SIGMA_X, resonant_drive, TimeGrid(0.0, 0))
     assert increment_series(build_current_trace(trace))[-1] == 0.0

@@ -42,24 +42,21 @@ def test_left_riemann_integral_fails_the_kernel_checks(monkeypatch):
     assert {"kernel-vs-accumulated-increment", "resonant-long-time-law"} <= failed_checks()
 
 
-def conjugated_qubit_eigh(monkeypatch):
-    """The closed-form qubit eigensystem with conjugated eigenvectors."""
-    qubit_eigh = bures._qubit_eigh
-
-    def mutant(sigmas):
-        lam, q = qubit_eigh(sigmas)
-        return lam, q.conj()
-
-    monkeypatch.setattr(bures, "_qubit_eigh", mutant)
+def conjugated_qubit_sigma(monkeypatch):
+    """The closed-form qubit QFI of the conjugated state, whose eigenvectors
+    are the conjugated eigenvectors of the state."""
+    qubit_qfi = bures._qubit_qfi
+    monkeypatch.setattr(bures, "_qubit_qfi",
+                        lambda sigmas, dsigmas: qubit_qfi(sigmas.conj(), dsigmas))
 
 
 def test_conjugated_eigenvectors_fail_the_spectral_checks(monkeypatch):
-    conjugated_qubit_eigh(monkeypatch)
+    conjugated_qubit_sigma(monkeypatch)
     assert {"dual-path-agreement", "no-go-constant-envelope"} <= failed_checks()
 
 
 def test_conjugated_eigenvectors_stop_simulate(tmp_path, monkeypatch, capsys):
-    conjugated_qubit_eigh(monkeypatch)
+    conjugated_qubit_sigma(monkeypatch)
     assert main(["simulate", "--config", str(FIG2B), "--out", str(tmp_path)]) == 1
     assert "dual-path mismatch" in capsys.readouterr().err
     assert list(tmp_path.glob("*.csv")) == []
